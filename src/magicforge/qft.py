@@ -21,8 +21,10 @@ X = rho23 + pi/8, Y = rho23 - pi/8, the window is exact when
 
 (four real equations, three unknowns, consistent by construction). The solver
 runs damped Gauss-Newton from a lattice of starting points and keeps the root
-with the shortest window; every compile is gated by a process-fidelity check
-of the emitted program against the reference transform.
+with the shortest window. Starts that have stopped moving are retired from the
+batch, which leaves every result bit-identical to iterating all starts for the
+full iteration count. Every compile is gated by a process-fidelity check of
+the emitted program against the reference transform.
 
 Qubit indices: couplings j[0,1], j[0,2], j[1,2] in rad/s, durations in
 seconds. The emitted programs end with the label swap 0 <-> 2 that the
@@ -121,11 +123,12 @@ class EntanglingSolution:
     n_roots: int
 
 
-def _window_system(b, a1, a2, xphase, yphase):
+def _window_system(b, a1, a2, xphase, yphase, jacobian=True):
     """Residual vector and Jacobian of the entangling-window equations.
 
     Unknowns are b = J12 T3 / 2 and the two angles; the four rows are the real
-    and imaginary parts of the two complex conditions.
+    and imaginary parts of the two complex conditions. With `jacobian` false
+    only the residual is computed and returned, with the same bits.
     """
     x = np.exp(1j * b)
     x2 = x * x
@@ -135,13 +138,15 @@ def _window_system(b, a1, a2, xphase, yphase):
     ey = np.exp(1j * yphase) / np.sqrt(2.0)
     f1 = ex * x - s1 * s2 * x2 + c1 * c2
     f2 = ey * x - s1 * c2 * x2 - c1 * s2
+    res = np.stack([f1.real, f1.imag, f2.real, f2.imag], axis=-1)
+    if not jacobian:
+        return res
     d1b = 1j * ex * x - 2j * s1 * s2 * x2
     d1a1 = -(c1 * s2 / 2.0) * x2 - (s1 * c2 / 2.0)
     d1a2 = -(s1 * c2 / 2.0) * x2 - (c1 * s2 / 2.0)
     d2b = 1j * ey * x - 2j * s1 * c2 * x2
     d2a1 = -(c1 * c2 / 2.0) * x2 + (s1 * s2 / 2.0)
     d2a2 = (s1 * s2 / 2.0) * x2 - (c1 * c2 / 2.0)
-    res = np.stack([f1.real, f1.imag, f2.real, f2.imag], axis=-1)
     jac = np.stack([
         np.stack([d1b.real, d1a1.real, d1a2.real], axis=-1),
         np.stack([d1b.imag, d1a1.imag, d1a2.imag], axis=-1),
@@ -157,6 +162,13 @@ def solve_entangling_params(j, t1, t2, grid=16, max_iter=80, tol=1e-10):
     Damped Gauss-Newton from a grid^3 lattice of (b, A1, A2) starting points,
     run in one vectorized batch; roots are accepted below `tol` residual norm
     and the one with the smallest positive window wins.
+
+    Every start's trajectory depends on that start alone, so a start whose
+    damped step no longer changes it is at a fixed point for the remaining
+    iterations. Such starts are retired from the batch, and the line search
+    re-evaluates only the residual of starts whose candidate is still worse.
+    The result is bit for bit the one of iterating every start for
+    `max_iter` steps.
     """
     j = _check_compile_couplings(j)
     rho23 = residual_phase(j, t1, t2)
@@ -166,22 +178,32 @@ def solve_entangling_params(j, t1, t2, grid=16, max_iter=80, tol=1e-10):
     b0, a10, a20 = (g.ravel() for g in np.meshgrid(pts, pts, pts, indexing="ij"))
     theta = np.column_stack([b0, a10, a20])
     eye = 1e-12 * np.eye(3)
+    active = np.arange(theta.shape[0])
     for _ in range(max_iter):
-        res, jac = _window_system(theta[:, 0], theta[:, 1], theta[:, 2], xphase, yphase)
+        if active.size == 0:
+            break
+        th = theta[active]
+        res, jac = _window_system(th[:, 0], th[:, 1], th[:, 2], xphase, yphase)
         sq = (res**2).sum(axis=-1)
         jtj = np.einsum("mri,mrk->mik", jac, jac) + eye
         jtr = np.einsum("mri,mr->mi", jac, res)
         step = -np.linalg.solve(jtj, jtr[..., None])[..., 0]
-        scale = np.ones(theta.shape[0])
+        scale = np.ones(active.size)
+        pending = np.arange(active.size)
         for _ in range(8):
-            cand = theta + scale[:, None] * step
-            res_c, _ = _window_system(cand[:, 0], cand[:, 1], cand[:, 2], xphase, yphase)
-            worse = (res_c**2).sum(axis=-1) > sq
-            if not worse.any():
+            cand = th[pending] + scale[pending, None] * step[pending]
+            res_c = _window_system(cand[:, 0], cand[:, 1], cand[:, 2], xphase, yphase,
+                                   jacobian=False)
+            pending = pending[(res_c**2).sum(axis=-1) > sq[pending]]
+            if pending.size == 0:
                 break
-            scale[worse] *= 0.5
-        theta = theta + scale[:, None] * step
-    res, _ = _window_system(theta[:, 0], theta[:, 1], theta[:, 2], xphase, yphase)
+            scale[pending] *= 0.5
+        new = th + scale[:, None] * step
+        theta[active] = new
+        # compare bit patterns, so that a start is retired only when its next
+        # iteration would repeat this one exactly (signed zeros and NaNs too)
+        active = active[(new.view(np.uint64) != th.view(np.uint64)).any(axis=1)]
+    res = _window_system(theta[:, 0], theta[:, 1], theta[:, 2], xphase, yphase, jacobian=False)
     norms = np.sqrt((res**2).sum(axis=-1))
     ok = norms < tol
     if not ok.any():

@@ -44,6 +44,22 @@ def test_same_seed_same_bytes(tmp_path):
     assert not filecmp.cmp(a / "distributions.csv", c / "distributions.csv", shallow=False)
 
 
+def test_transform_compiled_once_per_run(monkeypatch, tmp_path):
+    calls = []
+    compile_qft = harness.compile_qft
+
+    def counting_compile(*args, **kwargs):
+        calls.append(1)
+        return compile_qft(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compile_qft", counting_compile)
+    harness.run_all(tmp_path / "all")
+    assert len(calls) == 1
+    calls.clear()
+    harness.run_scenario("fidelity_table", tmp_path / "one")
+    assert len(calls) == 1
+
+
 def test_csv_and_json_carry_identical_numbers(full_run):
     directory, _ = full_run
     rows = json.loads((directory / "distributions.json").read_text())

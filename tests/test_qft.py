@@ -64,6 +64,73 @@ def window_oracle(j, t1, t2):
     raise AssertionError("oracle found no admissible window")
 
 
+def _lattice_window_system(b, a1, a2, xphase, yphase):
+    x = np.exp(1j * b)
+    x2 = x * x
+    s1, c1 = np.sin(a1 / 2.0), np.cos(a1 / 2.0)
+    s2, c2 = np.sin(a2 / 2.0), np.cos(a2 / 2.0)
+    ex = np.exp(1j * xphase) / np.sqrt(2.0)
+    ey = np.exp(1j * yphase) / np.sqrt(2.0)
+    f1 = ex * x - s1 * s2 * x2 + c1 * c2
+    f2 = ey * x - s1 * c2 * x2 - c1 * s2
+    d1b = 1j * ex * x - 2j * s1 * s2 * x2
+    d1a1 = -(c1 * s2 / 2.0) * x2 - (s1 * c2 / 2.0)
+    d1a2 = -(s1 * c2 / 2.0) * x2 - (c1 * s2 / 2.0)
+    d2b = 1j * ey * x - 2j * s1 * c2 * x2
+    d2a1 = -(c1 * c2 / 2.0) * x2 + (s1 * s2 / 2.0)
+    d2a2 = (s1 * s2 / 2.0) * x2 - (c1 * c2 / 2.0)
+    res = np.stack([f1.real, f1.imag, f2.real, f2.imag], axis=-1)
+    jac = np.stack([
+        np.stack([d1b.real, d1a1.real, d1a2.real], axis=-1),
+        np.stack([d1b.imag, d1a1.imag, d1a2.imag], axis=-1),
+        np.stack([d2b.real, d2a1.real, d2a2.real], axis=-1),
+        np.stack([d2b.imag, d2a1.imag, d2a2.imag], axis=-1),
+    ], axis=-2)
+    return res, jac
+
+
+def lattice_oracle(j, t1, t2, grid=16, max_iter=80, tol=1e-10):
+    """The lattice Gauss-Newton window solver, iterating every start every step.
+
+    Kept as the reference the production solver must reproduce bit for bit:
+    returns (t3, a1, a2, residual, n_roots).
+    """
+    rho23 = (t1 - t2) * j[1, 2] / 2.0
+    xphase = rho23 + np.pi / 8.0
+    yphase = rho23 - np.pi / 8.0
+    pts = (np.arange(grid) + 0.5) / grid * 2.0 * np.pi
+    b0, a10, a20 = (g.ravel() for g in np.meshgrid(pts, pts, pts, indexing="ij"))
+    theta = np.column_stack([b0, a10, a20])
+    eye = 1e-12 * np.eye(3)
+    for _ in range(max_iter):
+        res, jac = _lattice_window_system(theta[:, 0], theta[:, 1], theta[:, 2], xphase, yphase)
+        sq = (res**2).sum(axis=-1)
+        jtj = np.einsum("mri,mrk->mik", jac, jac) + eye
+        jtr = np.einsum("mri,mr->mi", jac, res)
+        step = -np.linalg.solve(jtj, jtr[..., None])[..., 0]
+        scale = np.ones(theta.shape[0])
+        for _ in range(8):
+            cand = theta + scale[:, None] * step
+            res_c, _ = _lattice_window_system(cand[:, 0], cand[:, 1], cand[:, 2], xphase, yphase)
+            worse = (res_c**2).sum(axis=-1) > sq
+            if not worse.any():
+                break
+            scale[worse] *= 0.5
+        theta = theta + scale[:, None] * step
+    res, _ = _lattice_window_system(theta[:, 0], theta[:, 1], theta[:, 2], xphase, yphase)
+    norms = np.sqrt((res**2).sum(axis=-1))
+    ok = norms < tol
+    assert ok.any(), "lattice oracle did not converge from any start"
+    b = np.mod(theta[ok, 0], 2.0 * np.pi)
+    b[b < 1e-9] = 2.0 * np.pi
+    order = np.argsort(b)
+    pick = order[0]
+    t3 = 2.0 * b[pick] / j[1, 2]
+    a1 = float(np.mod(theta[ok, 1][pick], 2.0 * np.pi))
+    a2 = float(np.mod(theta[ok, 2][pick], 2.0 * np.pi))
+    return float(t3), a1, a2, float(norms[ok][pick]), int(ok.sum())
+
+
 def test_reference_transform_is_the_dft():
     f = reference_qft(3)
     k, m = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
@@ -109,6 +176,19 @@ def test_solver_matches_closed_form_oracle():
         assert sol.t3 == pytest.approx(t3, rel=1e-9)
         assert np.angle(np.exp(1j * (sol.a1 - a1))) == pytest.approx(0.0, abs=1e-9)
         assert np.angle(np.exp(1j * (sol.a2 - a2))) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_solver_is_bit_identical_to_lattice_oracle():
+    rng = np.random.default_rng(4242)
+    cases = [("calibrated", calibrated_couplings()),
+             ("winding", pair_matrix(300.0, 5.0, 300.0)),
+             ("asymmetric", pair_matrix(400.0, 60.0, 90.0))]
+    cases += [(f"random {k}", random_couplings(rng)) for k in range(40)]
+    for label, j in cases:
+        t1, t2 = plan_times(j)
+        sol = solve_entangling_params(j, t1, t2)
+        got = (sol.t3, sol.a1, sol.a2, sol.residual, sol.n_roots)
+        assert got == lattice_oracle(j, t1, t2), label
 
 
 def test_exact_form_compiles_to_the_reference_anywhere():
