@@ -13,11 +13,11 @@ import numpy as np
 from magicforge import (
     NoiseModel,
     OutcomeDistribution,
-    apply_rotation,
     compile_qft,
     error_budget,
     measurement_probabilities,
     prepare_state,
+    product_input_ket,
     run_program,
     sample_counts,
     state_fidelity,
@@ -34,16 +34,10 @@ inputs = ("111", "+11", "++1", "+++")
 
 print("input   sso(analytic)   sso(1250 shots)")
 for label in inputs:
-    state = prepare_state(3)
-    for q, c in enumerate(label):
-        if c == "1":
-            apply_rotation(state, q, np.pi, 0.0)
-        elif c == "+":
-            apply_rotation(state, q, np.pi / 2, -np.pi / 2)
-
+    psi = product_input_ket(label)
     ideal = run_program(compiled.program, compiled.couplings,
-                        noise=NoiseModel.off(), initial=state.rho)
-    noisy = run_program(compiled.program, compiled.couplings, initial=state.rho)
+                        noise=NoiseModel.off(), initial=psi)
+    noisy = run_program(compiled.program, compiled.couplings, initial=psi)
 
     p_ideal = measurement_probabilities(ideal.state, NoiseModel.off())
     p_model = measurement_probabilities(noisy.state)  # includes detection errors

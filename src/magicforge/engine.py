@@ -14,7 +14,14 @@ couplings and which dephasing rate a qubit sees from then on: the coupling
 window scales by s_i s_j where s_k is the qubit's magnetic moment relative to
 the encoding it held when the supplied coupling matrix was calibrated (a
 qubit parked in pi has s = 0 and is fully decoupled; a round trip restores
-the original signs).
+the original signs). A sigma- <-> sigma+ transfer is not a native block and
+must pass through pi.
+
+One walk over a program (`_walk`) resolves every instruction into a pulse
+(qubit and 2x2 operator) or a window (duration and Ising phases under the
+encodings in force), tracking transfers on the way. `run_program` applies the
+steps to the density matrix; `program_unitary` multiplies them into the ideal
+unitary.
 
 A depolarizing fraction zeta is folded in once at the end of a run,
 rho -> zeta I/2^n + (1 - zeta) rho, modelling accumulated pulse error over a
@@ -22,7 +29,8 @@ whole sequence rather than per-gate noise. Readout error is classical and is
 applied to outcome distributions only, never to the state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +41,13 @@ from .gates import (
     ket,
     permutation_matrix,
     phase_2x2,
+    product_ket,
     rotation_2x2,
 )
 from .program import (
     BASIS_PI,
     BASIS_SIGMA_MINUS,
+    BASIS_SIGMA_PLUS,
     BASES,
     DD_SCHEMES,
     MF,
@@ -139,6 +149,50 @@ class QuantumState:
         return float(self.populations()[bits == 1].sum())
 
 
+# Each token of a product input: its single-qubit ket, and the (theta, phi)
+# of the pulse that prepares it from |0>.
+_INPUT_TOKENS = {
+    "0": (np.array([1.0, 0.0], dtype=complex), None),
+    "1": (np.array([0.0, 1.0], dtype=complex), (np.pi, 0.0)),
+    "+": (np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), (np.pi / 2, np.pi / 2)),
+}
+# The 15 three-qubit inputs the transform is checked on: every basis state,
+# then each nonempty set of qubits in |+> with the rest in |0>.
+PRODUCT_INPUTS = tuple(format(k, "03b") for k in range(8)) + tuple(
+    format(k, "03b").replace("1", "+") for k in range(1, 8))
+
+
+def _input_tokens(label):
+    if set(label) - set(_INPUT_TOKENS):
+        raise ProgramError(f"bad preparation label {label!r}; use 0, 1 and +")
+    return [_INPUT_TOKENS[ch] for ch in label]
+
+
+def product_input_ket(label):
+    """Ket of the product state `label` over {0, 1, +}, qubit 0 first."""
+    return product_ket([k for k, _ in _input_tokens(label)])
+
+
+def product_input_pulses(label):
+    """Pulses preparing the product state `label` over {0, 1, +} from |0...0>."""
+    return [Rotate(q, *pulse) for q, (_, pulse) in enumerate(_input_tokens(label)) if pulse]
+
+
+def _start_encodings(n_qubits, assignment):
+    """Starting bases (sigma- unless `assignment` gives them) and reference moments.
+
+    A qubit's reference moment is the m_F of the encoding it held when the
+    coupling matrix was calibrated; a qubit calibrated while parked in pi
+    counts as sigma-, so re-housing it in sigma- restores the calibrated signs.
+    """
+    bases = getattr(assignment, "bases", assignment)
+    if bases is None:
+        bases = (BASIS_SIGMA_MINUS,) * n_qubits
+    if len(bases) != n_qubits:
+        raise EngineError(f"{len(bases)} encoding bases for {n_qubits} qubits")
+    return tuple(bases), tuple(MF[b] or -1 for b in bases)
+
+
 def prepare_state(n_qubits, spec=None, assignment=None):
     """Fresh register state: |0...0>, a bitstring, a ket vector, or a density matrix."""
     dim = 2**n_qubits
@@ -159,13 +213,7 @@ def prepare_state(n_qubits, spec=None, assignment=None):
             rho = np.outer(arr, arr.conj())
         else:
             rho = arr
-    bases = getattr(assignment, "bases", assignment)
-    if bases is None:
-        bases = (BASIS_SIGMA_MINUS,) * n_qubits
-    # reference moment for coupling sign bookkeeping; a qubit calibrated while
-    # parked in pi is assigned the sigma- reference for later re-housing
-    reference = tuple(MF[b] if MF[b] != 0 else -1 for b in bases)
-    return QuantumState(n_qubits, rho, tuple(bases), reference)
+    return QuantumState(n_qubits, rho, *_start_encodings(n_qubits, assignment))
 
 
 def _check_couplings(j, n_qubits):
@@ -185,18 +233,13 @@ def apply_rotation(state, qubit, theta, phi=0.0):
     apply_unitary(state, embed(rotation_2x2(theta, phi), qubit, state.n_qubits))
 
 
-def apply_phase_shift(state, qubit, phi):
-    apply_unitary(state, embed(phase_2x2(phi), qubit, state.n_qubits))
+def _window_phases(j, state, duration):
+    """Ising phase of each basis state over a window, under the encodings in force.
 
-
-def sensitivity(state):
-    """Per-qubit coupling sign factor relative to the calibration encoding."""
-    return np.array([MF[b] * r for b, r in zip(state.bases, state.reference_mf)], dtype=float)
-
-
-def window_couplings(j, state):
-    s = sensitivity(state)
-    return j * np.outer(s, s)
+    Each qubit's couplings scale by its m_F relative to its reference moment.
+    """
+    s = np.array([MF[b] * r for b, r in zip(state.bases, state.reference_mf)], dtype=float)
+    return free_phases(j * np.outer(s, s), duration, s.size)
 
 
 def _dephase(state, duration, noise):
@@ -209,13 +252,8 @@ def _dephase(state, duration, noise):
     state.rho = state.rho * damp
 
 
-def free_evolution(state, duration, j, noise=None):
-    """One window: Ising phases under the current encoding pattern, then dephasing."""
-    if duration < 0:
-        raise EngineError("window duration must be >= 0")
-    noise = noise or NoiseModel.off()
-    j = _check_couplings(j, state.n_qubits)
-    phases = free_phases(window_couplings(j, state), duration, state.n_qubits)
+def _window(state, duration, phases, noise):
+    """The window kernel: Ising phases, dephasing, then time and exposure."""
     u = np.exp(1j * phases)
     state.rho = state.rho * np.outer(u, u.conj())
     _dephase(state, duration, noise)
@@ -225,12 +263,23 @@ def free_evolution(state, duration, j, noise=None):
     state.exposure[in_pi, 1] += duration
 
 
+def free_evolution(state, duration, j, noise=None):
+    """One window: Ising phases under the current encoding pattern, then dephasing."""
+    if duration < 0:
+        raise EngineError("window duration must be >= 0")
+    j = _check_couplings(j, state.n_qubits)
+    _window(state, duration, _window_phases(j, state, duration), noise or NoiseModel.off())
+
+
 def transfer_basis(state, qubit, target):
+    """Re-house `qubit` (or "all") in `target`; sigma- <-> sigma+ must pass through pi."""
     if target not in BASES:
         raise EngineError(f"unknown encoding basis {target!r}")
-    qubits = range(state.n_qubits) if qubit == "all" else [qubit]
     bases = list(state.bases)
-    for q in qubits:
+    for q in range(len(bases)) if qubit == "all" else [qubit]:
+        if {bases[q], target} == {BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS}:
+            raise EngineError(f"qubit {q}: direct {bases[q]} -> {target} transfer; "
+                              "route it through pi")
         bases[q] = target
     state.bases = tuple(bases)
 
@@ -293,20 +342,60 @@ def selective_recoupling_wrap(duration, echo_qubit, n_qubits=3):
                         name=f"recouple echo q{echo_qubit}")
 
 
-def _expand(program):
+class _Pulse(NamedTuple):
+    """A resolved pulse; `driven` is False for a virtual phase gate (PH)."""
+    qubit: int
+    op: np.ndarray
+    driven: bool
+
+
+class _Window(NamedTuple):
+    """A resolved window: its duration and the Ising phase of each basis state."""
+    duration: float
+    phases: np.ndarray
+
+
+@dataclass
+class _Frame:
+    """The encodings a walk tracks when no QuantumState carries them."""
+    bases: tuple
+    reference_mf: tuple
+
+
+def _walk(program, j, frame):
+    """Resolve `program` into `_Pulse` and `_Window` steps, in order.
+
+    This is the one interpreter of instructions: decoupled windows are
+    expanded, transfers update `frame.bases` (a QuantumState or a `_Frame`) as
+    the walk passes them, and each window's phases use the encodings then in
+    force. `j` must already be checked.
+    """
+    measured = False
     for ins in program.instructions:
-        if isinstance(ins, FreeEvolve) and ins.dd_pulses:
-            frag = dd_fragment(ins.duration, ins.dd_pulses, ins.dd_scheme, program.n_qubits)
-            yield from frag.instructions
+        if measured:
+            raise ProgramError("MEAS must be the last instruction")
+        if isinstance(ins, Rotate):
+            yield _Pulse(ins.qubit, rotation_2x2(ins.theta, ins.phi), True)
+        elif isinstance(ins, Echo):
+            yield _Pulse(ins.qubit, rotation_2x2(np.pi, ins.phi), True)
+        elif isinstance(ins, PhaseShift):
+            yield _Pulse(ins.qubit, phase_2x2(ins.phi), False)
+        elif isinstance(ins, FreeEvolve) and ins.dd_pulses:
+            yield from _walk(dd_fragment(ins.duration, ins.dd_pulses, ins.dd_scheme,
+                                         program.n_qubits), j, frame)
+        elif isinstance(ins, FreeEvolve):
+            yield _Window(ins.duration, _window_phases(j, frame, ins.duration))
+        elif isinstance(ins, TransferBasis):
+            transfer_basis(frame, ins.qubit, ins.target)
+        elif isinstance(ins, Measure):
+            measured = True
         else:
-            yield ins
+            raise ProgramError(f"cannot execute instruction {ins!r}")
 
 
 @dataclass
 class RunResult:
     state: QuantumState
-    log: list = field(default_factory=list)
-    measured: bool = False
 
     @property
     def duration(self):
@@ -322,7 +411,7 @@ def _relabel(state, perm):
 
 
 def run_program(program, j, noise=None, initial=None, assignment=None,
-                pulse_duration=0.0, keep_log=False):
+                pulse_duration=0.0):
     """Execute a pulse program and return the final (noisy) register state.
 
     `j` is the coupling matrix calibrated for the starting encodings. With
@@ -333,86 +422,38 @@ def run_program(program, j, noise=None, initial=None, assignment=None,
     j = _check_couplings(j, program.n_qubits)
     if isinstance(initial, QuantumState):
         state = initial.copy()
+        if state.n_qubits != program.n_qubits:
+            raise EngineError(f"initial state has {state.n_qubits} qubits, "
+                              f"program {program.n_qubits}")
     else:
         state = prepare_state(program.n_qubits, initial, assignment)
-    log = []
-
-    def note(text):
-        if keep_log:
-            log.append((state.time, text))
-
-    measured = False
-    for ins in _expand(program):
-        if measured:
-            raise ProgramError("MEAS must be the last instruction")
-        if isinstance(ins, Rotate):
-            apply_rotation(state, ins.qubit, ins.theta, ins.phi)
-            note(f"R q{ins.qubit} theta={ins.theta:.6g} phi={ins.phi:.6g}")
-            if pulse_duration > 0:
-                _dephase(state, pulse_duration, noise)
-                state.time += pulse_duration
-        elif isinstance(ins, Echo):
-            apply_rotation(state, ins.qubit, np.pi, ins.phi)
-            note(f"ECHO q{ins.qubit} phi={ins.phi:.6g}")
-            if pulse_duration > 0:
-                _dephase(state, pulse_duration, noise)
-                state.time += pulse_duration
-        elif isinstance(ins, PhaseShift):
-            apply_phase_shift(state, ins.qubit, ins.phi)
-            note(f"PH q{ins.qubit} phi={ins.phi:.6g}")
-        elif isinstance(ins, FreeEvolve):
-            free_evolution(state, ins.duration, j, noise)
-            note(f"EV {ins.duration:.6g}s")
-        elif isinstance(ins, TransferBasis):
-            transfer_basis(state, ins.qubit, ins.target)
-            note(f"XFER {ins.qubit} -> {ins.target}")
-        elif isinstance(ins, Measure):
-            measured = True
-            note("MEAS")
+    for step in _walk(program, j, state):
+        if isinstance(step, _Window):
+            _window(state, step.duration, step.phases, noise)
         else:
-            raise ProgramError(f"cannot execute instruction {ins!r}")
+            apply_unitary(state, embed(step.op, step.qubit, state.n_qubits))
+            if step.driven and pulse_duration > 0:
+                _dephase(state, pulse_duration, noise)
+                state.time += pulse_duration
     if program.relabel is not None:
         _relabel(state, program.relabel)
-        note(f"RELABEL {program.relabel}")
     if noise.white_noise and noise.white_noise_fraction > 0:
         dim = 2**state.n_qubits
         zeta = noise.white_noise_fraction
         state.rho = zeta * np.eye(dim) / dim + (1 - zeta) * state.rho
-        note(f"white noise zeta={zeta:.4g}")
-    return RunResult(state=state, log=log, measured=measured)
+    return RunResult(state=state)
 
 
 def program_unitary(program, j, assignment=None):
     """Ideal unitary of a program (relabeling included), tracking encoding windows."""
     n = program.n_qubits
     j = _check_couplings(j, n)
-    dim = 2**n
-    bases = getattr(assignment, "bases", assignment) or (BASIS_SIGMA_MINUS,) * n
-    reference = [MF[b] if MF[b] != 0 else -1 for b in bases]
-    bases = list(bases)
-    u = np.eye(dim, dtype=complex)
-    seen_meas = False
-    for ins in _expand(program):
-        if seen_meas:
-            raise ProgramError("MEAS must be the last instruction")
-        if isinstance(ins, Rotate):
-            u = embed(rotation_2x2(ins.theta, ins.phi), ins.qubit, n) @ u
-        elif isinstance(ins, Echo):
-            u = embed(rotation_2x2(np.pi, ins.phi), ins.qubit, n) @ u
-        elif isinstance(ins, PhaseShift):
-            u = embed(phase_2x2(ins.phi), ins.qubit, n) @ u
-        elif isinstance(ins, FreeEvolve):
-            s = np.array([MF[b] * r for b, r in zip(bases, reference)], dtype=float)
-            phases = free_phases(j * np.outer(s, s), ins.duration, n)
-            u = np.diag(np.exp(1j * phases)) @ u
-        elif isinstance(ins, TransferBasis):
-            targets = range(n) if ins.qubit == "all" else [ins.qubit]
-            for q in targets:
-                bases[q] = ins.target
-        elif isinstance(ins, Measure):
-            seen_meas = True
+    u = np.eye(2**n, dtype=complex)
+    for step in _walk(program, j, _Frame(*_start_encodings(n, assignment))):
+        if isinstance(step, _Window):
+            u = np.exp(1j * step.phases)[:, None] * u
         else:
-            raise ProgramError(f"cannot build a unitary for {ins!r}")
+            u = embed(step.op, step.qubit, n) @ u
     if program.relabel is not None:
         u = permutation_matrix(program.relabel).astype(complex) @ u
     return u

@@ -15,7 +15,6 @@ ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = {"x": SX, "y": SY, "z": SZ}
 
 
 def rotation_2x2(theta, phi):

@@ -35,14 +35,17 @@ import numpy as np
 from .chain import TrapConfig, coupling_matrix, load_couplings
 from .encoding import effective_couplings, parse_topology, topology_preset
 from .engine import (
+    PRODUCT_INPUTS,
     NoiseModel,
     fringe_scan,
     measurement_probabilities,
+    product_input_ket,
+    product_input_pulses,
     ramsey_scan,
     run_program,
     sample_counts,
 )
-from .gates import ket, product_ket
+from .gates import ket
 from .metrics import (
     MetricsError,
     distinguishability,
@@ -103,9 +106,6 @@ def _wrap(angle):
 
 
 _PHASES = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_ZERO = np.array([1.0, 0.0], dtype=complex)
-_ONE = np.array([0.0, 1.0], dtype=complex)
 
 
 def scenario_precession(rng, shots=50, dd_pulses=20):
@@ -192,28 +192,10 @@ def scenario_topologies():
     return records
 
 
-def _prep_instructions(label):
-    """Product-state preparation pulses for a label over {0, 1, +}."""
-    ins = []
-    for q, ch in enumerate(label):
-        if ch == "1":
-            ins.append(Rotate(q, np.pi, 0.0))
-        elif ch == "+":
-            ins.append(Rotate(q, np.pi / 2, np.pi / 2))
-        elif ch != "0":
-            raise ValueError(f"unknown preparation token {ch!r}")
-    return ins
-
-
-def _prep_ket(label):
-    table = {"0": _ZERO, "1": _ONE, "+": _PLUS}
-    return product_ket([table[ch] for ch in label])
-
-
 def _transform_run(inputs_label, compiled, noise):
     prog = PulseProgram(
         n_qubits=3,
-        instructions=_prep_instructions(inputs_label) + list(compiled.program.instructions),
+        instructions=product_input_pulses(inputs_label) + list(compiled.program.instructions),
         relabel=compiled.program.relabel,
         name=f"transform on {inputs_label}",
     )
@@ -266,7 +248,7 @@ def scenario_distributions(rng, compiled, shots=1250):
     for label in DISTRIBUTION_INPUTS:
         res = _transform_run(label, compiled, noise)
         p_model = measurement_probabilities(res.state, noise)
-        p_ideal = np.abs(reference_qft(3) @ _prep_ket(label)) ** 2
+        p_ideal = np.abs(reference_qft(3) @ product_input_ket(label)) ** 2
         counts = sample_counts(p_model, shots, rng)
         p_emp = counts / shots
         for k in range(8):
@@ -291,21 +273,15 @@ def scenario_distributions(rng, compiled, shots=1250):
     return rows, summary
 
 
-FIDELITY_INPUTS = tuple(format(k, "03b") for k in range(8)) + tuple(
-    "".join("+" if (pattern >> (2 - q)) & 1 else "0" for q in range(3))
-    for pattern in range(1, 8)
-)
-
-
 def scenario_fidelity_table(compiled):
     """Direct and rotation-protocol fidelities of the transform, all 15 inputs."""
     noise = NoiseModel(readout=False)
     ref = reference_qft(3)
     perm = compiled.program.relabel
     records = []
-    for label in FIDELITY_INPUTS:
+    for label in PRODUCT_INPUTS:
         res = _transform_run(label, compiled, noise)
-        ideal = ref @ _prep_ket(label)
+        ideal = ref @ product_input_ket(label)
         direct = state_fidelity(res.state, ideal)
         values = {
             "input": label,
@@ -329,34 +305,15 @@ def scenario_fidelity_table(compiled):
     return records
 
 
-def _fmt_cell(v):
-    if v is None:
-        return ""
+def _cell(v, missing="", text=str):
+    """One value as a CSV cell, or as JSON with missing="null", text=json.dumps."""
     if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
+        return text(v)
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if np.isnan(f):
-        return ""
-    return format(f, ".10g")
-
-
-def _json_cell(v):
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if np.isnan(f):
-        return "null"
-    return format(f, ".10g")
+    if v is None or np.isnan(float(v)):
+        return missing
+    return format(float(v), ".10g")
 
 
 def emit_records(records, directory, stem):
@@ -368,16 +325,14 @@ def emit_records(records, directory, stem):
                 columns.append(key)
     csv_path = os.path.join(directory, f"{stem}.csv")
     json_path = os.path.join(directory, f"{stem}.json")
+    rows = [{"scenario": rec.scenario, "label": rec.label, **rec.values} for rec in records]
     lines = [",".join(columns)]
-    for rec in records:
-        row = {"scenario": rec.scenario, "label": rec.label, **rec.values}
-        lines.append(",".join(_csv_escape(_fmt_cell(row.get(c))) for c in columns))
+    lines += [",".join(_csv_escape(_cell(row.get(c))) for c in columns) for row in rows]
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     chunks = []
-    for rec in records:
-        row = {"scenario": rec.scenario, "label": rec.label, **rec.values}
-        body = ", ".join(f"\"{c}\": {_json_cell(row.get(c))}" for c in columns)
+    for row in rows:
+        body = ", ".join(f"\"{c}\": {_cell(row.get(c), 'null', json.dumps)}" for c in columns)
         chunks.append("  {" + body + "}")
     with open(json_path, "w") as fh:
         fh.write("[\n" + ",\n".join(chunks) + "\n]\n")
@@ -553,7 +508,7 @@ def run_custom_scenario(scenario, directory):
     if len(scenario.input_state) != n:
         raise HarnessError(
             f"input {scenario.input_state!r} does not match a {n}-qubit program")
-    prep = _prep_instructions(scenario.input_state)
+    prep = product_input_pulses(scenario.input_state)
     program = PulseProgram(n_qubits=n, instructions=prep + list(scenario.program.instructions),
                            relabel=scenario.program.relabel, name=scenario.name)
     res = run_program(program, scenario.couplings, noise=noise,

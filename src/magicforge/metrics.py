@@ -70,10 +70,6 @@ def distinguishability(p, q):
     return 1.0 - total_variation(p, q)
 
 
-# Common shorthand for the squared Bhattacharyya coefficient.
-sso = statistical_overlap
-
-
 @dataclass
 class OutcomeDistribution:
     n_qubits: int

@@ -167,27 +167,41 @@ def parse_angle(token):
         raise ProgramError(f"bad angle token {token!r}") from exc
 
 
-def _parse_qubit(token, n_qubits, line_no):
+def _parse_qubit(token, n_qubits):
     if token == "all":
         return "all"
     try:
         q = int(token)
     except ValueError as exc:
-        raise ProgramError(f"line {line_no}: bad qubit index {token!r}") from exc
+        raise ProgramError(f"bad qubit index {token!r}") from exc
+    if q < 0:
+        raise ProgramError(f"negative qubit index {q}")
     if n_qubits is not None and not 0 <= q < n_qubits:
-        raise ProgramError(f"line {line_no}: qubit {q} outside register of {n_qubits}")
+        raise ProgramError(f"qubit {q} outside register of {n_qubits}")
     return q
 
 
 def parse_program(text, n_qubits=None):
-    """Parse the text grammar; raises ProgramError with the offending line number."""
+    """Parse the text grammar; raises ProgramError with the offending line number.
+
+    The register is `n_qubits`, else the `# qubits: N` declared before the first
+    instruction, else the smallest that holds every index; a given or declared
+    register bounds every qubit index and the RELABEL permutation.
+    """
     instructions = []
     relabel = None
-    declared = None
+    limit = n_qubits
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("# qubits:"):
-            declared = int(stripped.split(":", 1)[1])
+            value = stripped.split(":", 1)[1].strip()
+            if not value.isdigit() or int(value) < 1:
+                raise ProgramError(f"line {line_no}: bad register size {value!r}")
+            if instructions or relabel is not None:
+                raise ProgramError(f"line {line_no}: register declared after the first "
+                                   "instruction")
+            if n_qubits is None:
+                limit = int(value)
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -197,12 +211,12 @@ def parse_program(text, n_qubits=None):
             if op == "R":
                 if len(parts) != 4:
                     raise ProgramError("R needs <qubit> <theta> <phi>")
-                q = _parse_qubit(parts[1], n_qubits, line_no)
+                q = _parse_qubit(parts[1], limit)
                 instructions.append(Rotate(q, parse_angle(parts[2]), parse_angle(parts[3])))
             elif op == "PH":
                 if len(parts) != 3:
                     raise ProgramError("PH needs <qubit> <phi>")
-                q = _parse_qubit(parts[1], n_qubits, line_no)
+                q = _parse_qubit(parts[1], limit)
                 instructions.append(PhaseShift(q, parse_angle(parts[2])))
             elif op == "EV":
                 if len(parts) not in (2, 3):
@@ -220,30 +234,28 @@ def parse_program(text, n_qubits=None):
             elif op == "XFER":
                 if len(parts) != 3:
                     raise ProgramError("XFER needs <qubit|all> <basis>")
-                q = _parse_qubit(parts[1], n_qubits, line_no)
+                q = _parse_qubit(parts[1], limit)
                 instructions.append(TransferBasis(q, parts[2]))
             elif op == "ECHO":
                 if len(parts) != 3:
                     raise ProgramError("ECHO needs <qubit> <phi>")
-                q = _parse_qubit(parts[1], n_qubits, line_no)
+                q = _parse_qubit(parts[1], limit)
                 instructions.append(Echo(q, parse_angle(parts[2])))
             elif op == "MEAS":
                 instructions.append(Measure())
             elif op == "RELABEL":
                 relabel = tuple(int(t) for t in parts[1:])
+                if limit is not None and sorted(relabel) != list(range(limit)):
+                    raise ProgramError(f"RELABEL {' '.join(parts[1:])} is not a permutation "
+                                       f"of 0..{limit - 1}")
             else:
                 raise ProgramError(f"unknown instruction {parts[0]!r}")
-        except ProgramError as exc:
+        except ValueError as exc:  # ProgramError included
             raise ProgramError(f"line {line_no}: {exc}") from None
-        except ValueError as exc:
-            raise ProgramError(f"line {line_no}: {exc}") from None
-    if n_qubits is None:
-        max_q = 0
+    if limit is None:
+        limit = len(relabel or ()) or 1
         for ins in instructions:
             q = getattr(ins, "qubit", None)
             if isinstance(q, int):
-                max_q = max(max_q, q)
-        if relabel:
-            max_q = max(max_q, len(relabel) - 1)
-        n_qubits = max(max_q + 1, declared or 1)
-    return PulseProgram(n_qubits=n_qubits, instructions=instructions, relabel=relabel)
+                limit = max(limit, q + 1)
+    return PulseProgram(n_qubits=limit, instructions=instructions, relabel=relabel)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import program_unitary
+from .engine import PRODUCT_INPUTS, product_input_ket, program_unitary
 from .metrics import process_fidelity, state_fidelity
 from .program import (
     BASIS_PI,
@@ -331,27 +331,14 @@ def verify_plan(compiled):
     """Ideal-output checks of a compiled program against the reference transform.
 
     Runs every computational basis state and the seven nontrivial |0>/|+>
-    product inputs through the program's unitary and reports the overlaps with
-    the reference outputs.
+    product inputs (`PRODUCT_INPUTS`) through the program's unitary and
+    reports the overlaps with the reference outputs.
     """
     u = program_unitary(compiled.program, compiled.couplings)
     ref = reference_qft(3)
-    dim = 8
-    basis = np.empty(dim)
-    for k in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[k] = 1.0
-        basis[k] = state_fidelity(u @ e, ref @ e)
-    zero = np.array([1.0, 0.0], dtype=complex)
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    supers = []
-    for pattern in range(1, 8):
-        kets = [plus if (pattern >> (2 - q)) & 1 else zero for q in range(3)]
-        v = np.array([1.0 + 0.0j])
-        for kq in kets:
-            v = np.kron(v, kq)
-        supers.append(state_fidelity(u @ v, ref @ v))
-    return PlanVerification(process_fidelity(ref, u), basis, np.asarray(supers))
+    kets = [product_input_ket(label) for label in PRODUCT_INPUTS]
+    overlaps = np.array([state_fidelity(u @ v, ref @ v) for v in kets])
+    return PlanVerification(process_fidelity(ref, u), overlaps[:8], overlaps[8:])
 
 
 def serial_baseline(j):

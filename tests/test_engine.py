@@ -20,7 +20,14 @@ from magicforge.engine import (
     transfer_basis,
 )
 from magicforge.gates import free_unitary, ket, rotation_2x2
-from magicforge.program import FreeEvolve, Measure, ProgramError, PulseProgram, Rotate
+from magicforge.program import (
+    FreeEvolve,
+    Measure,
+    ProgramError,
+    PulseProgram,
+    Rotate,
+    TransferBasis,
+)
 
 
 def random_j(rng, n=3, scale=300.0):
@@ -193,6 +200,26 @@ def test_reencoding_flips_precession_sign():
     base = probe_phase(False)
     flipped = probe_phase(True)
     assert (base - flipped) == pytest.approx(2 * j[0, 1] * t, abs=1e-9)
+
+
+def test_direct_sigma_transfer_is_rejected(rng):
+    st = prepare_state(3, "000")
+    with pytest.raises(EngineError, match="qubit 0: direct sigma- -> sigma\\+"):
+        transfer_basis(st, 0, "sigma+")
+    transfer_basis(st, 2, "pi")
+    transfer_basis(st, 2, "sigma+")
+    with pytest.raises(EngineError, match="qubit 2: direct sigma\\+ -> sigma-"):
+        transfer_basis(st, "all", "sigma-")
+    assert st.bases == ("sigma-", "sigma-", "sigma+")
+    j = random_j(rng)
+    direct = PulseProgram(3, [TransferBasis(1, "sigma+"), FreeEvolve(1e-3)])
+    with pytest.raises(EngineError, match="qubit 1"):
+        run_program(direct, j)
+    with pytest.raises(EngineError, match="qubit 1"):
+        program_unitary(direct, j)
+    routed = PulseProgram(3, [TransferBasis(1, "pi"), TransferBasis(1, "sigma+"),
+                              FreeEvolve(1e-3)])
+    assert run_program(routed, j).state.bases == ("sigma-", "sigma+", "sigma-")
 
 
 # ---- dynamical decoupling ----

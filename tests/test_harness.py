@@ -1,5 +1,7 @@
+import csv
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,39 @@ def test_run_all_produces_every_table(full_run):
     for stem in stems:
         assert (directory / f"{stem}.csv").exists()
         assert (directory / f"{stem}.json").exists()
+
+
+FROZEN = Path(__file__).resolve().parents[1] / "bench" / "expected" / "reproduce"
+# Columns drawn from shot sampling; they must match the frozen tables exactly.
+SAMPLED = {
+    "precession": {"contrast", "contrast_err", "phase", "phase_err"},
+    "transform_fringes": {"contrast", "contrast_err", "phase", "fringe_fidelity"},
+    "distributions": {"p_simulated_noisy", "counts"},
+    "distribution_summary": {"sso", "distinguishability"},
+}
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_tables_match_frozen_reproduction(full_run):
+    directory, _ = full_run
+    frozen = sorted(FROZEN.glob("*.csv"))
+    assert {p.stem for p in frozen} == {p.stem for p in directory.glob("*.csv")}
+    for path in frozen:
+        want = read_csv(path)
+        got = read_csv(directory / path.name)
+        assert got[0] == want[0] and len(got) == len(want), path.stem
+        for r, (row, want_row) in enumerate(zip(got[1:], want[1:])):
+            for column, cell, want_cell in zip(want[0], row, want_row):
+                where = f"{path.stem} row {r} {column}"
+                if column in SAMPLED.get(path.stem, ()) or cell == want_cell:
+                    assert cell == want_cell, where
+                else:
+                    w = float(want_cell)
+                    assert abs(float(cell) - w) <= 1e-12 + 1e-9 * abs(w), where
 
 
 def test_single_scenario_reproduces_full_run_bytes(full_run, tmp_path):

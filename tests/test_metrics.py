@@ -20,7 +20,6 @@ from magicforge.metrics import (
     fringe_phase_for,
     process_fidelity,
     ramsey_fit,
-    sso,
     state_fidelity,
     statistical_overlap,
     total_variation,
@@ -77,7 +76,6 @@ def test_overlap_and_distance_properties(rng):
     assert statistical_overlap(p, p) == pytest.approx(1.0, abs=1e-12)
     assert total_variation(p, p) == pytest.approx(0.0, abs=1e-15)
     assert distinguishability(p, p) == pytest.approx(1.0, abs=1e-15)
-    assert sso is statistical_overlap
 
 
 def test_disjoint_distributions_are_fully_distinguishable():

@@ -78,3 +78,15 @@ def test_duration_counts_only_free_evolution():
 def test_qubit_indices_validated_against_register():
     with pytest.raises(ProgramError, match="line 1"):
         parse_program("R 5 pi 0\n", n_qubits=3)
+    with pytest.raises(ProgramError, match="line 1: bad register size 'abc'"):
+        parse_program("# qubits: abc\nR 0 pi 0\n")
+    with pytest.raises(ProgramError, match="line 2: qubit 5 outside register of 3"):
+        parse_program("# qubits: 3\nR 5 pi 0\n")
+    with pytest.raises(ProgramError, match="line 3: RELABEL .* not a permutation of 0..2"):
+        parse_program("# qubits: 3\nR 0 pi 0\nRELABEL 5 4 3 2 1 0\n")
+    with pytest.raises(ProgramError, match="line 2: register declared after"):
+        parse_program("R 0 pi 0\n# qubits: 3\n")
+    with pytest.raises(ProgramError, match="line 1: negative qubit index"):
+        parse_program("R -1 pi 0\n")
+    prog = parse_program("# qubits: 4\nR 1 pi 0\nRELABEL 3 2 1 0\n")
+    assert prog.n_qubits == 4 and prog.relabel == (3, 2, 1, 0)
