@@ -280,11 +280,16 @@ def zeeman_profile(config, geometry=None):
 
 
 def coupling_matrix(config, modes=None, zeeman=None):
-    """Gradient-mediated Ising couplings J_ij (rad/s) for the configured chain."""
-    if modes is None:
-        modes = normal_modes(config)
-    if zeeman is None:
-        zeeman = zeeman_profile(config)
+    """Gradient-mediated Ising couplings J_ij (rad/s) for the configured chain.
+
+    Modes and Zeeman profile not passed in share one equilibrium solve.
+    """
+    if modes is None or zeeman is None:
+        geometry = equilibrium_positions(config)
+        if modes is None:
+            modes = normal_modes(config, geometry)
+        if zeeman is None:
+            zeeman = zeeman_profile(config, geometry)
     n = config.ion_count
     # eps_in = (d omega_i/dz) * (dz_n / nu_n) * S_in
     eps = (

@@ -19,9 +19,12 @@ must pass through pi.
 
 One walk over a program (`_walk`) resolves every instruction into a pulse
 (qubit and 2x2 operator) or a window (duration and Ising phases under the
-encodings in force), tracking transfers on the way. `run_program` applies the
-steps to the density matrix; `program_unitary` multiplies them into the ideal
-unitary.
+encodings in force), tracking transfers and bounding qubit indices on the way.
+`run_program` applies the steps to the density matrix; `program_unitary`
+multiplies them into the ideal unitary.
+
+`fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
+state, so a scan over analysis phases runs its program once, not per phase.
 
 A depolarizing fraction zeta is folded in once at the end of a run,
 rho -> zeta I/2^n + (1 - zeta) rho, modelling accumulated pulse error over a
@@ -49,7 +52,6 @@ from .program import (
     BASIS_SIGMA_MINUS,
     BASIS_SIGMA_PLUS,
     BASES,
-    DD_SCHEMES,
     MF,
     Echo,
     FreeEvolve,
@@ -59,6 +61,7 @@ from .program import (
     PulseProgram,
     Rotate,
     TransferBasis,
+    check_decoupling,
 )
 
 
@@ -79,8 +82,10 @@ class NoiseModel:
     readout: bool = True
 
     def __post_init__(self):
-        if self.sigma_dephasing_rate < 0 or self.pi_dephasing_rate < 0:
-            raise ValueError("dephasing rates must be >= 0")
+        for name in ("sigma_dephasing_rate", "pi_dephasing_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
         if not 0.0 <= self.white_noise_fraction <= 1.0:
             raise ValueError("white_noise_fraction must lie in [0, 1]")
         if not 0.5 <= self.readout_fidelity <= 1.0:
@@ -143,10 +148,6 @@ class QuantumState:
         order = [remaining.index(q) for q in keep]
         t = t.reshape([2] * (2 * m)).transpose(order + [o + m for o in order])
         return t.reshape(2**m, 2**m)
-
-    def probability_one(self, qubit):
-        bits = bit_table(self.n_qubits)[:, qubit]
-        return float(self.populations()[bits == 1].sum())
 
 
 # Each token of a product input: its single-qubit ket, and the (theta, phi)
@@ -293,14 +294,9 @@ def dd_phase_sequence(n_pulses, scheme="cpmg"):
     block advanced by pi/2; counts must be a multiple of ten, and the train is
     the identity up to global phase at multiples of twenty.
     """
-    if scheme not in DD_SCHEMES:
-        raise ProgramError(f"unknown decoupling scheme {scheme!r}")
+    check_decoupling(n_pulses, scheme)
     if scheme == "cpmg":
-        if n_pulses % 2:
-            raise ProgramError("cpmg pulse count must be even")
         return [np.pi / 2] * n_pulses
-    if n_pulses % 10:
-        raise ProgramError("kdd pulse count must be a multiple of 10")
     block = (np.pi / 6, 0.0, np.pi / 2, 0.0, np.pi / 6)
     phases = []
     for b in range(n_pulses // 5):
@@ -368,12 +364,17 @@ def _walk(program, j, frame):
     This is the one interpreter of instructions: decoupled windows are
     expanded, transfers update `frame.bases` (a QuantumState or a `_Frame`) as
     the walk passes them, and each window's phases use the encodings then in
-    force. `j` must already be checked.
+    force. `j` must already be checked; every qubit an instruction names is
+    bounded here against the program's register.
     """
     measured = False
     for ins in program.instructions:
         if measured:
             raise ProgramError("MEAS must be the last instruction")
+        q = getattr(ins, "qubit", "all")
+        if q != "all" and not 0 <= q < program.n_qubits:
+            raise ProgramError(f"{type(ins).__name__} on qubit {q} outside register "
+                               f"of {program.n_qubits}")
         if isinstance(ins, Rotate):
             yield _Pulse(ins.qubit, rotation_2x2(ins.theta, ins.phi), True)
         elif isinstance(ins, Echo):
@@ -510,21 +511,21 @@ def ramsey_program(qubit, duration, analysis_phase, n_qubits=3, spectator_bits=N
 
 def ramsey_scan(qubit, duration, phases, j, noise=None, n_qubits=3,
                 spectator_bits=None, dd_pulses=0, dd_scheme="cpmg"):
-    """Bright-state probability of the probe qubit versus analysis phase."""
-    out = np.empty(len(phases))
-    for k, phi in enumerate(phases):
-        prog = ramsey_program(qubit, duration, phi, n_qubits, spectator_bits,
-                              dd_pulses, dd_scheme)
-        res = run_program(prog, j, noise=noise)
-        out[k] = res.state.probability_one(qubit)
-    return out
+    """Bright-state probability of the probe qubit versus analysis phase.
+
+    One run up to the analysis pulse, then `fringe_scan`: exact under any
+    NoiseModel, as the pulse commutes with the end-of-run depolarizing mix.
+    """
+    prog = ramsey_program(qubit, duration, 0.0, n_qubits, spectator_bits,
+                          dd_pulses, dd_scheme)
+    del prog.instructions[-1]  # the analysis pulse
+    return fringe_scan(run_program(prog, j, noise=noise).state, qubit, phases)
 
 
 def fringe_scan(state, qubit, phases):
-    """Analysis-pulse scan on a finished state: P(bright) after R(pi/2, phi)."""
-    out = np.empty(len(phases))
-    for k, phi in enumerate(phases):
-        probe = state.copy()
-        apply_rotation(probe, qubit, np.pi / 2, phi)
-        out[k] = probe.probability_one(qubit)
-    return out
+    """Analysis-pulse scan on a finished state: P(bright) after R(pi/2, phi).
+
+    With r the probe's reduced state, P(phi) = (r00 + r11)/2 + Im(e^{i phi} r01).
+    """
+    r = state.reduced_density([qubit])
+    return (r[0, 0] + r[1, 1]).real / 2 + np.imag(np.exp(1j * np.asarray(phases)) * r[0, 1])

@@ -60,7 +60,6 @@ from .metrics import (
 )
 from .program import (
     BASIS_PI,
-    BASIS_SIGMA_MINUS,
     FreeEvolve,
     ProgramError,
     PulseProgram,
@@ -140,16 +139,13 @@ def scenario_precession(rng, shots=50, dd_pulses=20):
     return records
 
 
-def _parked_probe_program(duration, analysis_phase, park_qubit=None, dd_pulses=20):
-    """Probe fringe program with both neighbours bright, one optionally parked."""
+def _parked_probe_program(duration, park_qubit=None):
+    """Probe program up to its analysis pulse; neighbours bright, one optionally parked."""
     ins = [Rotate(1, np.pi, 0.0), Rotate(2, np.pi, 0.0)]
     if park_qubit is not None:
         ins.append(TransferBasis(park_qubit, BASIS_PI))
     ins.append(Rotate(0, np.pi / 2, 0.0))
-    ins.append(FreeEvolve(duration, dd_pulses, "cpmg"))
-    if park_qubit is not None:
-        ins.append(TransferBasis(park_qubit, BASIS_SIGMA_MINUS))
-    ins.append(Rotate(0, np.pi / 2, analysis_phase))
+    ins.append(FreeEvolve(duration, 20, "cpmg"))
     return PulseProgram(n_qubits=3, instructions=ins)
 
 
@@ -173,10 +169,8 @@ def scenario_topologies():
     duration = 1e-3
     noise = NoiseModel(white_noise=False, readout=False)
     for park, tag in ((None, "both neighbours active"), (2, "outer neighbour parked")):
-        p = np.empty(_PHASES.size)
-        for k, phi in enumerate(_PHASES):
-            prog = _parked_probe_program(duration, phi, park_qubit=park)
-            p[k] = run_program(prog, j, noise=noise).state.probability_one(0)
+        res = run_program(_parked_probe_program(duration, park), j, noise=noise)
+        p = fringe_scan(res.state, 0, _PHASES)
         fit = ramsey_fit(_PHASES, p)
         rate = -_wrap(fit.phase - (-np.pi)) / duration
         records.append(RunRecord(

@@ -18,6 +18,7 @@ Angles are radians; a trailing ``pi`` multiplies by pi (``0.5pi``, ``-pi``).
 Qubit indices are 0-based.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,17 +36,42 @@ class ProgramError(ValueError):
     """Raised for malformed programs or text that does not parse."""
 
 
+def check_decoupling(n_pulses, scheme):
+    """Reject a pulse count the decoupling scheme cannot use.
+
+    cpmg needs an even count, kdd a multiple of ten.
+    """
+    if scheme not in DD_SCHEMES:
+        raise ProgramError(f"unknown decoupling scheme {scheme!r}")
+    if scheme == "cpmg" and n_pulses % 2:
+        raise ProgramError(f"cpmg pulse count must be even, got {n_pulses}")
+    if scheme == "kdd" and n_pulses % 10:
+        raise ProgramError(f"kdd pulse count must be a multiple of 10, got {n_pulses}")
+
+
+def _check_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ProgramError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class Rotate:
     qubit: int
     theta: float
     phi: float = 0.0
 
+    def __post_init__(self):
+        _check_finite(theta=self.theta, phi=self.phi)
+
 
 @dataclass
 class PhaseShift:
     qubit: int
     phi: float
+
+    def __post_init__(self):
+        _check_finite(phi=self.phi)
 
 
 @dataclass
@@ -55,12 +81,13 @@ class FreeEvolve:
     dd_scheme: str = "cpmg"
 
     def __post_init__(self):
+        _check_finite(duration=self.duration)
         if self.duration < 0:
             raise ProgramError(f"free evolution duration must be >= 0, got {self.duration}")
         if self.dd_pulses < 0:
             raise ProgramError("dd_pulses must be >= 0")
-        if self.dd_pulses and self.dd_scheme not in DD_SCHEMES:
-            raise ProgramError(f"unknown decoupling scheme {self.dd_scheme!r}")
+        if self.dd_pulses:
+            check_decoupling(self.dd_pulses, self.dd_scheme)
 
 
 @dataclass
@@ -77,6 +104,9 @@ class TransferBasis:
 class Echo:
     qubit: int
     phi: float = np.pi / 2
+
+    def __post_init__(self):
+        _check_finite(phi=self.phi)
 
 
 @dataclass

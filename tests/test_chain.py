@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magicforge import chain
 from magicforge.chain import (
     CouplingMatrix,
     TrapConfig,
@@ -82,6 +83,25 @@ def test_coupling_matrix_regression_values():
     assert j[0, 2] == pytest.approx(24.1654, rel=1e-4)
     assert np.allclose(j, j.T)
     assert np.allclose(np.diag(j), 0.0)
+
+
+def test_coupling_matrix_solves_equilibrium_once(monkeypatch):
+    calls = []
+    solve = chain.equilibrium_positions
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(chain, "equilibrium_positions", counting_solve)
+    config = TrapConfig(ion_count=10, bias_field=1e-2)
+    coupling_matrix(config)
+    assert len(calls) == 1
+    calls.clear()
+    geometry = solve(config)
+    coupling_matrix(config, modes=normal_modes(config, geometry),
+                    zeeman=zeeman_profile(config, geometry))
+    assert len(calls) == 0
 
 
 def test_coupling_ratio_from_mode_sums():

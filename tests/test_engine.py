@@ -21,8 +21,10 @@ from magicforge.engine import (
 )
 from magicforge.gates import free_unitary, ket, rotation_2x2
 from magicforge.program import (
+    Echo,
     FreeEvolve,
     Measure,
+    PhaseShift,
     ProgramError,
     PulseProgram,
     Rotate,
@@ -318,6 +320,33 @@ def test_sample_counts_deterministic():
     assert a.sum() == 1000
     with pytest.raises(TypeError):
         sample_counts(p, 1000)
+
+
+def test_out_of_register_qubit_is_rejected(rng):
+    j = random_j(rng)
+    bad = [Rotate(5, np.pi, 0.0), TransferBasis(5, "pi"), Rotate(-1, np.pi, 0.0),
+           PhaseShift(3, 0.2), Echo(-2)]
+    for ins in bad:
+        prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), ins, FreeEvolve(1e-3)])
+        message = f"qubit {ins.qubit} outside register of 3"
+        with pytest.raises(ProgramError, match=message):
+            run_program(prog, j)
+        with pytest.raises(ProgramError, match=message):
+            program_unitary(prog, j)
+    # "all" is in every register; a decoupled window expands inside it
+    ok = PulseProgram(3, [TransferBasis("all", "pi"), FreeEvolve(1e-3, 2, "cpmg")])
+    assert run_program(ok, j).state.bases == ("pi",) * 3
+
+
+def test_noise_model_rejects_non_finite_rates():
+    with pytest.raises(ValueError, match="sigma_dephasing_rate must be finite"):
+        NoiseModel(sigma_dephasing_rate=float("nan"))
+    with pytest.raises(ValueError, match="pi_dephasing_rate must be finite"):
+        NoiseModel(pi_dephasing_rate=float("inf"))
+    with pytest.raises(ValueError, match="pi_dephasing_rate must be finite and >= 0"):
+        NoiseModel(pi_dephasing_rate=-1.0)
+    with pytest.raises(ValueError, match="white_noise_fraction"):
+        NoiseModel(white_noise_fraction=float("nan"))
 
 
 def test_measure_must_be_last(rng):

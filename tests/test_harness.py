@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magicforge import harness
+from magicforge import engine, harness
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,24 @@ def test_transform_compiled_once_per_run(monkeypatch, tmp_path):
     calls.clear()
     harness.run_scenario("fidelity_table", tmp_path / "one")
     assert len(calls) == 1
+
+
+def test_fringe_scans_run_once_per_configuration(monkeypatch):
+    calls = []
+
+    def counting(run):
+        def counting_run(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+        return counting_run
+
+    monkeypatch.setattr(engine, "run_program", counting(engine.run_program))
+    p = engine.ramsey_scan(0, 1e-3, harness._PHASES, harness.demo_couplings(), dd_pulses=20)
+    assert len(calls) == 1 and p.shape == harness._PHASES.shape
+    calls.clear()
+    monkeypatch.setattr(harness, "run_program", counting(harness.run_program))
+    harness.scenario_topologies()
+    assert len(calls) == 2  # both neighbours active; outer neighbour parked
 
 
 def test_csv_and_json_carry_identical_numbers(full_run):

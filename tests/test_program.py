@@ -52,6 +52,29 @@ def test_parse_errors_carry_line_numbers():
         parse_program("R 0 pi\n")
 
 
+def test_non_finite_values_are_rejected_where_they_enter():
+    with pytest.raises(ProgramError, match="line 2: duration must be finite, got nan"):
+        parse_program("R 0 pi 0\nEV nan\n")
+    with pytest.raises(ProgramError, match="line 1: theta must be finite, got inf"):
+        parse_program("R 0 inf 0\n")
+    with pytest.raises(ProgramError, match="line 1: phi must be finite"):
+        parse_program("PH 1 -inf\n")
+    with pytest.raises(ProgramError, match="line 1: phi must be finite"):
+        parse_program("ECHO 1 nan\n")
+    with pytest.raises(ProgramError, match="phi must be finite"):
+        Rotate(0, np.pi, float("nan"))
+
+
+def test_decoupling_pulse_counts_checked_at_parse_time():
+    with pytest.raises(ProgramError, match="line 1: kdd pulse count must be a multiple of 10"):
+        parse_program("EV 1e-3 dd=3,kdd\n")
+    with pytest.raises(ProgramError, match="line 2: cpmg pulse count must be even"):
+        parse_program("R 0 pi 0\nEV 1e-3 dd=5\n")
+    with pytest.raises(ProgramError, match="unknown decoupling scheme"):
+        FreeEvolve(1e-3, 4, "xy8")
+    assert parse_program("EV 1e-3 dd=20,kdd\n").instructions[0].dd_pulses == 20
+
+
 def test_relabel_must_be_permutation():
     with pytest.raises(ProgramError):
         PulseProgram(n_qubits=3, instructions=[], relabel=(0, 0, 2))

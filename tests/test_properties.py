@@ -3,14 +3,24 @@
 Programs on 2-3 qubits mix R, PH, ECHO, plain and decoupled EV windows,
 transfers routed through pi, and an optional RELABEL. Noiselessly the density
 matrix path must agree with the ideal unitary; under the full noise model the
-state must stay a density matrix.
+state must stay a density matrix. The closed-form fringe readout must agree
+with applying the analysis pulse explicitly, phase by phase.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicforge.engine import NoiseModel, prepare_state, program_unitary, run_program
+from magicforge.engine import (
+    NoiseModel,
+    apply_rotation,
+    fringe_scan,
+    prepare_state,
+    program_unitary,
+    ramsey_program,
+    ramsey_scan,
+    run_program,
+)
 from magicforge.program import (
     BASES,
     BASIS_PI,
@@ -86,3 +96,49 @@ def test_noisy_run_keeps_a_density_matrix(case, pulse_duration):
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.abs(rho - rho.conj().T).max() <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+def bright_probability(rho, qubit, n):
+    """Summed population of the basis states with `qubit` in |1>."""
+    pops = np.diag(rho).real.reshape([2] * n)
+    return float(np.take(pops, 1, axis=qubit).sum())
+
+
+def explicit_fringe(state, qubit, phases):
+    out = []
+    for phi in phases:
+        probe = state.copy()
+        apply_rotation(probe, qubit, np.pi / 2, phi)
+        out.append(bright_probability(probe.rho, qubit, state.n_qubits))
+    return np.array(out)
+
+
+phase_lists = st.lists(angles, min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.data(), st.integers(0, 2**32 - 1), phase_lists)
+def test_fringe_scan_matches_explicit_analysis_pulse(n, data, seed, phases):
+    qubit = data.draw(st.integers(0, n - 1))
+    state = prepare_state(n, random_rho(seed, n))
+    assert np.abs(fringe_scan(state, qubit, phases)
+                  - explicit_fringe(state, qubit, phases)).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2), st.lists(st.integers(0, 1), min_size=2, max_size=2), durations,
+       decoupling, phase_lists)
+def test_ramsey_scan_matches_per_phase_runs(qubit, bits, duration, dd, phases):
+    # the scan runs once and reads every phase off the state; the oracle runs
+    # the whole probe program, analysis pulse included, once per phase
+    spectators = dict(zip([q for q in range(3) if q != qubit], bits))
+    j = np.array([[0.0, 229.3, 97.4], [229.3, 0.0, 229.3], [97.4, 229.3, 0.0]])
+    noise = NoiseModel()
+    oracle = []
+    for phi in phases:
+        prog = ramsey_program(qubit, duration, phi, spectator_bits=spectators,
+                              dd_pulses=dd[0], dd_scheme=dd[1])
+        oracle.append(bright_probability(run_program(prog, j, noise=noise).state.rho, qubit, 3))
+    scan = ramsey_scan(qubit, duration, phases, j, noise=noise, spectator_bits=spectators,
+                       dd_pulses=dd[0], dd_scheme=dd[1])
+    assert np.abs(scan - np.array(oracle)).max() <= 1e-12
