@@ -21,7 +21,9 @@ One walk over a program (`_walk`) resolves every instruction into a pulse
 (qubit and 2x2 operator) or a window (duration and Ising phases under the
 encodings in force), tracking transfers and bounding qubit indices on the way.
 `run_program` applies the steps to the density matrix; `program_unitary`
-multiplies them into the ideal unitary.
+multiplies them into the ideal unitary. A pulse is never lifted to a
+2^n x 2^n matrix: `_apply_local` applies its 2x2 operator on the qubit's axis.
+Registers are capped at MAX_QUBITS; entering density matrices are checked.
 
 `fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
 state, so a scan over analysis phases runs its program once, not per phase.
@@ -33,13 +35,13 @@ applied to outcome distributions only, never to the state.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .gates import (
     bit_table,
-    embed,
     free_phases,
     ket,
     permutation_matrix,
@@ -67,6 +69,27 @@ from .program import (
 
 class EngineError(RuntimeError):
     pass
+
+
+# Largest register the dense engine builds: a 2^n x 2^n density matrix of
+# complex doubles is 16 MB at 10 qubits and grows fourfold per qubit.
+MAX_QUBITS = 10
+# How far a density matrix entering the engine may be from trace 1 and from
+# Hermitian (largest elementwise deviation).
+STATE_TOLERANCE = 1e-9
+
+
+def _register_dim(n_qubits):
+    """Dimension 2^n of a register, checked against MAX_QUBITS before anything is allocated."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise EngineError(f"register of {n_qubits} qubits outside 1..{MAX_QUBITS} "
+                          "(the dense engine holds 4^n amplitudes)")
+    return 2**n_qubits
+
+
+def _check_qubit(qubit, n_qubits):
+    if not (isinstance(qubit, (int, np.integer)) and 0 <= qubit < n_qubits):
+        raise EngineError(f"qubit {qubit} outside register of {n_qubits}")
 
 
 @dataclass
@@ -114,6 +137,11 @@ class QuantumState:
         self.rho = np.asarray(self.rho, dtype=complex)
         if self.rho.shape != (dim, dim):
             raise EngineError(f"density matrix shape {self.rho.shape} != {(dim, dim)}")
+        trace = np.trace(self.rho)
+        if not abs(trace - 1.0) <= STATE_TOLERANCE:
+            raise EngineError(f"rho: trace {trace:.6g} is not 1 (tolerance {STATE_TOLERANCE:g})")
+        if not np.abs(self.rho - self.rho.conj().T).max() <= STATE_TOLERANCE:
+            raise EngineError(f"rho: not Hermitian (tolerance {STATE_TOLERANCE:g})")
         if len(self.bases) != self.n_qubits:
             raise EngineError("one encoding basis per qubit required")
         for b in self.bases:
@@ -196,7 +224,7 @@ def _start_encodings(n_qubits, assignment):
 
 def prepare_state(n_qubits, spec=None, assignment=None):
     """Fresh register state: |0...0>, a bitstring, a ket vector, or a density matrix."""
-    dim = 2**n_qubits
+    dim = _register_dim(n_qubits)
     if spec is None:
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
@@ -226,12 +254,21 @@ def _check_couplings(j, n_qubits):
     return j
 
 
-def apply_unitary(state, u):
-    state.rho = u @ state.rho @ u.conj().T
+def _apply_local(a, op, qubit):
+    """(op on `qubit`) @ a: contract the 2x2 `op` against that qubit's axis of a's rows."""
+    return np.matmul(op, a.reshape(2**qubit, 2, -1)).reshape(a.shape)
+
+
+def _conjugate(rho, op, qubit):
+    """op rho op^dagger, the right factor as op* on the rows of rho^T: this order
+    matches dense embed(op) @ rho @ embed(op)^dagger bit for bit on 2-7 qubits."""
+    rho = _apply_local(rho, op, qubit)
+    return np.ascontiguousarray(_apply_local(np.ascontiguousarray(rho.T), op.conj(), qubit).T)
 
 
 def apply_rotation(state, qubit, theta, phi=0.0):
-    apply_unitary(state, embed(rotation_2x2(theta, phi), qubit, state.n_qubits))
+    _check_qubit(qubit, state.n_qubits)
+    state.rho = _conjugate(state.rho, rotation_2x2(theta, phi), qubit)
 
 
 def _window_phases(j, state, duration):
@@ -243,13 +280,20 @@ def _window_phases(j, state, duration):
     return free_phases(j * np.outer(s, s), duration, s.size)
 
 
+@cache
+def _bit_differs(n_qubits):
+    """Read-only (2^n, 2^n, n) mask: does qubit k's bit differ between basis states a and b."""
+    bits = bit_table(n_qubits)
+    differs = bits[:, None, :] != bits[None, :, :]
+    differs.setflags(write=False)
+    return differs
+
+
 def _dephase(state, duration, noise):
     if not (noise.dephasing and duration > 0):
         return
     rates = np.array([noise.rate_for(b) for b in state.bases])
-    bits = bit_table(state.n_qubits)
-    differs = bits[:, None, :] != bits[None, :, :]
-    damp = np.exp(-duration * (differs * rates).sum(axis=-1))
+    damp = np.exp(-duration * (_bit_differs(state.n_qubits) * rates).sum(axis=-1))
     state.rho = state.rho * damp
 
 
@@ -266,8 +310,8 @@ def _window(state, duration, phases, noise):
 
 def free_evolution(state, duration, j, noise=None):
     """One window: Ising phases under the current encoding pattern, then dephasing."""
-    if duration < 0:
-        raise EngineError("window duration must be >= 0")
+    if not 0.0 <= duration < np.inf:
+        raise EngineError(f"window duration must be finite and >= 0, got {duration}")
     j = _check_couplings(j, state.n_qubits)
     _window(state, duration, _window_phases(j, state, duration), noise or NoiseModel.off())
 
@@ -277,6 +321,8 @@ def transfer_basis(state, qubit, target):
     if target not in BASES:
         raise EngineError(f"unknown encoding basis {target!r}")
     bases = list(state.bases)
+    if qubit != "all":
+        _check_qubit(qubit, len(bases))
     for q in range(len(bases)) if qubit == "all" else [qubit]:
         if {bases[q], target} == {BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS}:
             raise EngineError(f"qubit {q}: direct {bases[q]} -> {target} transfer; "
@@ -432,7 +478,7 @@ def run_program(program, j, noise=None, initial=None, assignment=None,
         if isinstance(step, _Window):
             _window(state, step.duration, step.phases, noise)
         else:
-            apply_unitary(state, embed(step.op, step.qubit, state.n_qubits))
+            state.rho = _conjugate(state.rho, step.op, step.qubit)
             if step.driven and pulse_duration > 0:
                 _dephase(state, pulse_duration, noise)
                 state.time += pulse_duration
@@ -449,12 +495,12 @@ def program_unitary(program, j, assignment=None):
     """Ideal unitary of a program (relabeling included), tracking encoding windows."""
     n = program.n_qubits
     j = _check_couplings(j, n)
-    u = np.eye(2**n, dtype=complex)
+    u = np.eye(_register_dim(n), dtype=complex)
     for step in _walk(program, j, _Frame(*_start_encodings(n, assignment))):
         if isinstance(step, _Window):
             u = np.exp(1j * step.phases)[:, None] * u
         else:
-            u = embed(step.op, step.qubit, n) @ u
+            u = _apply_local(u, step.op, step.qubit)
     if program.relabel is not None:
         u = permutation_matrix(program.relabel).astype(complex) @ u
     return u
@@ -463,8 +509,7 @@ def program_unitary(program, j, assignment=None):
 def apply_readout_confusion(p, fidelity, n_qubits):
     """Symmetric per-qubit classical bit-flip channel on an outcome distribution."""
     p = np.asarray(p, dtype=float)
-    bits = bit_table(n_qubits)
-    flips = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
+    flips = _bit_differs(n_qubits).sum(axis=-1)
     c = fidelity ** (n_qubits - flips) * (1 - fidelity) ** flips
     return c @ p
 

@@ -9,6 +9,8 @@ Conventions used everywhere in this package:
 * free evolution U(T) = exp(+i T/2 sum_{i<j} J_ij sigma_z^i sigma_z^j).
 """
 
+from functools import cache
+
 import numpy as np
 
 ID2 = np.eye(2, dtype=complex)
@@ -29,23 +31,32 @@ def phase_2x2(phi):
 
 
 def embed(op2, qubit, n_qubits):
-    """Lift a single-qubit operator onto qubit `qubit` of an n-qubit register."""
+    """Lift a single-qubit operator onto qubit `qubit` of an n-qubit register.
+
+    Dense 2^n x 2^n; the engine never builds it, tests use it as the reference.
+    """
     out = np.array([[1.0 + 0.0j]])
     for k in range(n_qubits):
         out = np.kron(out, op2 if k == qubit else ID2)
     return out
 
 
+@cache
 def bit_table(n_qubits):
-    """(2^n, n) array of bits; column k is the bit of qubit k (qubit 0 = MSB)."""
+    """(2^n, n) array of bits; column k is the bit of qubit k (qubit 0 = MSB); shared, read-only."""
     dim = 2**n_qubits
     idx = np.arange(dim)
-    return np.array([(idx >> (n_qubits - 1 - k)) & 1 for k in range(n_qubits)]).T
+    table = np.array([(idx >> (n_qubits - 1 - k)) & 1 for k in range(n_qubits)]).T
+    table.setflags(write=False)
+    return table
 
 
+@cache
 def z_eigenvalues(n_qubits):
-    """(2^n, n) array of sigma_z eigenvalues (+1 for bit 0, -1 for bit 1)."""
-    return 1.0 - 2.0 * bit_table(n_qubits)
+    """(2^n, n) array of sigma_z eigenvalues (+1 for bit 0, -1 for bit 1); shared, read-only."""
+    z = 1.0 - 2.0 * bit_table(n_qubits)
+    z.setflags(write=False)
+    return z
 
 
 def free_phases(j, duration, n_qubits):

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_pure_state
+from conftest import random_density_matrix, random_pure_state
 from magicforge.engine import (
+    MAX_QUBITS,
+    STATE_TOLERANCE,
     EngineError,
     NoiseModel,
+    QuantumState,
     apply_readout_confusion,
     apply_rotation,
     dd_fragment,
@@ -336,6 +341,58 @@ def test_out_of_register_qubit_is_rejected(rng):
     # "all" is in every register; a decoupled window expands inside it
     ok = PulseProgram(3, [TransferBasis("all", "pi"), FreeEvolve(1e-3, 2, "cpmg")])
     assert run_program(ok, j).state.bases == ("pi",) * 3
+
+
+def test_per_step_kernels_bound_the_qubit():
+    for q in (5, 3, -1):
+        st = prepare_state(3, "000")
+        with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
+            apply_rotation(st, q, np.pi)
+        with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
+            transfer_basis(st, q, "pi")
+        assert st.populations()[0] == 1.0 and st.bases == ("sigma-",) * 3
+
+
+def test_free_evolution_rejects_non_finite_duration(bench_j):
+    for duration in (float("nan"), float("inf"), -1e-3):
+        st = prepare_state(3, "000")
+        with pytest.raises(EngineError, match="duration must be finite and >= 0"):
+            free_evolution(st, duration, bench_j, NoiseModel())
+        assert st.time == 0.0 and np.isfinite(st.rho).all()
+
+
+def test_malformed_density_matrix_is_rejected(rng, bench_j):
+    empty = PulseProgram(3, [])
+    with pytest.raises(EngineError, match="rho: trace 24"):
+        run_program(empty, bench_j, initial=3 * np.eye(8))
+    skew = random_density_matrix(rng, 8)
+    skew[0, 1] += 1e-3
+    with pytest.raises(EngineError, match="rho: not Hermitian"):
+        prepare_state(3, skew)
+    nan_rho = np.eye(8) / 8
+    nan_rho[2, 2] = np.nan
+    with pytest.raises(EngineError, match="rho: trace"):
+        QuantumState(3, nan_rho, ("sigma-",) * 3, (-1,) * 3)
+    # within the stated tolerance a state is accepted unchanged
+    rho = random_density_matrix(rng, 8) * (1 + STATE_TOLERANCE / 10)
+    assert np.array_equal(prepare_state(3, rho).rho, rho)
+
+
+def test_register_size_cap_is_checked_before_allocating():
+    too_big = MAX_QUBITS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(EngineError, match=f"register of {too_big} qubits"):
+            prepare_state(too_big)
+        with pytest.raises(EngineError, match=f"register of {too_big} qubits"):
+            program_unitary(PulseProgram(too_big, []), np.zeros((too_big, too_big)))
+        with pytest.raises(EngineError, match="register of 64 qubits"):
+            prepare_state(64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 2^11 x 2^11 complex matrix alone would be 64 MiB
+    assert peak < 2**20
 
 
 def test_noise_model_rejects_non_finite_rates():

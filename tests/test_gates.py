@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magicforge.engine import _bit_differs
 from magicforge.gates import (
     SX,
     SY,
@@ -13,6 +14,7 @@ from magicforge.gates import (
     phase_2x2,
     product_ket,
     rotation_2x2,
+    z_eigenvalues,
 )
 
 
@@ -88,3 +90,12 @@ def test_product_ket_matches_kron():
 def test_ket_rejects_bad_labels():
     with pytest.raises(ValueError):
         ket("01x")
+
+
+def test_bit_tables_are_cached_read_only():
+    for table in (bit_table(3), z_eigenvalues(3), _bit_differs(3)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    assert bit_table(4) is bit_table(4)
+    assert z_eigenvalues(4) is z_eigenvalues(4)

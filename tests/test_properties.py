@@ -4,11 +4,13 @@ Programs on 2-3 qubits mix R, PH, ECHO, plain and decoupled EV windows,
 transfers routed through pi, and an optional RELABEL. Noiselessly the density
 matrix path must agree with the ideal unitary; under the full noise model the
 state must stay a density matrix. The closed-form fringe readout must agree
-with applying the analysis pulse explicitly, phase by phase.
+with applying the analysis pulse explicitly, phase by phase. The engine's
+tensor-local pulse kernel must agree with the dense kron-embedded operator on
+1-8 qubits.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magicforge.engine import (
@@ -21,6 +23,7 @@ from magicforge.engine import (
     ramsey_scan,
     run_program,
 )
+from magicforge.gates import embed, phase_2x2, rotation_2x2
 from magicforge.program import (
     BASES,
     BASIS_PI,
@@ -142,3 +145,51 @@ def test_ramsey_scan_matches_per_phase_runs(qubit, bits, duration, dd, phases):
     scan = ramsey_scan(qubit, duration, phases, j, noise=noise, spectator_bits=spectators,
                        dd_pulses=dd[0], dd_scheme=dd[1])
     assert np.abs(scan - np.array(oracle)).max() <= 1e-12
+
+
+def embed_oracle(prog):
+    """Product of the kron-embedded 2^n x 2^n pulse operators of a pulse-only program."""
+    n = prog.n_qubits
+    u = np.eye(2**n, dtype=complex)
+    for ins in prog.instructions:
+        op = phase_2x2(ins.phi) if isinstance(ins, PhaseShift) else rotation_2x2(ins.theta, ins.phi)
+        u = embed(op, ins.qubit, n) @ u
+    return u
+
+
+@st.composite
+def pulse_programs(draw, n):
+    ins = []
+    for _ in range(draw(st.integers(1, 6))):
+        q = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            ins.append(Rotate(q, draw(angles), draw(angles)))
+        else:
+            ins.append(PhaseShift(q, draw(angles)))
+    return PulseProgram(n, ins)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), angles, angles)
+@example(1, 0, np.pi / 2, 0.3)
+@example(8, 0, np.pi, -1.1)
+def test_local_rotation_matches_embedded_operator(n, seed, theta, phi):
+    rho0 = random_rho(seed, n)
+    for qubit in range(n):
+        state = prepare_state(n, rho0)
+        apply_rotation(state, qubit, theta, phi)
+        u = embed(rotation_2x2(theta, phi), qubit, n)
+        assert np.abs(state.rho - u @ rho0 @ u.conj().T).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8).flatmap(pulse_programs), st.integers(0, 2**32 - 1))
+@example(PulseProgram(1, [PhaseShift(0, 0.7), Rotate(0, np.pi / 2, 0.2)]), 0)
+@example(PulseProgram(8, [Rotate(q, np.pi, 0.4 * q) for q in range(8)] + [PhaseShift(7, 1.3)]), 0)
+def test_local_pulses_match_embedded_operators(prog, seed):
+    n = prog.n_qubits
+    u = embed_oracle(prog)
+    assert np.abs(program_unitary(prog, np.zeros((n, n))) - u).max() <= 1e-12
+    rho0 = random_rho(seed, n)
+    rho = run_program(prog, np.zeros((n, n)), noise=NoiseModel.off(), initial=rho0).state.rho
+    assert np.abs(rho - u @ rho0 @ u.conj().T).max() <= 1e-12
