@@ -12,7 +12,6 @@ import numpy as np
 
 from magicforge import (
     NoiseModel,
-    OutcomeDistribution,
     compile_qft,
     error_budget,
     measurement_probabilities,
@@ -42,7 +41,7 @@ for label in inputs:
     p_ideal = measurement_probabilities(ideal.state, NoiseModel.off())
     p_model = measurement_probabilities(noisy.state)  # includes detection errors
     counts = sample_counts(p_model, shots=1250, rng=rng)
-    empirical = OutcomeDistribution(3, p_model, counts=counts, shots=1250).empirical
+    empirical = counts / 1250
 
     print(f"|{label}>   {statistical_overlap(p_ideal, p_model):12.4f}"
           f"   {statistical_overlap(p_ideal, empirical):12.4f}")

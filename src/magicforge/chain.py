@@ -13,7 +13,7 @@ S_in the normal-mode matrix.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .constants import (
     HBAR,
     PLANCK,
 )
+from .gates import check_finite_couplings
 
 
 class ChainModelError(RuntimeError):
@@ -51,6 +52,9 @@ class TrapConfig:
     g_factor: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.ion_count < 1:
             raise ValueError("ion_count must be at least 1")
         if self.ion_mass <= 0 or self.axial_frequency <= 0 or self.charge <= 0:
@@ -132,6 +136,7 @@ class CouplingMatrix:
         j = np.asarray(self.j, dtype=float)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValueError("coupling matrix must be square")
+        check_finite_couplings(j, ValueError)
         if not np.allclose(j, j.T, atol=1e-12 * max(1.0, np.abs(j).max())):
             raise ValueError("coupling matrix must be symmetric")
         np.fill_diagonal(j, 0.0)

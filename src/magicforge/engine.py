@@ -42,6 +42,7 @@ import numpy as np
 
 from .gates import (
     bit_table,
+    check_finite_couplings,
     free_phases,
     ket,
     permutation_matrix,
@@ -129,8 +130,6 @@ class QuantumState:
     bases: tuple
     reference_mf: tuple
     time: float = 0.0
-    # accumulated free-evolution time spent in (sigma, pi) encodings, per qubit
-    exposure: np.ndarray = None
 
     def __post_init__(self):
         dim = 2**self.n_qubits
@@ -149,12 +148,10 @@ class QuantumState:
                 raise EngineError(f"unknown encoding basis {b!r}")
         self.bases = tuple(self.bases)
         self.reference_mf = tuple(self.reference_mf)
-        if self.exposure is None:
-            self.exposure = np.zeros((self.n_qubits, 2))
 
     def copy(self):
         return QuantumState(self.n_qubits, self.rho.copy(), self.bases,
-                            self.reference_mf, self.time, self.exposure.copy())
+                            self.reference_mf, self.time)
 
     def populations(self):
         return np.clip(np.diag(self.rho).real, 0.0, None)
@@ -249,6 +246,7 @@ def _check_couplings(j, n_qubits):
     j = np.asarray(j, dtype=float)
     if j.shape != (n_qubits, n_qubits):
         raise EngineError(f"coupling matrix shape {j.shape} != {(n_qubits, n_qubits)}")
+    check_finite_couplings(j, EngineError)
     if not np.allclose(j, j.T):
         raise EngineError("coupling matrix must be symmetric")
     return j
@@ -267,6 +265,10 @@ def _conjugate(rho, op, qubit):
 
 
 def apply_rotation(state, qubit, theta, phi=0.0):
+    """Apply R(theta, phi) to one qubit of `state` in place.
+
+    A public per-step kernel: `run_program` does not go through it.
+    """
     _check_qubit(qubit, state.n_qubits)
     state.rho = _conjugate(state.rho, rotation_2x2(theta, phi), qubit)
 
@@ -298,18 +300,18 @@ def _dephase(state, duration, noise):
 
 
 def _window(state, duration, phases, noise):
-    """The window kernel: Ising phases, dephasing, then time and exposure."""
+    """The window kernel: Ising phases, dephasing, then the clock."""
     u = np.exp(1j * phases)
     state.rho = state.rho * np.outer(u, u.conj())
     _dephase(state, duration, noise)
     state.time += duration
-    in_pi = np.array([b == BASIS_PI for b in state.bases])
-    state.exposure[~in_pi, 0] += duration
-    state.exposure[in_pi, 1] += duration
 
 
 def free_evolution(state, duration, j, noise=None):
-    """One window: Ising phases under the current encoding pattern, then dephasing."""
+    """One window: Ising phases under the current encoding pattern, then dephasing.
+
+    A public per-step kernel: `run_program` does not go through it.
+    """
     if not 0.0 <= duration < np.inf:
         raise EngineError(f"window duration must be finite and >= 0, got {duration}")
     j = _check_couplings(j, state.n_qubits)
@@ -454,7 +456,6 @@ def _relabel(state, perm):
     state.rho = p @ state.rho @ p.T
     state.bases = tuple(state.bases[q] for q in perm)
     state.reference_mf = tuple(state.reference_mf[q] for q in perm)
-    state.exposure = state.exposure[list(perm)]
 
 
 def run_program(program, j, noise=None, initial=None, assignment=None,
@@ -462,7 +463,7 @@ def run_program(program, j, noise=None, initial=None, assignment=None,
     """Execute a pulse program and return the final (noisy) register state.
 
     `j` is the coupling matrix calibrated for the starting encodings. With
-    pulse_duration > 0 each pulse contributes that much dephasing exposure
+    pulse_duration > 0 each pulse adds that much dephasing time
     while the Ising evolution stays frozen (driven qubits are spin-locked).
     """
     noise = noise or NoiseModel()

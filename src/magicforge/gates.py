@@ -69,8 +69,12 @@ def free_phases(j, duration, n_qubits):
     return duration / 2.0 * expo
 
 
-def free_unitary(j, duration, n_qubits):
-    return np.diag(np.exp(1j * free_phases(j, duration, n_qubits)))
+def check_finite_couplings(j, error):
+    """Raise `error` naming the first non-finite entry of the coupling matrix `j`."""
+    bad = np.argwhere(~np.isfinite(j))
+    if bad.size:
+        a, b = bad[0]
+        raise error(f"coupling J[{a}, {b}] must be finite, got {j[a, b]}")
 
 
 def permutation_matrix(perm):

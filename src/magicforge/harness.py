@@ -334,7 +334,7 @@ def emit_records(records, directory, stem):
 
 
 def _csv_escape(text):
-    if any(ch in text for ch in ",\"\n"):
+    if any(ch in text for ch in ",\"\n\r"):
         return "\"" + text.replace("\"", "\"\"") + "\""
     return text
 

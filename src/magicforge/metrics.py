@@ -71,24 +71,6 @@ def distinguishability(p, q):
 
 
 @dataclass
-class OutcomeDistribution:
-    n_qubits: int
-    probabilities: np.ndarray
-    counts: np.ndarray = None
-    shots: int = 0
-
-    @property
-    def labels(self):
-        return [format(k, f"0{self.n_qubits}b") for k in range(2**self.n_qubits)]
-
-    @property
-    def empirical(self):
-        if self.counts is None:
-            return self.probabilities
-        return self.counts / max(self.shots, 1)
-
-
-@dataclass
 class FringeFit:
     offset: float
     contrast: float

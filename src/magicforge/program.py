@@ -4,18 +4,19 @@ A program is an ordered list of instructions on an n-qubit register plus an
 optional classical relabeling applied at the end (a permutation of qubit
 labels; it never touches the physical state, only how outcomes are indexed).
 
-Text grammar, one instruction per line, `#` starts a comment:
+In text, each line holds one instruction and `#` starts a comment. The
+grammar lives in `_SYNTAX`: each opcode (R, PH, EV, XFER, ECHO, MEAS) names
+its instruction class and the fields it takes as operands, in order, and
+`parse_program` reads by that table as `PulseProgram.to_text` writes by it.
+Only three forms are special: EV's optional `dd=<n>,<scheme>` decoupling
+suffix, the `# qubits: <n>` register declaration, and the directive
+`RELABEL <q0> <q1> ...`.
 
-    R <qubit> <theta> <phi>        equatorial rotation
-    PH <qubit> <phi>               z phase gate
-    EV <seconds> [dd=<n>,<scheme>] free evolution window, optional decoupling
-    XFER <qubit|all> <basis>       re-house qubit(s) in sigma-/sigma+/pi
-    ECHO <qubit> <phi>             spin-echo pi pulse (logged as an echo)
-    MEAS                           record the outcome distribution
-    RELABEL <q0> <q1> ...          classical label permutation (directive)
-
-Angles are radians; a trailing ``pi`` multiplies by pi (``0.5pi``, ``-pi``).
-Qubit indices are 0-based.
+Qubit indices are 0-based; XFER also takes `all` and a basis (sigma-, sigma+,
+pi). Durations are seconds. Angles are radians, and a trailing ``pi``
+multiplies by pi (``0.5pi``, ``-pi``). Floats are written as their shortest
+exact repr, so parsing a program's text gives back its register,
+instructions and relabeling exactly.
 """
 
 import math
@@ -152,32 +153,33 @@ class PulseProgram:
             lines.append("RELABEL " + " ".join(str(q) for q in self.relabel))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text, n_qubits=None):
-        return parse_program(text, n_qubits=n_qubits)
+
+# The instruction grammar: opcode -> (instruction class, the fields it takes
+# as operands, in text order).
+_SYNTAX = {
+    "R": (Rotate, ("qubit", "theta", "phi")),
+    "PH": (PhaseShift, ("qubit", "phi")),
+    "EV": (FreeEvolve, ("duration",)),
+    "XFER": (TransferBasis, ("qubit", "target")),
+    "ECHO": (Echo, ("qubit", "phi")),
+    "MEAS": (Measure, ()),
+}
+_OPCODES = {cls: op for op, (cls, _) in _SYNTAX.items()}
 
 
-def _fmt(x):
-    return f"{x:.12g}"
+def _write_operand(name, value):
+    # repr is the shortest text that reads back to the same float
+    return str(value) if name in ("qubit", "target") else repr(float(value))
 
 
 def _format_instruction(ins):
-    if isinstance(ins, Rotate):
-        return f"R {ins.qubit} {_fmt(ins.theta)} {_fmt(ins.phi)}"
-    if isinstance(ins, PhaseShift):
-        return f"PH {ins.qubit} {_fmt(ins.phi)}"
-    if isinstance(ins, FreeEvolve):
-        base = f"EV {_fmt(ins.duration)}"
-        if ins.dd_pulses:
-            base += f" dd={ins.dd_pulses},{ins.dd_scheme}"
-        return base
-    if isinstance(ins, TransferBasis):
-        return f"XFER {ins.qubit} {ins.target}"
-    if isinstance(ins, Echo):
-        return f"ECHO {ins.qubit} {_fmt(ins.phi)}"
-    if isinstance(ins, Measure):
-        return "MEAS"
-    raise ProgramError(f"cannot serialize instruction {ins!r}")
+    op = _OPCODES.get(type(ins))
+    if op is None:
+        raise ProgramError(f"cannot serialize instruction {ins!r}")
+    words = [op] + [_write_operand(name, getattr(ins, name)) for name in _SYNTAX[op][1]]
+    if isinstance(ins, FreeEvolve) and (ins.dd_pulses or ins.dd_scheme != "cpmg"):
+        words.append(f"dd={ins.dd_pulses},{ins.dd_scheme}")
+    return " ".join(words)
 
 
 def parse_angle(token):
@@ -211,6 +213,14 @@ def _parse_qubit(token, n_qubits):
     return q
 
 
+def _read_operand(name, token, limit):
+    if name == "qubit":
+        return _parse_qubit(token, limit)
+    if name == "target":
+        return token
+    return float(token) if name == "duration" else parse_angle(token)
+
+
 def parse_program(text, n_qubits=None):
     """Parse the text grammar; raises ProgramError with the offending line number.
 
@@ -235,51 +245,29 @@ def parse_program(text, n_qubits=None):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        op = parts[0].upper()
+        word, *operands = line.split()
+        op = word.upper()
         try:
-            if op == "R":
-                if len(parts) != 4:
-                    raise ProgramError("R needs <qubit> <theta> <phi>")
-                q = _parse_qubit(parts[1], limit)
-                instructions.append(Rotate(q, parse_angle(parts[2]), parse_angle(parts[3])))
-            elif op == "PH":
-                if len(parts) != 3:
-                    raise ProgramError("PH needs <qubit> <phi>")
-                q = _parse_qubit(parts[1], limit)
-                instructions.append(PhaseShift(q, parse_angle(parts[2])))
-            elif op == "EV":
-                if len(parts) not in (2, 3):
-                    raise ProgramError("EV needs <seconds> [dd=<n>,<scheme>]")
-                duration = float(parts[1])
-                dd_pulses, dd_scheme = 0, "cpmg"
-                if len(parts) == 3:
-                    if not parts[2].startswith("dd="):
-                        raise ProgramError(f"bad EV option {parts[2]!r}")
-                    spec_str = parts[2][3:]
-                    n_str, _, scheme = spec_str.partition(",")
-                    dd_pulses = int(n_str)
-                    dd_scheme = scheme or "cpmg"
-                instructions.append(FreeEvolve(duration, dd_pulses, dd_scheme))
-            elif op == "XFER":
-                if len(parts) != 3:
-                    raise ProgramError("XFER needs <qubit|all> <basis>")
-                q = _parse_qubit(parts[1], limit)
-                instructions.append(TransferBasis(q, parts[2]))
-            elif op == "ECHO":
-                if len(parts) != 3:
-                    raise ProgramError("ECHO needs <qubit> <phi>")
-                q = _parse_qubit(parts[1], limit)
-                instructions.append(Echo(q, parse_angle(parts[2])))
-            elif op == "MEAS":
-                instructions.append(Measure())
-            elif op == "RELABEL":
-                relabel = tuple(int(t) for t in parts[1:])
+            if op == "RELABEL":
+                relabel = tuple(int(t) for t in operands)
                 if limit is not None and sorted(relabel) != list(range(limit)):
-                    raise ProgramError(f"RELABEL {' '.join(parts[1:])} is not a permutation "
+                    raise ProgramError(f"RELABEL {' '.join(operands)} is not a permutation "
                                        f"of 0..{limit - 1}")
-            else:
-                raise ProgramError(f"unknown instruction {parts[0]!r}")
+                continue
+            if op not in _SYNTAX:
+                raise ProgramError(f"unknown instruction {word!r}")
+            cls, names = _SYNTAX[op]
+            options = {}
+            if cls is FreeEvolve and operands and operands[-1].startswith("dd="):
+                n_str, _, scheme = operands.pop()[3:].partition(",")
+                options = {"dd_pulses": int(n_str), "dd_scheme": scheme or "cpmg"}
+            if len(operands) != len(names):
+                usage = " ".join(f"<{name}>" for name in names) or "no operands"
+                if cls is FreeEvolve:
+                    usage += " [dd=<n>,<scheme>]"
+                raise ProgramError(f"{op} takes {usage}, got {len(operands)} operand(s)")
+            instructions.append(cls(*[_read_operand(name, token, limit)
+                                      for name, token in zip(names, operands)], **options))
         except ValueError as exc:  # ProgramError included
             raise ProgramError(f"line {line_no}: {exc}") from None
     if limit is None:

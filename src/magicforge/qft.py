@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PRODUCT_INPUTS, product_input_ket, program_unitary
+from .gates import check_finite_couplings
 from .metrics import process_fidelity, state_fidelity
 from .program import (
     BASIS_PI,
@@ -82,7 +83,10 @@ def calibrated_couplings():
 
 def _check_compile_couplings(j):
     j = np.asarray(j, dtype=float)
-    if j.shape != (3, 3) or not np.allclose(j, j.T):
+    if j.shape != (3, 3):
+        raise CompilerError("need a symmetric 3x3 coupling matrix")
+    check_finite_couplings(j, CompilerError)
+    if not np.allclose(j, j.T):
         raise CompilerError("need a symmetric 3x3 coupling matrix")
     for a, b in ((0, 1), (0, 2), (1, 2)):
         if j[a, b] <= 0:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from magicforge import calibrated_couplings
+from magicforge.gates import free_phases
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# property failure in CI reproduces; local runs keep the default random profile.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture
@@ -25,6 +31,11 @@ def random_density_matrix(rng, dim, rank=None):
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def free_unitary(j, duration, n_qubits):
+    """Dense diagonal unitary of one free-evolution window."""
+    return np.diag(np.exp(1j * free_phases(j, duration, n_qubits)))
 
 
 def random_distribution(rng, dim):

@@ -137,6 +137,22 @@ def test_coupling_matrix_validates_shape():
         CouplingMatrix(j=np.zeros((2, 3)))
 
 
+def test_trap_config_rejects_non_finite_fields():
+    with pytest.raises(ValueError, match="bias_field must be finite, got nan"):
+        TrapConfig(bias_field=float("nan"))
+    with pytest.raises(ValueError, match="ion_mass must be finite, got inf"):
+        TrapConfig(ion_mass=float("inf"))
+    with pytest.raises(ValueError, match="axial_frequency must be finite, got nan"):
+        TrapConfig(axial_frequency=float("nan"))
+
+
+def test_coupling_matrix_rejects_non_finite_entries():
+    j = np.full((3, 3), 100.0)
+    j[1, 2] = j[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"coupling J\[1, 2\] must be finite, got inf"):
+        CouplingMatrix(j=j)
+
+
 def test_from_ini_parses_and_reports_errors(tmp_path):
     good = tmp_path / "trap.ini"
     good.write_text(

@@ -3,7 +3,9 @@ import pytest
 
 from magicforge.chain import load_couplings
 from magicforge.cli import main
-from magicforge.qft import calibrated_couplings
+from magicforge.engine import program_unitary
+from magicforge.program import parse_program
+from magicforge.qft import calibrated_couplings, compile_qft
 
 TRAP_INI = """[trap]
 ion_count = 3
@@ -93,6 +95,16 @@ def test_compile_qft_writes_plan_and_programs(j_file, out_root, capsys):
     assert "process fidelity: 1.0000000000" in plan
     out = capsys.readouterr().out
     assert "serial one-pair-at-a-time baseline" in out
+
+
+def test_compile_qft_program_file_reads_back_exactly(j_file, out_root):
+    assert main(["compile-qft", "--j", j_file, "--form", "exact"]) == 0
+    compiled = compile_qft(load_couplings(j_file).j, form="exact")
+    again = parse_program((out_root / "qft_exact.pulse").read_text())
+    assert again.instructions == compiled.program.instructions
+    assert again.relabel == compiled.program.relabel
+    assert np.array_equal(program_unitary(again, compiled.couplings),
+                          program_unitary(compiled.program, compiled.couplings))
 
 
 def test_compile_qft_selected_form_survives_other_forms_gate(tmp_path, out_root, capsys):

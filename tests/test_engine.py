@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_pure_state
+from conftest import free_unitary, random_density_matrix, random_pure_state
 from magicforge.engine import (
     MAX_QUBITS,
     STATE_TOLERANCE,
@@ -24,7 +24,7 @@ from magicforge.engine import (
     selective_recoupling_wrap,
     transfer_basis,
 )
-from magicforge.gates import free_unitary, ket, rotation_2x2
+from magicforge.gates import ket, rotation_2x2
 from magicforge.program import (
     Echo,
     FreeEvolve,
@@ -404,6 +404,16 @@ def test_noise_model_rejects_non_finite_rates():
         NoiseModel(pi_dephasing_rate=-1.0)
     with pytest.raises(ValueError, match="white_noise_fraction"):
         NoiseModel(white_noise_fraction=float("nan"))
+
+
+def test_non_finite_couplings_are_rejected(bench_j):
+    j = np.array(bench_j)
+    j[0, 1] = j[1, 0] = np.inf
+    prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3)])
+    with pytest.raises(EngineError, match=r"coupling J\[0, 1\] must be finite, got inf"):
+        run_program(prog, j)
+    with pytest.raises(EngineError, match=r"coupling J\[0, 1\] must be finite"):
+        program_unitary(prog, j)
 
 
 def test_measure_must_be_last(rng):

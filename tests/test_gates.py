@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import free_unitary
 from magicforge.engine import _bit_differs
 from magicforge.gates import (
     SX,
@@ -8,7 +9,6 @@ from magicforge.gates import (
     SZ,
     bit_table,
     embed,
-    free_unitary,
     ket,
     permutation_matrix,
     phase_2x2,

@@ -10,7 +10,6 @@ from conftest import (
 from magicforge.gates import ket
 from magicforge.metrics import (
     MetricsError,
-    OutcomeDistribution,
     distinguishability,
     equatorial_phase,
     error_budget,
@@ -84,13 +83,6 @@ def test_disjoint_distributions_are_fully_distinguishable():
     assert statistical_overlap(p, q) == pytest.approx(0.0, abs=1e-15)
     assert distinguishability(p, q) == pytest.approx(0.0, abs=1e-15)
     assert total_variation(p, q) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_outcome_distribution_labels_and_empirical():
-    dist = OutcomeDistribution(2, np.array([0.5, 0.25, 0.25, 0.0]),
-                               counts=np.array([5, 2, 3, 0]), shots=10)
-    assert dist.labels == ["00", "01", "10", "11"]
-    assert dist.empirical == pytest.approx([0.5, 0.2, 0.3, 0.0])
 
 
 # ---- fringe fitting ----

@@ -28,15 +28,10 @@ def test_text_round_trip():
         relabel=(2, 1, 0),
         name="round trip",
     )
-    again = PulseProgram.from_text(prog.to_text())
+    again = parse_program(prog.to_text())
     assert again.n_qubits == 3
     assert again.relabel == (2, 1, 0)
-    assert len(again.instructions) == len(prog.instructions)
-    for a, b in zip(again.instructions, prog.instructions):
-        assert type(a) is type(b)
-    ev = again.instructions[1]
-    assert ev.dd_pulses == 20 and ev.dd_scheme == "kdd"
-    assert again.duration == pytest.approx(prog.duration, rel=1e-12)
+    assert again.instructions == prog.instructions
 
 
 def test_parse_angle_pi_notation():
@@ -50,6 +45,8 @@ def test_parse_errors_carry_line_numbers():
         parse_program("R 0 pi 0\nEV 1e-3\nWOBBLE 1\n")
     with pytest.raises(ProgramError, match="line 1"):
         parse_program("R 0 pi\n")
+    with pytest.raises(ProgramError, match="line 2: MEAS takes no operands, got 1"):
+        parse_program("R 0 pi 0\nMEAS 3\n")
 
 
 def test_non_finite_values_are_rejected_where_they_enter():

@@ -6,8 +6,14 @@ matrix path must agree with the ideal unitary; under the full noise model the
 state must stay a density matrix. The closed-form fringe readout must agree
 with applying the analysis pulse explicitly, phase by phase. The engine's
 tensor-local pulse kernel must agree with the dense kron-embedded operator on
-1-8 qubits.
+1-8 qubits. Program text must read back to the program it was written from,
+the readout confusion matrix must be column-stochastic, and the CSV and JSON
+forms of a record set must carry the same numbers.
 """
+
+import csv
+import json
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -15,6 +21,7 @@ from hypothesis import strategies as st
 
 from magicforge.engine import (
     NoiseModel,
+    apply_readout_confusion,
     apply_rotation,
     fringe_scan,
     prepare_state,
@@ -24,15 +31,18 @@ from magicforge.engine import (
     run_program,
 )
 from magicforge.gates import embed, phase_2x2, rotation_2x2
+from magicforge.harness import RunRecord, emit_records
 from magicforge.program import (
     BASES,
     BASIS_PI,
     Echo,
     FreeEvolve,
+    Measure,
     PhaseShift,
     PulseProgram,
     Rotate,
     TransferBasis,
+    parse_program,
 )
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
@@ -193,3 +203,100 @@ def test_local_pulses_match_embedded_operators(prog, seed):
     rho0 = random_rho(seed, n)
     rho = run_program(prog, np.zeros((n, n)), noise=NoiseModel.off(), initial=rho0).state.rho
     assert np.abs(rho - u @ rho0 @ u.conj().T).max() <= 1e-12
+
+
+# Every finite double, with signed zero, subnormals and the largest exponents
+# drawn on purpose; numpy scalars too, as the compiler emits them.
+edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, 2.5e-310, -1.2345678901234567e-300,
+                               1.7976931348623157e308, 0.1, np.pi / 2])
+exact_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
+exact_floats = exact_floats | exact_floats.map(np.float64)
+exact_durations = exact_floats.map(abs) | st.just(-0.0)
+decoupling_suffixes = (
+    st.sampled_from([(0, "cpmg"), (0, "kdd")])
+    | st.tuples(st.integers(1, 50).map(lambda k: 2 * k), st.just("cpmg"))
+    | st.tuples(st.integers(1, 10).map(lambda k: 10 * k), st.just("kdd")))
+
+
+@st.composite
+def text_programs(draw):
+    """Programs over every opcode, as built in code, for the text round trip."""
+    n = draw(st.integers(1, 6))
+    qubits = st.integers(0, n - 1)
+    ins = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["R", "PH", "EV", "XFER", "ECHO", "MEAS"]))
+        if kind == "R":
+            ins.append(Rotate(draw(qubits), draw(exact_floats), draw(exact_floats)))
+        elif kind == "PH":
+            ins.append(PhaseShift(draw(qubits), draw(exact_floats)))
+        elif kind == "EV":
+            ins.append(FreeEvolve(draw(exact_durations), *draw(decoupling_suffixes)))
+        elif kind == "XFER":
+            ins.append(TransferBasis(draw(qubits | st.just("all")), draw(st.sampled_from(BASES))))
+        elif kind == "ECHO":
+            ins.append(Echo(draw(qubits), draw(exact_floats)))
+        else:
+            ins.append(Measure())
+    relabel = draw(st.none() | st.permutations(range(n)))
+    name = draw(st.text(alphabet="abc xyz-#:019", max_size=12))
+    return PulseProgram(n, ins, relabel=relabel, name=name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_programs())
+def test_program_text_round_trip_is_exact(prog):
+    text = prog.to_text()
+    again = parse_program(text)
+    assert again.n_qubits == prog.n_qubits
+    assert again.instructions == prog.instructions
+    assert again.relabel == prog.relabel
+    # == takes -0.0 for 0.0, but repr is one-to-one on a float's bits: equal
+    # texts below the name line mean every float came back bit for bit
+    assert again.to_text().splitlines()[1:] == text.splitlines()[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.floats(0.0, 1.0))
+def test_readout_confusion_is_column_stochastic(n, fidelity):
+    c = apply_readout_confusion(np.eye(2**n), fidelity, n)
+    assert c.min() >= 0.0
+    assert np.abs(c.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+cell_text = st.text(alphabet=st.sampled_from('ab 1.-,"\n\r'), max_size=8)
+cell_values = st.one_of(
+    st.floats(allow_infinity=False), st.none(), st.booleans(),
+    st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1).map(np.int64), cell_text)
+records = st.lists(st.builds(
+    RunRecord, cell_text, cell_text,
+    st.dictionaries(st.sampled_from(["p", "q", "f_ion0", "counts"]), cell_values)),
+    min_size=1, max_size=5)
+
+
+def assert_cell_matches(value, csv_cell, json_cell):
+    if isinstance(value, str):
+        assert csv_cell == json_cell == value
+    elif value is None or (isinstance(value, float) and math.isnan(value)):
+        assert csv_cell == "" and json_cell is None
+    elif isinstance(value, (bool, int, np.integer)):
+        assert int(csv_cell) == json_cell == int(value)
+    else:
+        assert float(csv_cell) == json_cell
+        assert math.isclose(json_cell, value, rel_tol=1e-9, abs_tol=1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records)
+def test_csv_and_json_carry_equal_numbers(tmp_path_factory, recs):
+    csv_path, json_path = emit_records(recs, tmp_path_factory.mktemp("emit"), "t")
+    with open(csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(json_path) as fh:
+        objects = json.load(fh)
+    assert len(rows) == len(objects) == len(recs)
+    for rec, row, obj in zip(recs, rows, objects):
+        assert list(obj) == header
+        cells = {"scenario": rec.scenario, "label": rec.label, **rec.values}
+        for column, csv_cell in zip(header, row, strict=True):
+            assert_cell_matches(cells.get(column), csv_cell, obj[column])

@@ -224,6 +224,13 @@ def test_compile_rejects_degenerate_couplings():
         compile_qft(asym)
 
 
+def test_compile_rejects_non_finite_couplings():
+    j = pair_matrix(200.0, 113.0, 207.0)
+    j[0, 2] = j[2, 0] = np.inf
+    with pytest.raises(CompilerError, match=r"coupling J\[0, 2\] must be finite, got inf"):
+        compile_qft(j)
+
+
 def test_compiled_program_relabels_and_times(bench_j):
     compiled = compile_qft(bench_j, form="exact")
     assert compiled.program.relabel == (2, 1, 0)
