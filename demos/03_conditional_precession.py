@@ -39,7 +39,7 @@ for bits, expected in [({1: 0, 2: 0}, j[0, 1] + j[0, 2]),
 # Markovian, so the pulse train neither extends nor shortens the decay; the
 # point of the check is that a 20-pulse train leaves both the contrast and
 # the conditional phase untouched instead of distorting the fringe.
-noise = NoiseModel(white_noise=False, readout=False)
+noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
 print()
 print(f"analytic contrast at T = {wait * 1e3:.0f} ms:",
       round(float(np.exp(-noise.sigma_dephasing_rate * wait)), 4))

@@ -23,7 +23,7 @@ from magicforge import (
 )
 
 j = calibrated_couplings()
-reference = reference_qft(3)
+reference = reference_qft()
 
 for form in ("exact", "optimized"):
     compiled = compile_qft(j, form=form)

@@ -53,7 +53,7 @@ target = run_program(compiled.program, compiled.couplings,
                      noise=NoiseModel.off(), initial=state.rho)
 dephased = run_program(
     compiled.program, compiled.couplings,
-    noise=NoiseModel(white_noise=False, readout=False), initial=state.rho)
+    noise=NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0), initial=state.rho)
 f_deph = state_fidelity(dephased.state, target.state)
 
 budget = error_budget(f_deph, white_noise_fraction=0.25, readout_fidelity=0.96)

@@ -177,12 +177,13 @@ def _scaled_hessian(u):
     return h
 
 
-def equilibrium_positions(config, tol=1e-12, max_iter=200):
+def equilibrium_positions(config):
     """Equilibrium ion positions via damped Newton on the scaled potential.
 
-    Starts from uniform spacing and iterates until the scaled gradient norm is
-    below `tol`. Returns a ChainGeometry; positions are reference_coordinate +
-    length_scale * u with the scaled coordinates centred on zero.
+    Starts from uniform spacing and iterates, at most 200 times, until the
+    scaled gradient norm is below 1e-12. Returns a ChainGeometry; positions are
+    reference_coordinate + length_scale * u with the scaled coordinates
+    centred on zero.
     """
     n = config.ion_count
     scale = config.length_scale
@@ -198,10 +199,10 @@ def equilibrium_positions(config, tol=1e-12, max_iter=200):
     spacing = 2.018 / n**0.559
     u = (np.arange(n) - (n - 1) / 2.0) * spacing
     gnorm = np.linalg.norm(_scaled_gradient(u))
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, 201):
         g = _scaled_gradient(u)
         gnorm = np.linalg.norm(g)
-        if gnorm < tol:
+        if gnorm < 1e-12:
             break
         h = _scaled_hessian(u)
         step = np.linalg.solve(h, g)
@@ -218,7 +219,7 @@ def equilibrium_positions(config, tol=1e-12, max_iter=200):
         u = trial
     else:
         raise ChainModelError(
-            f"equilibrium search did not reach |grad| < {tol:g} in {max_iter} iterations "
+            "equilibrium search did not reach |grad| < 1e-12 in 200 iterations "
             f"(final |grad| = {gnorm:.3e})"
         )
     u -= u.mean()  # the quadratic well centres the crystal exactly
@@ -231,14 +232,12 @@ def equilibrium_positions(config, tol=1e-12, max_iter=200):
     )
 
 
-def normal_modes(config, geometry=None):
-    """Axial normal modes from the scaled Hessian at equilibrium.
+def normal_modes(config, geometry):
+    """Axial normal modes from the scaled Hessian at the equilibrium `geometry`.
 
     Eigenvalues lam_n give nu_n = nu1 * sqrt(lam_n); the lowest mode is the
     centre-of-mass mode at exactly nu1 with vector (1,...,1)/sqrt(N).
     """
-    if geometry is None:
-        geometry = equilibrium_positions(config)
     n = config.ion_count
     if n == 1:
         lam = np.array([1.0])
@@ -257,15 +256,13 @@ def normal_modes(config, geometry=None):
     return ModeDecomposition(frequencies=freqs, vectors=vecs, ground_extents=extents)
 
 
-def zeeman_profile(config, geometry=None):
-    """Per-ion field, qubit splitting and addressing offset under the gradient.
+def zeeman_profile(config, geometry):
+    """Per-ion field, qubit splitting and addressing offset at the equilibrium `geometry`.
 
     B(z_i) = bias_field + dB/dz * (z_i - reference_coordinate). Splittings are
     g_factor * mu_B * B / hbar; addressing offsets are quoted in Hz relative to
     the reference coordinate, g_factor * mu_B * (B(z_i) - B_ref) / h.
     """
-    if geometry is None:
-        geometry = equilibrium_positions(config)
     dz = geometry.positions - config.reference_coordinate
     fields = config.bias_field + config.magnetic_gradient * dz
     if np.any(fields < 0):

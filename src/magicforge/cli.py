@@ -50,11 +50,11 @@ def output_root():
     return root
 
 
-def _fmt_matrix(j, scale=2 * np.pi, unit="Hz"):
-    j = np.asarray(j, dtype=float) / scale
+def _fmt_matrix(j):
+    j = np.asarray(j, dtype=float) / (2 * np.pi)
     width = max(len(f"{v:.4f}") for v in j.ravel())
     rows = ["  ".join(f"{v:{width}.4f}" for v in row) for row in j]
-    return f"J/2pi ({unit}):\n  " + "\n  ".join(rows)
+    return "J/2pi (Hz):\n  " + "\n  ".join(rows)
 
 
 def _cmd_chain(args):

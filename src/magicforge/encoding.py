@@ -41,7 +41,6 @@ class EncodingError(ValueError):
 @dataclass
 class TopologyAssignment:
     bases: tuple
-    label: str = ""
 
     def __post_init__(self):
         for b in self.bases:
@@ -67,42 +66,32 @@ def parse_topology(text):
         if tok not in mapping:
             raise EncodingError(f"bad topology token {tok!r}; use -, + or 0")
         bases.append(mapping[tok])
-    return TopologyAssignment(tuple(bases), label=text)
+    return TopologyAssignment(tuple(bases))
 
 
-def topology_preset(label, n_qubits=3, flipped=None):
+# Encodings of ions 0, 1, 2 in each named preset.
+_PRESETS = {
+    "A": (BASIS_SIGMA_MINUS,) * 3,
+    "B": (BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS, BASIS_SIGMA_MINUS),
+    "C": (BASIS_SIGMA_PLUS, BASIS_SIGMA_MINUS, BASIS_SIGMA_MINUS),
+    "D": (BASIS_SIGMA_MINUS, BASIS_PI, BASIS_SIGMA_MINUS),
+    "E": (BASIS_PI,) * 3,
+}
+
+
+def topology_preset(label):
     """Named interaction patterns for a three-spin chain.
 
     A: uniform sigma- (all couplings antiferromagnetic-sign),
-    B: one ion flipped to sigma+ (default the middle ion) -> mixed signs,
-    C: one edge ion flipped to sigma+ (default ion 0),
+    B: the middle ion flipped to sigma+ -> mixed signs,
+    C: edge ion 0 flipped to sigma+,
     D: middle ion moved to pi -> only the edge-edge coupling survives,
     E: all ions in pi -> fully decoupled memory configuration.
-
-    `flipped` overrides which ion is flipped/moved for B, C and D.
     """
     label = label.upper()
-    if n_qubits != 3 and label in ("B", "C", "D"):
-        raise EncodingError(f"preset {label} is defined for 3 qubits")
-    if label == "A":
-        bases = [BASIS_SIGMA_MINUS] * n_qubits
-    elif label == "B":
-        k = 1 if flipped is None else flipped
-        bases = [BASIS_SIGMA_MINUS] * n_qubits
-        bases[k] = BASIS_SIGMA_PLUS
-    elif label == "C":
-        k = 0 if flipped is None else flipped
-        bases = [BASIS_SIGMA_MINUS] * n_qubits
-        bases[k] = BASIS_SIGMA_PLUS
-    elif label == "D":
-        k = 1 if flipped is None else flipped
-        bases = [BASIS_SIGMA_MINUS] * n_qubits
-        bases[k] = BASIS_PI
-    elif label == "E":
-        bases = [BASIS_PI] * n_qubits
-    else:
+    if label not in _PRESETS:
         raise EncodingError(f"unknown topology preset {label!r}")
-    return TopologyAssignment(tuple(bases), label=label)
+    return TopologyAssignment(_PRESETS[label])
 
 
 def effective_couplings(j, assignment):
@@ -114,8 +103,8 @@ def effective_couplings(j, assignment):
     return np.abs(j) * np.outer(m, m)
 
 
-def transfer_sequence(qubit, source, target, n_qubits=3):
-    """Pulse fragment re-housing `qubit` (or 'all') from `source` to `target` basis.
+def transfer_sequence(qubit, source, target):
+    """Three-qubit fragment re-housing `qubit` (or 'all') from `source` to `target` basis.
 
     Physically a sigma<->pi transfer is the composite block
     pi(pi-transition) pi(sigma-transition) pi(pi-transition) per qubit, all
@@ -133,31 +122,25 @@ def transfer_sequence(qubit, source, target, n_qubits=3):
             "direct sigma- <-> sigma+ transfer is not supported; "
             "compose two transfers through the pi basis"
         )
-    return PulseProgram(
-        n_qubits=n_qubits,
-        instructions=[TransferBasis(qubit, target)],
-        name=f"transfer {qubit} -> {target}",
-    )
+    return PulseProgram(3, [TransferBasis(qubit, target)], name=f"transfer {qubit} -> {target}")
 
 
-def decoupled_memory_fragment(qubit, total_duration, echo_phase=np.pi / 2, n_qubits=3,
-                              source=BASIS_SIGMA_MINUS):
-    """Storage protocol: park a qubit in the pi encoding with a mid-time echo.
+def decoupled_memory_fragment(qubit, total_duration):
+    """Storage protocol on the three-qubit register: park a sigma- qubit in pi, echo mid-time.
 
     Two storage windows of total_duration/2 each; the qubit is brought back to
-    its working basis halfway for a single echo pulse on the perpendicular
-    axis (phase pi/2 by default), then parked again. Four transfer blocks and
-    one echo in total.
+    sigma- halfway for a single echo pulse on the perpendicular axis (phase
+    pi/2), then parked again. Four transfer blocks and one echo in total.
     """
     if total_duration < 0:
         raise ProgramError("storage duration must be >= 0")
     half = total_duration / 2.0
-    frag = PulseProgram(n_qubits=n_qubits, name=f"decoupled memory q{qubit}")
-    frag.extend(transfer_sequence(qubit, source, BASIS_PI, n_qubits))
+    frag = PulseProgram(n_qubits=3, name=f"decoupled memory q{qubit}")
+    frag.extend(transfer_sequence(qubit, BASIS_SIGMA_MINUS, BASIS_PI))
     frag.instructions.append(FreeEvolve(half))
-    frag.extend(transfer_sequence(qubit, BASIS_PI, source, n_qubits))
-    frag.instructions.append(Echo(qubit, echo_phase))
-    frag.extend(transfer_sequence(qubit, source, BASIS_PI, n_qubits))
+    frag.extend(transfer_sequence(qubit, BASIS_PI, BASIS_SIGMA_MINUS))
+    frag.instructions.append(Echo(qubit))
+    frag.extend(transfer_sequence(qubit, BASIS_SIGMA_MINUS, BASIS_PI))
     frag.instructions.append(FreeEvolve(half))
-    frag.extend(transfer_sequence(qubit, BASIS_PI, source, n_qubits))
+    frag.extend(transfer_sequence(qubit, BASIS_PI, BASIS_SIGMA_MINUS))
     return frag

@@ -95,15 +95,15 @@ def _check_qubit(qubit, n_qubits):
 
 @dataclass
 class NoiseModel:
-    """Window dephasing rates (1/s), end-of-run depolarization and readout error."""
+    """Window dephasing rates (1/s), end-of-run depolarization and readout error.
+
+    A channel is off when its number is 0, or 1 for readout_fidelity.
+    """
 
     sigma_dephasing_rate: float = 62.5
     pi_dephasing_rate: float = 20.0
     white_noise_fraction: float = 0.25
     readout_fidelity: float = 0.96
-    dephasing: bool = True
-    white_noise: bool = True
-    readout: bool = True
 
     def __post_init__(self):
         for name in ("sigma_dephasing_rate", "pi_dephasing_rate"):
@@ -117,7 +117,7 @@ class NoiseModel:
 
     @classmethod
     def off(cls):
-        return cls(dephasing=False, white_noise=False, readout=False)
+        return cls(0.0, 0.0, 0.0, 1.0)
 
     def rate_for(self, basis):
         return self.pi_dephasing_rate if basis == BASIS_PI else self.sigma_dephasing_rate
@@ -292,7 +292,7 @@ def _bit_differs(n_qubits):
 
 
 def _dephase(state, duration, noise):
-    if not (noise.dephasing and duration > 0):
+    if not (duration > 0 and (noise.sigma_dephasing_rate or noise.pi_dephasing_rate)):
         return
     rates = np.array([noise.rate_for(b) for b in state.bases])
     damp = np.exp(-duration * (_bit_differs(state.n_qubits) * rates).sum(axis=-1))
@@ -353,22 +353,21 @@ def dd_phase_sequence(n_pulses, scheme="cpmg"):
     return phases
 
 
-def dd_fragment(duration, n_pulses, scheme="cpmg", n_qubits=3, qubits=None):
-    """Expand one window into [tau/2, pi, tau, pi, ..., pi, tau/2] instructions."""
+def dd_fragment(duration, n_pulses, scheme="cpmg", n_qubits=3):
+    """Expand one window into [tau/2, pi, tau, ..., pi, tau/2], each pi on every qubit."""
     phases = dd_phase_sequence(n_pulses, scheme)
-    targets = list(range(n_qubits)) if qubits is None else list(qubits)
     tau = duration / n_pulses
     instructions = [FreeEvolve(tau / 2)]
     for k, ph in enumerate(phases):
-        for q in targets:
+        for q in range(n_qubits):
             instructions.append(Rotate(q, np.pi, ph))
         instructions.append(FreeEvolve(tau if k < n_pulses - 1 else tau / 2))
     return PulseProgram(n_qubits=n_qubits, instructions=instructions,
                         name=f"dd {scheme} n={n_pulses}")
 
 
-def selective_recoupling_wrap(duration, echo_qubit, n_qubits=3):
-    """Free evolution with a mid-window echo that cancels every coupling to one spin.
+def selective_recoupling_wrap(duration, echo_qubit):
+    """Three-qubit window with a mid-window echo that cancels every coupling to one spin.
 
     [T/2, pi on k, T/2, pi on k]: the pi pair flips the sign of each zz term
     involving qubit k for the second half, so those phases cancel while the
@@ -382,7 +381,7 @@ def selective_recoupling_wrap(duration, echo_qubit, n_qubits=3):
         FreeEvolve(duration / 2),
         Rotate(echo_qubit, np.pi, 0.0),
     ]
-    return PulseProgram(n_qubits=n_qubits, instructions=instructions,
+    return PulseProgram(n_qubits=3, instructions=instructions,
                         name=f"recouple echo q{echo_qubit}")
 
 
@@ -419,8 +418,8 @@ def _walk(program, j, frame):
     for ins in program.instructions:
         if measured:
             raise ProgramError("MEAS must be the last instruction")
-        q = getattr(ins, "qubit", "all")
-        if q != "all" and not 0 <= q < program.n_qubits:
+        q = getattr(ins, "qubit", 0)  # windows and MEAS name no qubit
+        if not (q == "all" and isinstance(ins, TransferBasis) or 0 <= q < program.n_qubits):
             raise ProgramError(f"{type(ins).__name__} on qubit {q} outside register "
                                f"of {program.n_qubits}")
         if isinstance(ins, Rotate):
@@ -485,7 +484,7 @@ def run_program(program, j, noise=None, initial=None, assignment=None,
                 state.time += pulse_duration
     if program.relabel is not None:
         _relabel(state, program.relabel)
-    if noise.white_noise and noise.white_noise_fraction > 0:
+    if noise.white_noise_fraction > 0:
         dim = 2**state.n_qubits
         zeta = noise.white_noise_fraction
         state.rho = zeta * np.eye(dim) / dim + (1 - zeta) * state.rho
@@ -516,11 +515,11 @@ def apply_readout_confusion(p, fidelity, n_qubits):
 
 
 def measurement_probabilities(state, noise=None):
-    """Outcome distribution over basis states, with readout error if enabled."""
+    """Outcome distribution over basis states, with readout error when readout_fidelity < 1."""
     noise = noise or NoiseModel.off()
     p = state.populations()
     p = p / p.sum()
-    if noise.readout and noise.readout_fidelity < 1.0:
+    if noise.readout_fidelity < 1.0:
         p = apply_readout_confusion(p, noise.readout_fidelity, state.n_qubits)
     return p
 
@@ -535,9 +534,9 @@ def sample_counts(p, shots, rng):
     return rng.multinomial(shots, p / p.sum())
 
 
-def ramsey_program(qubit, duration, analysis_phase, n_qubits=3, spectator_bits=None,
+def ramsey_program(qubit, duration, analysis_phase, spectator_bits=None,
                    dd_pulses=0, dd_scheme="cpmg"):
-    """Conditional-precession probe: pi/2 - wait - pi/2(phase) on one qubit.
+    """Conditional-precession probe on the three-qubit register: pi/2 - wait - pi/2(phase).
 
     Spectators listed in `spectator_bits` (qubit -> 0/1) are flipped into the
     requested basis state before the probe pulse.
@@ -551,19 +550,18 @@ def ramsey_program(qubit, duration, analysis_phase, n_qubits=3, spectator_bits=N
     ins.append(Rotate(qubit, np.pi / 2, 0.0))
     ins.append(FreeEvolve(duration, dd_pulses, dd_scheme))
     ins.append(Rotate(qubit, np.pi / 2, analysis_phase))
-    return PulseProgram(n_qubits=n_qubits, instructions=ins,
+    return PulseProgram(n_qubits=3, instructions=ins,
                         name=f"ramsey q{qubit} T={duration:.6g}")
 
 
-def ramsey_scan(qubit, duration, phases, j, noise=None, n_qubits=3,
-                spectator_bits=None, dd_pulses=0, dd_scheme="cpmg"):
+def ramsey_scan(qubit, duration, phases, j, noise=None, spectator_bits=None,
+                dd_pulses=0, dd_scheme="cpmg"):
     """Bright-state probability of the probe qubit versus analysis phase.
 
     One run up to the analysis pulse, then `fringe_scan`: exact under any
     NoiseModel, as the pulse commutes with the end-of-run depolarizing mix.
     """
-    prog = ramsey_program(qubit, duration, 0.0, n_qubits, spectator_bits,
-                          dd_pulses, dd_scheme)
+    prog = ramsey_program(qubit, duration, 0.0, spectator_bits, dd_pulses, dd_scheme)
     del prog.instructions[-1]  # the analysis pulse
     return fringe_scan(run_program(prog, j, noise=noise).state, qubit, phases)
 

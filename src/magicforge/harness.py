@@ -2,7 +2,8 @@
 
 Each scenario returns a list of flat records; `run_all` writes one CSV/JSON
 pair per scenario. Both files render every float with the same %.10g format
-so the two serializations carry byte-identical numbers.
+so the two serializations carry byte-identical numbers; a float that is not
+finite is missing in both (an empty CSV cell, JSON null).
 
 The scenarios mirror the standard characterization workflow of a
 gradient-coupled register:
@@ -19,14 +20,15 @@ gradient-coupled register:
 * fidelity_table: direct and rotation-protocol fidelities of the transform
   output for all basis-state and |0>/|+> product inputs.
 
-Fidelity scenarios compare readout-corrected quantities, so they run with the
-readout channel disabled; the histogram scenario keeps it on. Ion columns are
-reported in physical chain order (the relabeling at the end of the compiled
-sequence is undone for reporting).
+Fidelity scenarios compare readout-corrected quantities, so they run with
+readout fidelity 1; the histogram scenario keeps the 0.96 default. Ion columns
+are reported in physical chain order (the relabeling at the end of the
+compiled sequence is undone for reporting).
 """
 
 import configparser
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -65,6 +67,7 @@ from .program import (
     PulseProgram,
     Rotate,
     TransferBasis,
+    check_name,
     parse_program,
 )
 from .qft import calibrated_couplings, compile_qft, reference_qft
@@ -107,10 +110,11 @@ def _wrap(angle):
 _PHASES = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
 
 
-def scenario_precession(rng, shots=50, dd_pulses=20):
-    """Probe-spin fringes versus wait time for each neighbour configuration."""
+def scenario_precession(rng):
+    """Probe-spin fringes (50 shots a phase, CPMG-20 wait) versus wait, per neighbour state."""
+    shots = 50
     j = demo_couplings()
-    noise = NoiseModel(white_noise=False, readout=False)
+    noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
     records = []
     for t_ms in (1, 2, 3, 4):
         duration = t_ms * 1e-3
@@ -118,7 +122,7 @@ def scenario_precession(rng, shots=50, dd_pulses=20):
             for b2 in (0, 1):
                 spect = {1: b1, 2: b2}
                 p = ramsey_scan(0, duration, _PHASES, j, noise=noise,
-                                spectator_bits=spect, dd_pulses=dd_pulses)
+                                spectator_bits=spect, dd_pulses=20)
                 counts = rng.binomial(shots, np.clip(p, 0.0, 1.0))
                 fit = ramsey_fit(_PHASES, counts / shots, shots=shots)
                 rate = expected_precession_rate(j, 0, spect)
@@ -167,7 +171,7 @@ def scenario_topologies():
                 "contrast": "",
             }))
     duration = 1e-3
-    noise = NoiseModel(white_noise=False, readout=False)
+    noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
     for park, tag in ((None, "both neighbours active"), (2, "outer neighbour parked")):
         res = run_program(_parked_probe_program(duration, park), j, noise=noise)
         p = fringe_scan(res.state, 0, _PHASES)
@@ -201,11 +205,12 @@ def _compile_transform():
     return compile_qft(form="optimized", dd_scheme="kdd")
 
 
-def scenario_transform_fringes(rng, compiled, shots=150):
-    """Per-ion fringes on the compiled transform's output for input |010>."""
-    noise = NoiseModel(readout=False)
+def scenario_transform_fringes(rng, compiled):
+    """Per-ion fringes, 150 shots per phase, on the compiled transform's output for |010>."""
+    shots = 150
+    noise = NoiseModel(readout_fidelity=1.0)
     res = _transform_run("010", compiled, noise)
-    ideal = reference_qft(3) @ ket("010")
+    ideal = reference_qft() @ ket("010")
     factors = factor_product_state(ideal, 3)
     perm = compiled.program.relabel
     records = []
@@ -235,14 +240,15 @@ def scenario_transform_fringes(rng, compiled, shots=150):
 DISTRIBUTION_INPUTS = ("111", "+11", "++1", "+++")
 
 
-def scenario_distributions(rng, compiled, shots=1250):
-    """Transform outcome histograms for inputs of growing coherence."""
+def scenario_distributions(rng, compiled):
+    """Transform outcome histograms of 1250 shots for inputs of growing coherence."""
+    shots = 1250
     noise = NoiseModel()
     rows, summary = [], []
     for label in DISTRIBUTION_INPUTS:
         res = _transform_run(label, compiled, noise)
         p_model = measurement_probabilities(res.state, noise)
-        p_ideal = np.abs(reference_qft(3) @ product_input_ket(label)) ** 2
+        p_ideal = np.abs(reference_qft() @ product_input_ket(label)) ** 2
         counts = sample_counts(p_model, shots, rng)
         p_emp = counts / shots
         for k in range(8):
@@ -269,8 +275,8 @@ def scenario_distributions(rng, compiled, shots=1250):
 
 def scenario_fidelity_table(compiled):
     """Direct and rotation-protocol fidelities of the transform, all 15 inputs."""
-    noise = NoiseModel(readout=False)
-    ref = reference_qft(3)
+    noise = NoiseModel(readout_fidelity=1.0)
+    ref = reference_qft()
     perm = compiled.program.relabel
     records = []
     for label in PRODUCT_INPUTS:
@@ -305,9 +311,11 @@ def _cell(v, missing="", text=str):
         return text(v)
     if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
-    if v is None or np.isnan(float(v)):
+    if v is None or not math.isfinite(float(v)):
         return missing
-    return format(float(v), ".10g")
+    text = format(float(v), ".10g")
+    # within 10 digits of the largest double the text can round past it to inf
+    return text if math.isfinite(float(text)) else repr(float(v))
 
 
 def emit_records(records, directory, stem):
@@ -320,13 +328,14 @@ def emit_records(records, directory, stem):
     csv_path = os.path.join(directory, f"{stem}.csv")
     json_path = os.path.join(directory, f"{stem}.json")
     rows = [{"scenario": rec.scenario, "label": rec.label, **rec.values} for rec in records]
-    lines = [",".join(columns)]
+    lines = [",".join(_csv_escape(c) for c in columns)]
     lines += [",".join(_csv_escape(_cell(row.get(c))) for c in columns) for row in rows]
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     chunks = []
     for row in rows:
-        body = ", ".join(f"\"{c}\": {_cell(row.get(c), 'null', json.dumps)}" for c in columns)
+        body = ", ".join(f"{json.dumps(c)}: {_cell(row.get(c), 'null', json.dumps)}"
+                         for c in columns)
         chunks.append("  {" + body + "}")
     with open(json_path, "w") as fh:
         fh.write("[\n" + ",\n".join(chunks) + "\n]\n")
@@ -416,7 +425,6 @@ class Scenario:
     program: PulseProgram
     couplings: np.ndarray
     input_state: str = "000"
-    topology: str = ""
     noise: bool = False
     shots: int = 0
     seed: int = DEFAULT_SEED
@@ -427,9 +435,9 @@ def load_scenario_file(path):
     """Parse a scenario config (INI format); raise HarnessError on bad input.
 
     Required keys in [scenario]: program (path). Coupling source: either
-    couplings (J matrix file) or trap (trap config file); trap source accepts
+    couplings (J matrix file) or trap (trap config file); only trap takes
     topology (preset letter or per-qubit basis list). Optional: input, noise,
-    shots, seed, name, pulse_duration.
+    shots, seed, name (one line; also the output file stem), pulse_duration.
     """
     parser = configparser.ConfigParser()
     try:
@@ -459,6 +467,8 @@ def load_scenario_file(path):
 
     topology = sec.get("topology", "")
     if "couplings" in sec:
+        if topology:
+            raise HarnessError(f"{path}: topology needs a trap source, not couplings")
         j = load_couplings(_resolve(sec["couplings"]))
     elif "trap" in sec:
         config = TrapConfig.from_ini(_resolve(sec["trap"]))
@@ -468,7 +478,9 @@ def load_scenario_file(path):
     else:
         raise HarnessError(f"{path}: need either couplings or trap")
 
+    name = sec.get("name", os.path.splitext(os.path.basename(path))[0])
     try:
+        check_name(name)
         shots = sec.getint("shots", 0)
         seed = sec.getint("seed", DEFAULT_SEED)
         noise = sec.getboolean("noise", False)
@@ -476,11 +488,10 @@ def load_scenario_file(path):
     except ValueError as exc:
         raise HarnessError(f"{path}: {exc}") from exc
     return Scenario(
-        name=sec.get("name", os.path.splitext(os.path.basename(path))[0]),
+        name=name,
         program=program,
         couplings=j,
         input_state=sec.get("input", "000"),
-        topology=topology,
         noise=noise,
         shots=shots,
         seed=seed,

@@ -146,8 +146,8 @@ def fringe_fidelity(fit, ideal_phase):
     return float(0.5 + 0.5 * fit.contrast * np.cos(fit.phase - ideal_phase))
 
 
-def factor_product_state(vec, n_qubits, tol=1e-9):
-    """Split a product ket into per-qubit factors; raises if it is entangled."""
+def factor_product_state(vec, n_qubits):
+    """Split a product ket into per-qubit factors; raises if entangled (Schmidt value > 1e-9)."""
     vec = np.asarray(vec, dtype=complex)
     if vec.size != 2**n_qubits:
         raise MetricsError("state vector size does not match qubit count")
@@ -157,7 +157,7 @@ def factor_product_state(vec, n_qubits, tol=1e-9):
     for _ in range(n_qubits - 1):
         m = rest.reshape(2, -1)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        if s.size > 1 and s[1] > tol:
+        if s.size > 1 and s[1] > 1e-9:
             raise MetricsError("state is not a product state")
         factors.append(u[:, 0])
         rest = s[0] * vh[0]
@@ -186,19 +186,13 @@ def fidelity_via_local_rotation(state, target):
 
     Rotate each qubit by the pulse that maps its ideal factor to |0>, then
     read the population of |00...0|. Equals <psi|rho|psi> exactly for a
-    product target. `target` may be a full ket (it is factorized first, and
-    must be separable) or a list of single-qubit kets.
+    product target, given as its list of single-qubit kets.
     """
     rho = _as_rho(state)
-    n = int(np.log2(rho.shape[0]))
-    if isinstance(target, (list, tuple)):
-        kets = target
-    else:
-        kets = factor_product_state(target, n)
-    if len(kets) != n:
+    if len(target) != int(np.log2(rho.shape[0])):
         raise MetricsError("need one target factor per qubit")
     full = np.array([[1.0 + 0.0j]])
-    for op in disentangling_rotations(kets):
+    for op in disentangling_rotations(target):
         full = np.kron(full, op)
     rotated = full @ rho @ full.conj().T
     return float(np.real(rotated[0, 0]))
@@ -213,20 +207,20 @@ class ErrorBudget:
     pulse_error_residual: float
 
 
-def error_budget(dephased_fidelity, white_noise_fraction, readout_fidelity, n_qubits=3):
-    """Decompose an end-to-end fidelity into its modelled loss channels.
+def error_budget(dephased_fidelity, white_noise_fraction, readout_fidelity):
+    """Decompose a three-qubit end-to-end fidelity into its modelled loss channels.
 
-    predicted: zeta/2^n + (1 - zeta) * dephased fidelity;
-    ceiling: fidelity if dephasing were absent, zeta/2^n + (1 - zeta);
-    white-noise infidelity: the zeta*(1 - 2^-n) gap below a perfect run,
-    split into detection loss (chance that at least one qubit reads out
-    wrongly) and a residual attributed to imperfect pulses.
+    predicted: zeta/8 + (1 - zeta) * dephased fidelity;
+    ceiling: fidelity if dephasing were absent, zeta/8 + (1 - zeta);
+    white-noise infidelity: the zeta*(1 - 1/8) gap below a perfect run,
+    split into detection loss (chance that at least one of the three qubits
+    reads out wrongly) and a residual attributed to imperfect pulses.
     """
-    dim = 2**n_qubits
+    dim = 8
     zeta = white_noise_fraction
     predicted = zeta / dim + (1.0 - zeta) * dephased_fidelity
     ceiling = zeta / dim + (1.0 - zeta)
     white = zeta * (1.0 - 1.0 / dim)
-    detection = 1.0 - readout_fidelity**n_qubits
+    detection = 1.0 - readout_fidelity**3
     residual = white - detection
     return ErrorBudget(float(predicted), float(ceiling), float(white), float(detection), float(residual))

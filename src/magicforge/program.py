@@ -56,6 +56,20 @@ def _check_finite(**values):
             raise ProgramError(f"{name} must be finite, got {value}")
 
 
+def _check_qubit(ins):
+    """Reject a qubit that is not a non-negative int; only a transfer also takes "all"."""
+    q = ins.qubit
+    if not (isinstance(q, (int, np.integer)) and q >= 0
+            or q == "all" and isinstance(ins, TransferBasis)):
+        raise ProgramError(f"{type(ins).__name__} qubit must be a non-negative int, got {q!r}")
+
+
+def check_name(name):
+    """Reject a program name that `to_text` could not keep on its one comment line."""
+    if "".join(name.splitlines()) != name:
+        raise ProgramError(f"name must not contain a line break, got {name!r}")
+
+
 @dataclass
 class Rotate:
     qubit: int
@@ -63,6 +77,7 @@ class Rotate:
     phi: float = 0.0
 
     def __post_init__(self):
+        _check_qubit(self)
         _check_finite(theta=self.theta, phi=self.phi)
 
 
@@ -72,6 +87,7 @@ class PhaseShift:
     phi: float
 
     def __post_init__(self):
+        _check_qubit(self)
         _check_finite(phi=self.phi)
 
 
@@ -97,6 +113,7 @@ class TransferBasis:
     target: str
 
     def __post_init__(self):
+        _check_qubit(self)
         if self.target not in BASES:
             raise ProgramError(f"unknown encoding basis {self.target!r}")
 
@@ -107,6 +124,7 @@ class Echo:
     phi: float = np.pi / 2
 
     def __post_init__(self):
+        _check_qubit(self)
         _check_finite(phi=self.phi)
 
 
@@ -125,6 +143,7 @@ class PulseProgram:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ProgramError("n_qubits must be at least 1")
+        check_name(self.name)
         if self.relabel is not None:
             perm = tuple(self.relabel)
             if sorted(perm) != list(range(self.n_qubits)):
@@ -206,8 +225,6 @@ def _parse_qubit(token, n_qubits):
         q = int(token)
     except ValueError as exc:
         raise ProgramError(f"bad qubit index {token!r}") from exc
-    if q < 0:
-        raise ProgramError(f"negative qubit index {q}")
     if n_qubits is not None and not 0 <= q < n_qubits:
         raise ProgramError(f"qubit {q} outside register of {n_qubits}")
     return q
@@ -221,16 +238,16 @@ def _read_operand(name, token, limit):
     return float(token) if name == "duration" else parse_angle(token)
 
 
-def parse_program(text, n_qubits=None):
+def parse_program(text):
     """Parse the text grammar; raises ProgramError with the offending line number.
 
-    The register is `n_qubits`, else the `# qubits: N` declared before the first
-    instruction, else the smallest that holds every index; a given or declared
-    register bounds every qubit index and the RELABEL permutation.
+    The register is the `# qubits: N` declared before the first instruction,
+    else the smallest that holds every index; a declared register bounds every
+    qubit index and the RELABEL permutation.
     """
     instructions = []
     relabel = None
-    limit = n_qubits
+    limit = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("# qubits:"):
@@ -240,8 +257,7 @@ def parse_program(text, n_qubits=None):
             if instructions or relabel is not None:
                 raise ProgramError(f"line {line_no}: register declared after the first "
                                    "instruction")
-            if n_qubits is None:
-                limit = int(value)
+            limit = int(value)
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

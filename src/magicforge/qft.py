@@ -58,10 +58,10 @@ BENCH_T2 = 0.22e-3
 BENCH_T3 = 4.87e-3
 
 
-def reference_qft(n_qubits=3):
-    dim = 2**n_qubits
-    j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    return np.exp(2j * np.pi * j * k / dim) / np.sqrt(dim)
+def reference_qft():
+    """The three-qubit transform, F[j, k] = exp(2 pi i j k / 8) / sqrt(8)."""
+    j, k = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+    return np.exp(2j * np.pi * j * k / 8) / np.sqrt(8)
 
 
 def calibrated_couplings():
@@ -160,30 +160,30 @@ def _window_system(b, a1, a2, xphase, yphase, jacobian=True):
     return res, jac
 
 
-def solve_entangling_params(j, t1, t2, grid=16, max_iter=80, tol=1e-10):
+def solve_entangling_params(j, t1, t2):
     """Shortest entangling window (T3, A1, A2) absorbing the residual phase.
 
-    Damped Gauss-Newton from a grid^3 lattice of (b, A1, A2) starting points,
-    run in one vectorized batch; roots are accepted below `tol` residual norm
-    and the one with the smallest positive window wins.
+    Damped Gauss-Newton from a 16^3 lattice of (b, A1, A2) starting points,
+    run in one vectorized batch for 80 iterations; roots are accepted below
+    1e-10 residual norm and the one with the smallest positive window wins.
 
     Every start's trajectory depends on that start alone, so a start whose
     damped step no longer changes it is at a fixed point for the remaining
     iterations. Such starts are retired from the batch, and the line search
     re-evaluates only the residual of starts whose candidate is still worse.
-    The result is bit for bit the one of iterating every start for
-    `max_iter` steps.
+    The result is bit for bit the one of iterating every start for all 80
+    steps.
     """
     j = _check_compile_couplings(j)
     rho23 = residual_phase(j, t1, t2)
     xphase = rho23 + np.pi / 8.0
     yphase = rho23 - np.pi / 8.0
-    pts = (np.arange(grid) + 0.5) / grid * 2.0 * np.pi
+    pts = (np.arange(16) + 0.5) / 16 * 2.0 * np.pi
     b0, a10, a20 = (g.ravel() for g in np.meshgrid(pts, pts, pts, indexing="ij"))
     theta = np.column_stack([b0, a10, a20])
     eye = 1e-12 * np.eye(3)
     active = np.arange(theta.shape[0])
-    for _ in range(max_iter):
+    for _ in range(80):
         if active.size == 0:
             break
         th = theta[active]
@@ -209,7 +209,7 @@ def solve_entangling_params(j, t1, t2, grid=16, max_iter=80, tol=1e-10):
         active = active[(new.view(np.uint64) != th.view(np.uint64)).any(axis=1)]
     res = _window_system(theta[:, 0], theta[:, 1], theta[:, 2], xphase, yphase, jacobian=False)
     norms = np.sqrt((res**2).sum(axis=-1))
-    ok = norms < tol
+    ok = norms < 1e-10
     if not ok.any():
         raise CompilerError("entangling-window solve did not converge from any start")
     b = np.mod(theta[ok, 0], 2.0 * np.pi)
@@ -222,7 +222,7 @@ def solve_entangling_params(j, t1, t2, grid=16, max_iter=80, tol=1e-10):
     return EntanglingSolution(float(t3), a1, a2, float(norms[ok][pick]), int(ok.sum()))
 
 
-def emit_sequence(t1, t2, solution, form="exact", dd_scheme=None, dd_budget=(20, 40)):
+def emit_sequence(t1, t2, solution, form="exact", dd_scheme=None):
     """Pulse program for the transform from scheduled windows and angles.
 
     `exact` parks qubit 0 in the field-insensitive encoding for the whole
@@ -230,12 +230,11 @@ def emit_sequence(t1, t2, solution, form="exact", dd_scheme=None, dd_budget=(20,
     qubit 0 (phases pi/2 and 11 pi/16, the second absorbing the conditional
     phase bookkeeping) and drops the short T2 window entirely; that trades a
     controlled infidelity for a shorter and simpler sequence. With a
-    decoupling scheme set, the budget places dd_budget[0] pulses in T1 and
-    dd_budget[1] in the entangling window (split across the halves in the
-    optimized form).
+    decoupling scheme set, 20 pulses go into T1 and 40 into the entangling
+    window (split across the halves in the optimized form).
     """
     a1, a2, t3 = solution.a1, solution.a2, solution.t3
-    n1, n3 = (dd_budget if dd_scheme else (0, 0))
+    n1, n3 = (20, 40) if dd_scheme else (0, 0)
     scheme = dd_scheme or "cpmg"
     pi = np.pi
     if form == "exact":
@@ -299,7 +298,7 @@ class CompiledTransform:
         return self.program.duration
 
 
-def compile_qft(j=None, form="exact", dd_scheme=None, dd_budget=(20, 40)):
+def compile_qft(j=None, form="exact", dd_scheme=None):
     """Schedule, solve and emit the transform for a coupling matrix, then gate it.
 
     The returned program has been checked: its ideal unitary must match the
@@ -310,8 +309,8 @@ def compile_qft(j=None, form="exact", dd_scheme=None, dd_budget=(20, 40)):
     j = calibrated_couplings() if j is None else _check_compile_couplings(j)
     t1, t2 = plan_times(j)
     sol = solve_entangling_params(j, t1, t2)
-    program = emit_sequence(t1, t2, sol, form=form, dd_scheme=dd_scheme, dd_budget=dd_budget)
-    fid = process_fidelity(reference_qft(3), program_unitary(program, j))
+    program = emit_sequence(t1, t2, sol, form=form, dd_scheme=dd_scheme)
+    fid = process_fidelity(reference_qft(), program_unitary(program, j))
     if fid < 1.0 - FORM_TOLERANCE[form]:
         raise CompilerError(
             f"compiled {form} sequence reached process fidelity {fid:.9f}, "
@@ -339,7 +338,7 @@ def verify_plan(compiled):
     reports the overlaps with the reference outputs.
     """
     u = program_unitary(compiled.program, compiled.couplings)
-    ref = reference_qft(3)
+    ref = reference_qft()
     kets = [product_input_ket(label) for label in PRODUCT_INPUTS]
     overlaps = np.array([state_fidelity(u @ v, ref @ v) for v in kets])
     return PlanVerification(process_fidelity(ref, u), overlaps[:8], overlaps[8:])

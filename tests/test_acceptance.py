@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix, random_distribution, random_product_ket
-from magicforge.chain import TrapConfig, coupling_matrix, normal_modes, zeeman_profile
+from magicforge.chain import (
+    TrapConfig,
+    coupling_matrix,
+    equilibrium_positions,
+    normal_modes,
+    zeeman_profile,
+)
 from magicforge.encoding import effective_couplings, topology_preset
 from magicforge.engine import (
     NoiseModel,
@@ -104,13 +110,13 @@ def test_a02_benchmark_schedule_parameters(bench_j):
 
 def test_a03_noisy_transform_fidelity_bands(bench_j):
     """mean basis-input fidelity 0.58+-0.07 under the full noise model; 0.73+-0.05 dephasing-only."""
-    compiled = compile_qft(bench_j, form="optimized", dd_scheme="kdd", dd_budget=(20, 40))
+    compiled = compile_qft(bench_j, form="optimized", dd_scheme="kdd")
     ref = dft_matrix(8)
     noises = {
         "full": NoiseModel(sigma_dephasing_rate=GAMMA_SIGMA, white_noise_fraction=ZETA,
-                           readout=False),
-        "dephased": NoiseModel(sigma_dephasing_rate=GAMMA_SIGMA, white_noise=False,
-                               readout=False),
+                           readout_fidelity=1.0),
+        "dephased": NoiseModel(sigma_dephasing_rate=GAMMA_SIGMA, white_noise_fraction=0.0,
+                               readout_fidelity=1.0),
     }
     means = {}
     for tag, noise in noises.items():
@@ -135,10 +141,11 @@ def test_a04_error_budget_decomposition():
 def test_a05_chain_modes_addressing_and_coupling_scale():
     """mode ratios {1, sqrt3, sqrt(29/5)} to 1e-6; addressing split within 10% of 3.2 MHz; J ~ gradient^2 to 1e-10; adjacent J in 2pi x (25..55) Hz."""
     config = TrapConfig()   # 171 amu, 2pi x 130 kHz, 19 T/m
-    modes = normal_modes(config)
+    geometry = equilibrium_positions(config)
+    modes = normal_modes(config, geometry)
     ratios = modes.frequencies / modes.frequencies[0]
     assert ratios == pytest.approx([1.0, np.sqrt(3.0), np.sqrt(29.0 / 5.0)], rel=1e-6)
-    zee = zeeman_profile(config)
+    zee = zeeman_profile(config, geometry)
     separation = zee.addressing_offsets_hz[1] - zee.addressing_offsets_hz[0]
     assert separation == pytest.approx(3.2e6, rel=0.10)
     j_lo = coupling_matrix(TrapConfig(magnetic_gradient=19.0, bias_field=5e-3)).j
@@ -220,7 +227,8 @@ def test_a07_conditional_precession_rates_and_dd_contrast(bench_j):
     anti = fitted_rate({1: 1, 2: 0})
     assert anti == pytest.approx(bench_j[0, 1] - bench_j[0, 2], rel=1e-3)
 
-    noise = NoiseModel(sigma_dephasing_rate=GAMMA_SIGMA, white_noise=False, readout=False)
+    noise = NoiseModel(sigma_dephasing_rate=GAMMA_SIGMA, white_noise_fraction=0.0,
+                       readout_fidelity=1.0)
     probs = ramsey_scan(0, t, phases, bench_j, noise=noise,
                         spectator_bits={1: 0, 2: 0}, dd_pulses=20, dd_scheme="cpmg")
     fit = ramsey_fit(phases, probs)
@@ -236,7 +244,7 @@ def test_a08_transform_distribution_endpoints(bench_j):
     assert abs(point[0] - 1.0) <= 1e-9
     assert np.abs(point[1:]).max() <= 1e-9
 
-    compiled = compile_qft(bench_j, form="optimized", dd_scheme="kdd", dd_budget=(20, 40))
+    compiled = compile_qft(bench_j, form="optimized", dd_scheme="kdd")
     noise = NoiseModel(sigma_dephasing_rate=GAMMA_SIGMA, white_noise_fraction=ZETA,
                        readout_fidelity=READOUT)
     ref = dft_matrix(8)

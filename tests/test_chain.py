@@ -32,13 +32,15 @@ def test_three_ion_equilibrium_closed_form():
 
 
 def test_three_ion_mode_ratios_closed_form():
-    modes = normal_modes(TrapConfig(ion_count=3))
+    config = TrapConfig(ion_count=3)
+    modes = normal_modes(config, equilibrium_positions(config))
     ratios = modes.frequencies / modes.frequencies[0]
     assert ratios == pytest.approx([1.0, np.sqrt(3.0), np.sqrt(29.0 / 5.0)], rel=1e-9)
 
 
 def test_com_mode_is_uniform_and_vectors_orthonormal():
-    modes = normal_modes(TrapConfig(ion_count=3))
+    config = TrapConfig(ion_count=3)
+    modes = normal_modes(config, equilibrium_positions(config))
     com = modes.vectors[:, 0]
     assert np.allclose(np.abs(com), 1.0 / np.sqrt(3.0), atol=1e-10)
     assert np.allclose(modes.vectors.T @ modes.vectors, np.eye(3), atol=1e-10)
@@ -46,7 +48,7 @@ def test_com_mode_is_uniform_and_vectors_orthonormal():
 
 def test_ground_extio_match_definition():
     config = TrapConfig(ion_count=3)
-    modes = normal_modes(config)
+    modes = normal_modes(config, equilibrium_positions(config))
     expected = np.sqrt(HBAR / (2.0 * config.ion_mass * modes.frequencies))
     assert modes.ground_extents == pytest.approx(expected, rel=1e-12)
 
@@ -72,8 +74,9 @@ def test_couplings_scale_with_gradient_squared():
 
 
 def test_field_sign_change_is_rejected():
+    config = TrapConfig(magnetic_gradient=38.0)
     with pytest.raises(ValueError, match="sign"):
-        zeeman_profile(TrapConfig(magnetic_gradient=38.0))
+        zeeman_profile(config, equilibrium_positions(config))
 
 
 def test_coupling_matrix_regression_values():
@@ -107,7 +110,7 @@ def test_coupling_matrix_solves_equilibrium_once(monkeypatch):
 def test_coupling_ratio_from_mode_sums():
     # independent oracle: J_ij proportional to sum_n S_in S_jn / nu_n^2
     config = TrapConfig()
-    modes = normal_modes(config)
+    modes = normal_modes(config, equilibrium_positions(config))
     s = modes.vectors
     weights = 1.0 / modes.frequencies**2
     def pair(i, k):

@@ -45,11 +45,6 @@ def test_effective_couplings_use_magnitudes(base_j):
     assert shaped == pytest.approx(base_j)
 
 
-def test_preset_flip_override(base_j):
-    shaped = effective_couplings(base_j, topology_preset("C", flipped=2))
-    assert signs(shaped).tolist() == [[0, 1, -1], [1, 0, -1], [-1, -1, 0]]
-
-
 def test_parse_topology_round_trips():
     assignment = parse_topology(" -, +, 0 ")
     assert assignment.bases == (BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS, BASIS_PI)

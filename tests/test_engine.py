@@ -153,7 +153,7 @@ def test_free_evolution_matches_gate_oracle(rng):
 
 def test_dephasing_mask_rates(plus_state):
     # full-weight coherence decays with the sum of all participating rates
-    noise = NoiseModel(white_noise=False, readout=False)
+    noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
     t = 4e-3
     st = plus_state
     rho0 = st.rho.copy()
@@ -165,7 +165,7 @@ def test_dephasing_mask_rates(plus_state):
 
 
 def test_parked_qubit_dephases_at_pi_rate():
-    noise = NoiseModel(white_noise=False, readout=False)
+    noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
     st = prepare_state(3, "000")
     apply_rotation(st, 0, np.pi / 2, 0.0)
     transfer_basis(st, 0, "pi")
@@ -294,8 +294,9 @@ def test_white_noise_applied_once_at_run_end(rng):
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(2e-3),
                             Rotate(1, np.pi / 2, 0.5), FreeEvolve(2e-3)])
     zeta = 0.25
-    full = run_program(prog, j, noise=NoiseModel(readout=False)).state.rho
-    deph = run_program(prog, j, noise=NoiseModel(white_noise=False, readout=False)).state.rho
+    full = run_program(prog, j, noise=NoiseModel(readout_fidelity=1.0)).state.rho
+    deph = run_program(prog, j, noise=NoiseModel(white_noise_fraction=0.0,
+                                                 readout_fidelity=1.0)).state.rho
     assert full == pytest.approx(zeta * np.eye(8) / 8 + (1 - zeta) * deph, abs=1e-12)
 
 
@@ -312,7 +313,7 @@ def test_readout_confusion_kernel():
 def test_measurement_probabilities_toggle_readout():
     st = prepare_state(3, "000")
     on = measurement_probabilities(st, NoiseModel())
-    off = measurement_probabilities(st, NoiseModel(readout=False))
+    off = measurement_probabilities(st, NoiseModel(readout_fidelity=1.0))
     assert off[0] == pytest.approx(1.0)
     assert on[0] == pytest.approx(0.96**3)
 
@@ -329,8 +330,7 @@ def test_sample_counts_deterministic():
 
 def test_out_of_register_qubit_is_rejected(rng):
     j = random_j(rng)
-    bad = [Rotate(5, np.pi, 0.0), TransferBasis(5, "pi"), Rotate(-1, np.pi, 0.0),
-           PhaseShift(3, 0.2), Echo(-2)]
+    bad = [Rotate(5, np.pi, 0.0), TransferBasis(5, "pi"), PhaseShift(3, 0.2), Echo(3)]
     for ins in bad:
         prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), ins, FreeEvolve(1e-3)])
         message = f"qubit {ins.qubit} outside register of 3"
@@ -338,6 +338,12 @@ def test_out_of_register_qubit_is_rejected(rng):
             run_program(prog, j)
         with pytest.raises(ProgramError, match=message):
             program_unitary(prog, j)
+    # a negative qubit, or "all" on anything but a transfer, fails where it is built
+    for build in (lambda: Rotate(-1, np.pi), lambda: Echo(-2), lambda: TransferBasis(-1, "pi"),
+                  lambda: Rotate("all", np.pi), lambda: PhaseShift("all", 0.2),
+                  lambda: Echo("all")):
+        with pytest.raises(ProgramError, match="qubit must be a non-negative int"):
+            build()
     # "all" is in every register; a decoupled window expands inside it
     ok = PulseProgram(3, [TransferBasis("all", "pi"), FreeEvolve(1e-3, 2, "cpmg")])
     assert run_program(ok, j).state.bases == ("pi",) * 3
@@ -427,8 +433,8 @@ def test_pulse_duration_freezes_coupling():
     j = np.zeros((3, 3))
     j[0, 1] = j[1, 0] = 300.0
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0)])
-    res = run_program(prog, j, noise=NoiseModel(white_noise=False, readout=False),
-                      pulse_duration=1e-3)
+    noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
+    res = run_program(prog, j, noise=noise, pulse_duration=1e-3)
     # pulses are spin-locked: exposure produces dephasing but no zz phase
     st = res.state
     assert st.populations()[0b000] == pytest.approx(0.5, abs=1e-12)

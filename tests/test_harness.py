@@ -219,6 +219,12 @@ def test_scenario_file_error_reporting(tmp_path):
     bad.write_text("[scenario]\nprogram = ok.pulse\n")
     with pytest.raises(harness.HarnessError, match="couplings or trap"):
         harness.load_scenario_file(bad)
+    bad.write_text("[scenario]\nprogram = ok.pulse\ncouplings = j.txt\ntopology = E\n")
+    with pytest.raises(harness.HarnessError, match="topology needs a trap"):
+        harness.load_scenario_file(bad)
+    bad.write_text("[scenario]\nprogram = ok.pulse\ncouplings = j.txt\nname = a\n  b\n")
+    with pytest.raises(harness.HarnessError, match="name must not contain a line break"):
+        harness.load_scenario_file(bad)
 
 
 def test_topologies_scenario_rows(full_run):

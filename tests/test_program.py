@@ -32,6 +32,11 @@ def test_text_round_trip():
     assert again.n_qubits == 3
     assert again.relabel == (2, 1, 0)
     assert again.instructions == prog.instructions
+    # the name is one comment line of the text; a line break in it would leak
+    # the rest of the name into the program
+    for name in ("x\nR 0 pi 0", "x\r", "x\u2028y"):
+        with pytest.raises(ProgramError, match="name must not contain a line break"):
+            PulseProgram(3, [], name=name)
 
 
 def test_parse_angle_pi_notation():
@@ -96,8 +101,6 @@ def test_duration_counts_only_free_evolution():
 
 
 def test_qubit_indices_validated_against_register():
-    with pytest.raises(ProgramError, match="line 1"):
-        parse_program("R 5 pi 0\n", n_qubits=3)
     with pytest.raises(ProgramError, match="line 1: bad register size 'abc'"):
         parse_program("# qubits: abc\nR 0 pi 0\n")
     with pytest.raises(ProgramError, match="line 2: qubit 5 outside register of 3"):
@@ -106,7 +109,11 @@ def test_qubit_indices_validated_against_register():
         parse_program("# qubits: 3\nR 0 pi 0\nRELABEL 5 4 3 2 1 0\n")
     with pytest.raises(ProgramError, match="line 2: register declared after"):
         parse_program("R 0 pi 0\n# qubits: 3\n")
-    with pytest.raises(ProgramError, match="line 1: negative qubit index"):
+    with pytest.raises(ProgramError, match="line 1: Rotate qubit must be a non-negative int"):
         parse_program("R -1 pi 0\n")
+    # only XFER takes "all"
+    with pytest.raises(ProgramError, match="line 2: Rotate qubit must be a non-negative int, "
+                                           "got 'all'"):
+        parse_program("# qubits: 3\nR all pi 0\n")
     prog = parse_program("# qubits: 4\nR 1 pi 0\nRELABEL 3 2 1 0\n")
     assert prog.n_qubits == 4 and prog.relabel == (3, 2, 1, 0)

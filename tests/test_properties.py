@@ -266,18 +266,18 @@ def test_readout_confusion_is_column_stochastic(n, fidelity):
 
 cell_text = st.text(alphabet=st.sampled_from('ab 1.-,"\n\r'), max_size=8)
 cell_values = st.one_of(
-    st.floats(allow_infinity=False), st.none(), st.booleans(),
+    st.floats(), st.none(), st.booleans(),
     st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1).map(np.int64), cell_text)
 records = st.lists(st.builds(
     RunRecord, cell_text, cell_text,
-    st.dictionaries(st.sampled_from(["p", "q", "f_ion0", "counts"]), cell_values)),
+    st.dictionaries(cell_text, cell_values)),
     min_size=1, max_size=5)
 
 
 def assert_cell_matches(value, csv_cell, json_cell):
     if isinstance(value, str):
         assert csv_cell == json_cell == value
-    elif value is None or (isinstance(value, float) and math.isnan(value)):
+    elif value is None or (isinstance(value, float) and not math.isfinite(value)):
         assert csv_cell == "" and json_cell is None
     elif isinstance(value, (bool, int, np.integer)):
         assert int(csv_cell) == json_cell == int(value)

@@ -132,7 +132,7 @@ def lattice_oracle(j, t1, t2, grid=16, max_iter=80, tol=1e-10):
 
 
 def test_reference_transform_is_the_dft():
-    f = reference_qft(3)
+    f = reference_qft()
     k, m = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
     assert f == pytest.approx(np.exp(2j * np.pi * k * m / 8) / np.sqrt(8), abs=1e-12)
     assert f @ f.conj().T == pytest.approx(np.eye(8), abs=1e-12)
@@ -243,12 +243,12 @@ def test_compiled_program_relabels_and_times(bench_j):
 
 
 def test_dd_budget_insertion(bench_j):
-    compiled = compile_qft(bench_j, form="exact", dd_scheme="cpmg", dd_budget=(20, 40))
+    compiled = compile_qft(bench_j, form="exact", dd_scheme="cpmg")
     dd = [(ins.duration, ins.dd_pulses) for ins in compiled.program.instructions
           if isinstance(ins, FreeEvolve) and ins.dd_pulses]
     assert (pytest.approx(compiled.t1), 20) in [(pytest.approx(d), n) for d, n in dd]
     assert sum(n for _, n in dd) == 60
-    split = compile_qft(bench_j, form="optimized", dd_scheme="kdd", dd_budget=(20, 40))
+    split = compile_qft(bench_j, form="optimized", dd_scheme="kdd")
     dd_opt = [ins.dd_pulses for ins in split.program.instructions
               if isinstance(ins, FreeEvolve) and ins.dd_pulses]
     assert sum(dd_opt) == 60
