@@ -39,7 +39,7 @@ for label in inputs:
     noisy = run_program(compiled.program, compiled.couplings, initial=psi)
 
     p_ideal = measurement_probabilities(ideal.state, NoiseModel.off())
-    p_model = measurement_probabilities(noisy.state)  # includes detection errors
+    p_model = measurement_probabilities(noisy.state, NoiseModel())  # includes detection errors
     counts = sample_counts(p_model, shots=1250, rng=rng)
     empirical = counts / 1250
 

@@ -13,7 +13,10 @@ S_in the normal-mode matrix.
 """
 
 import configparser
+import math
+import numbers
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -52,11 +55,14 @@ class TrapConfig:
     g_factor: float = 1.0
 
     def __post_init__(self):
+        count = self.ion_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"ion_count must be an int of at least 1, got {count!r}")
         for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.ion_count < 1:
-            raise ValueError("ion_count must be at least 1")
         if self.ion_mass <= 0 or self.axial_frequency <= 0 or self.charge <= 0:
             raise ValueError("ion_mass, axial_frequency and charge must be positive")
         if self.magnetic_gradient < 0:
@@ -150,30 +156,32 @@ class CouplingMatrix:
         return np.asarray(self.j, dtype=dtype)
 
 
+def _pair_powers(u, y):
+    """|u_k - u_m|**y for every pair of ions, inf on the diagonal so self-terms vanish.
+
+    Each pair's power is taken once, by the C library's pow: numpy's array power
+    rounds the last bit differently (SIMD pow; x*x for y = 2) from the scalar pow
+    the couplings were frozen with, and the benchmark's frozen shot counts on
+    4-7 ion traps hang on that bit of J.
+    """
+    upper = np.arange(len(u))[:, None] < np.arange(len(u))
+    gaps = np.abs(u[:, None] - u)[upper]
+    p = np.full(upper.shape, np.inf)
+    p[upper] = p.T[upper] = np.fromiter(map(math.pow, gaps.tolist(), repeat(y)), float)
+    return p
+
+
 def _scaled_gradient(u):
     """Gradient of V(u) = sum u^2/2 + sum_{i<j} 1/|u_i - u_j| in scaled units."""
-    n = len(u)
-    g = u.copy()
-    for k in range(n):
-        for m in range(n):
-            if m == k:
-                continue
-            d = u[k] - u[m]
-            g[k] -= np.sign(d) / d**2
-    return g
+    terms = np.sign(u[:, None] - u) / _pair_powers(u, 2.0)
+    # a left fold, u_k minus each pair term in turn, so the sum rounds as a pair loop would
+    return np.subtract.reduce(np.column_stack([u, terms]), axis=1)
 
 
 def _scaled_hessian(u):
-    n = len(u)
-    h = np.zeros((n, n))
-    for k in range(n):
-        for m in range(n):
-            if m == k:
-                continue
-            inv3 = 2.0 / abs(u[k] - u[m]) ** 3
-            h[k, m] = -inv3
-            h[k, k] += inv3
-    h += np.eye(n)
+    h = -2.0 / _pair_powers(u, 3.0)
+    # 1 + the pair terms folded in pair order (0 - (-a) == 0 + a exactly)
+    np.fill_diagonal(h, np.subtract.reduce(h, axis=1, initial=0.0) + 1.0)
     return h
 
 
@@ -198,25 +206,27 @@ def equilibrium_positions(config):
     # empirical minimum-spacing estimate keeps the start inside the basin
     spacing = 2.018 / n**0.559
     u = (np.arange(n) - (n - 1) / 2.0) * spacing
-    gnorm = np.linalg.norm(_scaled_gradient(u))
+    g = _scaled_gradient(u)
+    gnorm = np.linalg.norm(g)
     for iteration in range(1, 201):
-        g = _scaled_gradient(u)
-        gnorm = np.linalg.norm(g)
         if gnorm < 1e-12:
             break
-        h = _scaled_hessian(u)
-        step = np.linalg.solve(h, g)
+        step = np.linalg.solve(_scaled_hessian(u), g)
         damp = 1.0
         for _ in range(40):
             trial = u - damp * step
-            if np.all(np.diff(trial) > 0) and np.linalg.norm(_scaled_gradient(trial)) < gnorm:
-                break
+            if np.all(np.diff(trial) > 0):
+                # the accepted trial's gradient is the next iteration's
+                g_trial = _scaled_gradient(trial)
+                gnorm_trial = np.linalg.norm(g_trial)
+                if gnorm_trial < gnorm:
+                    break
             damp *= 0.5
         else:
             raise ChainModelError(
                 f"equilibrium search stalled at iteration {iteration}, |grad| = {gnorm:.3e}"
             )
-        u = trial
+        u, g, gnorm = trial, g_trial, gnorm_trial
     else:
         raise ChainModelError(
             "equilibrium search did not reach |grad| < 1e-12 in 200 iterations "
@@ -247,10 +257,8 @@ def normal_modes(config, geometry):
     if np.any(lam <= 0):
         raise ChainModelError(f"non-positive mode eigenvalue encountered: {lam}")
     # deterministic sign: largest-magnitude component of each mode positive
-    for col in range(vecs.shape[1]):
-        pivot = np.argmax(np.abs(vecs[:, col]))
-        if vecs[pivot, col] < 0:
-            vecs[:, col] = -vecs[:, col]
+    pivots = np.argmax(np.abs(vecs), axis=0)
+    vecs = vecs * np.sign(vecs[pivots, np.arange(vecs.shape[1])])
     freqs = config.axial_frequency * np.sqrt(lam)
     extents = np.sqrt(HBAR / (2.0 * config.ion_mass * freqs))
     return ModeDecomposition(frequencies=freqs, vectors=vecs, ground_extents=extents)

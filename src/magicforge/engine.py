@@ -514,9 +514,8 @@ def apply_readout_confusion(p, fidelity, n_qubits):
     return c @ p
 
 
-def measurement_probabilities(state, noise=None):
+def measurement_probabilities(state, noise):
     """Outcome distribution over basis states, with readout error when readout_fidelity < 1."""
-    noise = noise or NoiseModel.off()
     p = state.populations()
     p = p / p.sum()
     if noise.readout_fidelity < 1.0:

@@ -437,7 +437,8 @@ def load_scenario_file(path):
     Required keys in [scenario]: program (path). Coupling source: either
     couplings (J matrix file) or trap (trap config file); only trap takes
     topology (preset letter or per-qubit basis list). Optional: input, noise,
-    shots, seed, name (one line; also the output file stem), pulse_duration.
+    shots, seed, name (one line, no path separator, not . or ..; also the output
+    file stem), pulse_duration.
     """
     parser = configparser.ConfigParser()
     try:
@@ -479,6 +480,9 @@ def load_scenario_file(path):
         raise HarnessError(f"{path}: need either couplings or trap")
 
     name = sec.get("name", os.path.splitext(os.path.basename(path))[0])
+    # the name is the output file stem, so it must not leave the output directory
+    if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", os.sep)):
+        raise HarnessError(f"{path}: name must be a plain file stem, got {name!r}")
     try:
         check_name(name)
         shots = sec.getint("shots", 0)

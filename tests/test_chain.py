@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magicforge import chain
 from magicforge.chain import (
@@ -13,6 +15,67 @@ from magicforge.chain import (
     zeeman_profile,
 )
 from magicforge.constants import BOHR_MAGNETON, HBAR
+
+
+def loop_gradient(u):
+    """Reference: the scaled Coulomb gradient summed pair by pair."""
+    n = len(u)
+    g = u.copy()
+    for k in range(n):
+        for m in range(n):
+            if m == k:
+                continue
+            d = u[k] - u[m]
+            g[k] -= np.sign(d) / d**2
+    return g
+
+
+def loop_hessian(u):
+    """Reference: the scaled Coulomb Hessian filled pair by pair."""
+    n = len(u)
+    h = np.zeros((n, n))
+    for k in range(n):
+        for m in range(n):
+            if m == k:
+                continue
+            inv3 = 2.0 / abs(u[k] - u[m]) ** 3
+            h[k, m] = -inv3
+            h[k, k] += inv3
+    h += np.eye(n)
+    return h
+
+
+@st.composite
+def ascending_chains(draw):
+    """Strictly ascending scaled positions of 2-60 ions."""
+    n = draw(st.integers(2, 60))
+    start = draw(st.floats(-50.0, 0.0))
+    gaps = draw(st.lists(st.floats(1e-2, 5.0), min_size=n - 1, max_size=n - 1))
+    return start + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ascending_chains())
+def test_broadcast_potential_matches_pairwise_loops(u):
+    assert np.all(np.diff(u) > 0)
+    # bit for bit: the same pow per pair and the same summation order
+    assert np.array_equal(chain._scaled_gradient(u), loop_gradient(u))
+    h = chain._scaled_hessian(u)
+    assert np.array_equal(h, loop_hessian(u))
+    # the Hessian is the derivative of the gradient: central differences, column by column
+    step = 1e-5 * np.diff(u).min()
+    eye = np.eye(len(u))
+    fd = np.column_stack([
+        (chain._scaled_gradient(u + step * e) - chain._scaled_gradient(u - step * e)) / (2 * step)
+        for e in eye])
+    np.testing.assert_allclose(fd, h, rtol=1e-6, atol=1e-6 * np.abs(h).max())
+
+
+@pytest.mark.parametrize("n, iterations", [(2, 5), (3, 4), (10, 6), (35, 8), (60, 8)])
+def test_newton_iteration_counts_are_pinned(n, iterations):
+    geo = equilibrium_positions(TrapConfig(ion_count=n))
+    assert geo.iterations == iterations
+    assert geo.gradient_norm < 1e-12
 
 
 def test_two_ion_equilibrium_closed_form():
@@ -42,7 +105,7 @@ def test_com_mode_is_uniform_and_vectors_orthonormal():
     config = TrapConfig(ion_count=3)
     modes = normal_modes(config, equilibrium_positions(config))
     com = modes.vectors[:, 0]
-    assert np.allclose(np.abs(com), 1.0 / np.sqrt(3.0), atol=1e-10)
+    assert np.allclose(com, 1.0 / np.sqrt(3.0), atol=1e-10)  # sign fixed positive
     assert np.allclose(modes.vectors.T @ modes.vectors, np.eye(3), atol=1e-10)
 
 
@@ -178,6 +241,13 @@ def test_from_ini_parses_and_reports_errors(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         TrapConfig(ion_count=0)
+    for count in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="ion_count must be an int of at least 1"):
+            TrapConfig(ion_count=count)
+    with pytest.raises(ValueError, match="bias_field must be a real number"):
+        TrapConfig(bias_field="1e-3")
+    with pytest.raises(ValueError, match="g_factor must be a real number"):
+        TrapConfig(g_factor=None)
     with pytest.raises(ValueError):
         TrapConfig(ion_mass=-1.0)
     with pytest.raises(ValueError):

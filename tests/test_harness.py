@@ -225,6 +225,10 @@ def test_scenario_file_error_reporting(tmp_path):
     bad.write_text("[scenario]\nprogram = ok.pulse\ncouplings = j.txt\nname = a\n  b\n")
     with pytest.raises(harness.HarnessError, match="name must not contain a line break"):
         harness.load_scenario_file(bad)
+    for name in ("../escaped", "..", "a\\b"):
+        bad.write_text(f"[scenario]\nprogram = ok.pulse\ncouplings = j.txt\nname = {name}\n")
+        with pytest.raises(harness.HarnessError, match="name must be a plain file stem"):
+            harness.load_scenario_file(bad)
 
 
 def test_topologies_scenario_rows(full_run):
