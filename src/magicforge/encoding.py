@@ -58,7 +58,7 @@ class TopologyAssignment:
 
 
 def parse_topology(text):
-    """Parse a compact assignment string like '-,+,0' into a TopologyAssignment."""
+    """Parse a compact topology string like '-,+,0' into a TopologyAssignment."""
     mapping = {"-": BASIS_SIGMA_MINUS, "+": BASIS_SIGMA_PLUS, "0": BASIS_PI}
     bases = []
     for tok in text.split(","):
@@ -94,35 +94,13 @@ def topology_preset(label):
     return TopologyAssignment(_PRESETS[label])
 
 
-def effective_couplings(j, assignment):
-    """Sign-shaped coupling matrix m_i m_j |J_ij| for an encoding assignment."""
+def effective_couplings(j, topology):
+    """Sign-shaped coupling matrix m_i m_j |J_ij| for a TopologyAssignment."""
     j = np.asarray(j, dtype=float)
-    m = assignment.mf
+    m = topology.mf
     if len(m) != j.shape[0]:
-        raise EncodingError("assignment length does not match coupling matrix")
+        raise EncodingError("topology length does not match coupling matrix")
     return np.abs(j) * np.outer(m, m)
-
-
-def transfer_sequence(qubit, source, target):
-    """Three-qubit fragment re-housing `qubit` (or 'all') from `source` to `target` basis.
-
-    Physically a sigma<->pi transfer is the composite block
-    pi(pi-transition) pi(sigma-transition) pi(pi-transition) per qubit, all
-    pulse phases 0 (the all-qubit variant interleaves the per-qubit sigma
-    pulses inside one pair of pi-transition pulses). A direct sigma- <-> sigma+
-    transfer is not a native block; route it through pi.
-    """
-    if source not in BASES or target not in BASES:
-        raise EncodingError(f"unknown basis in transfer {source!r} -> {target!r}")
-    if source == target:
-        raise EncodingError("transfer source and target are the same basis")
-    sigma = (BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS)
-    if source in sigma and target in sigma:
-        raise EncodingError(
-            "direct sigma- <-> sigma+ transfer is not supported; "
-            "compose two transfers through the pi basis"
-        )
-    return PulseProgram(3, [TransferBasis(qubit, target)], name=f"transfer {qubit} -> {target}")
 
 
 def decoupled_memory_fragment(qubit, total_duration):
@@ -135,12 +113,8 @@ def decoupled_memory_fragment(qubit, total_duration):
     if total_duration < 0:
         raise ProgramError("storage duration must be >= 0")
     half = total_duration / 2.0
-    frag = PulseProgram(n_qubits=3, name=f"decoupled memory q{qubit}")
-    frag.extend(transfer_sequence(qubit, BASIS_SIGMA_MINUS, BASIS_PI))
-    frag.instructions.append(FreeEvolve(half))
-    frag.extend(transfer_sequence(qubit, BASIS_PI, BASIS_SIGMA_MINUS))
-    frag.instructions.append(Echo(qubit))
-    frag.extend(transfer_sequence(qubit, BASIS_SIGMA_MINUS, BASIS_PI))
-    frag.instructions.append(FreeEvolve(half))
-    frag.extend(transfer_sequence(qubit, BASIS_PI, BASIS_SIGMA_MINUS))
-    return frag
+    return PulseProgram(n_qubits=3, name=f"decoupled memory q{qubit}", instructions=[
+        TransferBasis(qubit, BASIS_PI), FreeEvolve(half),
+        TransferBasis(qubit, BASIS_SIGMA_MINUS), Echo(qubit),
+        TransferBasis(qubit, BASIS_PI), FreeEvolve(half),
+        TransferBasis(qubit, BASIS_SIGMA_MINUS)])

@@ -9,13 +9,13 @@ length T multiplies coherence element (a, b) by exp(-gamma_k T) for every
 qubit k whose bit differs between a and b; that is exactly a phase-flip
 channel per qubit and window, so windows compose correctly.
 
-Basis transfers are identities on the logical state but change which
-couplings and which dephasing rate a qubit sees from then on: the coupling
-window scales by s_i s_j where s_k is the qubit's magnetic moment relative to
-the encoding it held when the supplied coupling matrix was calibrated (a
-qubit parked in pi has s = 0 and is fully decoupled; a round trip restores
-the original signs). A sigma- <-> sigma+ transfer is not a native block and
-must pass through pi.
+The coupling matrix J is calibrated with every qubit in sigma-, and every
+run starts there; only a transfer (XFER) changes a qubit's encoding. A
+transfer is an identity on the logical state but changes which couplings and
+which dephasing rate the qubit sees from then on: the coupling window scales
+by s_i s_j with s_k = -m_F of qubit k's encoding (a qubit parked in pi has
+s = 0 and is fully decoupled; a round trip restores the calibrated signs). A
+sigma- <-> sigma+ transfer is not a native block and must pass through pi.
 
 One walk over a program (`_walk`) resolves every instruction into a pulse
 (qubit and 2x2 operator) or a window (duration and Ising phases under the
@@ -45,9 +45,9 @@ from .gates import (
     check_finite_couplings,
     free_phases,
     ket,
-    permutation_matrix,
     phase_2x2,
     product_ket,
+    relabel_index,
     rotation_2x2,
 )
 from .program import (
@@ -128,7 +128,6 @@ class QuantumState:
     n_qubits: int
     rho: np.ndarray
     bases: tuple
-    reference_mf: tuple
     time: float = 0.0
 
     def __post_init__(self):
@@ -147,11 +146,9 @@ class QuantumState:
             if b not in BASES:
                 raise EngineError(f"unknown encoding basis {b!r}")
         self.bases = tuple(self.bases)
-        self.reference_mf = tuple(self.reference_mf)
 
     def copy(self):
-        return QuantumState(self.n_qubits, self.rho.copy(), self.bases,
-                            self.reference_mf, self.time)
+        return QuantumState(self.n_qubits, self.rho.copy(), self.bases, self.time)
 
     def populations(self):
         return np.clip(np.diag(self.rho).real, 0.0, None)
@@ -163,6 +160,10 @@ class QuantumState:
         """Partial trace keeping the listed qubits, in the order given."""
         keep = list(keep)
         n = self.n_qubits
+        for q in keep:
+            _check_qubit(q, n)
+        if len(set(keep)) != len(keep):
+            raise EngineError(f"qubits {keep} repeated in partial trace")
         t = self.rho.reshape([2] * (2 * n))
         drop = [q for q in range(n) if q not in keep]
         for count, q in enumerate(sorted(drop)):
@@ -204,23 +205,8 @@ def product_input_pulses(label):
     return [Rotate(q, *pulse) for q, (_, pulse) in enumerate(_input_tokens(label)) if pulse]
 
 
-def _start_encodings(n_qubits, assignment):
-    """Starting bases (sigma- unless `assignment` gives them) and reference moments.
-
-    A qubit's reference moment is the m_F of the encoding it held when the
-    coupling matrix was calibrated; a qubit calibrated while parked in pi
-    counts as sigma-, so re-housing it in sigma- restores the calibrated signs.
-    """
-    bases = getattr(assignment, "bases", assignment)
-    if bases is None:
-        bases = (BASIS_SIGMA_MINUS,) * n_qubits
-    if len(bases) != n_qubits:
-        raise EngineError(f"{len(bases)} encoding bases for {n_qubits} qubits")
-    return tuple(bases), tuple(MF[b] or -1 for b in bases)
-
-
-def prepare_state(n_qubits, spec=None, assignment=None):
-    """Fresh register state: |0...0>, a bitstring, a ket vector, or a density matrix."""
+def prepare_state(n_qubits, spec=None):
+    """Fresh register state in sigma-: |0...0>, a bitstring, a ket vector, or a density matrix."""
     dim = _register_dim(n_qubits)
     if spec is None:
         rho = np.zeros((dim, dim), dtype=complex)
@@ -239,7 +225,7 @@ def prepare_state(n_qubits, spec=None, assignment=None):
             rho = np.outer(arr, arr.conj())
         else:
             rho = arr
-    return QuantumState(n_qubits, rho, *_start_encodings(n_qubits, assignment))
+    return QuantumState(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
 
 
 def _check_couplings(j, n_qubits):
@@ -276,9 +262,9 @@ def apply_rotation(state, qubit, theta, phi=0.0):
 def _window_phases(j, state, duration):
     """Ising phase of each basis state over a window, under the encodings in force.
 
-    Each qubit's couplings scale by its m_F relative to its reference moment.
+    Each qubit's couplings scale by s = -m_F, its moment relative to sigma-.
     """
-    s = np.array([MF[b] * r for b, r in zip(state.bases, state.reference_mf)], dtype=float)
+    s = np.array([-MF[b] for b in state.bases], dtype=float)
     return free_phases(j * np.outer(s, s), duration, s.size)
 
 
@@ -355,6 +341,8 @@ def dd_phase_sequence(n_pulses, scheme="cpmg"):
 
 def dd_fragment(duration, n_pulses, scheme="cpmg", n_qubits=3):
     """Expand one window into [tau/2, pi, tau, ..., pi, tau/2], each pi on every qubit."""
+    if n_pulses < 1:
+        raise ProgramError(f"a decoupled window needs at least one pulse, got {n_pulses}")
     phases = dd_phase_sequence(n_pulses, scheme)
     tau = duration / n_pulses
     instructions = [FreeEvolve(tau / 2)]
@@ -402,7 +390,6 @@ class _Window(NamedTuple):
 class _Frame:
     """The encodings a walk tracks when no QuantumState carries them."""
     bases: tuple
-    reference_mf: tuple
 
 
 def _walk(program, j, frame):
@@ -451,20 +438,20 @@ class RunResult:
 
 
 def _relabel(state, perm):
-    p = permutation_matrix(perm)
-    state.rho = p @ state.rho @ p.T
+    i = relabel_index(perm)
+    state.rho = state.rho[np.ix_(i, i)]
     state.bases = tuple(state.bases[q] for q in perm)
-    state.reference_mf = tuple(state.reference_mf[q] for q in perm)
 
 
-def run_program(program, j, noise=None, initial=None, assignment=None,
-                pulse_duration=0.0):
+def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     """Execute a pulse program and return the final (noisy) register state.
 
-    `j` is the coupling matrix calibrated for the starting encodings. With
+    `j` is the coupling matrix calibrated with every qubit in sigma-. With
     pulse_duration > 0 each pulse adds that much dephasing time
     while the Ising evolution stays frozen (driven qubits are spin-locked).
     """
+    if not 0.0 <= pulse_duration < np.inf:
+        raise EngineError(f"pulse_duration must be finite and >= 0, got {pulse_duration}")
     noise = noise or NoiseModel()
     j = _check_couplings(j, program.n_qubits)
     if isinstance(initial, QuantumState):
@@ -473,7 +460,7 @@ def run_program(program, j, noise=None, initial=None, assignment=None,
             raise EngineError(f"initial state has {state.n_qubits} qubits, "
                               f"program {program.n_qubits}")
     else:
-        state = prepare_state(program.n_qubits, initial, assignment)
+        state = prepare_state(program.n_qubits, initial)
     for step in _walk(program, j, state):
         if isinstance(step, _Window):
             _window(state, step.duration, step.phases, noise)
@@ -491,18 +478,18 @@ def run_program(program, j, noise=None, initial=None, assignment=None,
     return RunResult(state=state)
 
 
-def program_unitary(program, j, assignment=None):
-    """Ideal unitary of a program (relabeling included), tracking encoding windows."""
+def program_unitary(program, j):
+    """Ideal unitary of a program (relabeling included) from sigma-, tracking encoding windows."""
     n = program.n_qubits
     j = _check_couplings(j, n)
     u = np.eye(_register_dim(n), dtype=complex)
-    for step in _walk(program, j, _Frame(*_start_encodings(n, assignment))):
+    for step in _walk(program, j, _Frame((BASIS_SIGMA_MINUS,) * n)):
         if isinstance(step, _Window):
             u = np.exp(1j * step.phases)[:, None] * u
         else:
             u = _apply_local(u, step.op, step.qubit)
     if program.relabel is not None:
-        u = permutation_matrix(program.relabel).astype(complex) @ u
+        u = u[relabel_index(program.relabel)]
     return u
 
 
@@ -533,12 +520,13 @@ def sample_counts(p, shots, rng):
     return rng.multinomial(shots, p / p.sum())
 
 
-def ramsey_program(qubit, duration, analysis_phase, spectator_bits=None,
-                   dd_pulses=0, dd_scheme="cpmg"):
-    """Conditional-precession probe on the three-qubit register: pi/2 - wait - pi/2(phase).
+def ramsey_program(qubit, duration, spectator_bits=None, dd_pulses=0):
+    """Conditional-precession probe on the three-qubit register, up to its analysis pulse.
 
     Spectators listed in `spectator_bits` (qubit -> 0/1) are flipped into the
-    requested basis state before the probe pulse.
+    requested basis state before the probe's pi/2 pulse; `dd_pulses` CPMG
+    pulses decouple the wait. `fringe_scan` reads the analysis pulse off the
+    finished state.
     """
     ins = []
     for q, bit in sorted((spectator_bits or {}).items()):
@@ -547,21 +535,18 @@ def ramsey_program(qubit, duration, analysis_phase, spectator_bits=None,
         if bit:
             ins.append(Rotate(q, np.pi, 0.0))
     ins.append(Rotate(qubit, np.pi / 2, 0.0))
-    ins.append(FreeEvolve(duration, dd_pulses, dd_scheme))
-    ins.append(Rotate(qubit, np.pi / 2, analysis_phase))
+    ins.append(FreeEvolve(duration, dd_pulses))
     return PulseProgram(n_qubits=3, instructions=ins,
                         name=f"ramsey q{qubit} T={duration:.6g}")
 
 
-def ramsey_scan(qubit, duration, phases, j, noise=None, spectator_bits=None,
-                dd_pulses=0, dd_scheme="cpmg"):
+def ramsey_scan(qubit, duration, phases, j, noise=None, spectator_bits=None, dd_pulses=0):
     """Bright-state probability of the probe qubit versus analysis phase.
 
-    One run up to the analysis pulse, then `fringe_scan`: exact under any
+    One run of `ramsey_program`, then `fringe_scan`: exact under any
     NoiseModel, as the pulse commutes with the end-of-run depolarizing mix.
     """
-    prog = ramsey_program(qubit, duration, 0.0, spectator_bits, dd_pulses, dd_scheme)
-    del prog.instructions[-1]  # the analysis pulse
+    prog = ramsey_program(qubit, duration, spectator_bits, dd_pulses)
     return fringe_scan(run_program(prog, j, noise=noise).state, qubit, phases)
 
 

@@ -77,22 +77,14 @@ def check_finite_couplings(j, error):
         raise error(f"coupling J[{a}, {b}] must be finite, got {j[a, b]}")
 
 
-def permutation_matrix(perm):
-    """Matrix P with P|q_0 q_1 ...> = |q_perm(0) q_perm(1) ...> on basis indices.
+def relabel_index(perm):
+    """Index i taking |q_0 q_1 ...> to |q_perm(0) q_perm(1) ...>: new amplitude a is old i[a].
 
-    `perm` lists, for each output qubit slot, which input qubit lands there.
+    `perm` lists, for each output qubit slot, which input qubit lands there; a
+    state relabels as rho[np.ix_(i, i)], a unitary as u[i].
     """
     n = len(perm)
-    dim = 2**n
-    p = np.zeros((dim, dim))
-    bits = bit_table(n)
-    for src in range(dim):
-        dst_bits = bits[src][list(perm)]
-        dst = 0
-        for b in dst_bits:
-            dst = (dst << 1) | int(b)
-        p[dst, src] = 1.0
-    return p
+    return bit_table(n) @ (1 << (n - 1 - np.asarray(perm)))
 
 
 def ket(bits_string):

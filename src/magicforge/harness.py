@@ -43,6 +43,7 @@ from .engine import (
     measurement_probabilities,
     product_input_ket,
     product_input_pulses,
+    ramsey_program,
     ramsey_scan,
     run_program,
     sample_counts,
@@ -62,10 +63,8 @@ from .metrics import (
 )
 from .program import (
     BASIS_PI,
-    FreeEvolve,
     ProgramError,
     PulseProgram,
-    Rotate,
     TransferBasis,
     check_name,
     parse_program,
@@ -143,16 +142,6 @@ def scenario_precession(rng):
     return records
 
 
-def _parked_probe_program(duration, park_qubit=None):
-    """Probe program up to its analysis pulse; neighbours bright, one optionally parked."""
-    ins = [Rotate(1, np.pi, 0.0), Rotate(2, np.pi, 0.0)]
-    if park_qubit is not None:
-        ins.append(TransferBasis(park_qubit, BASIS_PI))
-    ins.append(Rotate(0, np.pi / 2, 0.0))
-    ins.append(FreeEvolve(duration, 20, "cpmg"))
-    return PulseProgram(n_qubits=3, instructions=ins)
-
-
 def scenario_topologies():
     """Preset coupling patterns, plus parked-neighbour precession rates."""
     j = demo_couplings()
@@ -173,8 +162,10 @@ def scenario_topologies():
     duration = 1e-3
     noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
     for park, tag in ((None, "both neighbours active"), (2, "outer neighbour parked")):
-        res = run_program(_parked_probe_program(duration, park), j, noise=noise)
-        p = fringe_scan(res.state, 0, _PHASES)
+        probe = ramsey_program(0, duration, {1: 1, 2: 1}, 20)
+        if park is not None:
+            probe.instructions.insert(-1, TransferBasis(park, BASIS_PI))
+        p = fringe_scan(run_program(probe, j, noise=noise).state, 0, _PHASES)
         fit = ramsey_fit(_PHASES, p)
         rate = -_wrap(fit.phase - (-np.pi)) / duration
         records.append(RunRecord(
@@ -491,6 +482,11 @@ def load_scenario_file(path):
         pulse_duration = sec.getfloat("pulse_duration", 0.0)
     except ValueError as exc:
         raise HarnessError(f"{path}: {exc}") from exc
+    if shots < 0:
+        raise HarnessError(f"{path}: shots must be >= 0, got {shots}")
+    if not 0.0 <= pulse_duration < math.inf:
+        raise HarnessError(f"{path}: pulse_duration must be finite and >= 0, "
+                           f"got {pulse_duration}")
     return Scenario(
         name=name,
         program=program,

@@ -230,7 +230,7 @@ def test_a07_conditional_precession_rates_and_dd_contrast(bench_j):
     noise = NoiseModel(sigma_dephasing_rate=GAMMA_SIGMA, white_noise_fraction=0.0,
                        readout_fidelity=1.0)
     probs = ramsey_scan(0, t, phases, bench_j, noise=noise,
-                        spectator_bits={1: 0, 2: 0}, dd_pulses=20, dd_scheme="cpmg")
+                        spectator_bits={1: 0, 2: 0}, dd_pulses=20)
     fit = ramsey_fit(phases, probs)
     assert fit.contrast == pytest.approx(np.exp(-GAMMA_SIGMA * t), abs=1e-3)
 

@@ -8,7 +8,6 @@ from magicforge.encoding import (
     effective_couplings,
     parse_topology,
     topology_preset,
-    transfer_sequence,
 )
 from magicforge.program import BASIS_PI, BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS, Echo, FreeEvolve
 
@@ -62,17 +61,6 @@ def test_assignment_validates_bases():
 def test_assignment_length_must_match_matrix(base_j):
     with pytest.raises(EncodingError):
         effective_couplings(base_j, parse_topology("-,-"))
-
-
-def test_transfer_rules():
-    frag = transfer_sequence(1, BASIS_SIGMA_MINUS, BASIS_PI)
-    assert len(frag.instructions) == 1
-    with pytest.raises(EncodingError, match="through the pi basis"):
-        transfer_sequence(0, BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS)
-    with pytest.raises(EncodingError):
-        transfer_sequence(0, BASIS_PI, BASIS_PI)
-    with pytest.raises(EncodingError):
-        transfer_sequence(0, "bogus", BASIS_PI)
 
 
 def test_decoupled_memory_fragment_structure():

@@ -15,6 +15,7 @@ from magicforge.engine import (
     dd_fragment,
     dd_phase_sequence,
     free_evolution,
+    fringe_scan,
     measurement_probabilities,
     prepare_state,
     program_unitary,
@@ -269,6 +270,8 @@ def test_dd_scheme_validation():
         dd_phase_sequence(12, "kdd")
     with pytest.raises(ProgramError):
         dd_phase_sequence(4, "unknown")
+    with pytest.raises(ProgramError, match="at least one pulse, got 0"):
+        dd_fragment(1e-3, 0)
 
 
 # ---- selective recoupling ----
@@ -356,7 +359,13 @@ def test_per_step_kernels_bound_the_qubit():
             apply_rotation(st, q, np.pi)
         with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
             transfer_basis(st, q, "pi")
+        with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
+            fringe_scan(st, q, [0.0, 1.0])
+        with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
+            st.reduced_density([0, q])
         assert st.populations()[0] == 1.0 and st.bases == ("sigma-",) * 3
+    with pytest.raises(EngineError, match=r"qubits \[1, 1\] repeated"):
+        prepare_state(3, "000").reduced_density([1, 1])
 
 
 def test_free_evolution_rejects_non_finite_duration(bench_j):
@@ -378,7 +387,7 @@ def test_malformed_density_matrix_is_rejected(rng, bench_j):
     nan_rho = np.eye(8) / 8
     nan_rho[2, 2] = np.nan
     with pytest.raises(EngineError, match="rho: trace"):
-        QuantumState(3, nan_rho, ("sigma-",) * 3, (-1,) * 3)
+        QuantumState(3, nan_rho, ("sigma-",) * 3)
     # within the stated tolerance a state is accepted unchanged
     rho = random_density_matrix(rng, 8) * (1 + STATE_TOLERANCE / 10)
     assert np.array_equal(prepare_state(3, rho).rho, rho)
@@ -440,6 +449,10 @@ def test_pulse_duration_freezes_coupling():
     assert st.populations()[0b000] == pytest.approx(0.5, abs=1e-12)
     coh = 2 * abs(st.rho[0b000, 0b100])
     assert coh < 1.0
+    for bad in (float("nan"), float("inf"), -1e-6):
+        with pytest.raises(EngineError, match=f"pulse_duration must be finite and >= 0, "
+                                              f"got {bad}"):
+            run_program(prog, j, noise=noise, pulse_duration=bad)
 
 
 # ---- Ramsey fringes ----

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from magicforge.gates import (
     bit_table,
     embed,
     ket,
-    permutation_matrix,
     phase_2x2,
     product_ket,
+    relabel_index,
     rotation_2x2,
     z_eigenvalues,
 )
@@ -73,12 +75,14 @@ def test_free_unitary_matches_pairwise_sum():
     assert np.allclose(free_unitary(j, t, 3), expm_herm(t / 2 * h), atol=1e-12)
 
 
-def test_permutation_matrix_relabels_kets():
-    perm = (2, 1, 0)
-    p = permutation_matrix(perm)
-    psi = ket("011")
-    assert np.allclose(p @ psi, ket("110"), atol=1e-15)
-    assert np.allclose(p @ p.T, np.eye(8), atol=1e-15)
+def test_relabel_index_relabels_kets():
+    # slot k of the relabeled ket holds the bit of qubit perm[k]
+    for perm in itertools.permutations(range(3)):
+        i = relabel_index(perm)
+        assert sorted(i) == list(range(8))
+        for label in map("".join, itertools.product("01", repeat=3)):
+            moved = "".join(label[q] for q in perm)
+            assert np.array_equal(ket(label)[i], ket(moved))
 
 
 def test_product_ket_matches_kron():

@@ -229,6 +229,13 @@ def test_scenario_file_error_reporting(tmp_path):
         bad.write_text(f"[scenario]\nprogram = ok.pulse\ncouplings = j.txt\nname = {name}\n")
         with pytest.raises(harness.HarnessError, match="name must be a plain file stem"):
             harness.load_scenario_file(bad)
+    for line, message in (("pulse_duration = nan", "pulse_duration must be finite and >= 0"),
+                          ("pulse_duration = inf", "pulse_duration must be finite and >= 0"),
+                          ("pulse_duration = -1", "pulse_duration must be finite and >= 0"),
+                          ("shots = -5", "shots must be >= 0, got -5")):
+        bad.write_text(f"[scenario]\nprogram = ok.pulse\ncouplings = j.txt\n{line}\n")
+        with pytest.raises(harness.HarnessError, match=f"bad.ini: {message}"):
+            harness.load_scenario_file(bad)
 
 
 def test_topologies_scenario_rows(full_run):

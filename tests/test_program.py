@@ -65,6 +65,8 @@ def test_non_finite_values_are_rejected_where_they_enter():
         parse_program("ECHO 1 nan\n")
     with pytest.raises(ProgramError, match="phi must be finite"):
         Rotate(0, np.pi, float("nan"))
+    with pytest.raises(ProgramError, match="unknown encoding basis 'bogus'"):
+        TransferBasis(0, "bogus")
 
 
 def test_decoupling_pulse_counts_checked_at_parse_time():

@@ -1,9 +1,10 @@
 """Property tests of the engine on random short programs.
 
-Programs on 2-3 qubits mix R, PH, ECHO, plain and decoupled EV windows,
-transfers routed through pi, and an optional RELABEL. Noiselessly the density
-matrix path must agree with the ideal unitary; under the full noise model the
-state must stay a density matrix. The closed-form fringe readout must agree
+Programs on 2-3 qubits start from sigma-, reach a drawn starting encoding per
+qubit with leading transfers, then mix R, PH, ECHO, plain and decoupled EV
+windows, transfers routed through pi, and an optional RELABEL. Noiselessly
+the density matrix path must agree with the ideal unitary; under the full
+noise model the state must stay a density matrix. The closed-form fringe readout must agree
 with applying the analysis pulse explicitly, phase by phase. The engine's
 tensor-local pulse kernel must agree with the dense kron-embedded operator on
 1-8 qubits. Program text must read back to the program it was written from,
@@ -35,6 +36,8 @@ from magicforge.harness import RunRecord, emit_records
 from magicforge.program import (
     BASES,
     BASIS_PI,
+    BASIS_SIGMA_MINUS,
+    BASIS_SIGMA_PLUS,
     Echo,
     FreeEvolve,
     Measure,
@@ -52,11 +55,16 @@ decoupling = st.sampled_from([(0, "cpmg"), (2, "cpmg"), (4, "cpmg"), (10, "kdd")
 
 @st.composite
 def programs(draw):
-    """(program, coupling matrix, starting bases, initial-state seed)."""
+    """(program, coupling matrix, initial-state seed)."""
     n = draw(st.integers(2, 3))
-    start = draw(st.lists(st.sampled_from(BASES), min_size=n, max_size=n))
-    bases = list(start)
+    bases = draw(st.lists(st.sampled_from(BASES), min_size=n, max_size=n))
+    # every run starts in sigma-; reach each drawn basis as sigma- -> pi -> sigma+
     ins = []
+    for q, basis in enumerate(bases):
+        if basis != BASIS_SIGMA_MINUS:
+            ins.append(TransferBasis(q, BASIS_PI))
+        if basis == BASIS_SIGMA_PLUS:
+            ins.append(TransferBasis(q, BASIS_SIGMA_PLUS))
     for _ in range(draw(st.integers(1, 12))):
         # windows and transfers are where the encoding bookkeeping shows
         kind = draw(st.sampled_from(["R", "PH", "ECHO", "EV", "EV", "XFER", "XFER"]))
@@ -79,7 +87,7 @@ def programs(draw):
     for a in range(n):
         for b in range(a + 1, n):
             j[a, b] = j[b, a] = draw(st.floats(-2 * np.pi * 50, 2 * np.pi * 50))
-    return PulseProgram(n, ins, relabel=relabel), j, tuple(start), draw(st.integers(0, 2**32 - 1))
+    return PulseProgram(n, ins, relabel=relabel), j, draw(st.integers(0, 2**32 - 1))
 
 
 def random_rho(seed, n):
@@ -92,18 +100,18 @@ def random_rho(seed, n):
 @settings(max_examples=100, deadline=None)
 @given(programs())
 def test_noiseless_run_matches_program_unitary(case):
-    prog, j, start, seed = case
+    prog, j, seed = case
     rho0 = random_rho(seed, prog.n_qubits)
-    rho = run_program(prog, j, noise=NoiseModel.off(), initial=rho0, assignment=start).state.rho
-    u = program_unitary(prog, j, assignment=start)
+    rho = run_program(prog, j, noise=NoiseModel.off(), initial=rho0).state.rho
+    u = program_unitary(prog, j)
     assert np.abs(rho - u @ rho0 @ u.conj().T).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(programs(), st.sampled_from([0.0, 2e-5]))
 def test_noisy_run_keeps_a_density_matrix(case, pulse_duration):
-    prog, j, start, seed = case
-    initial = prepare_state(prog.n_qubits, random_rho(seed, prog.n_qubits), start)
+    prog, j, seed = case
+    initial = prepare_state(prog.n_qubits, random_rho(seed, prog.n_qubits))
     rho = run_program(prog, j, noise=NoiseModel(), initial=initial,
                       pulse_duration=pulse_duration).state.rho
     assert abs(np.trace(rho) - 1.0) <= 1e-12
@@ -140,20 +148,20 @@ def test_fringe_scan_matches_explicit_analysis_pulse(n, data, seed, phases):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2), st.lists(st.integers(0, 1), min_size=2, max_size=2), durations,
-       decoupling, phase_lists)
-def test_ramsey_scan_matches_per_phase_runs(qubit, bits, duration, dd, phases):
+       st.sampled_from([0, 2, 4, 20]), phase_lists)
+def test_ramsey_scan_matches_per_phase_runs(qubit, bits, duration, dd_pulses, phases):
     # the scan runs once and reads every phase off the state; the oracle runs
-    # the whole probe program, analysis pulse included, once per phase
+    # the probe program with its analysis pulse appended, once per phase
     spectators = dict(zip([q for q in range(3) if q != qubit], bits))
     j = np.array([[0.0, 229.3, 97.4], [229.3, 0.0, 229.3], [97.4, 229.3, 0.0]])
     noise = NoiseModel()
     oracle = []
     for phi in phases:
-        prog = ramsey_program(qubit, duration, phi, spectator_bits=spectators,
-                              dd_pulses=dd[0], dd_scheme=dd[1])
+        prog = ramsey_program(qubit, duration, spectator_bits=spectators, dd_pulses=dd_pulses)
+        prog.instructions.append(Rotate(qubit, np.pi / 2, phi))
         oracle.append(bright_probability(run_program(prog, j, noise=noise).state.rho, qubit, 3))
     scan = ramsey_scan(qubit, duration, phases, j, noise=noise, spectator_bits=spectators,
-                       dd_pulses=dd[0], dd_scheme=dd[1])
+                       dd_pulses=dd_pulses)
     assert np.abs(scan - np.array(oracle)).max() <= 1e-12
 
 
