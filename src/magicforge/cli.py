@@ -22,6 +22,7 @@ required whenever a finite shot count makes a run stochastic.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -182,7 +183,7 @@ def _cmd_scenario(args):
     if os.path.exists(args.scenario) and not os.path.isdir(args.scenario):
         scenario = harness.load_scenario_file(args.scenario)
         if args.seed is not None:
-            scenario.seed = args.seed
+            scenario = dataclasses.replace(scenario, seed=args.seed)
         harness.run_custom_scenario(scenario, root)
         print(f"wrote {os.path.join(root, scenario.name)}.csv/.json")
         return 0

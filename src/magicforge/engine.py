@@ -25,6 +25,12 @@ multiplies them into the ideal unitary. A pulse is never lifted to a
 2^n x 2^n matrix: `_apply_local` applies its 2x2 operator on the qubit's axis.
 Registers are capped at MAX_QUBITS; entering density matrices are checked.
 
+`run_batch` runs one program on several inputs at once. Each input is
+prepared from |0...0> by its own pulses, never as a ket (a ket-prepared input
+differs in the last bits), and the program is then walked once and applied to
+the stack rho[b] through the same step loop and kernels as `run_program`,
+which is the single-matrix case of that loop.
+
 `fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
 state, so a scan over analysis phases runs its program once, not per phase.
 
@@ -239,15 +245,17 @@ def _check_couplings(j, n_qubits):
 
 
 def _apply_local(a, op, qubit):
-    """(op on `qubit`) @ a: contract the 2x2 `op` against that qubit's axis of a's rows."""
-    return np.matmul(op, a.reshape(2**qubit, 2, -1)).reshape(a.shape)
+    """(op on `qubit`) @ a: contract the 2x2 `op` against that qubit's axis of the rows
+    of a, one matrix or each matrix of a stack a[b]."""
+    return np.matmul(op, a.reshape(a.shape[:-2] + (2**qubit, 2, -1))).reshape(a.shape)
 
 
 def _conjugate(rho, op, qubit):
     """op rho op^dagger, the right factor as op* on the rows of rho^T: this order
-    matches dense embed(op) @ rho @ embed(op)^dagger bit for bit on 2-7 qubits."""
+    matches dense embed(op) @ rho @ embed(op)^dagger bit for bit on 2-7 qubits.
+    A stack rho[b] is transposed matrix by matrix (.mT is .T on one matrix)."""
     rho = _apply_local(rho, op, qubit)
-    return np.ascontiguousarray(_apply_local(np.ascontiguousarray(rho.T), op.conj(), qubit).T)
+    return np.ascontiguousarray(_apply_local(np.ascontiguousarray(rho.mT), op.conj(), qubit).mT)
 
 
 def apply_rotation(state, qubit, theta, phi=0.0):
@@ -288,6 +296,13 @@ def _dephase(state, duration, noise):
 def _window(state, duration, phases, noise):
     """The window kernel: Ising phases, dephasing, then the clock."""
     u = np.exp(1j * phases)
+    # Keep the phase factor an unnamed temporary. From 7 qubits on it reaches
+    # numpy's 256 KB temporary-elision threshold, and numpy then computes
+    # outer * rho in place, operands swapped; the frozen wide_register counts
+    # hang on those last bits. A named, cached or broadcast factor multiplies
+    # rho * outer instead and moves a 7-qubit rho by about 1.5e-17, so no
+    # per-window factor may be cached until counts stop depending on p's last
+    # bit. A stack rho[b] never elides (the product outgrows the factor).
     state.rho = state.rho * np.outer(u, u.conj())
     _dephase(state, duration, noise)
     state.time += duration
@@ -388,8 +403,15 @@ class _Window(NamedTuple):
 
 @dataclass
 class _Frame:
-    """The encodings a walk tracks when no QuantumState carries them."""
+    """The encodings a walk tracks when no QuantumState carries them; in a
+    stacked run also the stack rho[b] and each slice's clock."""
     bases: tuple
+    rho: np.ndarray = None
+    time: np.ndarray = None
+
+    @property
+    def n_qubits(self):
+        return len(self.bases)
 
 
 def _walk(program, j, frame):
@@ -439,8 +461,36 @@ class RunResult:
 
 def _relabel(state, perm):
     i = relabel_index(perm)
-    state.rho = state.rho[np.ix_(i, i)]
+    state.rho = state.rho[..., i[:, None], i]
     state.bases = tuple(state.bases[q] for q in perm)
+
+
+def _run_steps(state, program, j, noise, pulse_duration):
+    """The step loop of `run_program` and `run_batch`: apply `program`'s steps to
+    state.rho, one density matrix or a stack rho[b] (a `_Frame`) alike."""
+    for step in _walk(program, j, state):
+        if isinstance(step, _Window):
+            _window(state, step.duration, step.phases, noise)
+        else:
+            state.rho = _conjugate(state.rho, step.op, step.qubit)
+            if step.driven and pulse_duration > 0:
+                _dephase(state, pulse_duration, noise)
+                state.time += pulse_duration
+
+
+def _finish(state, program, noise):
+    """End of a run: the program's relabeling, then the depolarizing mix."""
+    if program.relabel is not None:
+        _relabel(state, program.relabel)
+    if noise.white_noise_fraction > 0:
+        dim = 2**state.n_qubits
+        zeta = noise.white_noise_fraction
+        state.rho = zeta * np.eye(dim) / dim + (1 - zeta) * state.rho
+
+
+def _check_pulse_duration(pulse_duration):
+    if not 0.0 <= pulse_duration < np.inf:
+        raise EngineError(f"pulse_duration must be finite and >= 0, got {pulse_duration}")
 
 
 def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
@@ -450,8 +500,7 @@ def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     pulse_duration > 0 each pulse adds that much dephasing time
     while the Ising evolution stays frozen (driven qubits are spin-locked).
     """
-    if not 0.0 <= pulse_duration < np.inf:
-        raise EngineError(f"pulse_duration must be finite and >= 0, got {pulse_duration}")
+    _check_pulse_duration(pulse_duration)
     noise = noise or NoiseModel()
     j = _check_couplings(j, program.n_qubits)
     if isinstance(initial, QuantumState):
@@ -461,21 +510,43 @@ def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
                               f"program {program.n_qubits}")
     else:
         state = prepare_state(program.n_qubits, initial)
-    for step in _walk(program, j, state):
-        if isinstance(step, _Window):
-            _window(state, step.duration, step.phases, noise)
-        else:
-            state.rho = _conjugate(state.rho, step.op, step.qubit)
-            if step.driven and pulse_duration > 0:
-                _dephase(state, pulse_duration, noise)
-                state.time += pulse_duration
-    if program.relabel is not None:
-        _relabel(state, program.relabel)
-    if noise.white_noise_fraction > 0:
-        dim = 2**state.n_qubits
-        zeta = noise.white_noise_fraction
-        state.rho = zeta * np.eye(dim) / dim + (1 - zeta) * state.rho
+    _run_steps(state, program, j, noise, pulse_duration)
+    _finish(state, program, noise)
     return RunResult(state=state)
+
+
+def run_batch(program, j, preparations, noise=None, pulse_duration=0.0):
+    """Run one program on several inputs as a stack rho[b]; one RunResult per input.
+
+    Input b is |0...0> in sigma- followed by the pulses `preparations[b]`,
+    applied on its own slice; `program` is then walked once and applied to the
+    whole stack. Inputs are prepared by pulses, never as kets: a ket-prepared
+    input differs from the pulse-prepared one in the last bits. Up to 6 qubits
+    each result equals `run_program` on the input's pulses followed by
+    `program`, bit for bit; from 7 on numpy elides the single-state window
+    product (see `_window`), so the two may differ in the last bit.
+    A preparation must leave every qubit in sigma-, where `program` starts.
+    """
+    _check_pulse_duration(pulse_duration)
+    noise = noise or NoiseModel()
+    n = program.n_qubits
+    j = _check_couplings(j, n)
+    if not preparations:
+        raise EngineError("run_batch needs at least one preparation")
+    slices = []
+    for prep in preparations:
+        state = prepare_state(n)
+        _run_steps(state, PulseProgram(n, list(prep)), j, noise, pulse_duration)
+        if set(state.bases) != {BASIS_SIGMA_MINUS}:
+            raise EngineError(f"preparation {prep!r} leaves encodings {state.bases}, "
+                              "not sigma-")
+        slices.append(state)
+    stack = _Frame(slices[0].bases, np.stack([s.rho for s in slices]),
+                   np.array([s.time for s in slices]))
+    _run_steps(stack, program, j, noise, pulse_duration)
+    _finish(stack, program, noise)
+    return [RunResult(QuantumState(n, rho, stack.bases, float(t)))
+            for rho, t in zip(stack.rho, stack.time)]
 
 
 def program_unitary(program, j):

@@ -44,7 +44,7 @@ from .engine import (
     product_input_ket,
     product_input_pulses,
     ramsey_program,
-    ramsey_scan,
+    run_batch,
     run_program,
     sample_counts,
 )
@@ -115,30 +115,32 @@ def scenario_precession(rng):
     j = demo_couplings()
     noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
     records = []
+    neighbours = ("00", "01", "10", "11")
     for t_ms in (1, 2, 3, 4):
         duration = t_ms * 1e-3
-        for b1 in (0, 1):
-            for b2 in (0, 1):
-                spect = {1: b1, 2: b2}
-                p = ramsey_scan(0, duration, _PHASES, j, noise=noise,
-                                spectator_bits=spect, dd_pulses=20)
-                counts = rng.binomial(shots, np.clip(p, 0.0, 1.0))
-                fit = ramsey_fit(_PHASES, counts / shots, shots=shots)
-                rate = expected_precession_rate(j, 0, spect)
-                phase_pred = _wrap(-np.pi + rate * duration)
-                records.append(RunRecord(
-                    "precession", f"T={t_ms}ms n={b1}{b2}",
-                    {
-                        "duration_ms": float(t_ms),
-                        "neighbours": f"{b1}{b2}",
-                        "contrast": fit.contrast,
-                        "contrast_err": fit.contrast_err,
-                        "phase": fit.phase,
-                        "phase_err": fit.phase_err,
-                        "phase_predicted": phase_pred,
-                        "rate_predicted_hz": rate / (2 * np.pi),
-                        "shots_per_point": shots,
-                    }))
+        # each neighbour state is prepared by its flips; the probe runs on all four at once
+        runs = run_batch(ramsey_program(0, duration, dd_pulses=20), j,
+                         [product_input_pulses("0" + bits) for bits in neighbours], noise=noise)
+        for bits, res in zip(neighbours, runs):
+            spect = {1: int(bits[0]), 2: int(bits[1])}
+            p = fringe_scan(res.state, 0, _PHASES)
+            counts = rng.binomial(shots, np.clip(p, 0.0, 1.0))
+            fit = ramsey_fit(_PHASES, counts / shots, shots=shots)
+            rate = expected_precession_rate(j, 0, spect)
+            phase_pred = _wrap(-np.pi + rate * duration)
+            records.append(RunRecord(
+                "precession", f"T={t_ms}ms n={bits}",
+                {
+                    "duration_ms": float(t_ms),
+                    "neighbours": bits,
+                    "contrast": fit.contrast,
+                    "contrast_err": fit.contrast_err,
+                    "phase": fit.phase,
+                    "phase_err": fit.phase_err,
+                    "phase_predicted": phase_pred,
+                    "rate_predicted_hz": rate / (2 * np.pi),
+                    "shots_per_point": shots,
+                }))
     return records
 
 
@@ -181,14 +183,10 @@ def scenario_topologies():
     return records
 
 
-def _transform_run(inputs_label, compiled, noise):
-    prog = PulseProgram(
-        n_qubits=3,
-        instructions=product_input_pulses(inputs_label) + list(compiled.program.instructions),
-        relabel=compiled.program.relabel,
-        name=f"transform on {inputs_label}",
-    )
-    return run_program(prog, compiled.couplings, noise=noise)
+def _transform_runs(labels, compiled, noise):
+    """The compiled transform on each product input in `labels`, as one stack."""
+    return run_batch(compiled.program, compiled.couplings,
+                     [product_input_pulses(label) for label in labels], noise=noise)
 
 
 def _compile_transform():
@@ -200,7 +198,7 @@ def scenario_transform_fringes(rng, compiled):
     """Per-ion fringes, 150 shots per phase, on the compiled transform's output for |010>."""
     shots = 150
     noise = NoiseModel(readout_fidelity=1.0)
-    res = _transform_run("010", compiled, noise)
+    [res] = _transform_runs(["010"], compiled, noise)
     ideal = reference_qft() @ ket("010")
     factors = factor_product_state(ideal, 3)
     perm = compiled.program.relabel
@@ -236,8 +234,8 @@ def scenario_distributions(rng, compiled):
     shots = 1250
     noise = NoiseModel()
     rows, summary = [], []
-    for label in DISTRIBUTION_INPUTS:
-        res = _transform_run(label, compiled, noise)
+    for label, res in zip(DISTRIBUTION_INPUTS,
+                          _transform_runs(DISTRIBUTION_INPUTS, compiled, noise)):
         p_model = measurement_probabilities(res.state, noise)
         p_ideal = np.abs(reference_qft() @ product_input_ket(label)) ** 2
         counts = sample_counts(p_model, shots, rng)
@@ -270,8 +268,7 @@ def scenario_fidelity_table(compiled):
     ref = reference_qft()
     perm = compiled.program.relabel
     records = []
-    for label in PRODUCT_INPUTS:
-        res = _transform_run(label, compiled, noise)
+    for label, res in zip(PRODUCT_INPUTS, _transform_runs(PRODUCT_INPUTS, compiled, noise)):
         ideal = ref @ product_input_ket(label)
         direct = state_fidelity(res.state, ideal)
         values = {
@@ -421,15 +418,32 @@ class Scenario:
     seed: int = DEFAULT_SEED
     pulse_duration: float = 0.0
 
+    def __post_init__(self):
+        n = self.program.n_qubits
+        try:
+            product_input_pulses(self.input_state)
+        except ProgramError as exc:
+            raise HarnessError(f"input: {exc}") from exc
+        if len(self.input_state) != n:
+            raise HarnessError(f"input {self.input_state!r} does not match a {n}-qubit program")
+        if self.shots < 0:
+            raise HarnessError(f"shots must be >= 0, got {self.shots}")
+        if self.seed < 0:
+            raise HarnessError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.pulse_duration < math.inf:
+            raise HarnessError(f"pulse_duration must be finite and >= 0, "
+                               f"got {self.pulse_duration}")
+
 
 def load_scenario_file(path):
     """Parse a scenario config (INI format); raise HarnessError on bad input.
 
     Required keys in [scenario]: program (path). Coupling source: either
     couplings (J matrix file) or trap (trap config file); only trap takes
-    topology (preset letter or per-qubit basis list). Optional: input, noise,
-    shots, seed, name (one line, no path separator, not . or ..; also the output
-    file stem), pulse_duration.
+    topology (preset letter or per-qubit basis list). Optional: input (one of
+    0, 1, + per program qubit; all 0 by default), noise, shots, seed (>= 0),
+    name (one line, no path separator, not . or ..; also the output file stem),
+    pulse_duration.
     """
     parser = configparser.ConfigParser()
     try:
@@ -480,23 +494,18 @@ def load_scenario_file(path):
         seed = sec.getint("seed", DEFAULT_SEED)
         noise = sec.getboolean("noise", False)
         pulse_duration = sec.getfloat("pulse_duration", 0.0)
+        return Scenario(
+            name=name,
+            program=program,
+            couplings=j,
+            input_state=sec.get("input", "0" * program.n_qubits),
+            noise=noise,
+            shots=shots,
+            seed=seed,
+            pulse_duration=pulse_duration,
+        )
     except ValueError as exc:
         raise HarnessError(f"{path}: {exc}") from exc
-    if shots < 0:
-        raise HarnessError(f"{path}: shots must be >= 0, got {shots}")
-    if not 0.0 <= pulse_duration < math.inf:
-        raise HarnessError(f"{path}: pulse_duration must be finite and >= 0, "
-                           f"got {pulse_duration}")
-    return Scenario(
-        name=name,
-        program=program,
-        couplings=j,
-        input_state=sec.get("input", "000"),
-        noise=noise,
-        shots=shots,
-        seed=seed,
-        pulse_duration=pulse_duration,
-    )
 
 
 def _parse_topology_token(token):
@@ -510,9 +519,6 @@ def run_custom_scenario(scenario, directory):
     os.makedirs(directory, exist_ok=True)
     noise = NoiseModel() if scenario.noise else NoiseModel.off()
     n = scenario.program.n_qubits
-    if len(scenario.input_state) != n:
-        raise HarnessError(
-            f"input {scenario.input_state!r} does not match a {n}-qubit program")
     prep = product_input_pulses(scenario.input_state)
     program = PulseProgram(n_qubits=n, instructions=prep + list(scenario.program.instructions),
                            relabel=scenario.program.relabel, name=scenario.name)

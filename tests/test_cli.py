@@ -70,6 +70,14 @@ def test_run_requires_seed_with_shots(program_file, j_file, out_root, capsys):
     assert "--seed is required" in capsys.readouterr().err
 
 
+def test_run_rejects_bad_input_and_seed(program_file, j_file, out_root, capsys):
+    for extra, message in ((["--input", "01"], "input '01' does not match a 3-qubit program"),
+                           (["--input", "0x1"], "input: bad preparation label '0x1'"),
+                           (["--shots", "5", "--seed", "-1"], "seed must be >= 0, got -1")):
+        assert main(["run", program_file, "--j", j_file, *extra]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_run_emits_histogram(program_file, j_file, out_root, capsys):
     rc = main(["run", program_file, "--j", j_file, "--noise",
                "--shots", "200", "--seed", "9", "--input", "011"])

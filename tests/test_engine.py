@@ -20,6 +20,7 @@ from magicforge.engine import (
     prepare_state,
     program_unitary,
     ramsey_scan,
+    run_batch,
     run_program,
     sample_counts,
     selective_recoupling_wrap,
@@ -453,6 +454,24 @@ def test_pulse_duration_freezes_coupling():
         with pytest.raises(EngineError, match=f"pulse_duration must be finite and >= 0, "
                                               f"got {bad}"):
             run_program(prog, j, noise=noise, pulse_duration=bad)
+
+
+def test_run_batch_rejects_bad_preparations(bench_j):
+    prog = PulseProgram(3, [FreeEvolve(1e-3, 20, "kdd")])
+    with pytest.raises(EngineError, match="at least one preparation"):
+        run_batch(prog, bench_j, [])
+    # the shared program starts where J is calibrated, every qubit in sigma-
+    parked = [TransferBasis(1, "pi")]
+    with pytest.raises(EngineError, match="leaves encodings"):
+        run_batch(prog, bench_j, [[], parked])
+    round_trip = parked + [Rotate(1, np.pi, 0.0), TransferBasis(1, "sigma-")]
+    [res] = run_batch(prog, bench_j, [round_trip])
+    assert np.array_equal(res.state.rho, run_program(
+        PulseProgram(3, round_trip + prog.instructions), bench_j).state.rho)
+    with pytest.raises(ProgramError, match="outside register"):
+        run_batch(prog, bench_j, [[Rotate(3, np.pi, 0.0)]])
+    with pytest.raises(EngineError, match="pulse_duration must be finite"):
+        run_batch(prog, bench_j, [[]], pulse_duration=float("nan"))
 
 
 # ---- Ramsey fringes ----

@@ -95,6 +95,34 @@ def test_transform_compiled_once_per_run(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_shared_program_walked_once_per_scenario(monkeypatch):
+    # the inputs of a scenario are one stack: the program they share after their
+    # preparation pulses is walked once, not once per input
+    compiled = harness._compile_transform()
+    walked = []
+    walk = engine._walk
+
+    def counting_walk(program, j, frame):
+        walked.append(program)
+        return walk(program, j, frame)
+
+    monkeypatch.setattr(engine, "_walk", counting_walk)
+    tail = compiled.program.instructions
+
+    def transform_walks():
+        return sum(p.instructions[-len(tail):] == tail for p in walked)
+
+    harness.scenario_fidelity_table(compiled)
+    assert transform_walks() == 1
+    walked.clear()
+    harness.scenario_distributions(np.random.default_rng(0), compiled)
+    assert transform_walks() == 1
+    walked.clear()
+    harness.scenario_precession(np.random.default_rng(0))
+    assert [p.name for p in walked if p.name.startswith("ramsey")] == [
+        f"ramsey q0 T={t:.6g}" for t in (1e-3, 2e-3, 3e-3, 4e-3)]
+
+
 def test_fringe_scans_run_once_per_configuration(monkeypatch):
     calls = []
 
@@ -232,7 +260,11 @@ def test_scenario_file_error_reporting(tmp_path):
     for line, message in (("pulse_duration = nan", "pulse_duration must be finite and >= 0"),
                           ("pulse_duration = inf", "pulse_duration must be finite and >= 0"),
                           ("pulse_duration = -1", "pulse_duration must be finite and >= 0"),
-                          ("shots = -5", "shots must be >= 0, got -5")):
+                          ("shots = -5", "shots must be >= 0, got -5"),
+                          ("seed = -1", "seed must be >= 0, got -1"),
+                          ("input = 0x1", "input: bad preparation label '0x1'"),
+                          ("input = 01", "input '01' does not match a 3-qubit program"),
+                          ("input = 0001", "input '0001' does not match a 3-qubit program")):
         bad.write_text(f"[scenario]\nprogram = ok.pulse\ncouplings = j.txt\n{line}\n")
         with pytest.raises(harness.HarnessError, match=f"bad.ini: {message}"):
             harness.load_scenario_file(bad)

@@ -4,7 +4,9 @@ Programs on 2-3 qubits start from sigma-, reach a drawn starting encoding per
 qubit with leading transfers, then mix R, PH, ECHO, plain and decoupled EV
 windows, transfers routed through pi, and an optional RELABEL. Noiselessly
 the density matrix path must agree with the ideal unitary; under the full
-noise model the state must stay a density matrix. The closed-form fringe readout must agree
+noise model the state must stay a density matrix. On 1-5 qubits, each slice
+of a stacked run over pulse-prepared inputs must equal the single-state run
+of that input bit for bit. The closed-form fringe readout must agree
 with applying the analysis pulse explicitly, phase by phase. The engine's
 tensor-local pulse kernel must agree with the dense kron-embedded operator on
 1-8 qubits. Program text must read back to the program it was written from,
@@ -29,6 +31,7 @@ from magicforge.engine import (
     program_unitary,
     ramsey_program,
     ramsey_scan,
+    run_batch,
     run_program,
 )
 from magicforge.gates import embed, phase_2x2, rotation_2x2
@@ -54,9 +57,9 @@ decoupling = st.sampled_from([(0, "cpmg"), (2, "cpmg"), (4, "cpmg"), (10, "kdd")
 
 
 @st.composite
-def programs(draw):
+def programs(draw, min_qubits=2, max_qubits=3):
     """(program, coupling matrix, initial-state seed)."""
-    n = draw(st.integers(2, 3))
+    n = draw(st.integers(min_qubits, max_qubits))
     bases = draw(st.lists(st.sampled_from(BASES), min_size=n, max_size=n))
     # every run starts in sigma-; reach each drawn basis as sigma- -> pi -> sigma+
     ins = []
@@ -117,6 +120,40 @@ def test_noisy_run_keeps_a_density_matrix(case, pulse_duration):
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.abs(rho - rho.conj().T).max() <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+@st.composite
+def preparations(draw, n):
+    """Preparation pulses of one input: R, PH and ECHO on drawn qubits."""
+    ins = []
+    for _ in range(draw(st.integers(0, 4))):
+        q = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["R", "PH", "ECHO"]))
+        if kind == "R":
+            ins.append(Rotate(q, draw(angles), draw(angles)))
+        elif kind == "PH":
+            ins.append(PhaseShift(q, draw(angles)))
+        else:
+            ins.append(Echo(q, draw(angles)))
+    return ins
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs(1, 5), st.data(), st.floats(1e-7, 5e-5))
+def test_stacked_run_matches_single_runs(case, data, pulse_duration):
+    # every slice of the stack is the single-state run of its preparation
+    # followed by the program, bit for bit, clock and encodings included
+    prog, j, _ = case
+    n = prog.n_qubits
+    preps = data.draw(st.lists(preparations(n), min_size=1, max_size=4))
+    noise = NoiseModel()
+    stacked = run_batch(prog, j, preps, noise=noise, pulse_duration=pulse_duration)
+    assert len(stacked) == len(preps)
+    for prep, res in zip(preps, stacked):
+        single = run_program(PulseProgram(n, prep + prog.instructions, relabel=prog.relabel),
+                             j, noise=noise, pulse_duration=pulse_duration).state
+        assert np.array_equal(res.state.rho, single.rho)
+        assert res.state.time == single.time and res.state.bases == single.bases
 
 
 def bright_probability(rho, qubit, n):
