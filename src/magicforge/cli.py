@@ -109,7 +109,7 @@ def _cmd_run(args):
         name=name,
         program=program,
         couplings=couplings.j,
-        input_state=args.input or "0" * program.n_qubits,
+        input_state=args.input,
         noise=args.noise,
         shots=args.shots,
         seed=args.seed if args.seed is not None else harness.DEFAULT_SEED,

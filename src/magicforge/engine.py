@@ -253,9 +253,9 @@ def _apply_local(a, op, qubit):
 def _conjugate(rho, op, qubit):
     """op rho op^dagger, the right factor as op* on the rows of rho^T: this order
     matches dense embed(op) @ rho @ embed(op)^dagger bit for bit on 2-7 qubits.
-    A stack rho[b] is transposed matrix by matrix (.mT is .T on one matrix)."""
-    rho = _apply_local(rho, op, qubit)
-    return np.ascontiguousarray(_apply_local(np.ascontiguousarray(rho.mT), op.conj(), qubit).mT)
+    A stack rho[b] is transposed matrix by matrix (on one matrix the swap is .T)."""
+    rho_t = np.ascontiguousarray(np.swapaxes(_apply_local(rho, op, qubit), -1, -2))
+    return np.ascontiguousarray(np.swapaxes(_apply_local(rho_t, op.conj(), qubit), -1, -2))
 
 
 def apply_rotation(state, qubit, theta, phi=0.0):

@@ -412,7 +412,7 @@ class Scenario:
     name: str
     program: PulseProgram
     couplings: np.ndarray
-    input_state: str = "000"
+    input_state: str | None = None
     noise: bool = False
     shots: int = 0
     seed: int = DEFAULT_SEED
@@ -420,6 +420,8 @@ class Scenario:
 
     def __post_init__(self):
         n = self.program.n_qubits
+        if self.input_state is None:
+            self.input_state = "0" * n
         try:
             product_input_pulses(self.input_state)
         except ProgramError as exc:
@@ -498,7 +500,7 @@ def load_scenario_file(path):
             name=name,
             program=program,
             couplings=j,
-            input_state=sec.get("input", "0" * program.n_qubits),
+            input_state=sec.get("input"),
             noise=noise,
             shots=shots,
             seed=seed,

@@ -228,6 +228,14 @@ def test_custom_scenario_without_shots_is_analytic(tmp_path):
     assert "counts" not in records[0].values
 
 
+def test_scenario_input_defaults_to_all_zero():
+    # the default is set from the program's width, so it fits any register
+    for n in (1, 2, 5):
+        prog = harness.PulseProgram(n, [])
+        scenario = harness.Scenario("s", prog, np.zeros((n, n)))
+        assert scenario.input_state == "0" * n
+
+
 def test_scenario_file_error_reporting(tmp_path):
     with pytest.raises(harness.HarnessError, match="cannot read"):
         harness.load_scenario_file(tmp_path / "missing.ini")
