@@ -20,16 +20,18 @@ sigma- <-> sigma+ transfer is not a native block and must pass through pi.
 One walk over a program (`_walk`) resolves every instruction into a pulse
 (qubit and 2x2 operator) or a window (duration and Ising phases under the
 encodings in force), tracking transfers and bounding qubit indices on the way.
-`run_program` applies the steps to the density matrix; `program_unitary`
-multiplies them into the ideal unitary. A pulse is never lifted to a
-2^n x 2^n matrix: `_apply_local` applies its 2x2 operator on the qubit's axis.
-Registers are capped at MAX_QUBITS; entering density matrices are checked.
+Every run applies the steps to a stack rho[b] of density matrices (`_run`);
+`program_unitary` multiplies them into the ideal unitary. A pulse is never
+lifted to a 2^n x 2^n matrix: `_apply_local` applies its 2x2 operator on the
+qubit's axis. Registers are capped at MAX_QUBITS; entering density matrices
+are checked.
 
-`run_batch` runs one program on several inputs at once. Each input is
-prepared from |0...0> by its own pulses, never as a ket (a ket-prepared input
-differs in the last bits), and the program is then walked once and applied to
-the stack rho[b] through the same step loop and kernels as `run_program`,
-which is the single-matrix case of that loop.
+`run_program` is the one-slice case of that run. `run_batch` runs one program
+on several inputs at once: each input is prepared from |0...0> by its own
+pulses, never as a ket (a ket-prepared input differs in the last bits), and
+the program is then walked once over the whole stack. Each slice equals the
+single run of its input's pulses followed by the program, bit for bit, at
+every register size.
 
 `fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
 state, so a scan over analysis phases runs its program once, not per phase.
@@ -296,13 +298,6 @@ def _dephase(state, duration, noise):
 def _window(state, duration, phases, noise):
     """The window kernel: Ising phases, dephasing, then the clock."""
     u = np.exp(1j * phases)
-    # Keep the phase factor an unnamed temporary. From 7 qubits on it reaches
-    # numpy's 256 KB temporary-elision threshold, and numpy then computes
-    # outer * rho in place, operands swapped; the frozen wide_register counts
-    # hang on those last bits. A named, cached or broadcast factor multiplies
-    # rho * outer instead and moves a 7-qubit rho by about 1.5e-17, so no
-    # per-window factor may be cached until counts stop depending on p's last
-    # bit. A stack rho[b] never elides (the product outgrows the factor).
     state.rho = state.rho * np.outer(u, u.conj())
     _dephase(state, duration, noise)
     state.time += duration
@@ -369,25 +364,6 @@ def dd_fragment(duration, n_pulses, scheme="cpmg", n_qubits=3):
                         name=f"dd {scheme} n={n_pulses}")
 
 
-def selective_recoupling_wrap(duration, echo_qubit):
-    """Three-qubit window with a mid-window echo that cancels every coupling to one spin.
-
-    [T/2, pi on k, T/2, pi on k]: the pi pair flips the sign of each zz term
-    involving qubit k for the second half, so those phases cancel while the
-    rest accumulate the full duration. The trailing pi restores k's frame.
-    """
-    if duration <= 0:
-        raise EngineError("recoupling window must have positive duration")
-    instructions = [
-        FreeEvolve(duration / 2),
-        Rotate(echo_qubit, np.pi, 0.0),
-        FreeEvolve(duration / 2),
-        Rotate(echo_qubit, np.pi, 0.0),
-    ]
-    return PulseProgram(n_qubits=3, instructions=instructions,
-                        name=f"recouple echo q{echo_qubit}")
-
-
 class _Pulse(NamedTuple):
     """A resolved pulse; `driven` is False for a virtual phase gate (PH)."""
     qubit: int
@@ -403,8 +379,7 @@ class _Window(NamedTuple):
 
 @dataclass
 class _Frame:
-    """The encodings a walk tracks when no QuantumState carries them; in a
-    stacked run also the stack rho[b] and each slice's clock."""
+    """The encodings a walk tracks; in a run also the stack rho[b] and each slice's clock."""
     bases: tuple
     rho: np.ndarray = None
     time: np.ndarray = None
@@ -418,10 +393,10 @@ def _walk(program, j, frame):
     """Resolve `program` into `_Pulse` and `_Window` steps, in order.
 
     This is the one interpreter of instructions: decoupled windows are
-    expanded, transfers update `frame.bases` (a QuantumState or a `_Frame`) as
-    the walk passes them, and each window's phases use the encodings then in
-    force. `j` must already be checked; every qubit an instruction names is
-    bounded here against the program's register.
+    expanded, transfers update `frame.bases` as the walk passes them, and each
+    window's phases use the encodings then in force. `j` must already be
+    checked; every qubit an instruction names is bounded here against the
+    program's register.
     """
     measured = False
     for ins in program.instructions:
@@ -465,27 +440,35 @@ def _relabel(state, perm):
     state.bases = tuple(state.bases[q] for q in perm)
 
 
-def _run_steps(state, program, j, noise, pulse_duration):
-    """The step loop of `run_program` and `run_batch`: apply `program`'s steps to
-    state.rho, one density matrix or a stack rho[b] (a `_Frame`) alike."""
-    for step in _walk(program, j, state):
+def _slice(state):
+    """`state` as a one-slice `_Frame`, on a fresh stack: no result shares its memory."""
+    return _Frame(state.bases, np.stack([state.rho]), np.array([state.time]))
+
+
+def _run_steps(frame, program, j, noise, pulse_duration):
+    """Apply `program`'s steps to the stack frame.rho and each slice's clock."""
+    for step in _walk(program, j, frame):
         if isinstance(step, _Window):
-            _window(state, step.duration, step.phases, noise)
+            _window(frame, step.duration, step.phases, noise)
         else:
-            state.rho = _conjugate(state.rho, step.op, step.qubit)
+            frame.rho = _conjugate(frame.rho, step.op, step.qubit)
             if step.driven and pulse_duration > 0:
-                _dephase(state, pulse_duration, noise)
-                state.time += pulse_duration
+                _dephase(frame, pulse_duration, noise)
+                frame.time += pulse_duration
 
 
-def _finish(state, program, noise):
-    """End of a run: the program's relabeling, then the depolarizing mix."""
+def _run(frame, program, j, noise, pulse_duration):
+    """The one run path: the steps, the relabeling, then the depolarizing mix, all
+    on the stack; one RunResult per slice."""
+    _run_steps(frame, program, j, noise, pulse_duration)
     if program.relabel is not None:
-        _relabel(state, program.relabel)
+        _relabel(frame, program.relabel)
     if noise.white_noise_fraction > 0:
-        dim = 2**state.n_qubits
+        dim = 2**frame.n_qubits
         zeta = noise.white_noise_fraction
-        state.rho = zeta * np.eye(dim) / dim + (1 - zeta) * state.rho
+        frame.rho = zeta * np.eye(dim) / dim + (1 - zeta) * frame.rho
+    return [RunResult(QuantumState(frame.n_qubits, rho, frame.bases, float(t)))
+            for rho, t in zip(frame.rho, frame.time)]
 
 
 def _check_pulse_duration(pulse_duration):
@@ -499,32 +482,28 @@ def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     `j` is the coupling matrix calibrated with every qubit in sigma-. With
     pulse_duration > 0 each pulse adds that much dephasing time
     while the Ising evolution stays frozen (driven qubits are spin-locked).
+    The run is the one-slice case of `run_batch`'s stack; `initial` is left as it is.
     """
     _check_pulse_duration(pulse_duration)
     noise = noise or NoiseModel()
     j = _check_couplings(j, program.n_qubits)
-    if isinstance(initial, QuantumState):
-        state = initial.copy()
-        if state.n_qubits != program.n_qubits:
-            raise EngineError(f"initial state has {state.n_qubits} qubits, "
-                              f"program {program.n_qubits}")
-    else:
-        state = prepare_state(program.n_qubits, initial)
-    _run_steps(state, program, j, noise, pulse_duration)
-    _finish(state, program, noise)
-    return RunResult(state=state)
+    if not isinstance(initial, QuantumState):
+        initial = prepare_state(program.n_qubits, initial)
+    elif initial.n_qubits != program.n_qubits:
+        raise EngineError(f"initial state has {initial.n_qubits} qubits, "
+                          f"program {program.n_qubits}")
+    [result] = _run(_slice(initial), program, j, noise, pulse_duration)
+    return result
 
 
 def run_batch(program, j, preparations, noise=None, pulse_duration=0.0):
     """Run one program on several inputs as a stack rho[b]; one RunResult per input.
 
     Input b is |0...0> in sigma- followed by the pulses `preparations[b]`,
-    applied on its own slice; `program` is then walked once and applied to the
+    applied on its own one-slice stack; `program` is then walked once over the
     whole stack. Inputs are prepared by pulses, never as kets: a ket-prepared
-    input differs from the pulse-prepared one in the last bits. Up to 6 qubits
-    each result equals `run_program` on the input's pulses followed by
-    `program`, bit for bit; from 7 on numpy elides the single-state window
-    product (see `_window`), so the two may differ in the last bit.
+    input differs from the pulse-prepared one in the last bits. Each result
+    equals `run_program` on the input's pulses followed by `program`, bit for bit.
     A preparation must leave every qubit in sigma-, where `program` starts.
     """
     _check_pulse_duration(pulse_duration)
@@ -535,18 +514,15 @@ def run_batch(program, j, preparations, noise=None, pulse_duration=0.0):
         raise EngineError("run_batch needs at least one preparation")
     slices = []
     for prep in preparations:
-        state = prepare_state(n)
-        _run_steps(state, PulseProgram(n, list(prep)), j, noise, pulse_duration)
-        if set(state.bases) != {BASIS_SIGMA_MINUS}:
-            raise EngineError(f"preparation {prep!r} leaves encodings {state.bases}, "
+        frame = _slice(prepare_state(n))
+        _run_steps(frame, PulseProgram(n, list(prep)), j, noise, pulse_duration)
+        if set(frame.bases) != {BASIS_SIGMA_MINUS}:
+            raise EngineError(f"preparation {prep!r} leaves encodings {frame.bases}, "
                               "not sigma-")
-        slices.append(state)
-    stack = _Frame(slices[0].bases, np.stack([s.rho for s in slices]),
-                   np.array([s.time for s in slices]))
-    _run_steps(stack, program, j, noise, pulse_duration)
-    _finish(stack, program, noise)
-    return [RunResult(QuantumState(n, rho, stack.bases, float(t)))
-            for rho, t in zip(stack.rho, stack.time)]
+        slices.append(frame)
+    stack = _Frame(slices[0].bases, np.concatenate([f.rho for f in slices]),
+                   np.concatenate([f.time for f in slices]))
+    return _run(stack, program, j, noise, pulse_duration)
 
 
 def program_unitary(program, j):

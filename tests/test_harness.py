@@ -236,6 +236,17 @@ def test_scenario_input_defaults_to_all_zero():
         assert scenario.input_state == "0" * n
 
 
+def test_scenario_built_in_code_checks_its_output_stem(tmp_path):
+    # the stem check lives in Scenario, so a scenario built in code or by the CLI
+    # cannot write next to the output directory either
+    prog = harness.PulseProgram(3, [])
+    for name in ("../escaped", "..", ".", "", "a/b", "a\\b", "a\nb"):
+        with pytest.raises(harness.HarnessError, match="name must"):
+            harness.run_custom_scenario(harness.Scenario(name, prog, np.zeros((3, 3))),
+                                        tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scenario_file_error_reporting(tmp_path):
     with pytest.raises(harness.HarnessError, match="cannot read"):
         harness.load_scenario_file(tmp_path / "missing.ini")

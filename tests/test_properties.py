@@ -4,7 +4,7 @@ Programs on 2-3 qubits start from sigma-, reach a drawn starting encoding per
 qubit with leading transfers, then mix R, PH, ECHO, plain and decoupled EV
 windows, transfers routed through pi, and an optional RELABEL. Noiselessly
 the density matrix path must agree with the ideal unitary; under the full
-noise model the state must stay a density matrix. On 1-5 qubits, each slice
+noise model the state must stay a density matrix. On 1-8 qubits, each slice
 of a stacked run over pulse-prepared inputs must equal the single-state run
 of that input bit for bit. The closed-form fringe readout must agree
 with applying the analysis pulse explicitly, phase by phase. The engine's
@@ -139,7 +139,7 @@ def preparations(draw, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(programs(1, 5), st.data(), st.floats(1e-7, 5e-5))
+@given(programs(1, 8), st.data(), st.floats(1e-7, 5e-5))
 def test_stacked_run_matches_single_runs(case, data, pulse_duration):
     # every slice of the stack is the single-state run of its preparation
     # followed by the program, bit for bit, clock and encodings included
