@@ -44,13 +44,13 @@ print("addressing offsets from the middle ion (MHz):",
 coupling = coupling_matrix(config, modes, zeeman)
 print()
 print("J / 2pi (Hz):")
-for row in np.asarray(coupling) / (2 * np.pi):
+for row in coupling.j / (2 * np.pi):
     print("   " + "  ".join(f"{v:8.4f}" for v in row))
 
 # J scales with the square of the gradient. Doubling it buys a factor 4.
 # A larger bias keeps the field from changing sign across the chain.
 strong = TrapConfig(magnetic_gradient=38.0, bias_field=2e-3)
-j_strong = np.asarray(coupling_matrix(strong))
-j_base = np.asarray(coupling_matrix(TrapConfig(bias_field=2e-3)))
+j_strong = coupling_matrix(strong).j
+j_base = coupling_matrix(TrapConfig(bias_field=2e-3)).j
 print()
 print("J(38 T/m) / J(19 T/m) =", round(j_strong[0, 1] / j_base[0, 1], 6))

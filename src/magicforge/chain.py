@@ -28,7 +28,7 @@ from .constants import (
     HBAR,
     PLANCK,
 )
-from .gates import check_finite_couplings
+from .gates import check_couplings
 
 
 class ChainModelError(RuntimeError):
@@ -136,24 +136,11 @@ class ZeemanProfile:
 @dataclass
 class CouplingMatrix:
     j: np.ndarray                # rad/s, symmetric, zero diagonal
-    provenance: str = "derived-from-trap"
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=float)
-        if j.ndim != 2 or j.shape[0] != j.shape[1]:
-            raise ValueError("coupling matrix must be square")
-        check_finite_couplings(j, ValueError)
-        if not np.allclose(j, j.T, atol=1e-12 * max(1.0, np.abs(j).max())):
-            raise ValueError("coupling matrix must be symmetric")
-        np.fill_diagonal(j, 0.0)
-        self.j = j
-
-    @property
-    def n_qubits(self):
-        return self.j.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.j, dtype=dtype)
+        # a copy, so zeroing the diagonal never writes into the caller's array
+        self.j = check_couplings(self.j, None, ValueError).copy()
+        np.fill_diagonal(self.j, 0.0)
 
 
 def _pair_powers(u, y):
@@ -308,8 +295,7 @@ def coupling_matrix(config, modes=None, zeeman=None):
         * modes.vectors
     )
     j = np.einsum("n,in,jn->ij", modes.frequencies, eps, eps)
-    np.fill_diagonal(j, 0.0)
-    return CouplingMatrix(j=j, provenance="derived-from-trap")
+    return CouplingMatrix(j=j)
 
 
 def save_couplings(path, couplings):
@@ -318,6 +304,6 @@ def save_couplings(path, couplings):
 
 
 def load_couplings(path):
-    """Read a plain-text coupling matrix (rad/s); validates shape and symmetry."""
+    """Read a plain-text coupling matrix (rad/s), checked as `CouplingMatrix` checks J."""
     j = np.atleast_2d(np.loadtxt(path))
-    return CouplingMatrix(j=j, provenance="user-supplied")
+    return CouplingMatrix(j=j)

@@ -50,9 +50,8 @@ import numpy as np
 
 from .gates import (
     bit_table,
-    check_finite_couplings,
+    check_couplings,
     free_phases,
-    ket,
     phase_2x2,
     product_ket,
     relabel_index,
@@ -161,9 +160,6 @@ class QuantumState:
     def populations(self):
         return np.clip(np.diag(self.rho).real, 0.0, None)
 
-    def purity(self):
-        return float(np.real(np.trace(self.rho @ self.rho)))
-
     def reduced_density(self, keep):
         """Partial trace keeping the listed qubits, in the order given."""
         keep = list(keep)
@@ -214,36 +210,31 @@ def product_input_pulses(label):
 
 
 def prepare_state(n_qubits, spec=None):
-    """Fresh register state in sigma-: |0...0>, a bitstring, a ket vector, or a density matrix."""
+    """Fresh register state in sigma-: |0...0>, a product label over {0, 1, +}
+    (`product_input_ket`), a unit ket vector, or a density matrix."""
     dim = _register_dim(n_qubits)
     if spec is None:
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
     elif isinstance(spec, str):
-        v = ket(spec)
-        if v.size != dim:
+        if len(spec) != n_qubits:
             raise EngineError(f"bitstring {spec!r} does not match {n_qubits} qubits")
+        v = product_input_ket(spec)
         rho = np.outer(v, v.conj())
     else:
         arr = np.asarray(spec, dtype=complex)
         if arr.ndim == 1:
             if arr.size != dim:
                 raise EngineError("state vector has wrong dimension")
-            arr = arr / np.linalg.norm(arr)
+            norm = np.linalg.norm(arr)
+            if not abs(norm - 1.0) <= STATE_TOLERANCE:
+                raise EngineError(f"state vector: norm {norm:.6g} is not 1 "
+                                  f"(tolerance {STATE_TOLERANCE:g})")
+            arr = arr / norm
             rho = np.outer(arr, arr.conj())
         else:
             rho = arr
     return QuantumState(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
-
-
-def _check_couplings(j, n_qubits):
-    j = np.asarray(j, dtype=float)
-    if j.shape != (n_qubits, n_qubits):
-        raise EngineError(f"coupling matrix shape {j.shape} != {(n_qubits, n_qubits)}")
-    check_finite_couplings(j, EngineError)
-    if not np.allclose(j, j.T):
-        raise EngineError("coupling matrix must be symmetric")
-    return j
 
 
 def _apply_local(a, op, qubit):
@@ -254,7 +245,7 @@ def _apply_local(a, op, qubit):
 
 def _conjugate(rho, op, qubit):
     """op rho op^dagger, the right factor as op* on the rows of rho^T: this order
-    matches dense embed(op) @ rho @ embed(op)^dagger bit for bit on 2-7 qubits.
+    matches the dense product with op lifted to 2^n x 2^n bit for bit on 2-7 qubits.
     A stack rho[b] is transposed matrix by matrix (on one matrix the swap is .T)."""
     rho_t = np.ascontiguousarray(np.swapaxes(_apply_local(rho, op, qubit), -1, -2))
     return np.ascontiguousarray(np.swapaxes(_apply_local(rho_t, op.conj(), qubit), -1, -2))
@@ -310,7 +301,7 @@ def free_evolution(state, duration, j, noise=None):
     """
     if not 0.0 <= duration < np.inf:
         raise EngineError(f"window duration must be finite and >= 0, got {duration}")
-    j = _check_couplings(j, state.n_qubits)
+    j = check_couplings(j, state.n_qubits, EngineError)
     _window(state, duration, _window_phases(j, state, duration), noise or NoiseModel.off())
 
 
@@ -429,10 +420,6 @@ def _walk(program, j, frame):
 class RunResult:
     state: QuantumState
 
-    @property
-    def duration(self):
-        return self.state.time
-
 
 def _relabel(state, perm):
     i = relabel_index(perm)
@@ -486,7 +473,7 @@ def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     """
     _check_pulse_duration(pulse_duration)
     noise = noise or NoiseModel()
-    j = _check_couplings(j, program.n_qubits)
+    j = check_couplings(j, program.n_qubits, EngineError)
     if not isinstance(initial, QuantumState):
         initial = prepare_state(program.n_qubits, initial)
     elif initial.n_qubits != program.n_qubits:
@@ -509,7 +496,7 @@ def run_batch(program, j, preparations, noise=None, pulse_duration=0.0):
     _check_pulse_duration(pulse_duration)
     noise = noise or NoiseModel()
     n = program.n_qubits
-    j = _check_couplings(j, n)
+    j = check_couplings(j, n, EngineError)
     if not preparations:
         raise EngineError("run_batch needs at least one preparation")
     slices = []
@@ -528,7 +515,7 @@ def run_batch(program, j, preparations, noise=None, pulse_duration=0.0):
 def program_unitary(program, j):
     """Ideal unitary of a program (relabeling included) from sigma-, tracking encoding windows."""
     n = program.n_qubits
-    j = _check_couplings(j, n)
+    j = check_couplings(j, n, EngineError)
     u = np.eye(_register_dim(n), dtype=complex)
     for step in _walk(program, j, _Frame((BASIS_SIGMA_MINUS,) * n)):
         if isinstance(step, _Window):

@@ -30,17 +30,6 @@ def phase_2x2(phi):
     return np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
 
 
-def embed(op2, qubit, n_qubits):
-    """Lift a single-qubit operator onto qubit `qubit` of an n-qubit register.
-
-    Dense 2^n x 2^n; the engine never builds it, tests use it as the reference.
-    """
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(n_qubits):
-        out = np.kron(out, op2 if k == qubit else ID2)
-    return out
-
-
 @cache
 def bit_table(n_qubits):
     """(2^n, n) array of bits; column k is the bit of qubit k (qubit 0 = MSB); shared, read-only."""
@@ -69,12 +58,28 @@ def free_phases(j, duration, n_qubits):
     return duration / 2.0 * expo
 
 
-def check_finite_couplings(j, error):
-    """Raise `error` naming the first non-finite entry of the coupling matrix `j`."""
+def check_couplings(j, n_qubits, error):
+    """The one check of a coupling matrix: J as a float array, else `error`.
+
+    J must be n_qubits x n_qubits (any square size when n_qubits is None), every
+    entry finite, and symmetric to |J[a, b] - J[b, a]| <= 1e-9 max|J|: far above
+    rounding (about 1e-16 max|J|), far below a calibration error. The error names
+    the first bad J[a, b] in row order.
+    """
+    j = np.asarray(j, dtype=float)
+    if j.ndim != 2 or j.shape[0] != j.shape[1] or n_qubits not in (None, j.shape[0]):
+        raise error(f"coupling matrix shape {j.shape} is not "
+                    f"{'square' if n_qubits is None else (n_qubits, n_qubits)}")
     bad = np.argwhere(~np.isfinite(j))
     if bad.size:
         a, b = bad[0]
         raise error(f"coupling J[{a}, {b}] must be finite, got {j[a, b]}")
+    bad = np.argwhere(np.abs(j - j.T) > 1e-9 * np.abs(j).max(initial=0.0))
+    if bad.size:
+        a, b = bad[0]
+        raise error(f"coupling J[{a}, {b}] = {j[a, b]} but J[{b}, {a}] = {j[b, a]}; "
+                    "J must be symmetric to 1e-9 of max|J|")
+    return j
 
 
 def relabel_index(perm):
@@ -85,15 +90,6 @@ def relabel_index(perm):
     """
     n = len(perm)
     return bit_table(n) @ (1 << (n - 1 - np.asarray(perm)))
-
-
-def ket(bits_string):
-    """Basis ket |b0 b1 ...> as a dense vector, qubit 0 first (MSB)."""
-    n = len(bits_string)
-    idx = int(bits_string, 2)
-    v = np.zeros(2**n, dtype=complex)
-    v[idx] = 1.0
-    return v
 
 
 def product_ket(single_kets):

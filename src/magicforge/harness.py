@@ -48,7 +48,6 @@ from .engine import (
     run_program,
     sample_counts,
 )
-from .gates import ket
 from .metrics import (
     MetricsError,
     distinguishability,
@@ -199,7 +198,7 @@ def scenario_transform_fringes(rng, compiled):
     shots = 150
     noise = NoiseModel(readout_fidelity=1.0)
     [res] = _transform_runs(["010"], compiled, noise)
-    ideal = reference_qft() @ ket("010")
+    ideal = reference_qft() @ product_input_ket("010")
     factors = factor_product_state(ideal, 3)
     perm = compiled.program.relabel
     records = []
@@ -484,10 +483,10 @@ def load_scenario_file(path):
     if "couplings" in sec:
         if topology:
             raise HarnessError(f"{path}: topology needs a trap source, not couplings")
-        j = load_couplings(_resolve(sec["couplings"]))
+        j = load_couplings(_resolve(sec["couplings"])).j
     elif "trap" in sec:
         config = TrapConfig.from_ini(_resolve(sec["trap"]))
-        j = coupling_matrix(config)
+        j = coupling_matrix(config).j
         if topology:
             j = effective_couplings(j, _parse_topology_token(topology))
     else:

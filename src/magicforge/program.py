@@ -155,15 +155,6 @@ class PulseProgram:
         """Total free-evolution time in seconds (pulses are instantaneous by default)."""
         return sum(ins.duration for ins in self.instructions if isinstance(ins, FreeEvolve))
 
-    def extend(self, fragment):
-        """Append another program's instructions in place; registers must match."""
-        if fragment.n_qubits != self.n_qubits:
-            raise ProgramError("cannot extend: register sizes differ")
-        self.instructions.extend(fragment.instructions)
-        if fragment.relabel is not None:
-            self.relabel = fragment.relabel
-        return self
-
     def to_text(self):
         lines = [f"# pulse program: {self.name or 'unnamed'}", f"# qubits: {self.n_qubits}"]
         for ins in self.instructions:
@@ -270,6 +261,8 @@ def parse_program(text):
                     raise ProgramError(f"RELABEL {' '.join(operands)} is not a permutation "
                                        f"of 0..{limit - 1}")
                 continue
+            if instructions and isinstance(instructions[-1], Measure):
+                raise ProgramError("MEAS must be the last instruction")
             if op not in _SYNTAX:
                 raise ProgramError(f"unknown instruction {word!r}")
             cls, names = _SYNTAX[op]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from magicforge import calibrated_couplings
-from magicforge.gates import free_phases
+from magicforge.gates import ID2, free_phases
 from magicforge.program import FreeEvolve, PulseProgram, Rotate
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
@@ -32,6 +32,17 @@ def random_density_matrix(rng, dim, rank=None):
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def embed(op2, qubit, n_qubits):
+    """Lift a single-qubit operator onto qubit `qubit` of an n-qubit register.
+
+    Dense 2^n x 2^n; the engine never builds it, tests use it as the reference.
+    """
+    out = np.array([[1.0 + 0.0j]])
+    for k in range(n_qubits):
+        out = np.kron(out, op2 if k == qubit else ID2)
+    return out
 
 
 def free_unitary(j, duration, n_qubits):

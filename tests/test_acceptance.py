@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     random_density_matrix,
     random_distribution,
+    embed,
     random_product_ket,
     selective_recoupling_wrap,
 )
@@ -35,7 +36,7 @@ from magicforge.engine import (
     run_program,
     transfer_basis,
 )
-from magicforge.gates import SX, SY, SZ, embed
+from magicforge.gates import SX, SY, SZ
 from magicforge.metrics import (
     distinguishability,
     equatorial_phase,

@@ -188,7 +188,6 @@ def test_save_load_round_trip(tmp_path):
     save_couplings(path, cm)
     again = load_couplings(path)
     assert again.j == pytest.approx(cm.j, rel=1e-11)
-    assert again.provenance == "user-supplied"
 
 
 def test_load_rejects_asymmetric_matrix(tmp_path):
@@ -201,6 +200,13 @@ def test_load_rejects_asymmetric_matrix(tmp_path):
 def test_coupling_matrix_validates_shape():
     with pytest.raises(ValueError):
         CouplingMatrix(j=np.zeros((2, 3)))
+
+
+def test_coupling_matrix_leaves_the_callers_array_alone():
+    j = np.array([[5.0, 1.0], [1.0, 7.0]])
+    cm = CouplingMatrix(j=j)
+    assert np.diag(cm.j).tolist() == [0.0, 0.0]
+    assert j.tolist() == [[5.0, 1.0], [1.0, 7.0]]
 
 
 def test_trap_config_rejects_non_finite_fields():

@@ -23,6 +23,7 @@ from magicforge.engine import (
     fringe_scan,
     measurement_probabilities,
     prepare_state,
+    product_input_ket,
     program_unitary,
     ramsey_scan,
     run_batch,
@@ -30,7 +31,7 @@ from magicforge.engine import (
     sample_counts,
     transfer_basis,
 )
-from magicforge.gates import ket, rotation_2x2
+from magicforge.gates import rotation_2x2
 from magicforge.program import (
     Echo,
     FreeEvolve,
@@ -50,6 +51,11 @@ def random_j(rng, n=3, scale=300.0):
     return j
 
 
+def purity(state):
+    """tr(rho^2) of a register state."""
+    return float(np.real(np.trace(state.rho @ state.rho)))
+
+
 @pytest.fixture
 def plus_state():
     st = prepare_state(3, "000")
@@ -62,7 +68,7 @@ def plus_state():
 
 def test_prepare_state_accepts_label_vector_matrix():
     assert prepare_state(3, "101").populations()[0b101] == pytest.approx(1.0)
-    v = ket("010")
+    v = product_input_ket("010")
     assert prepare_state(3, v).populations()[0b010] == pytest.approx(1.0)
     rho = np.outer(v, v.conj())
     assert prepare_state(3, rho).populations()[0b010] == pytest.approx(1.0)
@@ -70,13 +76,20 @@ def test_prepare_state_accepts_label_vector_matrix():
         prepare_state(3, "0101")
     with pytest.raises(EngineError):
         prepare_state(3, np.ones(5))
+    with pytest.raises(EngineError, match="state vector: norm 2 is not 1"):
+        prepare_state(3, 2 * v)
+    with pytest.raises(EngineError, match="state vector: norm nan"):
+        prepare_state(3, np.full(8, np.nan))
+    # within the stated tolerance a vector is accepted and normalized
+    st = prepare_state(3, v * (1 + STATE_TOLERANCE / 10))
+    assert st.populations()[0b010] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rotation_convention_on_register():
     st = prepare_state(2, "00")
     apply_rotation(st, 1, np.pi, 0.0)
     assert st.populations()[0b01] == pytest.approx(1.0, abs=1e-14)
-    assert st.purity() == pytest.approx(1.0, abs=1e-12)
+    assert purity(st) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---- invariants ----
@@ -91,7 +104,7 @@ def test_noiseless_run_preserves_purity_and_trace(rng):
         Rotate(2, np.pi, 0.0),
     ])
     res = run_program(prog, j, noise=NoiseModel.off())
-    assert res.state.purity() == pytest.approx(1.0, abs=1e-10)
+    assert purity(res.state) == pytest.approx(1.0, abs=1e-10)
     assert np.trace(res.state.rho).real == pytest.approx(1.0, abs=1e-10)
 
 
@@ -100,7 +113,7 @@ def test_noisy_channels_preserve_trace(rng):
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(4e-3)])
     res = run_program(prog, j, noise=NoiseModel())
     assert np.trace(res.state.rho).real == pytest.approx(1.0, abs=1e-10)
-    assert res.state.purity() < 1.0
+    assert purity(res.state) < 1.0
 
 
 def test_free_evolution_keeps_populations(rng, plus_state):

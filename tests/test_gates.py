@@ -3,21 +3,29 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import free_unitary
-from magicforge.engine import _bit_differs
+from conftest import embed, free_unitary
+from magicforge.chain import CouplingMatrix, load_couplings
+from magicforge.engine import (
+    EngineError,
+    _bit_differs,
+    product_input_ket,
+    program_unitary,
+    run_batch,
+    run_program,
+)
 from magicforge.gates import (
     SX,
     SY,
     SZ,
     bit_table,
-    embed,
-    ket,
     phase_2x2,
     product_ket,
     relabel_index,
     rotation_2x2,
     z_eigenvalues,
 )
+from magicforge.program import PulseProgram, Rotate
+from magicforge.qft import CompilerError, compile_qft
 
 
 def expm_herm(h):
@@ -82,7 +90,7 @@ def test_relabel_index_relabels_kets():
         assert sorted(i) == list(range(8))
         for label in map("".join, itertools.product("01", repeat=3)):
             moved = "".join(label[q] for q in perm)
-            assert np.array_equal(ket(label)[i], ket(moved))
+            assert np.array_equal(product_input_ket(label)[i], product_input_ket(moved))
 
 
 def test_product_ket_matches_kron():
@@ -92,8 +100,30 @@ def test_product_ket_matches_kron():
 
 
 def test_ket_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        ket("01x")
+    with pytest.raises(ValueError, match="bad preparation label '01x'"):
+        product_input_ket("01x")
+
+
+def test_every_entry_point_rejects_an_asymmetric_coupling(bench_j, tmp_path):
+    # the lower triangle off by 1e-3 rad/s, well inside numpy's default allclose
+    j = bench_j.copy()
+    j[2, 1] += 1e-3
+    path = tmp_path / "j.txt"
+    np.savetxt(path, j)
+    named = r"coupling J\[1, 2\] = .* but J\[2, 1\] = "
+    prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0)])
+    for error, call in ((EngineError, lambda: run_program(prog, j)),
+                        (EngineError, lambda: run_batch(prog, j, [[]])),
+                        (EngineError, lambda: program_unitary(prog, j)),
+                        (CompilerError, lambda: compile_qft(j)),
+                        (ValueError, lambda: CouplingMatrix(j=j)),
+                        (ValueError, lambda: load_couplings(path))):
+        with pytest.raises(error, match=named):
+            call()
+    # rounding-level asymmetry, far inside 1e-9 max|J|, still passes
+    j[2, 1] = bench_j[2, 1] * (1 + 1e-13)
+    program_unitary(prog, j)
+    assert CouplingMatrix(j=j).j[2, 1] == j[2, 1]
 
 
 def test_bit_tables_are_cached_read_only():

@@ -7,7 +7,7 @@ from conftest import (
     random_product_ket,
     random_pure_state,
 )
-from magicforge.gates import ket
+from magicforge.engine import product_input_ket
 from magicforge.metrics import (
     MetricsError,
     distinguishability,
@@ -150,7 +150,7 @@ def test_factor_product_state_recovers_factors(rng):
 
 
 def test_factor_product_state_rejects_entangled():
-    ghz = (ket("000") + ket("111")) / np.sqrt(2)
+    ghz = (product_input_ket("000") + product_input_ket("111")) / np.sqrt(2)
     with pytest.raises(MetricsError):
         factor_product_state(ghz, 3)
 

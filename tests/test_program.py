@@ -52,6 +52,8 @@ def test_parse_errors_carry_line_numbers():
         parse_program("R 0 pi\n")
     with pytest.raises(ProgramError, match="line 2: MEAS takes no operands, got 1"):
         parse_program("R 0 pi 0\nMEAS 3\n")
+    with pytest.raises(ProgramError, match="line 3: MEAS must be the last instruction"):
+        parse_program("# qubits: 1\nMEAS\nR 0 pi 0")
 
 
 def test_non_finite_values_are_rejected_where_they_enter():
@@ -82,16 +84,6 @@ def test_decoupling_pulse_counts_checked_at_parse_time():
 def test_relabel_must_be_permutation():
     with pytest.raises(ProgramError):
         PulseProgram(n_qubits=3, instructions=[], relabel=(0, 0, 2))
-
-
-def test_extend_merges_instructions_and_relabel():
-    a = PulseProgram(n_qubits=3, instructions=[Rotate(0, np.pi, 0.0)])
-    b = PulseProgram(n_qubits=3, instructions=[FreeEvolve(1e-3)], relabel=(1, 0, 2))
-    a.extend(b)
-    assert len(a.instructions) == 2
-    assert a.relabel == (1, 0, 2)
-    with pytest.raises(ProgramError):
-        a.extend(PulseProgram(n_qubits=2, instructions=[]))
 
 
 def test_duration_counts_only_free_evolution():

@@ -22,6 +22,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import embed
 from magicforge.engine import (
     NoiseModel,
     apply_readout_confusion,
@@ -34,7 +35,7 @@ from magicforge.engine import (
     run_batch,
     run_program,
 )
-from magicforge.gates import embed, phase_2x2, rotation_2x2
+from magicforge.gates import phase_2x2, rotation_2x2
 from magicforge.harness import RunRecord, emit_records
 from magicforge.program import (
     BASES,
@@ -270,7 +271,7 @@ def text_programs(draw):
     qubits = st.integers(0, n - 1)
     ins = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["R", "PH", "EV", "XFER", "ECHO", "MEAS"]))
+        kind = draw(st.sampled_from(["R", "PH", "EV", "XFER", "ECHO"]))
         if kind == "R":
             ins.append(Rotate(draw(qubits), draw(exact_floats), draw(exact_floats)))
         elif kind == "PH":
@@ -279,10 +280,10 @@ def text_programs(draw):
             ins.append(FreeEvolve(draw(exact_durations), *draw(decoupling_suffixes)))
         elif kind == "XFER":
             ins.append(TransferBasis(draw(qubits | st.just("all")), draw(st.sampled_from(BASES))))
-        elif kind == "ECHO":
-            ins.append(Echo(draw(qubits), draw(exact_floats)))
         else:
-            ins.append(Measure())
+            ins.append(Echo(draw(qubits), draw(exact_floats)))
+    if draw(st.booleans()):
+        ins.append(Measure())  # the parser takes MEAS only as the last instruction
     relabel = draw(st.none() | st.permutations(range(n)))
     name = draw(st.text(alphabet="abc xyz-#:019", max_size=12))
     return PulseProgram(n, ins, relabel=relabel, name=name)
