@@ -35,6 +35,18 @@ class ChainModelError(RuntimeError):
     """Raised when the chain model cannot be evaluated (non-convergence, bad modes)."""
 
 
+# [trap] key: (TrapConfig field, factor to SI units; None for an int count)
+_TRAP_KEYS = {
+    "ion_count": ("ion_count", None),
+    "ion_mass_amu": ("ion_mass", ATOMIC_MASS),
+    "axial_frequency_hz": ("axial_frequency", 2 * np.pi),
+    "magnetic_gradient_t_per_m": ("magnetic_gradient", 1.0),
+    "bias_field_t": ("bias_field", 1.0),
+    "reference_coordinate_m": ("reference_coordinate", 1.0),
+    "g_factor": ("g_factor", 1.0),
+}
+
+
 @dataclass
 class TrapConfig:
     """Trap and field parameters, SI units throughout.
@@ -82,31 +94,23 @@ class TrapConfig:
         reference_coordinate_m, g_factor.
         """
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
-        if not read:
-            raise ValueError(f"config file not found or empty: {path}")
-        if "trap" not in parser:
-            raise ValueError(f"{path}: missing [trap] section")
-        sec = parser["trap"]
         try:
+            if not parser.read(path):
+                raise ValueError("config file not found or empty")
+            if "trap" not in parser:
+                raise ValueError("missing [trap] section")
+            sec = parser["trap"]
             kwargs = {}
-            if "ion_count" in sec:
-                kwargs["ion_count"] = sec.getint("ion_count")
-            if "ion_mass_amu" in sec:
-                kwargs["ion_mass"] = sec.getfloat("ion_mass_amu") * ATOMIC_MASS
-            if "axial_frequency_hz" in sec:
-                kwargs["axial_frequency"] = 2 * np.pi * sec.getfloat("axial_frequency_hz")
-            if "magnetic_gradient_t_per_m" in sec:
-                kwargs["magnetic_gradient"] = sec.getfloat("magnetic_gradient_t_per_m")
-            if "bias_field_t" in sec:
-                kwargs["bias_field"] = sec.getfloat("bias_field_t")
-            if "reference_coordinate_m" in sec:
-                kwargs["reference_coordinate"] = sec.getfloat("reference_coordinate_m")
-            if "g_factor" in sec:
-                kwargs["g_factor"] = sec.getfloat("g_factor")
-        except ValueError as exc:
-            raise ValueError(f"{path}: [trap] has a malformed value: {exc}") from exc
-        return cls(**kwargs)
+            for key, (name, factor) in _TRAP_KEYS.items():
+                if key in sec:
+                    try:
+                        kwargs[name] = (sec.getint(key) if factor is None
+                                        else sec.getfloat(key) * factor)
+                    except ValueError as exc:
+                        raise ValueError(f"[trap] has a malformed value: {exc}") from exc
+            return cls(**kwargs)
+        except (ValueError, configparser.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -304,6 +308,11 @@ def save_couplings(path, couplings):
 
 
 def load_couplings(path):
-    """Read a plain-text coupling matrix (rad/s), checked as `CouplingMatrix` checks J."""
-    j = np.atleast_2d(np.loadtxt(path))
-    return CouplingMatrix(j=j)
+    """Read a plain-text coupling matrix (rad/s), checked as `CouplingMatrix` checks J.
+
+    A parse error or a bad J names the file.
+    """
+    try:
+        return CouplingMatrix(j=np.atleast_2d(np.loadtxt(path)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

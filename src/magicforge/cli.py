@@ -39,7 +39,7 @@ from .chain import (
     zeeman_profile,
 )
 from .encoding import effective_couplings, topology_preset
-from .program import parse_program
+from .program import load_program
 from .qft import CompilerError, compile_qft, serial_baseline, verify_plan
 
 OUTPUT_ROOT_VAR = "MAGIC_FORGE_OUT"
@@ -101,8 +101,7 @@ def _cmd_couplings(args):
 def _cmd_run(args):
     if args.shots and args.seed is None:
         raise ValueError("--seed is required when --shots is finite")
-    with open(args.program) as fh:
-        program = parse_program(fh.read())
+    program = load_program(args.program)
     couplings = load_couplings(args.j)
     name = os.path.splitext(os.path.basename(args.program))[0]
     scenario = harness.Scenario(
@@ -187,9 +186,8 @@ def _cmd_scenario(args):
         harness.run_custom_scenario(scenario, root)
         print(f"wrote {os.path.join(root, scenario.name)}.csv/.json")
         return 0
-    name = harness.resolve_scenario_name(args.scenario)
     seed = args.seed if args.seed is not None else harness.DEFAULT_SEED
-    out = harness.run_scenario(name, root, seed=seed)
+    out = harness.run_scenario(args.scenario, root, seed=seed)
     for stem in out:
         print(f"wrote {os.path.join(root, stem)}.csv/.json")
     return 0

@@ -1,9 +1,9 @@
 """Benchmark scenarios for the reference three-ion register.
 
-Each scenario returns a list of flat records; `run_all` writes one CSV/JSON
-pair per scenario. Both files render every float with the same %.10g format
-so the two serializations carry byte-identical numbers; a float that is not
-finite is missing in both (an empty CSV cell, JSON null).
+Each scenario returns its tables of flat records keyed by file stem; `run_all`
+writes one CSV/JSON pair per table. Both files render every float with the same
+%.10g format so the two serializations carry byte-identical numbers; a float
+that is not finite is missing in both (an empty CSV cell, JSON null).
 
 The scenarios mirror the standard characterization workflow of a
 gradient-coupled register:
@@ -48,6 +48,7 @@ from .engine import (
     run_program,
     sample_counts,
 )
+from .gates import check_couplings
 from .metrics import (
     MetricsError,
     distinguishability,
@@ -66,7 +67,7 @@ from .program import (
     PulseProgram,
     TransferBasis,
     check_name,
-    parse_program,
+    load_program,
 )
 from .qft import calibrated_couplings, compile_qft, reference_qft
 
@@ -108,6 +109,13 @@ def _wrap(angle):
 _PHASES = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
 
 
+def _sampled_fit(rng, state, qubit, shots):
+    """Ramsey fit of `qubit`'s fringe in `state`, sampled with `shots` draws per phase."""
+    p = fringe_scan(state, qubit, _PHASES)
+    counts = rng.binomial(shots, np.clip(p, 0.0, 1.0))
+    return ramsey_fit(_PHASES, counts / shots, shots=shots)
+
+
 def scenario_precession(rng):
     """Probe-spin fringes (50 shots a phase, CPMG-20 wait) versus wait, per neighbour state."""
     shots = 50
@@ -122,9 +130,7 @@ def scenario_precession(rng):
                          [product_input_pulses("0" + bits) for bits in neighbours], noise=noise)
         for bits, res in zip(neighbours, runs):
             spect = {1: int(bits[0]), 2: int(bits[1])}
-            p = fringe_scan(res.state, 0, _PHASES)
-            counts = rng.binomial(shots, np.clip(p, 0.0, 1.0))
-            fit = ramsey_fit(_PHASES, counts / shots, shots=shots)
+            fit = _sampled_fit(rng, res.state, 0, shots)
             rate = expected_precession_rate(j, 0, spect)
             phase_pred = _wrap(-np.pi + rate * duration)
             records.append(RunRecord(
@@ -140,7 +146,7 @@ def scenario_precession(rng):
                     "rate_predicted_hz": rate / (2 * np.pi),
                     "shots_per_point": shots,
                 }))
-    return records
+    return {"precession": records}
 
 
 def scenario_topologies():
@@ -179,7 +185,7 @@ def scenario_topologies():
                 "rate_hz": rate / (2 * np.pi),
                 "contrast": fit.contrast,
             }))
-    return records
+    return {"topologies": records}
 
 
 def _transform_runs(labels, compiled, noise):
@@ -204,9 +210,7 @@ def scenario_transform_fringes(rng, compiled):
     records = []
     for slot in range(3):
         ion = perm[slot]
-        p = fringe_scan(res.state, slot, _PHASES)
-        counts = rng.binomial(shots, np.clip(p, 0.0, 1.0))
-        fit = ramsey_fit(_PHASES, counts / shots, shots=shots)
+        fit = _sampled_fit(rng, res.state, slot, shots)
         phi_star = fringe_phase_for(equatorial_phase(factors[slot]))
         records.append(RunRecord(
             "transform_fringes", f"ion {ion}",
@@ -222,7 +226,7 @@ def scenario_transform_fringes(rng, compiled):
                 "shots_per_point": shots,
             }))
     records.sort(key=lambda r: r.values["ion"])
-    return records
+    return {"transform_fringes": records}
 
 
 DISTRIBUTION_INPUTS = ("111", "+11", "++1", "+++")
@@ -258,7 +262,7 @@ def scenario_distributions(rng, compiled):
                 "distinguishability": distinguishability(p_emp, p_ideal),
                 "shots": shots,
             }))
-    return rows, summary
+    return {"distributions": rows, "distribution_summary": summary}
 
 
 def scenario_fidelity_table(compiled):
@@ -289,7 +293,7 @@ def scenario_fidelity_table(compiled):
             for ion in range(3):
                 values[f"f_ion{ion}"] = float("nan")
         records.append(RunRecord("fidelity_table", label, values))
-    return records
+    return {"fidelity_table": records}
 
 
 def _cell(v, missing="", text=str):
@@ -335,34 +339,32 @@ def _csv_escape(text):
     return text
 
 
-# Builtin scenarios draw from dedicated counter-based streams so that running
-# any subset, in any order, reproduces the exact bytes of a full run.
-_STREAM_INDEX = {"precession": 0, "transform_fringes": 1, "distributions": 2}
-SCENARIO_NAMES = ("precession", "topologies", "transform_fringes",
-                  "distributions", "fidelity_table")
-_TRANSFORM_SCENARIOS = ("transform_fringes", "distributions", "fidelity_table")
-# Shorthand tokens accepted wherever a scenario name is.
-SCENARIO_ALIASES = {
-    "fig1": "precession",
-    "fig2": "topologies",
-    "fig4": "transform_fringes",
-    "fig5": "distributions",
-    "table1": "fidelity_table",
+# name: (alias, shot-stream index or None, whether it runs the compiled transform).
+# Each sampling scenario owns a counter-based stream, so running any subset, in
+# any order, reproduces the exact bytes of a full run.
+_BUILTINS = {
+    "precession": ("fig1", 0, False),
+    "topologies": ("fig2", None, False),
+    "transform_fringes": ("fig4", 1, True),
+    "distributions": ("fig5", 2, True),
+    "fidelity_table": ("table1", None, True),
 }
+SCENARIO_NAMES = tuple(_BUILTINS)
 
 
 def scenario_stream(seed, name):
-    """The counter-based generator a named builtin scenario owns under `seed`."""
-    children = np.random.SeedSequence(seed).spawn(len(_STREAM_INDEX))
-    return np.random.Generator(np.random.Philox(children[_STREAM_INDEX[name]]))
+    """The counter-based generator a named sampling scenario owns under `seed`."""
+    # child i of SeedSequence(seed).spawn(k), whatever k is
+    child = np.random.SeedSequence(seed, spawn_key=(_BUILTINS[name][1],))
+    return np.random.Generator(np.random.Philox(child))
 
 
 def resolve_scenario_name(token):
-    name = SCENARIO_ALIASES.get(token, token)
-    if name not in SCENARIO_NAMES:
-        known = ", ".join(SCENARIO_NAMES + tuple(SCENARIO_ALIASES))
-        raise HarnessError(f"unknown scenario {token!r}; builtins: {known}")
-    return name
+    for name, (alias, _, _) in _BUILTINS.items():
+        if token in (name, alias):
+            return name
+    known = ", ".join([*_BUILTINS, *(alias for alias, _, _ in _BUILTINS.values())])
+    raise HarnessError(f"unknown scenario {token!r}; builtins: {known}")
 
 
 def run_scenario(name, directory, seed=DEFAULT_SEED, compiled=None):
@@ -373,21 +375,13 @@ def run_scenario(name, directory, seed=DEFAULT_SEED, compiled=None):
     compile it themselves.
     """
     name = resolve_scenario_name(name)
+    _, stream, transform = _BUILTINS[name]
     os.makedirs(directory, exist_ok=True)
-    if compiled is None and name in _TRANSFORM_SCENARIOS:
-        compiled = _compile_transform()
-    if name == "precession":
-        out = {"precession": scenario_precession(scenario_stream(seed, name))}
-    elif name == "topologies":
-        out = {"topologies": scenario_topologies()}
-    elif name == "transform_fringes":
-        out = {"transform_fringes": scenario_transform_fringes(scenario_stream(seed, name),
-                                                               compiled)}
-    elif name == "distributions":
-        rows, summary = scenario_distributions(scenario_stream(seed, name), compiled)
-        out = {"distributions": rows, "distribution_summary": summary}
-    else:
-        out = {"fidelity_table": scenario_fidelity_table(compiled)}
+    args = [] if stream is None else [scenario_stream(seed, name)]
+    if transform:
+        args.append(_compile_transform() if compiled is None else compiled)
+    # looked up at call time, so a wrapper set on the module attribute sees the call
+    out = globals()[f"scenario_{name}"](*args)
     for stem, records in out.items():
         emit_records(records, directory, stem)
     return out
@@ -426,6 +420,7 @@ class Scenario:
         except ProgramError as exc:
             raise HarnessError(str(exc)) from exc
         n = self.program.n_qubits
+        self.couplings = check_couplings(self.couplings, n, HarnessError)
         if self.input_state is None:
             self.input_state = "0" * n
         try:
@@ -455,59 +450,41 @@ def load_scenario_file(path):
     """
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise HarnessError(f"{path}: {exc}") from exc
-    if not read:
-        raise HarnessError(f"cannot read scenario file {path}")
-    if not parser.has_section("scenario"):
-        raise HarnessError(f"{path}: missing [scenario] section")
-    sec = parser["scenario"]
-    if "program" not in sec:
-        raise HarnessError(f"{path}: missing program path")
-    base = os.path.dirname(os.path.abspath(path))
+        if not parser.read(path):
+            raise OSError("cannot read scenario file")
+        if not parser.has_section("scenario"):
+            raise ValueError("missing [scenario] section")
+        sec = parser["scenario"]
+        if "program" not in sec:
+            raise ValueError("missing program path")
+        base = os.path.dirname(os.path.abspath(path))
 
-    def _resolve(rel):
-        return rel if os.path.isabs(rel) else os.path.join(base, rel)
+        def _resolve(rel):
+            return rel if os.path.isabs(rel) else os.path.join(base, rel)
 
-    program_path = _resolve(sec["program"])
-    try:
-        with open(program_path) as fh:
-            program = parse_program(fh.read())
-    except OSError as exc:
-        raise HarnessError(f"cannot read program file {program_path}: {exc}") from exc
-    except ProgramError as exc:
-        raise HarnessError(f"{program_path}: {exc}") from exc
-
-    topology = sec.get("topology", "")
-    if "couplings" in sec:
-        if topology:
-            raise HarnessError(f"{path}: topology needs a trap source, not couplings")
-        j = load_couplings(_resolve(sec["couplings"])).j
-    elif "trap" in sec:
-        config = TrapConfig.from_ini(_resolve(sec["trap"]))
-        j = coupling_matrix(config).j
-        if topology:
-            j = effective_couplings(j, _parse_topology_token(topology))
-    else:
-        raise HarnessError(f"{path}: need either couplings or trap")
-
-    try:
-        shots = sec.getint("shots", 0)
-        seed = sec.getint("seed", DEFAULT_SEED)
-        noise = sec.getboolean("noise", False)
-        pulse_duration = sec.getfloat("pulse_duration", 0.0)
+        program = load_program(_resolve(sec["program"]))
+        topology = sec.get("topology", "")
+        if "couplings" in sec:
+            if topology:
+                raise ValueError("topology needs a trap source, not couplings")
+            j = load_couplings(_resolve(sec["couplings"])).j
+        elif "trap" in sec:
+            j = coupling_matrix(TrapConfig.from_ini(_resolve(sec["trap"]))).j
+            if topology:
+                j = effective_couplings(j, _parse_topology_token(topology))
+        else:
+            raise ValueError("need either couplings or trap")
         return Scenario(
             name=sec.get("name", os.path.splitext(os.path.basename(path))[0]),
             program=program,
             couplings=j,
             input_state=sec.get("input"),
-            noise=noise,
-            shots=shots,
-            seed=seed,
-            pulse_duration=pulse_duration,
+            noise=sec.getboolean("noise", False),
+            shots=sec.getint("shots", 0),
+            seed=sec.getint("seed", DEFAULT_SEED),
+            pulse_duration=sec.getfloat("pulse_duration", 0.0),
         )
-    except ValueError as exc:
+    except (OSError, ValueError, configparser.Error) as exc:
         raise HarnessError(f"{path}: {exc}") from exc
 
 

@@ -286,3 +286,12 @@ def parse_program(text):
             if isinstance(q, int):
                 limit = max(limit, q + 1)
     return PulseProgram(n_qubits=limit, instructions=instructions, relabel=relabel)
+
+
+def load_program(path):
+    """Read and parse a program file; a text or grammar error names the file."""
+    with open(path) as fh:
+        try:
+            return parse_program(fh.read())
+        except ValueError as exc:  # a ProgramError, or text that is not UTF-8
+            raise ProgramError(f"{path}: {exc}") from exc

@@ -316,7 +316,6 @@ def compile_qft(j=None, form="exact", dd_scheme=None):
 
 @dataclass
 class PlanVerification:
-    process_fidelity: float
     basis_fidelities: np.ndarray
     superposition_fidelities: np.ndarray
 
@@ -336,7 +335,7 @@ def verify_plan(compiled):
     ref = reference_qft()
     kets = [product_input_ket(label) for label in PRODUCT_INPUTS]
     overlaps = np.array([state_fidelity(u @ v, ref @ v) for v in kets])
-    return PlanVerification(process_fidelity(ref, u), overlaps[:8], overlaps[8:])
+    return PlanVerification(overlaps[:8], overlaps[8:])
 
 
 def serial_baseline(j):

@@ -193,7 +193,10 @@ def test_save_load_round_trip(tmp_path):
 def test_load_rejects_asymmetric_matrix(tmp_path):
     path = tmp_path / "bad.txt"
     np.savetxt(path, np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad.txt: coupling J\[0, 1\]"):
+        load_couplings(path)
+    path.write_text("0 1\n1 x\n")
+    with pytest.raises(ValueError, match="bad.txt: could not convert"):
         load_couplings(path)
 
 
@@ -240,8 +243,17 @@ def test_from_ini_parses_and_reports_errors(tmp_path):
         bad = tmp_path / "mal.ini"
         bad.write_text("[trap]\nion_count = 3\nbias_field_t = many\n")
         TrapConfig.from_ini(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="missing.ini: config file not found"):
         TrapConfig.from_ini(tmp_path / "missing.ini")
+    # configparser's own errors and a rejected value name the file too
+    for text, message in (("ion_count = 3\n", "no section headers"),
+                          ("[trap]\nion_count = 3\n[trap]\n", "already exists"),
+                          ("[trap]\nion_count = 0\n", "ion_count must be an int"),
+                          ("[trap]\nion_count = 3\ng_factor = 50%\n", "'%'")):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.ini: .*{message}"):
+            TrapConfig.from_ini(bad)
 
 
 def test_config_validation():

@@ -58,6 +58,21 @@ def test_chain_bad_config(tmp_path, out_root, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_file_errors_name_the_file(tmp_path, program_file, j_file, out_root, capsys):
+    broken = tmp_path / "broken.pulse"
+    broken.write_text("# qubits: 3\nR 0 pi 0\nNOPE\n")
+    bad_j = tmp_path / "bad_j.txt"
+    bad_j.write_text("0 1 2\n1 0 x\n2 1 0\n")
+    headless = tmp_path / "headless.ini"
+    headless.write_text("ion_count = 3\n")
+    for argv, message in ((["run", str(broken), "--j", j_file], f"{broken}: line 3"),
+                          (["run", program_file, "--j", str(bad_j)], f"{bad_j}: could not"),
+                          (["compile-qft", "--j", str(bad_j)], f"{bad_j}: could not"),
+                          (["chain", str(headless)], f"{headless}: File contains no section")):
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_couplings_with_topology(trap_file, out_root):
     assert main(["couplings", trap_file, "--topology", "D"]) == 0
     j = load_couplings(out_root / "couplings_D.txt").j

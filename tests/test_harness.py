@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import importlib
 import json
 from pathlib import Path
 
@@ -287,6 +288,42 @@ def test_scenario_file_error_reporting(tmp_path):
         bad.write_text(f"[scenario]\nprogram = ok.pulse\ncouplings = j.txt\n{line}\n")
         with pytest.raises(harness.HarnessError, match=f"bad.ini: {message}"):
             harness.load_scenario_file(bad)
+
+
+def test_scenario_file_names_a_bad_coupling_source(tmp_path):
+    # a coupling source that does not fit the program fails at load, naming every file
+    (tmp_path / "one.pulse").write_text("# qubits: 1\nR 0 pi 0\n")
+    np.savetxt(tmp_path / "j2.txt", np.array([[0.0, 1.0], [1.0, 0.0]]))
+    np.savetxt(tmp_path / "asym.txt", np.array([[0.0, 1.0], [2.0, 0.0]]))
+    (tmp_path / "headless.ini").write_text("ion_count = 1\n")
+    (tmp_path / "twice.ini").write_text("[trap]\n[trap]\n")
+    (tmp_path / "zero.ini").write_text("[trap]\nion_count = 0\n")
+    bad = tmp_path / "bad.ini"
+    for source, message in (("couplings = j2.txt", r"shape \(2, 2\) is not \(1, 1\)"),
+                            ("couplings = asym.txt", r"asym.txt: coupling J\[0, 1\]"),
+                            ("trap = headless.ini", "headless.ini: File contains no section"),
+                            ("trap = twice.ini", "twice.ini: .*already exists"),
+                            ("trap = zero.ini", "zero.ini: ion_count must be an int")):
+        bad.write_text(f"[scenario]\nprogram = one.pulse\n{source}\n")
+        with pytest.raises(harness.HarnessError, match=f"bad.ini: .*{message}"):
+            harness.load_scenario_file(bad)
+    with pytest.raises(harness.HarnessError, match=r"shape \(2, 2\) is not \(1, 1\)"):
+        harness.Scenario("s", harness.PulseProgram(1, []), np.zeros((2, 2)))
+
+
+def test_traced_run_all_times_every_scenario(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps module attributes, so run_scenario must call each
+    # scenario through its module attribute for the per-scenario rows to read
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    tracer.begin(0)
+    try:
+        harness.run_all(tmp_path)
+    finally:
+        tracer.end()
+    rows = tracer.layer_metrics()
+    for layer in [f"scenario_{name}" for name in harness.SCENARIO_NAMES] + ["emit_records"]:
+        assert rows[f"harness.{layer}.ms"] > 0, layer
 
 
 def test_topologies_scenario_rows(full_run):

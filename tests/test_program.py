@@ -9,6 +9,7 @@ from magicforge.program import (
     PulseProgram,
     Rotate,
     TransferBasis,
+    load_program,
     parse_angle,
     parse_program,
 )
@@ -54,6 +55,18 @@ def test_parse_errors_carry_line_numbers():
         parse_program("R 0 pi 0\nMEAS 3\n")
     with pytest.raises(ProgramError, match="line 3: MEAS must be the last instruction"):
         parse_program("# qubits: 1\nMEAS\nR 0 pi 0")
+
+
+def test_load_program_names_the_file(tmp_path):
+    path = tmp_path / "p.pulse"
+    path.write_text("# qubits: 2\nR 1 pi 0\n")
+    assert load_program(path).to_text() == parse_program(path.read_text()).to_text()
+    path.write_text("R 0 pi 0\nNOPE\n")
+    with pytest.raises(ProgramError, match="p.pulse: line 2: unknown instruction"):
+        load_program(path)
+    path.write_bytes(b"R 0 pi 0\n\xff\n")
+    with pytest.raises(ProgramError, match="p.pulse: .*codec can't decode"):
+        load_program(path)
 
 
 def test_non_finite_values_are_rejected_where_they_enter():
