@@ -41,7 +41,7 @@ print("addressing offsets from the middle ion (MHz):",
 # The gradient makes the splittings position dependent, which is what lets
 # microwaves address single ions in frequency space and what generates the
 # spin-spin coupling in the first place.
-coupling = coupling_matrix(config, modes, zeeman)
+coupling = coupling_matrix(config, geometry)
 print()
 print("J / 2pi (Hz):")
 for row in coupling.j / (2 * np.pi):

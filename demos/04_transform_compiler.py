@@ -38,8 +38,7 @@ for form in ("exact", "optimized"):
     print(f"process fidelity vs DFT: {process_fidelity(u, reference):.10f}")
 
     check = verify_plan(compiled)
-    print(f"worst state fidelity over basis+superposition inputs:"
-          f" {min(check.basis_fidelities.min(), check.superposition_fidelities.min()):.6f}")
+    print(f"worst state fidelity over basis+superposition inputs: {check.min_fidelity:.6f}")
     print()
 
 total, steps = serial_baseline(j)

@@ -280,18 +280,15 @@ def zeeman_profile(config, geometry):
     )
 
 
-def coupling_matrix(config, modes=None, zeeman=None):
+def coupling_matrix(config, geometry=None):
     """Gradient-mediated Ising couplings J_ij (rad/s) for the configured chain.
 
-    Modes and Zeeman profile not passed in share one equilibrium solve.
+    `geometry` is the chain's `equilibrium_positions`, solved here when not given.
     """
-    if modes is None or zeeman is None:
+    if geometry is None:
         geometry = equilibrium_positions(config)
-        if modes is None:
-            modes = normal_modes(config, geometry)
-        if zeeman is None:
-            zeeman = zeeman_profile(config, geometry)
-    n = config.ion_count
+    modes = normal_modes(config, geometry)
+    zeeman = zeeman_profile(config, geometry)
     # eps_in = (d omega_i/dz) * (dz_n / nu_n) * S_in
     eps = (
         zeeman.gradient_rates[:, None]

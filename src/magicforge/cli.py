@@ -63,7 +63,7 @@ def _cmd_chain(args):
     geometry = equilibrium_positions(config)
     modes = normal_modes(config, geometry)
     zeeman = zeeman_profile(config, geometry)
-    couplings = coupling_matrix(config, modes, zeeman)
+    couplings = coupling_matrix(config, geometry)
     com = modes.frequencies[0]
     lines = [
         f"ions: {config.ion_count}, axial COM mode {com / (2 * np.pi) / 1e3:.3f} kHz, "
@@ -114,9 +114,7 @@ def _cmd_run(args):
         seed=args.seed if args.seed is not None else harness.DEFAULT_SEED,
     )
     records = harness.run_custom_scenario(scenario, output_root())
-    columns = ["state_label", "p_ideal", "p_simulated"]
-    if args.shots:
-        columns += ["p_simulated_noisy", "counts"]
+    columns = [c for c in records[0].values if c != "input"]  # the histogram's own layout
     print("  ".join(f"{c:>17s}" for c in columns))
     for rec in records:
         cells = []

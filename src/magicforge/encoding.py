@@ -38,6 +38,10 @@ class EncodingError(ValueError):
     pass
 
 
+# The text symbol of each encoding, as `parse_topology` reads it and `str` writes it.
+_SYMBOLS = {BASIS_SIGMA_MINUS: "-", BASIS_SIGMA_PLUS: "+", BASIS_PI: "0"}
+
+
 @dataclass
 class TopologyAssignment:
     bases: tuple
@@ -53,20 +57,18 @@ class TopologyAssignment:
         return np.array([MF[b] for b in self.bases])
 
     def __str__(self):
-        sym = {BASIS_SIGMA_MINUS: "-", BASIS_SIGMA_PLUS: "+", BASIS_PI: "0"}
-        return ",".join(sym[b] for b in self.bases)
+        return ",".join(_SYMBOLS[b] for b in self.bases)
 
 
 def parse_topology(text):
-    """Parse a compact topology string like '-,+,0' into a TopologyAssignment."""
-    mapping = {"-": BASIS_SIGMA_MINUS, "+": BASIS_SIGMA_PLUS, "0": BASIS_PI}
-    bases = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok not in mapping:
-            raise EncodingError(f"bad topology token {tok!r}; use -, + or 0")
-        bases.append(mapping[tok])
-    return TopologyAssignment(tuple(bases))
+    """A preset letter (see `topology_preset`) or a per-qubit list like '-,+,0'."""
+    if text.strip().upper() in _PRESETS:
+        return topology_preset(text.strip())
+    bases = {sym: basis for basis, sym in _SYMBOLS.items()}
+    try:
+        return TopologyAssignment(tuple(bases[tok.strip()] for tok in text.split(",")))
+    except KeyError as exc:
+        raise EncodingError(f"bad topology token {exc.args[0]!r}; use -, + or 0") from None
 
 
 # Encodings of ions 0, 1, 2 in each named preset.

@@ -62,14 +62,14 @@ from .metrics import (
     statistical_overlap,
 )
 from .program import (
-    BASIS_PI,
+    BASIS_SIGMA_MINUS,
     ProgramError,
     PulseProgram,
     TransferBasis,
     check_name,
     load_program,
 )
-from .qft import calibrated_couplings, compile_qft, reference_qft
+from .qft import compile_qft, reference_qft
 
 DEFAULT_SEED = 20260816
 
@@ -80,7 +80,6 @@ class HarnessError(ValueError):
 
 @dataclass
 class RunRecord:
-    scenario: str
     label: str
     values: dict
 
@@ -134,7 +133,7 @@ def scenario_precession(rng):
             rate = expected_precession_rate(j, 0, spect)
             phase_pred = _wrap(-np.pi + rate * duration)
             records.append(RunRecord(
-                "precession", f"T={t_ms}ms n={bits}",
+                f"T={t_ms}ms n={bits}",
                 {
                     "duration_ms": float(t_ms),
                     "neighbours": bits,
@@ -149,42 +148,31 @@ def scenario_precession(rng):
     return {"precession": records}
 
 
+def _topology_row(label, j, assignment, rate_hz="", contrast=""):
+    """One topologies row: the couplings (Hz) that `assignment` leaves of `j`."""
+    eff = effective_couplings(j, assignment) / (2 * np.pi)
+    return RunRecord(label, {"assignment": str(assignment), "j01_hz": eff[0, 1],
+                             "j02_hz": eff[0, 2], "j12_hz": eff[1, 2],
+                             "rate_hz": rate_hz, "contrast": contrast})
+
+
 def scenario_topologies():
     """Preset coupling patterns, plus parked-neighbour precession rates."""
     j = demo_couplings()
-    records = []
-    for label in "ABCDE":
-        preset = topology_preset(label)
-        eff = effective_couplings(j, preset)
-        records.append(RunRecord(
-            "topologies", f"preset {label}",
-            {
-                "assignment": str(preset),
-                "j01_hz": eff[0, 1] / (2 * np.pi),
-                "j02_hz": eff[0, 2] / (2 * np.pi),
-                "j12_hz": eff[1, 2] / (2 * np.pi),
-                "rate_hz": "",
-                "contrast": "",
-            }))
+    records = [_topology_row(f"preset {label}", j, topology_preset(label)) for label in "ABCDE"]
     duration = 1e-3
     noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
-    for park, tag in ((None, "both neighbours active"), (2, "outer neighbour parked")):
+    for tag, text in (("both neighbours active", "-,-,-"), ("outer neighbour parked", "-,-,0")):
+        assignment = parse_topology(text)
         probe = ramsey_program(0, duration, {1: 1, 2: 1}, 20)
-        if park is not None:
-            probe.instructions.insert(-1, TransferBasis(park, BASIS_PI))
+        # every run starts in sigma-, so only the other encodings need a transfer before the wait
+        probe.instructions[-1:-1] = [TransferBasis(q, basis)
+                                     for q, basis in enumerate(assignment.bases)
+                                     if basis != BASIS_SIGMA_MINUS]
         p = fringe_scan(run_program(probe, j, noise=noise).state, 0, _PHASES)
         fit = ramsey_fit(_PHASES, p)
         rate = -_wrap(fit.phase - (-np.pi)) / duration
-        records.append(RunRecord(
-            "topologies", tag,
-            {
-                "assignment": "-,-,-" if park is None else "-,-,0",
-                "j01_hz": j[0, 1] / (2 * np.pi),
-                "j02_hz": 0.0 if park == 2 else j[0, 2] / (2 * np.pi),
-                "j12_hz": 0.0 if park == 2 else j[1, 2] / (2 * np.pi),
-                "rate_hz": rate / (2 * np.pi),
-                "contrast": fit.contrast,
-            }))
+        records.append(_topology_row(tag, j, assignment, rate / (2 * np.pi), fit.contrast))
     return {"topologies": records}
 
 
@@ -199,21 +187,34 @@ def _compile_transform():
     return compile_qft(form="optimized", dd_scheme="kdd")
 
 
+def _ideal_output(label):
+    """The ideal transform's output ket for the product input `label`."""
+    return reference_qft() @ product_input_ket(label)
+
+
+def _ion_fidelities(state, factors, perm):
+    """Fidelity of each ion's reduced state against its ideal factor, in ion order.
+
+    Slot s of the finished register holds ion perm[s] and is compared with factors[s].
+    """
+    return [state_fidelity(state.reduced_density([slot]), factors[slot])
+            for slot in np.argsort(perm)]
+
+
 def scenario_transform_fringes(rng, compiled):
     """Per-ion fringes, 150 shots per phase, on the compiled transform's output for |010>."""
     shots = 150
     noise = NoiseModel(readout_fidelity=1.0)
     [res] = _transform_runs(["010"], compiled, noise)
-    ideal = reference_qft() @ product_input_ket("010")
-    factors = factor_product_state(ideal, 3)
+    factors = factor_product_state(_ideal_output("010"), 3)
     perm = compiled.program.relabel
+    reduced = _ion_fidelities(res.state, factors, perm)
     records = []
-    for slot in range(3):
-        ion = perm[slot]
+    for slot, ion in enumerate(perm):  # the shots are drawn in slot order
         fit = _sampled_fit(rng, res.state, slot, shots)
         phi_star = fringe_phase_for(equatorial_phase(factors[slot]))
         records.append(RunRecord(
-            "transform_fringes", f"ion {ion}",
+            f"ion {ion}",
             {
                 "ion": ion,
                 "contrast": fit.contrast,
@@ -221,12 +222,33 @@ def scenario_transform_fringes(rng, compiled):
                 "phase": fit.phase,
                 "phase_ideal": _wrap(phi_star),
                 "fringe_fidelity": fringe_fidelity(fit, phi_star),
-                "reduced_fidelity": state_fidelity(res.state.reduced_density([slot]),
-                                                   factors[slot]),
+                "reduced_fidelity": reduced[ion],
                 "shots_per_point": shots,
             }))
     records.sort(key=lambda r: r.values["ion"])
     return {"transform_fringes": records}
+
+
+def _histogram(label, p_ideal, p_model, counts=None):
+    """Outcome-histogram rows of the product input `label`, one per outcome.
+
+    With `counts` (sampled shots per outcome) each row also carries the sampled
+    frequency as p_simulated_noisy and its count.
+    """
+    n = len(label)
+    p_sampled = None if counts is None else counts / counts.sum()
+    rows = []
+    for k in range(2**n):
+        state = format(k, f"0{n}b")
+        values = {"input": label, "state_label": state}
+        if counts is not None:
+            values["p_simulated_noisy"] = p_sampled[k]
+        values["p_ideal"] = p_ideal[k]
+        values["p_simulated"] = p_model[k]
+        if counts is not None:
+            values["counts"] = int(counts[k])
+        rows.append(RunRecord(f"{label} -> {state}", values))
+    return rows
 
 
 DISTRIBUTION_INPUTS = ("111", "+11", "++1", "+++")
@@ -240,22 +262,12 @@ def scenario_distributions(rng, compiled):
     for label, res in zip(DISTRIBUTION_INPUTS,
                           _transform_runs(DISTRIBUTION_INPUTS, compiled, noise)):
         p_model = measurement_probabilities(res.state, noise)
-        p_ideal = np.abs(reference_qft() @ product_input_ket(label)) ** 2
+        p_ideal = np.abs(_ideal_output(label)) ** 2
         counts = sample_counts(p_model, shots, rng)
+        rows += _histogram(label, p_ideal, p_model, counts)
         p_emp = counts / shots
-        for k in range(8):
-            rows.append(RunRecord(
-                "distributions", f"{label} -> {format(k, '03b')}",
-                {
-                    "input": label,
-                    "state_label": format(k, "03b"),
-                    "p_simulated_noisy": p_emp[k],
-                    "p_ideal": p_ideal[k],
-                    "p_simulated": p_model[k],
-                    "counts": int(counts[k]),
-                }))
         summary.append(RunRecord(
-            "distribution_summary", label,
+            label,
             {
                 "input": label,
                 "sso": statistical_overlap(p_emp, p_ideal),
@@ -268,31 +280,25 @@ def scenario_distributions(rng, compiled):
 def scenario_fidelity_table(compiled):
     """Direct and rotation-protocol fidelities of the transform, all 15 inputs."""
     noise = NoiseModel(readout_fidelity=1.0)
-    ref = reference_qft()
     perm = compiled.program.relabel
     records = []
     for label, res in zip(PRODUCT_INPUTS, _transform_runs(PRODUCT_INPUTS, compiled, noise)):
-        ideal = ref @ product_input_ket(label)
-        direct = state_fidelity(res.state, ideal)
+        ideal = _ideal_output(label)
         values = {
             "input": label,
-            "fidelity": direct,
+            "fidelity": state_fidelity(res.state, ideal),
             "benchmark": 1 if label == "010" else 0,
         }
         try:
             factors = factor_product_state(ideal, 3)
-            per_ion = {}
-            for slot in range(3):
-                per_ion[perm[slot]] = state_fidelity(
-                    res.state.reduced_density([slot]), factors[slot])
-            values["rotation_fidelity"] = fidelity_via_local_rotation(res.state.rho, factors)
-            for ion in range(3):
-                values[f"f_ion{ion}"] = per_ion[ion]
-        except MetricsError:
-            values["rotation_fidelity"] = float("nan")
-            for ion in range(3):
-                values[f"f_ion{ion}"] = float("nan")
-        records.append(RunRecord("fidelity_table", label, values))
+        except MetricsError:  # an entangled output has no per-ion factors
+            rotation, per_ion = float("nan"), [float("nan")] * 3
+        else:
+            rotation = fidelity_via_local_rotation(res.state.rho, factors)
+            per_ion = _ion_fidelities(res.state, factors, perm)
+        values["rotation_fidelity"] = rotation
+        values.update((f"f_ion{ion}", fidelity) for ion, fidelity in enumerate(per_ion))
+        records.append(RunRecord(label, values))
     return {"fidelity_table": records}
 
 
@@ -318,7 +324,7 @@ def emit_records(records, directory, stem):
                 columns.append(key)
     csv_path = os.path.join(directory, f"{stem}.csv")
     json_path = os.path.join(directory, f"{stem}.json")
-    rows = [{"scenario": rec.scenario, "label": rec.label, **rec.values} for rec in records]
+    rows = [{"scenario": stem, "label": rec.label, **rec.values} for rec in records]
     lines = [",".join(_csv_escape(c) for c in columns)]
     lines += [",".join(_csv_escape(_cell(row.get(c))) for c in columns) for row in rows]
     with open(csv_path, "w") as fh:
@@ -352,10 +358,9 @@ _BUILTINS = {
 SCENARIO_NAMES = tuple(_BUILTINS)
 
 
-def scenario_stream(seed, name):
-    """The counter-based generator a named sampling scenario owns under `seed`."""
-    # child i of SeedSequence(seed).spawn(k), whatever k is
-    child = np.random.SeedSequence(seed, spawn_key=(_BUILTINS[name][1],))
+def _stream(seed, *spawn_key):
+    """Philox generator of SeedSequence(seed, spawn_key): key (i,) is child i of any spawn."""
+    child = np.random.SeedSequence(seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(child))
 
 
@@ -377,7 +382,7 @@ def run_scenario(name, directory, seed=DEFAULT_SEED, compiled=None):
     name = resolve_scenario_name(name)
     _, stream, transform = _BUILTINS[name]
     os.makedirs(directory, exist_ok=True)
-    args = [] if stream is None else [scenario_stream(seed, name)]
+    args = [] if stream is None else [_stream(seed, stream)]
     if transform:
         args.append(_compile_transform() if compiled is None else compiled)
     # looked up at call time, so a wrapper set on the module attribute sees the call
@@ -448,7 +453,7 @@ def load_scenario_file(path):
     name (one line, no path separator, not . or ..; also the output file stem),
     pulse_duration.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         if not parser.read(path):
             raise OSError("cannot read scenario file")
@@ -471,7 +476,7 @@ def load_scenario_file(path):
         elif "trap" in sec:
             j = coupling_matrix(TrapConfig.from_ini(_resolve(sec["trap"]))).j
             if topology:
-                j = effective_couplings(j, _parse_topology_token(topology))
+                j = effective_couplings(j, parse_topology(topology))
         else:
             raise ValueError("need either couplings or trap")
         return Scenario(
@@ -488,38 +493,18 @@ def load_scenario_file(path):
         raise HarnessError(f"{path}: {exc}") from exc
 
 
-def _parse_topology_token(token):
-    if len(token) == 1 and token.upper() in "ABCDE":
-        return topology_preset(token.upper())
-    return parse_topology(token)
-
-
 def run_custom_scenario(scenario, directory):
     """Execute a file-defined scenario; write its histogram; return the records."""
     os.makedirs(directory, exist_ok=True)
     noise = NoiseModel() if scenario.noise else NoiseModel.off()
-    n = scenario.program.n_qubits
     prep = product_input_pulses(scenario.input_state)
     [res] = run_batch(scenario.program, scenario.couplings, [prep], noise=noise,
                       pulse_duration=scenario.pulse_duration)
     p_model = measurement_probabilities(res.state, noise)
     [ideal] = run_batch(scenario.program, scenario.couplings, [prep], noise=NoiseModel.off())
-    p_ideal = ideal.state.populations()
-    records = []
+    counts = None
     if scenario.shots:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(scenario.seed)))
-        counts = sample_counts(p_model, scenario.shots, rng)
-        p_emp = counts / scenario.shots
-    for k in range(2**n):
-        values = {
-            "input": scenario.input_state,
-            "state_label": format(k, f"0{n}b"),
-            "p_ideal": p_ideal[k],
-            "p_simulated": p_model[k],
-        }
-        if scenario.shots:
-            values["p_simulated_noisy"] = p_emp[k]
-            values["counts"] = int(counts[k])
-        records.append(RunRecord(scenario.name, values["state_label"], values))
+        counts = sample_counts(p_model, scenario.shots, _stream(scenario.seed))
+    records = _histogram(scenario.input_state, ideal.state.populations(), p_model, counts)
     emit_records(records, directory, scenario.name)
     return records

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import rotation_2x2
+from .gates import product_ket, rotation_2x2
 
 
 class MetricsError(ValueError):
@@ -191,11 +191,9 @@ def fidelity_via_local_rotation(state, target):
     rho = _as_rho(state)
     if len(target) != int(np.log2(rho.shape[0])):
         raise MetricsError("need one target factor per qubit")
-    full = np.array([[1.0 + 0.0j]])
-    for op in disentangling_rotations(target):
-        full = np.kron(full, op)
-    rotated = full @ rho @ full.conj().T
-    return float(np.real(rotated[0, 0]))
+    # the |00...0> population after the pulses R_k is <v|rho|v>, v = (x)_k R_k^dag |0>
+    v = product_ket([op[0].conj() for op in disentangling_rotations(target)])
+    return float(np.real(v.conj() @ rho @ v))
 
 
 @dataclass

@@ -103,8 +103,7 @@ class FreeEvolve:
             raise ProgramError(f"free evolution duration must be >= 0, got {self.duration}")
         if self.dd_pulses < 0:
             raise ProgramError("dd_pulses must be >= 0")
-        if self.dd_pulses:
-            check_decoupling(self.dd_pulses, self.dd_scheme)
+        check_decoupling(self.dd_pulses, self.dd_scheme)
 
 
 @dataclass
@@ -232,9 +231,9 @@ def _read_operand(name, token, limit):
 def parse_program(text):
     """Parse the text grammar; raises ProgramError with the offending line number.
 
-    The register is the `# qubits: N` declared before the first instruction,
-    else the smallest that holds every index; a declared register bounds every
-    qubit index and the RELABEL permutation.
+    The register is the `# qubits: N` declared once before the first
+    instruction, else the smallest that holds every index and the one RELABEL
+    permutation; a declared register bounds every qubit index and the RELABEL.
     """
     instructions = []
     relabel = None
@@ -248,6 +247,8 @@ def parse_program(text):
             if instructions or relabel is not None:
                 raise ProgramError(f"line {line_no}: register declared after the first "
                                    "instruction")
+            if limit is not None:
+                raise ProgramError(f"line {line_no}: register declared twice")
             limit = int(value)
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -256,10 +257,14 @@ def parse_program(text):
         op = word.upper()
         try:
             if op == "RELABEL":
+                if relabel is not None:
+                    raise ProgramError("RELABEL given twice")
                 relabel = tuple(int(t) for t in operands)
-                if limit is not None and sorted(relabel) != list(range(limit)):
+                # without a declared register it must permute 0..k-1 for its own length k
+                width = limit or max(len(relabel), 1)
+                if sorted(relabel) != list(range(width)):
                     raise ProgramError(f"RELABEL {' '.join(operands)} is not a permutation "
-                                       f"of 0..{limit - 1}")
+                                       f"of 0..{width - 1}")
                 continue
             if instructions and isinstance(instructions[-1], Measure):
                 raise ProgramError("MEAS must be the last instruction")

@@ -165,8 +165,7 @@ def test_coupling_matrix_solves_equilibrium_once(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     geometry = solve(config)
-    coupling_matrix(config, modes=normal_modes(config, geometry),
-                    zeeman=zeeman_profile(config, geometry))
+    coupling_matrix(config, geometry)
     assert len(calls) == 0
 
 

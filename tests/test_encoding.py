@@ -49,8 +49,13 @@ def test_parse_topology_round_trips():
     assert assignment.bases == (BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS, BASIS_PI)
     assert str(assignment) == "-,+,0"
     assert assignment.mf.tolist() == [-1, 1, 0]
-    with pytest.raises(EncodingError):
+    for label in "ABCDE":  # a preset letter reads as its assignment, in either case
+        preset = topology_preset(label)
+        assert parse_topology(f" {label.lower()} ") == preset == parse_topology(str(preset))
+    with pytest.raises(EncodingError, match="bad topology token 'x'"):
         parse_topology("-,x,0")
+    with pytest.raises(EncodingError, match="bad topology token 'F'"):
+        parse_topology("F")
 
 
 def test_assignment_validates_bases():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import importlib
 import json
@@ -170,9 +171,8 @@ def test_distribution_summary_has_overlap_columns(full_run):
 
 def test_empty_record_list_gives_header_only_files(tmp_path):
     csv_path, json_path = harness.emit_records([], tmp_path, "empty")
-    csv_text = open(csv_path).read()
-    assert csv_text == "scenario,label\n"
-    assert json.loads(open(json_path).read()) == []
+    assert Path(csv_path).read_text() == "scenario,label\n"
+    assert json.loads(Path(json_path).read_text()) == []
 
 
 def test_alias_resolution():
@@ -215,6 +215,33 @@ def test_custom_scenario_round_trip(tmp_path):
     # deterministic across repeats
     again = harness.run_custom_scenario(scenario, tmp_path / "out2")
     assert [r.values["counts"] for r in again] == [r.values["counts"] for r in records]
+
+
+def test_custom_run_writes_the_distributions_layout(tmp_path):
+    # one histogram layout: input, state_label, [p_simulated_noisy,] p_ideal,
+    # p_simulated, [counts], each row labelled "<input> -> <state>"
+    scenario = harness.load_scenario_file(write_scenario_files(tmp_path))
+    records = harness.run_custom_scenario(scenario, tmp_path / "shots")
+    analytic = harness.run_custom_scenario(dataclasses.replace(scenario, shots=0),
+                                           tmp_path / "analytic")
+    assert (tmp_path / "shots" / "custom.csv").read_text().splitlines()[0] == (
+        "scenario,label,input,state_label,p_simulated_noisy,p_ideal,p_simulated,counts")
+    assert (tmp_path / "analytic" / "custom.csv").read_text().splitlines()[0] == (
+        "scenario,label,input,state_label,p_ideal,p_simulated")
+    assert [rec.label for rec in records] == [f"011 -> {k:03b}" for k in range(8)]
+    for rec, plain in zip(records, analytic):
+        assert rec.values["p_simulated_noisy"] == rec.values["counts"] / 100
+        assert {k: v for k, v in rec.values.items()
+                if k not in ("p_simulated_noisy", "counts")} == plain.values
+
+
+def test_scenario_file_reads_inline_comments_as_a_trap_file_does(tmp_path):
+    write_scenario_files(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        "[scenario]\nprogram = p.pulse ; the probe\ncouplings = j.txt\n"
+        "shots = 5 ; five\nseed = 3  # three\n")
+    scenario = harness.load_scenario_file(tmp_path / "c.ini")
+    assert (scenario.shots, scenario.seed) == (5, 3)
 
 
 def test_custom_scenario_without_shots_is_analytic(tmp_path):

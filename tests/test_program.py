@@ -55,6 +55,18 @@ def test_parse_errors_carry_line_numbers():
         parse_program("R 0 pi 0\nMEAS 3\n")
     with pytest.raises(ProgramError, match="line 3: MEAS must be the last instruction"):
         parse_program("# qubits: 1\nMEAS\nR 0 pi 0")
+    with pytest.raises(ProgramError, match="line 2: unknown decoupling scheme 'foo'"):
+        parse_program("R 0 pi 0\nEV 1e-3 dd=0,foo\n")
+    with pytest.raises(ProgramError, match="unknown decoupling scheme 'bogus'"):
+        FreeEvolve(1e-3, 0, "bogus")
+    with pytest.raises(ProgramError, match="line 2: register declared twice"):
+        parse_program("# qubits: 2\n# qubits: 3\nR 0 pi 0\n")
+    with pytest.raises(ProgramError, match="line 3: RELABEL given twice"):
+        parse_program("# qubits: 2\nRELABEL 1 0\nRELABEL 0 1\n")
+    with pytest.raises(ProgramError, match="line 2: RELABEL 0 0 is not a permutation of 0..1"):
+        parse_program("R 0 pi 0\nRELABEL 0 0\n")
+    with pytest.raises(ProgramError, match="line 1: RELABEL +is not a permutation of 0..0"):
+        parse_program("RELABEL\n")
 
 
 def test_load_program_names_the_file(tmp_path):
