@@ -19,11 +19,14 @@ sigma- <-> sigma+ transfer is not a native block and must pass through pi.
 
 One walk over a program (`_walk`) resolves every instruction into a pulse
 (qubit and 2x2 operator) or a window (duration and Ising phases under the
-encodings in force), tracking transfers and bounding qubit indices on the way.
-Every run applies the steps to a stack rho[b] of density matrices (`_run`);
-`program_unitary` multiplies them into the ideal unitary. A pulse is never
-lifted to a 2^n x 2^n matrix: `_apply_local` applies its 2x2 operator on the
-qubit's axis. Registers are capped at MAX_QUBITS; entering density matrices
+encodings in force), tracking transfers and bounding qubit indices on the way;
+a decoupling train resolves each distinct pulse operator and window once.
+Every run applies the steps in place to a stack rho[b] of density matrices
+(`_run`); `program_unitary` multiplies them into the ideal unitary. A pulse is
+never lifted to 2^n x 2^n: `_apply_pulse` applies its 2x2 operator on the
+qubit's axis through one scratch stack. A window's phase factor and damp are
+built once per train, the damp as a gather at a ^ b (it depends only on which
+bits differ). Registers are capped at MAX_QUBITS; entering density matrices
 are checked.
 
 `run_program` is the one-slice case of that run. `run_batch` runs one program
@@ -43,7 +46,7 @@ applied to outcome distributions only, never to the state.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -237,18 +240,14 @@ def prepare_state(n_qubits, spec=None):
     return QuantumState(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
 
 
-def _apply_local(a, op, qubit):
-    """(op on `qubit`) @ a: contract the 2x2 `op` against that qubit's axis of the rows
-    of a, one matrix or each matrix of a stack a[b]."""
-    return np.matmul(op, a.reshape(a.shape[:-2] + (2**qubit, 2, -1))).reshape(a.shape)
-
-
-def _conjugate(rho, op, qubit):
-    """op rho op^dagger, the right factor as op* on the rows of rho^T: this order
-    matches the dense product with op lifted to 2^n x 2^n bit for bit on 2-7 qubits.
-    A stack rho[b] is transposed matrix by matrix (on one matrix the swap is .T)."""
-    rho_t = np.ascontiguousarray(np.swapaxes(_apply_local(rho, op, qubit), -1, -2))
-    return np.ascontiguousarray(np.swapaxes(_apply_local(rho_t, op.conj(), qubit), -1, -2))
+def _apply_pulse(rho, scratch, op, qubit):
+    """rho <- op rho op^dagger in place through `scratch` (contiguous, rho's shape): op on
+    the rows, then op* on the rows of rho^T, each a matmul into scratch and a transposed
+    copy back. This order matches the dense 2^n x 2^n product bit for bit on 2-7 qubits."""
+    shape = rho.shape[:-2] + (2**qubit, 2, -1)
+    for m in (op, op.conj()):
+        np.matmul(m, rho.reshape(shape), out=scratch.reshape(shape))
+        np.copyto(rho, scratch.swapaxes(-1, -2))
 
 
 def apply_rotation(state, qubit, theta, phi=0.0):
@@ -257,7 +256,8 @@ def apply_rotation(state, qubit, theta, phi=0.0):
     A public per-step kernel: `run_program` does not go through it.
     """
     _check_qubit(qubit, state.n_qubits)
-    state.rho = _conjugate(state.rho, rotation_2x2(theta, phi), qubit)
+    state.rho = state.rho.copy()
+    _apply_pulse(state.rho, np.empty_like(state.rho), rotation_2x2(theta, phi), qubit)
 
 
 def _window_phases(j, state, duration):
@@ -269,29 +269,31 @@ def _window_phases(j, state, duration):
     return free_phases(j * np.outer(s, s), duration, s.size)
 
 
-@cache
-def _bit_differs(n_qubits):
-    """Read-only (2^n, 2^n, n) mask: does qubit k's bit differ between basis states a and b."""
-    bits = bit_table(n_qubits)
-    differs = bits[:, None, :] != bits[None, :, :]
-    differs.setflags(write=False)
-    return differs
+def _by_xor(values):
+    """(2^n, 2^n) table values[a ^ b]: at (a, b), a function of which bits differ."""
+    i = np.arange(values.size)
+    return values[i[:, None] ^ i]
 
 
-def _dephase(state, duration, noise):
+def _damp(bases, duration, noise):
+    """(damp,): exp(-T sum_k gamma_k) over the qubits k whose bits differ; () if none dephase."""
     if not (duration > 0 and (noise.sigma_dephasing_rate or noise.pi_dephasing_rate)):
-        return
-    rates = np.array([noise.rate_for(b) for b in state.bases])
-    damp = np.exp(-duration * (_bit_differs(state.n_qubits) * rates).sum(axis=-1))
-    state.rho = state.rho * damp
+        return ()
+    rates = np.array([noise.rate_for(b) for b in bases])
+    return (_by_xor(np.exp(-duration * (bit_table(len(bases)) * rates).sum(axis=-1))),)
 
 
-def _window(state, duration, phases, noise):
-    """The window kernel: Ising phases, dephasing, then the clock."""
-    u = np.exp(1j * phases)
-    state.rho = state.rho * np.outer(u, u.conj())
-    _dephase(state, duration, noise)
-    state.time += duration
+def _window_factors(window, bases, noise):
+    """The window's Ising phase factor outer(u, u*), then its damp if any."""
+    u = np.exp(1j * window.phases)
+    return (np.outer(u, u.conj()),) + _damp(bases, window.duration, noise)
+
+
+def _evolve(frame, duration, factors):
+    """The window kernel, in place: each factor in turn, then the clock."""
+    for factor in factors:
+        frame.rho *= factor
+    frame.time += duration
 
 
 def free_evolution(state, duration, j, noise=None):
@@ -302,7 +304,9 @@ def free_evolution(state, duration, j, noise=None):
     if not 0.0 <= duration < np.inf:
         raise EngineError(f"window duration must be finite and >= 0, got {duration}")
     j = check_couplings(j, state.n_qubits, EngineError)
-    _window(state, duration, _window_phases(j, state, duration), noise or NoiseModel.off())
+    window = _Window(duration, _window_phases(j, state, duration))
+    state.rho = state.rho.copy()
+    _evolve(state, duration, _window_factors(window, state.bases, noise or NoiseModel.off()))
 
 
 def transfer_basis(state, qubit, target):
@@ -362,8 +366,10 @@ class _Pulse(NamedTuple):
     driven: bool
 
 
-class _Window(NamedTuple):
-    """A resolved window: its duration and the Ising phase of each basis state."""
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """A resolved window: its duration and the Ising phase of each basis state.
+    Hashed by identity, as a train repeats the same object."""
     duration: float
     phases: np.ndarray
 
@@ -404,8 +410,7 @@ def _walk(program, j, frame):
         elif isinstance(ins, PhaseShift):
             yield _Pulse(ins.qubit, phase_2x2(ins.phi), False)
         elif isinstance(ins, FreeEvolve) and ins.dd_pulses:
-            yield from _walk(dd_fragment(ins.duration, ins.dd_pulses, ins.dd_scheme,
-                                         program.n_qubits), j, frame)
+            yield from _train(ins, program.n_qubits, j, frame)
         elif isinstance(ins, FreeEvolve):
             yield _Window(ins.duration, _window_phases(j, frame, ins.duration))
         elif isinstance(ins, TransferBasis):
@@ -414,6 +419,16 @@ def _walk(program, j, frame):
             measured = True
         else:
             raise ProgramError(f"cannot execute instruction {ins!r}")
+
+
+def _train(ins, n_qubits, j, frame):
+    """A decoupled window's steps in `dd_fragment`'s order, each distinct pi-pulse operator
+    and window (tau/2, tau) resolved once: a repeated window is the same `_Window` object."""
+    op = cache(lambda phi: rotation_2x2(np.pi, phi))
+    window = cache(lambda duration: _Window(duration, _window_phases(j, frame, duration)))
+    for sub in dd_fragment(ins.duration, ins.dd_pulses, ins.dd_scheme, n_qubits).instructions:
+        yield (_Pulse(sub.qubit, op(sub.phi), True) if isinstance(sub, Rotate)
+               else window(sub.duration))
 
 
 @dataclass
@@ -433,15 +448,18 @@ def _slice(state):
 
 
 def _run_steps(frame, program, j, noise, pulse_duration):
-    """Apply `program`'s steps to the stack frame.rho and each slice's clock."""
+    """Apply `program`'s steps in place to the stack frame.rho and each slice's clock. The
+    last two distinct windows' factors are kept (a train has two), a pulse's damp per encoding."""
+    scratch = np.empty_like(frame.rho)
+    window_factors = lru_cache(2)(lambda window, bases: _window_factors(window, bases, noise))
+    pulse_damp = cache(lambda bases: _damp(bases, pulse_duration, noise))
     for step in _walk(program, j, frame):
         if isinstance(step, _Window):
-            _window(frame, step.duration, step.phases, noise)
+            _evolve(frame, step.duration, window_factors(step, frame.bases))
         else:
-            frame.rho = _conjugate(frame.rho, step.op, step.qubit)
+            _apply_pulse(frame.rho, scratch, step.op, step.qubit)
             if step.driven and pulse_duration > 0:
-                _dephase(frame, pulse_duration, noise)
-                frame.time += pulse_duration
+                _evolve(frame, pulse_duration, pulse_damp(frame.bases))
 
 
 def _run(frame, program, j, noise, pulse_duration):
@@ -521,7 +539,8 @@ def program_unitary(program, j):
         if isinstance(step, _Window):
             u = np.exp(1j * step.phases)[:, None] * u
         else:
-            u = _apply_local(u, step.op, step.qubit)
+            # the 2x2 op on the qubit's axis of the rows of u
+            u = np.matmul(step.op, u.reshape(2**step.qubit, 2, -1)).reshape(u.shape)
     if program.relabel is not None:
         u = u[relabel_index(program.relabel)]
     return u
@@ -530,7 +549,7 @@ def program_unitary(program, j):
 def apply_readout_confusion(p, fidelity, n_qubits):
     """Symmetric per-qubit classical bit-flip channel on an outcome distribution."""
     p = np.asarray(p, dtype=float)
-    flips = _bit_differs(n_qubits).sum(axis=-1)
+    flips = _by_xor(bit_table(n_qubits).sum(axis=-1))
     c = fidelity ** (n_qubits - flips) * (1 - fidelity) ** flips
     return c @ p
 

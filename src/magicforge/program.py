@@ -260,11 +260,7 @@ def parse_program(text):
                 if relabel is not None:
                     raise ProgramError("RELABEL given twice")
                 relabel = tuple(int(t) for t in operands)
-                # without a declared register it must permute 0..k-1 for its own length k
-                width = limit or max(len(relabel), 1)
-                if sorted(relabel) != list(range(width)):
-                    raise ProgramError(f"RELABEL {' '.join(operands)} is not a permutation "
-                                       f"of 0..{width - 1}")
+                relabel_line = line_no
                 continue
             if instructions and isinstance(instructions[-1], Measure):
                 raise ProgramError("MEAS must be the last instruction")
@@ -290,6 +286,10 @@ def parse_program(text):
             q = getattr(ins, "qubit", None)
             if isinstance(q, int):
                 limit = max(limit, q + 1)
+    # checked against the final register, which a later instruction may widen
+    if relabel is not None and sorted(relabel) != list(range(limit)):
+        raise ProgramError(f"line {relabel_line}: RELABEL {' '.join(map(str, relabel))} "
+                           f"is not a permutation of 0..{limit - 1}")
     return PulseProgram(n_qubits=limit, instructions=instructions, relabel=relabel)
 
 

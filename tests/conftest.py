@@ -3,8 +3,17 @@ import pytest
 from hypothesis import settings
 
 from magicforge import calibrated_couplings
-from magicforge.gates import ID2, free_phases
-from magicforge.program import FreeEvolve, PulseProgram, Rotate
+from magicforge.engine import dd_fragment
+from magicforge.gates import ID2, bit_table, free_phases, phase_2x2, relabel_index, rotation_2x2
+from magicforge.program import (
+    MF,
+    Echo,
+    FreeEvolve,
+    PhaseShift,
+    PulseProgram,
+    Rotate,
+    TransferBasis,
+)
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
 # property failure in CI reproduces; local runs keep the default random profile.
@@ -74,3 +83,68 @@ def random_product_ket(rng, n_qubits):
         factors.append(f)
         out = np.kron(out, f)
     return out, factors
+
+
+def _local(a, op, qubit):
+    return np.matmul(op, a.reshape(a.shape[:-2] + (2**qubit, 2, -1))).reshape(a.shape)
+
+
+def reference_steps(instructions, n_qubits, j, rho, time, noise, pulse_duration):
+    """Allocating step loop: the oracle the engine's in-place steps must match bit for bit.
+
+    Applies `instructions` to a stack rho[b] from sigma-, with decoupled windows
+    expanded by `dd_fragment`. Every step makes fresh arrays: a pulse is two
+    out-of-place local products, each followed by a transposed copy; a window
+    multiplies by its phase factor and then by a damp summed over a (2^n, 2^n, n)
+    mask of differing bits. Returns (rho, time, bases).
+    """
+    bases = ["sigma-"] * n_qubits
+    bits = bit_table(n_qubits)
+    differs = bits[:, None, :] != bits[None, :, :]
+
+    def dephase(rho, duration):
+        if not (duration > 0 and (noise.sigma_dephasing_rate or noise.pi_dephasing_rate)):
+            return rho
+        rates = np.array([noise.rate_for(b) for b in bases])
+        return rho * np.exp(-duration * (differs * rates).sum(axis=-1))
+
+    expanded = []
+    for ins in instructions:
+        if isinstance(ins, FreeEvolve) and ins.dd_pulses:
+            expanded.extend(dd_fragment(ins.duration, ins.dd_pulses, ins.dd_scheme,
+                                        n_qubits).instructions)
+        else:
+            expanded.append(ins)
+    for ins in expanded:
+        if isinstance(ins, (Rotate, Echo, PhaseShift)):
+            op = (phase_2x2(ins.phi) if isinstance(ins, PhaseShift) else
+                  rotation_2x2(getattr(ins, "theta", np.pi), ins.phi))
+            rho = np.ascontiguousarray(np.swapaxes(_local(rho, op, ins.qubit), -1, -2))
+            rho = np.ascontiguousarray(np.swapaxes(_local(rho, op.conj(), ins.qubit), -1, -2))
+            if pulse_duration > 0 and not isinstance(ins, PhaseShift):
+                rho = dephase(rho, pulse_duration)
+                time = time + pulse_duration
+        elif isinstance(ins, FreeEvolve):
+            s = np.array([-MF[b] for b in bases], dtype=float)
+            u = np.exp(1j * free_phases(j * np.outer(s, s), ins.duration, n_qubits))
+            rho = dephase(rho * np.outer(u, u.conj()), ins.duration)
+            time = time + ins.duration
+        elif isinstance(ins, TransferBasis):
+            for q in range(n_qubits) if ins.qubit == "all" else [ins.qubit]:
+                bases[q] = ins.target
+    return rho, time, tuple(bases)
+
+
+def reference_run(program, j, rho, time, noise, pulse_duration):
+    """`reference_steps`, then the relabeling and the depolarizing mix."""
+    n = program.n_qubits
+    rho, time, bases = reference_steps(program.instructions, n, j, rho, time, noise,
+                                       pulse_duration)
+    if program.relabel is not None:
+        i = relabel_index(program.relabel)
+        rho = rho[..., i[:, None], i]
+        bases = tuple(bases[q] for q in program.relabel)
+    if noise.white_noise_fraction > 0:
+        zeta = noise.white_noise_fraction
+        rho = zeta * np.eye(2**n) / 2**n + (1 - zeta) * rho
+    return rho, time, bases

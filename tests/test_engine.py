@@ -9,6 +9,7 @@ from conftest import (
     random_pure_state,
     selective_recoupling_wrap,
 )
+from magicforge import engine
 from magicforge.engine import (
     MAX_QUBITS,
     STATE_TOLERANCE,
@@ -505,6 +506,49 @@ def test_run_batch_rejects_bad_preparations(bench_j):
         run_batch(prog, bench_j, [[Rotate(3, np.pi, 0.0)]])
     with pytest.raises(EngineError, match="pulse_duration must be finite"):
         run_batch(prog, bench_j, [[]], pulse_duration=float("nan"))
+
+
+def test_decoupled_window_builds_each_factor_once(monkeypatch, bench_j):
+    built = {"_window_factors": 0, "_damp": 0}
+    for name in built:
+        def counting(*args, _real=getattr(engine, name), _name=name):
+            built[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(engine, name, counting)
+    prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3, 20, "cpmg")])
+    # 21 windows (tau/2, 19 x tau, tau/2) share two objects, so two factor pairs
+    windows = [s for s in engine._walk(prog, bench_j, engine._Frame(("sigma-",) * 3))
+               if isinstance(s, engine._Window)]
+    assert len(windows) == 21 and len({id(w) for w in windows}) == 2
+    run_program(prog, bench_j, noise=NoiseModel())
+    assert built == {"_window_factors": 2, "_damp": 2}
+    # the 61 driven pulses share one damp: one encoding pattern
+    built.update(_window_factors=0, _damp=0)
+    run_program(prog, bench_j, noise=NoiseModel(), pulse_duration=1e-6)
+    assert built == {"_window_factors": 2, "_damp": 3}
+
+
+def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
+    scratches = []
+    apply_pulse = engine._apply_pulse
+
+    def recording(rho, scratch, op, qubit):
+        scratches.append(scratch)
+        apply_pulse(rho, scratch, op, qubit)
+
+    monkeypatch.setattr(engine, "_apply_pulse", recording)
+    prog = PulseProgram(3, [FreeEvolve(1e-3, 20, "kdd"), Rotate(1, np.pi / 2, 0.4)])
+    preps = [[Rotate(0, np.pi / 2, 0.0)], [Rotate(1, np.pi, 0.0)], []]
+    # no depolarizing mix, so each result is the run's own stack, not a fresh sum
+    noise = NoiseModel(white_noise_fraction=0.0)
+    first = run_batch(prog, bench_j, preps, noise=noise, pulse_duration=1e-6)
+    second = run_batch(prog, bench_j, preps, noise=noise, pulse_duration=1e-6)
+    for a, b in zip(first, second, strict=True):
+        assert np.array_equal(a.state.rho, b.state.rho) and a.state.time == b.state.time
+    rhos = [r.state.rho for r in first + second]
+    for k, rho in enumerate(rhos):
+        assert not any(np.shares_memory(rho, other) for other in rhos[k + 1:])
+        assert not any(np.shares_memory(rho, s) for s in scratches)
 
 
 # ---- Ramsey fringes ----

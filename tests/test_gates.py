@@ -7,7 +7,6 @@ from conftest import embed, free_unitary
 from magicforge.chain import CouplingMatrix, load_couplings
 from magicforge.engine import (
     EngineError,
-    _bit_differs,
     product_input_ket,
     program_unitary,
     run_batch,
@@ -127,7 +126,7 @@ def test_every_entry_point_rejects_an_asymmetric_coupling(bench_j, tmp_path):
 
 
 def test_bit_tables_are_cached_read_only():
-    for table in (bit_table(3), z_eigenvalues(3), _bit_differs(3)):
+    for table in (bit_table(3), z_eigenvalues(3)):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1

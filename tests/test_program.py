@@ -134,5 +134,8 @@ def test_qubit_indices_validated_against_register():
     with pytest.raises(ProgramError, match="line 2: Rotate qubit must be a non-negative int, "
                                            "got 'all'"):
         parse_program("# qubits: 3\nR all pi 0\n")
+    # an undeclared register widened past the RELABEL by a later instruction
+    with pytest.raises(ProgramError, match="line 1: RELABEL 1 0 is not a permutation of 0..3"):
+        parse_program("RELABEL 1 0\nR 3 pi 0\n")
     prog = parse_program("# qubits: 4\nR 1 pi 0\nRELABEL 3 2 1 0\n")
     assert prog.n_qubits == 4 and prog.relabel == (3, 2, 1, 0)

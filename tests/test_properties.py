@@ -6,7 +6,9 @@ windows, transfers routed through pi, and an optional RELABEL. Noiselessly
 the density matrix path must agree with the ideal unitary; under the full
 noise model the state must stay a density matrix. On 1-8 qubits, each slice
 of a stacked run over pulse-prepared inputs must equal the single-state run
-of that input bit for bit. The closed-form fringe readout must agree
+of that input bit for bit. On 1-7 qubits, both run paths must equal the
+allocating step-by-step oracle (`conftest.reference_run`) bit for bit under
+the full noise model. The closed-form fringe readout must agree
 with applying the analysis pulse explicitly, phase by phase. The engine's
 tensor-local pulse kernel must agree with the dense kron-embedded operator on
 1-8 qubits. Program text must read back to the program it was written from,
@@ -22,7 +24,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import embed
+from conftest import embed, reference_run, reference_steps
 from magicforge.engine import (
     NoiseModel,
     apply_readout_confusion,
@@ -155,6 +157,53 @@ def test_stacked_run_matches_single_runs(case, data, pulse_duration):
                              j, noise=noise, pulse_duration=pulse_duration).state
         assert np.array_equal(res.state.rho, single.rho)
         assert res.state.time == single.time and res.state.bases == single.bases
+
+
+def check_against_oracle(prog, j, seed, preps, pulse_duration):
+    """run_program from a random rho, and run_batch on `preps`, against the oracle."""
+    n = prog.n_qubits
+    noise = NoiseModel()
+    rho0 = random_rho(seed, n)
+    want_rho, want_time, want_bases = reference_run(prog, j, rho0[None], np.zeros(1), noise,
+                                                    pulse_duration)
+    got = run_program(prog, j, noise=noise, initial=rho0, pulse_duration=pulse_duration).state
+    assert np.array_equal(got.rho, want_rho[0])
+    assert got.time == want_time[0] and got.bases == want_bases
+    # each input is prepared by its pulses on its own stack, then one stacked run
+    zero = np.zeros((1, 2**n, 2**n), dtype=complex)
+    zero[0, 0, 0] = 1.0
+    prepared = [reference_steps(prep, n, j, zero, np.zeros(1), noise, pulse_duration)
+                for prep in preps]
+    want_rho, want_time, _ = reference_run(prog, j, np.concatenate([r for r, _, _ in prepared]),
+                                           np.concatenate([t for _, t, _ in prepared]), noise,
+                                           pulse_duration)
+    batch = run_batch(prog, j, preps, noise=noise, pulse_duration=pulse_duration)
+    for res, rho, time in zip(batch, want_rho, want_time, strict=True):
+        assert np.array_equal(res.state.rho, rho)
+        assert res.state.time == time
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs(1, 7), st.data(), st.sampled_from([0.0, 2e-6]))
+def test_in_place_runs_match_allocating_oracle(case, data, pulse_duration):
+    prog, j, seed = case
+    preps = data.draw(st.lists(preparations(prog.n_qubits), min_size=1, max_size=3))
+    check_against_oracle(prog, j, seed, preps, pulse_duration)
+
+
+def test_wide_parked_trains_match_allocating_oracle():
+    # seven qubits, one parked in pi through a kdd train, then a cpmg train
+    rng = np.random.default_rng(5)
+    j = rng.normal(scale=300.0, size=(7, 7))
+    j = (j + j.T) / 2
+    np.fill_diagonal(j, 0.0)
+    prog = PulseProgram(7, [Rotate(q, np.pi / 2, 0.3 * q) for q in range(7)] + [
+        TransferBasis(2, BASIS_PI), FreeEvolve(1e-3, 20, "kdd"), Rotate(2, np.pi, 0.0),
+        FreeEvolve(4e-4, 4, "cpmg"), TransferBasis(2, BASIS_SIGMA_MINUS)],
+        relabel=(6, 0, 1, 2, 3, 4, 5))
+    preps = [[], [Rotate(0, np.pi, 0.0), Echo(3, 0.2)]]
+    for pulse_duration in (0.0, 2e-6):
+        check_against_oracle(prog, j, 5, preps, pulse_duration)
 
 
 def bright_probability(rho, qubit, n):
