@@ -24,9 +24,9 @@ a decoupling train resolves each distinct pulse operator and window once.
 Every run applies the steps in place to a stack rho[b] of density matrices
 (`_run`); `program_unitary` multiplies them into the ideal unitary. A pulse is
 never lifted to 2^n x 2^n: `_apply_pulse` applies its 2x2 operator on the
-qubit's axis through one scratch stack. A window's phase factor and damp are
-built once per train, the damp as a gather at a ^ b (it depends only on which
-bits differ). Registers are capped at MAX_QUBITS; entering density matrices
+qubit's axis through one scratch stack. A train's repeated window reuses its
+phase factor and damp, the damp built as a gather at a ^ b (it depends only on
+which bits differ). Registers are capped at MAX_QUBITS; entering density matrices
 are checked.
 
 `run_program` is the one-slice case of that run. `run_batch` runs one program
@@ -46,7 +46,7 @@ applied to outcome distributions only, never to the state.
 """
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -366,10 +366,8 @@ class _Pulse(NamedTuple):
     driven: bool
 
 
-@dataclass(frozen=True, eq=False)
-class _Window:
-    """A resolved window: its duration and the Ising phase of each basis state.
-    Hashed by identity, as a train repeats the same object."""
+class _Window(NamedTuple):
+    """A resolved window: its duration and the Ising phase of each basis state."""
     duration: float
     phases: np.ndarray
 
@@ -443,19 +441,22 @@ def _relabel(state, perm):
 
 
 def _slice(state):
-    """`state` as a one-slice `_Frame`, on a fresh stack: no result shares its memory."""
-    return _Frame(state.bases, np.stack([state.rho]), np.array([state.time]))
+    """`state` as a one-slice `_Frame` on a fresh C-ordered stack, whatever rho's layout."""
+    return _Frame(state.bases, np.array([state.rho], order="C"), np.array([state.time]))
 
 
 def _run_steps(frame, program, j, noise, pulse_duration):
-    """Apply `program`'s steps in place to the stack frame.rho and each slice's clock. The
-    last two distinct windows' factors are kept (a train has two), a pulse's damp per encoding."""
-    scratch = np.empty_like(frame.rho)
-    window_factors = lru_cache(2)(lambda window, bases: _window_factors(window, bases, noise))
+    """Apply `program`'s steps in place to the stack frame.rho and each slice's clock.
+    A window's factors are rebuilt only when the window object or the encodings change, so a
+    train repeating its tau window builds them three times. A pulse's damp is kept per encoding."""
+    scratch = np.empty(frame.rho.shape, frame.rho.dtype)
+    last = bases = factors = None
     pulse_damp = cache(lambda bases: _damp(bases, pulse_duration, noise))
     for step in _walk(program, j, frame):
         if isinstance(step, _Window):
-            _evolve(frame, step.duration, window_factors(step, frame.bases))
+            if step is not last or frame.bases != bases:
+                last, bases, factors = step, frame.bases, _window_factors(step, frame.bases, noise)
+            _evolve(frame, step.duration, factors)
         else:
             _apply_pulse(frame.rho, scratch, step.op, step.qubit)
             if step.driven and pulse_duration > 0:

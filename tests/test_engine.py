@@ -516,16 +516,17 @@ def test_decoupled_window_builds_each_factor_once(monkeypatch, bench_j):
             return _real(*args)
         monkeypatch.setattr(engine, name, counting)
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3, 20, "cpmg")])
-    # 21 windows (tau/2, 19 x tau, tau/2) share two objects, so two factor pairs
+    # 21 windows (tau/2, 19 x tau, tau/2) share two objects; factors are rebuilt only
+    # when the window changes, so three factor pairs, not 21
     windows = [s for s in engine._walk(prog, bench_j, engine._Frame(("sigma-",) * 3))
                if isinstance(s, engine._Window)]
     assert len(windows) == 21 and len({id(w) for w in windows}) == 2
     run_program(prog, bench_j, noise=NoiseModel())
-    assert built == {"_window_factors": 2, "_damp": 2}
+    assert built == {"_window_factors": 3, "_damp": 3}
     # the 61 driven pulses share one damp: one encoding pattern
     built.update(_window_factors=0, _damp=0)
     run_program(prog, bench_j, noise=NoiseModel(), pulse_duration=1e-6)
-    assert built == {"_window_factors": 2, "_damp": 3}
+    assert built == {"_window_factors": 3, "_damp": 4}
 
 
 def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
@@ -549,6 +550,23 @@ def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
     for k, rho in enumerate(rhos):
         assert not any(np.shares_memory(rho, other) for other in rhos[k + 1:])
         assert not any(np.shares_memory(rho, s) for s in scratches)
+
+
+@pytest.mark.parametrize("pulse_duration", [0.0, 2e-6])
+def test_run_is_independent_of_the_initial_layout(rng, bench_j, pulse_duration):
+    # a transposed (Fortran-ordered) rho must give the C-ordered run's bits, and stay as it is
+    prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.3), Rotate(1, np.pi / 3, 1.1),
+                            FreeEvolve(1e-3, 10, "kdd"), Rotate(0, np.pi, 0.0)])
+    rho = random_density_matrix(rng, 8).conj().T
+    assert rho.flags.f_contiguous and not rho.flags.c_contiguous
+    kept = rho.copy()
+    want = run_program(prog, bench_j, initial=np.ascontiguousarray(rho),
+                       pulse_duration=pulse_duration).state
+    for initial in (rho, np.asfortranarray(kept),
+                    QuantumState(3, rho, (engine.BASIS_SIGMA_MINUS,) * 3)):
+        got = run_program(prog, bench_j, initial=initial, pulse_duration=pulse_duration).state
+        assert np.array_equal(got.rho, want.rho) and got.time == want.time
+    assert np.array_equal(rho, kept)
 
 
 # ---- Ramsey fringes ----
