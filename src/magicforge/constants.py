@@ -1,4 +1,4 @@
-"""Physical constants used across the package.
+"""Physical constants used across the package, and the register cap.
 
 Values are CODATA 2018, fixed to 12 significant digits so results are
 reproducible independent of any constants library version. All SI.
@@ -11,3 +11,7 @@ BOHR_MAGNETON = 9.27401007830e-24  # J/T
 VACUUM_PERMITTIVITY = 8.85418781280e-12  # F/m
 COULOMB_CONSTANT = 8.98755178737e9  # N m^2 / C^2, 1/(4 pi eps0)
 ATOMIC_MASS = 1.66053906660e-27    # kg
+
+# Largest register the dense engine builds: a 2^n x 2^n density matrix of
+# complex doubles is 16 MB at 10 qubits and grows fourfold per qubit.
+MAX_QUBITS = 10

@@ -51,6 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .constants import MAX_QUBITS
 from .gates import (
     bit_table,
     check_couplings,
@@ -82,9 +83,6 @@ class EngineError(RuntimeError):
     pass
 
 
-# Largest register the dense engine builds: a 2^n x 2^n density matrix of
-# complex doubles is 16 MB at 10 qubits and grows fourfold per qubit.
-MAX_QUBITS = 10
 # How far a density matrix entering the engine may be from trace 1 and from
 # Hermitian (largest elementwise deviation).
 STATE_TOLERANCE = 1e-9
@@ -565,13 +563,30 @@ def measurement_probabilities(state, noise):
 
 
 def sample_counts(p, shots, rng):
-    """Multinomial shot counts for a distribution; rng must be a numpy Generator."""
+    """Multinomial shot counts for a distribution; rng must be a numpy Generator.
+
+    p holds one probability per basis state of a register, 2^n entries. An
+    entry that is not finite or lies below -1e-12 is an error, and so is an
+    all-zero p; rounding noise above -1e-12 is clipped to 0, and p is
+    renormalized before the draw.
+    """
     if shots <= 0:
         raise EngineError("shots must be positive")
     if rng is None:
         raise EngineError("finite-shot sampling needs an explicit rng")
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    return rng.multinomial(shots, p / p.sum())
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size < 2 or p.size & (p.size - 1):
+        raise EngineError(f"distribution of shape {p.shape} is not one probability per "
+                          "basis state of a register (2^n entries)")
+    bad = np.flatnonzero(~np.isfinite(p) | (p < -1e-12))
+    if bad.size:
+        raise EngineError(f"distribution entry p[{bad[0]}] is {float(p[bad[0]])}; "
+                          "probabilities must be finite and not below -1e-12")
+    p = np.clip(p, 0.0, None)
+    total = p.sum()
+    if not total > 0:
+        raise EngineError("distribution has no weight to sample from (every entry is 0)")
+    return rng.multinomial(shots, p / total)
 
 
 def ramsey_program(qubit, duration, spectator_bits=None, dd_pulses=0):

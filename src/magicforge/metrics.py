@@ -20,6 +20,14 @@ def _as_rho(state):
     return np.asarray(rho, dtype=complex)
 
 
+def _check_finite(name, a):
+    """Reject an argument with a NaN or infinite entry, naming the first one."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        k = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise MetricsError(f"{name}[{', '.join(map(str, k))}] is {a[k]}; {name} must be finite")
+
+
 def _sqrtm_psd(a):
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
@@ -34,6 +42,8 @@ def state_fidelity(state, target):
     """
     rho = _as_rho(state)
     target = np.asarray(getattr(target, "rho", target), dtype=complex)
+    _check_finite("state", rho)
+    _check_finite("target", target)
     if target.ndim == 1:
         t = target / np.linalg.norm(target)
         if rho.ndim == 1:
@@ -94,6 +104,8 @@ def ramsey_fit(phases, probs, shots=None):
     probs = np.asarray(probs, dtype=float)
     if phases.size != probs.size or phases.size < 4:
         raise MetricsError("need matching phase/probability arrays, at least 4 points")
+    _check_finite("phases", phases)
+    _check_finite("probs", probs)
     x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     beta, *_ = np.linalg.lstsq(x, probs, rcond=None)
     resid = probs - x @ beta

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import MAX_QUBITS
+
 BASIS_SIGMA_MINUS = "sigma-"
 BASIS_SIGMA_PLUS = "sigma+"
 BASIS_PI = "pi"
@@ -217,6 +219,8 @@ def _parse_qubit(token, n_qubits):
         raise ProgramError(f"bad qubit index {token!r}") from exc
     if n_qubits is not None and not 0 <= q < n_qubits:
         raise ProgramError(f"qubit {q} outside register of {n_qubits}")
+    if q >= MAX_QUBITS:
+        raise ProgramError(f"qubit {q} needs a register above the {MAX_QUBITS}-qubit cap")
     return q
 
 
@@ -234,6 +238,7 @@ def parse_program(text):
     The register is the `# qubits: N` declared once before the first
     instruction, else the smallest that holds every index and the one RELABEL
     permutation; a declared register bounds every qubit index and the RELABEL.
+    Either way the register may not exceed MAX_QUBITS.
     """
     instructions = []
     relabel = None
@@ -244,6 +249,9 @@ def parse_program(text):
             value = stripped.split(":", 1)[1].strip()
             if not value.isdigit() or int(value) < 1:
                 raise ProgramError(f"line {line_no}: bad register size {value!r}")
+            if int(value) > MAX_QUBITS:
+                raise ProgramError(f"line {line_no}: register of {value} qubits is above "
+                                   f"the {MAX_QUBITS}-qubit cap")
             if instructions or relabel is not None:
                 raise ProgramError(f"line {line_no}: register declared after the first "
                                    "instruction")
@@ -260,6 +268,9 @@ def parse_program(text):
                 if relabel is not None:
                     raise ProgramError("RELABEL given twice")
                 relabel = tuple(int(t) for t in operands)
+                if len(relabel) > MAX_QUBITS:
+                    raise ProgramError(f"RELABEL of {len(relabel)} qubits is above the "
+                                       f"{MAX_QUBITS}-qubit cap")
                 relabel_line = line_no
                 continue
             if instructions and isinstance(instructions[-1], Measure):

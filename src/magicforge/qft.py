@@ -21,10 +21,13 @@ X = rho23 + pi/8, Y = rho23 - pi/8, the window is exact when
 
 (four real equations, three unknowns, consistent by construction). The solver
 runs damped Gauss-Newton from a lattice of starting points and keeps the root
-with the shortest window. Starts that have stopped moving are retired from the
-batch, which leaves every result bit-identical to iterating all starts for the
-full iteration count. Every compile is gated by a process-fidelity check of
-the emitted program against the reference transform.
+with the shortest window. Its normal equations are summed over the residual
+rows in the order an einsum over the Jacobian would add them, and starts that
+have settled on a fixed point or a two-cycle are retired from the batch
+holding the iterate the last step would leave. Every result stays
+bit-identical to iterating all starts for the full iteration count. Every
+compile is gated by a process-fidelity check of the emitted program against
+the reference transform.
 
 Qubit indices: couplings j[0,1], j[0,2], j[1,2] in rad/s, durations in
 seconds. The emitted programs end with the label swap 0 <-> 2 that the
@@ -122,37 +125,27 @@ class EntanglingSolution:
     n_roots: int
 
 
-def _window_system(b, a1, a2, xphase, yphase, jacobian=True):
-    """Residual vector and Jacobian of the entangling-window equations.
+# Gauss-Newton steps; a retired start holds the iterate that this many leave.
+_STEPS = 80
 
-    Unknowns are b = J12 T3 / 2 and the two angles; the four rows are the real
-    and imaginary parts of the two complex conditions. With `jacobian` false
-    only the residual is computed and returned, with the same bits.
-    """
-    x = np.exp(1j * b)
+
+def _window_residual(theta, ex, ey):
+    """Window conditions (f1, f2) at each row (b, A1, A2) of `theta`, with the
+    trig terms their derivatives share; ex, ey = exp(iX), exp(iY) / sqrt(2)."""
+    x = np.exp(1j * theta[:, 0])
     x2 = x * x
-    s1, c1 = np.sin(a1 / 2.0), np.cos(a1 / 2.0)
-    s2, c2 = np.sin(a2 / 2.0), np.cos(a2 / 2.0)
-    ex = np.exp(1j * xphase) / np.sqrt(2.0)
-    ey = np.exp(1j * yphase) / np.sqrt(2.0)
+    s1, c1 = np.sin(theta[:, 1] / 2.0), np.cos(theta[:, 1] / 2.0)
+    s2, c2 = np.sin(theta[:, 2] / 2.0), np.cos(theta[:, 2] / 2.0)
     f1 = ex * x - s1 * s2 * x2 + c1 * c2
     f2 = ey * x - s1 * c2 * x2 - c1 * s2
-    res = np.stack([f1.real, f1.imag, f2.real, f2.imag], axis=-1)
-    if not jacobian:
-        return res
-    d1b = 1j * ex * x - 2j * s1 * s2 * x2
-    d1a1 = -(c1 * s2 / 2.0) * x2 - (s1 * c2 / 2.0)
-    d1a2 = -(s1 * c2 / 2.0) * x2 - (c1 * s2 / 2.0)
-    d2b = 1j * ey * x - 2j * s1 * c2 * x2
-    d2a1 = -(c1 * c2 / 2.0) * x2 + (s1 * s2 / 2.0)
-    d2a2 = (s1 * s2 / 2.0) * x2 - (c1 * c2 / 2.0)
-    jac = np.stack([
-        np.stack([d1b.real, d1a1.real, d1a2.real], axis=-1),
-        np.stack([d1b.imag, d1a1.imag, d1a2.imag], axis=-1),
-        np.stack([d2b.real, d2a1.real, d2a2.real], axis=-1),
-        np.stack([d2b.imag, d2a1.imag, d2a2.imag], axis=-1),
-    ], axis=-2)
-    return res, jac
+    return (f1, f2), (x, x2, s1, c1, s2, c2)
+
+
+def _row_dot(u, v):
+    """Sum of products over the real rows (Re u0, Im u0, Re u1, Im u1), in row
+    order: np.einsum's bits once 0.0 is added (that fixes a zero's sign)."""
+    return ((u[0].real * v[0].real + u[0].imag * v[0].imag)
+            + u[1].real * v[1].real) + u[1].imag * v[1].imag
 
 
 def solve_entangling_params(j, t1, t2):
@@ -161,49 +154,65 @@ def solve_entangling_params(j, t1, t2):
     Damped Gauss-Newton from a 16^3 lattice of (b, A1, A2) starting points,
     run in one vectorized batch for 80 iterations; roots are accepted below
     1e-10 residual norm and the one with the smallest positive window wins.
+    The normal equations come straight from the complex derivatives, each
+    entry summed over the four residual rows in the order np.einsum would.
 
     Every start's trajectory depends on that start alone, so a start whose
-    damped step no longer changes it is at a fixed point for the remaining
-    iterations. Such starts are retired from the batch, and the line search
-    re-evaluates only the residual of starts whose candidate is still worse.
-    The result is bit for bit the one of iterating every start for all 80
-    steps.
+    new iterate equals, bit for bit, the one from two steps back (or whose
+    step no longer moves it) alternates between two iterates from then on.
+    It is retired from the batch holding the one that step 80 would leave,
+    and the line search re-evaluates only the residual of starts whose
+    candidate is still worse. The result is bit for bit the one of iterating
+    every start for all 80 steps.
     """
     j = _check_compile_couplings(j)
     rho23 = residual_phase(j, t1, t2)
-    xphase = rho23 + np.pi / 8.0
-    yphase = rho23 - np.pi / 8.0
+    ex = np.exp(1j * (rho23 + np.pi / 8.0)) / np.sqrt(2.0)
+    ey = np.exp(1j * (rho23 - np.pi / 8.0)) / np.sqrt(2.0)
     pts = (np.arange(16) + 0.5) / 16 * 2.0 * np.pi
     b0, a10, a20 = (g.ravel() for g in np.meshgrid(pts, pts, pts, indexing="ij"))
     theta = np.column_stack([b0, a10, a20])
-    eye = 1e-12 * np.eye(3)
+    prev = theta.copy()
+    shift = np.diag([1e-12, 1e-12, 1e-12, 0.0])
     active = np.arange(theta.shape[0])
-    for _ in range(80):
+    for it in range(_STEPS):
         if active.size == 0:
             break
         th = theta[active]
-        res, jac = _window_system(th[:, 0], th[:, 1], th[:, 2], xphase, yphase)
-        sq = (res**2).sum(axis=-1)
-        jtj = np.einsum("mri,mrk->mik", jac, jac) + eye
-        jtr = np.einsum("mri,mr->mi", jac, res)
-        step = -np.linalg.solve(jtj, jtr[..., None])[..., 0]
+        r, (x, x2, s1, c1, s2, c2) = _window_residual(th, ex, ey)
+        cols = ((1j * ex * x - 2j * s1 * s2 * x2, 1j * ey * x - 2j * s1 * c2 * x2),
+                (-(c1 * s2 / 2.0) * x2 - (s1 * c2 / 2.0), -(c1 * c2 / 2.0) * x2 + (s1 * s2 / 2.0)),
+                (-(s1 * c2 / 2.0) * x2 - (c1 * s2 / 2.0), (s1 * s2 / 2.0) * x2 - (c1 * c2 / 2.0)),
+                r)
+        # Gram matrix of [J | r]: J^T J + 1e-12 I, J^T r and the squared residual
+        gram = np.empty((active.size, 4, 4))
+        for i in range(4):
+            for k in range(i, 4):
+                gram[:, i, k] = gram[:, k, i] = _row_dot(cols[i], cols[k])
+        gram += shift
+        sq = gram[:, 3, 3]
+        step = -np.linalg.solve(gram[:, :3, :3], gram[:, :3, 3:])[..., 0]
         scale = np.ones(active.size)
         pending = np.arange(active.size)
         for _ in range(8):
             cand = th[pending] + scale[pending, None] * step[pending]
-            res_c = _window_system(cand[:, 0], cand[:, 1], cand[:, 2], xphase, yphase,
-                                   jacobian=False)
-            pending = pending[(res_c**2).sum(axis=-1) > sq[pending]]
+            r_c, _ = _window_residual(cand, ex, ey)
+            pending = pending[_row_dot(r_c, r_c) > sq[pending]]
             if pending.size == 0:
                 break
             scale[pending] *= 0.5
         new = th + scale[:, None] * step
+        # compare bit patterns, so that signed zeros and NaNs repeat too
+        bits = new.view(np.uint64)
+        done = (bits == th.view(np.uint64)).all(axis=1)
+        done |= (bits == prev[active].view(np.uint64)).all(axis=1)
+        if (_STEPS - it) % 2 == 0:  # an odd number of steps is left: end on th
+            new[done] = th[done]
         theta[active] = new
-        # compare bit patterns, so that a start is retired only when its next
-        # iteration would repeat this one exactly (signed zeros and NaNs too)
-        active = active[(new.view(np.uint64) != th.view(np.uint64)).any(axis=1)]
-    res = _window_system(theta[:, 0], theta[:, 1], theta[:, 2], xphase, yphase, jacobian=False)
-    norms = np.sqrt((res**2).sum(axis=-1))
+        prev[active] = th
+        active = active[~done]
+    r, _ = _window_residual(theta, ex, ey)
+    norms = np.sqrt(_row_dot(r, r))
     ok = norms < 1e-10
     if not ok.any():
         raise CompilerError("entangling-window solve did not converge from any start")

@@ -348,6 +348,29 @@ def test_sample_counts_deterministic():
         sample_counts(p, 1000)
 
 
+def test_sample_counts_rejects_bad_distributions():
+    rng = np.random.default_rng(3)
+    with pytest.raises(EngineError, match=r"p\[1\] is -1.0"):
+        sample_counts([2.0, -1.0], 10, rng)
+    with pytest.raises(EngineError, match=r"p\[2\] is nan"):
+        sample_counts([0.5, 0.5, np.nan, 0.0], 10, rng)
+    with pytest.raises(EngineError, match=r"p\[0\] is inf"):
+        sample_counts([np.inf, 0.0], 10, rng)
+    with pytest.raises(EngineError, match=r"p\[3\] is -2e-12"):
+        sample_counts([0.5, 0.25, 0.25, -2e-12], 10, rng)
+    for shape in ((3,), (1,), (2, 2)):
+        with pytest.raises(EngineError, match=r"2\^n entries"):
+            sample_counts(np.full(shape, 1 / np.prod(shape)), 10, rng)
+    with pytest.raises(EngineError, match="no weight"):
+        sample_counts(np.zeros(4), 10, rng)
+    # rounding noise just below zero is clipped, and the draw is the plain
+    # multinomial of the renormalized distribution
+    p = np.array([0.5, -1e-13, 0.3, 0.2])
+    q = np.clip(p, 0.0, None)
+    expected = np.random.default_rng(5).multinomial(1000, q / q.sum())
+    assert sample_counts(p, 1000, np.random.default_rng(5)).tolist() == expected.tolist()
+
+
 def test_out_of_register_qubit_is_rejected(rng):
     j = random_j(rng)
     bad = [Rotate(5, np.pi, 0.0), TransferBasis(5, "pi"), PhaseShift(3, 0.2), Echo(3)]

@@ -124,6 +124,27 @@ def test_ramsey_fit_input_validation():
         ramsey_fit([0.0, 1.0], [0.5, 0.5])
 
 
+def test_metrics_reject_non_finite_input(rng):
+    phases = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    probs = 0.5 - 0.4 * np.cos(phases)
+    with pytest.raises(MetricsError, match=r"probs\[3\] is nan; probs must be finite"):
+        ramsey_fit(phases, np.where(np.arange(8) == 3, np.nan, probs))
+    with pytest.raises(MetricsError, match=r"phases\[0\] is inf"):
+        ramsey_fit(np.where(np.arange(8) == 0, np.inf, phases), probs, shots=100)
+    ket = random_pure_state(rng, 8)
+    rho = random_density_matrix(rng, 8)
+    bad_ket = ket.copy()
+    bad_ket[5] = np.nan
+    with pytest.raises(MetricsError, match=r"target\[5\] is \(nan\+0j\)"):
+        state_fidelity(rho, bad_ket)
+    with pytest.raises(MetricsError, match=r"state\[5\] is"):
+        state_fidelity(bad_ket, ket)
+    bad_rho = rho.copy()
+    bad_rho[2, 1] = np.inf
+    with pytest.raises(MetricsError, match=r"state\[2, 1\] is \(inf"):
+        state_fidelity(bad_rho, rho)
+
+
 def test_fringe_fidelity_from_phase():
     phases = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     probs = synthetic_fringe(phases, 0.5, 1.0, fringe_phase_for(0.4))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magicforge.engine import MAX_QUBITS
 from magicforge.program import (
     Echo,
     FreeEvolve,
@@ -117,6 +118,19 @@ def test_duration_counts_only_free_evolution():
         instructions=[Rotate(0, np.pi, 0.0), FreeEvolve(2e-3), FreeEvolve(0.5e-3)],
     )
     assert prog.duration == pytest.approx(2.5e-3)
+
+
+def test_register_above_the_engine_cap_is_rejected_at_its_line():
+    assert parse_program(f"# qubits: {MAX_QUBITS}\nR 0 pi 0\n").n_qubits == MAX_QUBITS
+    assert parse_program(f"R {MAX_QUBITS - 1} pi 0\n").n_qubits == MAX_QUBITS
+    with pytest.raises(ProgramError, match=f"line 2: register of {MAX_QUBITS + 1} qubits"):
+        parse_program(f"# pulse program\n# qubits: {MAX_QUBITS + 1}\nR 0 pi 0\n")
+    # an undeclared register widened past the cap fails at the widening line
+    with pytest.raises(ProgramError, match=f"line 3: qubit {MAX_QUBITS} needs a register"):
+        parse_program(f"R 0 pi 0\nEV 1e-3\nXFER {MAX_QUBITS} pi\n")
+    relabel = " ".join(str(q) for q in range(MAX_QUBITS + 1))
+    with pytest.raises(ProgramError, match=f"line 2: RELABEL of {MAX_QUBITS + 1} qubits"):
+        parse_program(f"R 0 pi 0\nRELABEL {relabel}\n")
 
 
 def test_qubit_indices_validated_against_register():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magicforge import qft
 from magicforge.engine import program_unitary
 from magicforge.program import FreeEvolve
 from magicforge.qft import (
@@ -189,6 +190,38 @@ def test_solver_is_bit_identical_to_lattice_oracle():
         sol = solve_entangling_params(j, t1, t2)
         got = (sol.t3, sol.a1, sol.a2, sol.residual, sol.n_roots)
         assert got == lattice_oracle(j, t1, t2), label
+
+
+@pytest.mark.parametrize("steps", [79, 80])
+def test_retired_starts_hold_the_last_steps_iterate(monkeypatch, steps):
+    # a start retired on a two-cycle must end on the iterate of the right
+    # parity; an odd and an even step count cover both. Roots on two-cycles
+    # decide the result in the 35th random case of the bit-identity test and
+    # in the 3rd one of the exact-form test, which flips between 79 and 80.
+    monkeypatch.setattr(qft, "_STEPS", steps)
+    cases = [calibrated_couplings(), pair_matrix(400.0, 60.0, 90.0)]
+    for seed, draws in ((4242, 35), (77, 3)):
+        rng = np.random.default_rng(seed)
+        cases.append([random_couplings(rng) for _ in range(draws)][-1])
+    for j in cases:
+        t1, t2 = plan_times(j)
+        sol = solve_entangling_params(j, t1, t2)
+        got = (sol.t3, sol.a1, sol.a2, sol.residual, sol.n_roots)
+        assert got == lattice_oracle(j, t1, t2, max_iter=steps)
+
+
+def test_solver_retires_settled_starts_early(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    j = calibrated_couplings()
+    solve_entangling_params(j, *plan_times(j))
+    assert 0 < len(calls) <= 30
 
 
 def test_exact_form_compiles_to_the_reference_anywhere():
