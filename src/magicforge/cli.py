@@ -130,20 +130,23 @@ def _cmd_run(args):
 def _cmd_compile_qft(args):
     couplings = load_couplings(args.j)
     root = output_root()
-    report = [_fmt_matrix(couplings.j)]
+    # Both forms are compiled before any file is written. The selected form must
+    # pass its fidelity gate, or the command fails with nothing written; the other
+    # form is compiled best-effort so a gate failure there cannot block the one the
+    # user asked for.
     compiled = {}
     for form in ("exact", "optimized"):
-        # The selected form must pass its fidelity gate; the other form is
-        # compiled best-effort so a gate failure there cannot block the one
-        # the user asked for.
         try:
-            plan = compile_qft(couplings.j, form=form)
+            compiled[form] = compile_qft(couplings.j, form=form)
         except CompilerError as exc:
             if form == args.form:
                 raise
-            report += ["", f"[{form}] not emitted: {exc}"]
+            compiled[form] = exc
+    report = [_fmt_matrix(couplings.j)]
+    for form, plan in compiled.items():
+        if isinstance(plan, CompilerError):
+            report += ["", f"[{form}] not emitted: {plan}"]
             continue
-        compiled[form] = plan
         path = os.path.join(root, f"qft_{form}.pulse")
         with open(path, "w") as fh:
             fh.write(plan.program.to_text())

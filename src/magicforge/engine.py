@@ -20,14 +20,15 @@ sigma- <-> sigma+ transfer is not a native block and must pass through pi.
 One walk over a program (`_walk`) resolves every instruction into a pulse
 (qubit and 2x2 operator) or a window (duration and Ising phases under the
 encodings in force), tracking transfers and bounding qubit indices on the way;
-a decoupling train resolves each distinct pulse operator and window once.
-Every run applies the steps in place to a stack rho[b] of density matrices
-(`_run`); `program_unitary` multiplies them into the ideal unitary. A pulse is
-never lifted to 2^n x 2^n: `_apply_pulse` applies its 2x2 operator on the
-qubit's axis through one scratch stack. A train's repeated window reuses its
-phase factor and damp, the damp built as a gather at a ^ b (it depends only on
-which bits differ). Registers are capped at MAX_QUBITS; entering density matrices
-are checked.
+it expands a decoupling train straight from its phase list, each distinct pulse
+operator and window length resolved once. Every run applies the steps in place
+to a stack rho[b] of density matrices (`_run`); `program_unitary` multiplies
+them into the ideal unitary. A pulse is never lifted to 2^n x 2^n:
+`_apply_pulse` applies its 2x2 operator on the qubit's axis through one scratch
+stack. A window's phase factor and damp are rebuilt only for a new window
+object, so a train's repeated window reuses them; the damp is a gather at a ^ b
+(it depends only on which bits differ). Registers are capped at MAX_QUBITS;
+entering density matrices are checked.
 
 `run_program` is the one-slice case of that run. `run_batch` runs one program
 on several inputs at once: each input is prepared from |0...0> by its own
@@ -154,9 +155,6 @@ class QuantumState:
             if b not in BASES:
                 raise EngineError(f"unknown encoding basis {b!r}")
         self.bases = tuple(self.bases)
-
-    def copy(self):
-        return QuantumState(self.n_qubits, self.rho.copy(), self.bases, self.time)
 
     def populations(self):
         return np.clip(np.diag(self.rho).real, 0.0, None)
@@ -343,7 +341,9 @@ def dd_phase_sequence(n_pulses, scheme="cpmg"):
 
 
 def dd_fragment(duration, n_pulses, scheme="cpmg", n_qubits=3):
-    """Expand one window into [tau/2, pi, tau, ..., pi, tau/2], each pi on every qubit."""
+    """Expand one window into [tau/2, pi, tau, ..., pi, tau/2], each pi on every qubit.
+    The reference expansion, on no run path (`_walk` expands trains itself): the tests'
+    oracle checks the walk against it, and bench/tracing.py counts instructions with it."""
     if n_pulses < 1:
         raise ProgramError(f"a decoupled window needs at least one pulse, got {n_pulses}")
     phases = dd_phase_sequence(n_pulses, scheme)
@@ -385,10 +385,10 @@ class _Frame:
 def _walk(program, j, frame):
     """Resolve `program` into `_Pulse` and `_Window` steps, in order.
 
-    This is the one interpreter of instructions: decoupled windows are
-    expanded, transfers update `frame.bases` as the walk passes them, and each
-    window's phases use the encodings then in force. `j` must already be
-    checked; every qubit an instruction names is bounded here against the
+    This is the one interpreter of instructions: decoupled windows are expanded
+    in `dd_fragment`'s order, transfers update `frame.bases` as the walk passes
+    them, and each window's phases use the encodings then in force. `j` must be
+    checked already; each qubit an instruction names is bounded here against the
     program's register.
     """
     measured = False
@@ -406,7 +406,14 @@ def _walk(program, j, frame):
         elif isinstance(ins, PhaseShift):
             yield _Pulse(ins.qubit, phase_2x2(ins.phi), False)
         elif isinstance(ins, FreeEvolve) and ins.dd_pulses:
-            yield from _train(ins, program.n_qubits, j, frame)
+            phases = dd_phase_sequence(ins.dd_pulses, ins.dd_scheme)
+            tau = ins.duration / ins.dd_pulses
+            half, full = (_Window(t, _window_phases(j, frame, t)) for t in (tau / 2, tau))
+            ops = {phi: rotation_2x2(np.pi, phi) for phi in set(phases)}
+            yield half
+            for k, phi in enumerate(phases):
+                yield from (_Pulse(qubit, ops[phi], True) for qubit in range(program.n_qubits))
+                yield full if k < ins.dd_pulses - 1 else half
         elif isinstance(ins, FreeEvolve):
             yield _Window(ins.duration, _window_phases(j, frame, ins.duration))
         elif isinstance(ins, TransferBasis):
@@ -415,16 +422,6 @@ def _walk(program, j, frame):
             measured = True
         else:
             raise ProgramError(f"cannot execute instruction {ins!r}")
-
-
-def _train(ins, n_qubits, j, frame):
-    """A decoupled window's steps in `dd_fragment`'s order, each distinct pi-pulse operator
-    and window (tau/2, tau) resolved once: a repeated window is the same `_Window` object."""
-    op = cache(lambda phi: rotation_2x2(np.pi, phi))
-    window = cache(lambda duration: _Window(duration, _window_phases(j, frame, duration)))
-    for sub in dd_fragment(ins.duration, ins.dd_pulses, ins.dd_scheme, n_qubits).instructions:
-        yield (_Pulse(sub.qubit, op(sub.phi), True) if isinstance(sub, Rotate)
-               else window(sub.duration))
 
 
 @dataclass
@@ -445,15 +442,15 @@ def _slice(state):
 
 def _run_steps(frame, program, j, noise, pulse_duration):
     """Apply `program`'s steps in place to the stack frame.rho and each slice's clock.
-    A window's factors are rebuilt only when the window object or the encodings change, so a
-    train repeating its tau window builds them three times. A pulse's damp is kept per encoding."""
+    Factors are rebuilt only for a new window object: a train's windows, built under one
+    encoding pattern, take three factor pairs (tau/2, tau, tau/2). Pulse damps are per encoding."""
     scratch = np.empty(frame.rho.shape, frame.rho.dtype)
-    last = bases = factors = None
+    last = factors = None
     pulse_damp = cache(lambda bases: _damp(bases, pulse_duration, noise))
     for step in _walk(program, j, frame):
         if isinstance(step, _Window):
-            if step is not last or frame.bases != bases:
-                last, bases, factors = step, frame.bases, _window_factors(step, frame.bases, noise)
+            if step is not last:
+                last, factors = step, _window_factors(step, frame.bases, noise)
             _evolve(frame, step.duration, factors)
         else:
             _apply_pulse(frame.rho, scratch, step.op, step.qubit)
@@ -567,8 +564,8 @@ def sample_counts(p, shots, rng):
 
     p holds one probability per basis state of a register, 2^n entries. An
     entry that is not finite or lies below -1e-12 is an error, and so is an
-    all-zero p; rounding noise above -1e-12 is clipped to 0, and p is
-    renormalized before the draw.
+    all-zero p; rounding noise above -1e-12 is clipped to 0. The clipped entries
+    must sum to 1 within 1e-9, and p is divided by that sum before the draw.
     """
     if shots <= 0:
         raise EngineError("shots must be positive")
@@ -586,6 +583,8 @@ def sample_counts(p, shots, rng):
     total = p.sum()
     if not total > 0:
         raise EngineError("distribution has no weight to sample from (every entry is 0)")
+    if not abs(total - 1.0) <= 1e-9:
+        raise EngineError(f"distribution sums to {total:.12g}, not 1 within 1e-9")
     return rng.multinomial(shots, p / total)
 
 

@@ -59,20 +59,30 @@ def process_fidelity(u, v):
     """Global-phase-insensitive overlap |tr(u^dag v)|^2 / d^2 of two unitaries."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
+    _check_finite("u", u)
+    _check_finite("v", v)
     d = u.shape[0]
     return float(abs(np.trace(u.conj().T @ v)) ** 2 / d**2)
 
 
+def _distributions(p, q):
+    """p and q as float arrays, each checked finite."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    _check_finite("p", p)
+    _check_finite("q", q)
+    return p, q
+
+
 def statistical_overlap(p, q):
     """Squared Bhattacharyya overlap (sum_k sqrt(p_k q_k))^2 of two distributions."""
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    q = np.clip(np.asarray(q, dtype=float), 0.0, None)
+    p, q = (np.clip(a, 0.0, None) for a in _distributions(p, q))
     return float(np.sqrt(p * q).sum() ** 2)
 
 
 def total_variation(p, q):
     """Total variation distance 1/2 sum |p - q|."""
-    return float(0.5 * np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())
+    p, q = _distributions(p, q)
+    return float(0.5 * np.abs(p - q).sum())
 
 
 def distinguishability(p, q):

@@ -130,7 +130,8 @@ def test_compile_qft_program_file_reads_back_exactly(j_file, out_root):
                           program_unitary(compiled.program, compiled.couplings))
 
 
-def test_compile_qft_selected_form_survives_other_forms_gate(tmp_path, out_root, capsys):
+def test_compile_qft_selected_form_survives_other_forms_gate(tmp_path, out_root, capsys,
+                                                           monkeypatch):
     # Couplings where the folded form misses its fidelity gate but the exact
     # form is fine. Asking for exact must still succeed, with the skip noted;
     # asking for the gated form must fail loudly.
@@ -145,8 +146,13 @@ def test_compile_qft_selected_form_survives_other_forms_gate(tmp_path, out_root,
     assert "[optimized] not emitted" in plan
     capsys.readouterr()
 
+    # the failing form is compiled before anything is written, so a fresh output
+    # root is left without either program or a plan
+    fresh = tmp_path / "fresh"
+    monkeypatch.setenv("MAGIC_FORGE_OUT", str(fresh))
     assert main(["compile-qft", "--j", str(path), "--form", "optimized"]) == 1
     assert "process fidelity" in capsys.readouterr().err
+    assert not list(fresh.glob("qft_*.pulse")) and not (fresh / "qft_plan.txt").exists()
 
 
 def test_scenario_builtin_alias(out_root, capsys):

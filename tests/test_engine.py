@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import (
     free_unitary,
     random_density_matrix,
     random_pure_state,
+    reference_run,
     selective_recoupling_wrap,
 )
 from magicforge import engine
@@ -135,10 +137,10 @@ def test_diagonal_state_is_dephasing_fixed_point():
 
 def test_free_evolution_composition(rng, plus_state):
     j = random_j(rng)
-    a = plus_state.copy()
+    a = replace(plus_state, rho=plus_state.rho.copy())
     free_evolution(a, 1.9e-3, j)
     free_evolution(a, 0.6e-3, j)
-    b = plus_state.copy()
+    b = replace(plus_state, rho=plus_state.rho.copy())
     free_evolution(b, 2.5e-3, j)
     assert a.rho == pytest.approx(b.rho, abs=1e-12)
 
@@ -371,6 +373,18 @@ def test_sample_counts_rejects_bad_distributions():
     assert sample_counts(p, 1000, np.random.default_rng(5)).tolist() == expected.tolist()
 
 
+def test_sample_counts_rejects_an_unnormalized_distribution():
+    rng = np.random.default_rng(3)
+    with pytest.raises(EngineError, match="sums to 4, not 1 within 1e-9"):
+        sample_counts([3.0, 1.0], 8, rng)
+    with pytest.raises(EngineError, match="sums to 0.999999998"):
+        sample_counts([0.5, 0.499999998], 8, rng)
+    # within the tolerance the draw is still the multinomial of p over its sum
+    p = np.array([0.75, 0.25 + 5e-10])
+    expected = np.random.default_rng(5).multinomial(1000, p / p.sum())
+    assert sample_counts(p, 1000, np.random.default_rng(5)).tolist() == expected.tolist()
+
+
 def test_out_of_register_qubit_is_rejected(rng):
     j = random_j(rng)
     bad = [Rotate(5, np.pi, 0.0), TransferBasis(5, "pi"), PhaseShift(3, 0.2), Echo(3)]
@@ -550,6 +564,34 @@ def test_decoupled_window_builds_each_factor_once(monkeypatch, bench_j):
     built.update(_window_factors=0, _damp=0)
     run_program(prog, bench_j, noise=NoiseModel(), pulse_duration=1e-6)
     assert built == {"_window_factors": 3, "_damp": 4}
+    # a transfer between two trains: the second train's windows are new objects built
+    # under the new encodings, so the memo rebuilds for them, three pairs per train
+    built.update(_window_factors=0, _damp=0)
+    train = FreeEvolve(1e-3, 20, "cpmg")
+    run_program(PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), train, TransferBasis(1, "pi"), train]),
+                bench_j, noise=NoiseModel())
+    assert built == {"_window_factors": 6, "_damp": 6}
+
+
+def test_trains_run_without_building_a_program(monkeypatch, bench_j):
+    progs = [PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3, 20, scheme)])
+             for scheme in ("cpmg", "kdd")]
+    rho0 = random_density_matrix(np.random.default_rng(5), 8)
+    zero = np.zeros((1, 8, 8), dtype=complex)
+    zero[0, 0, 0] = 1.0
+    want = [(reference_run(prog, bench_j, rho0[None], np.zeros(1), NoiseModel(), 0.0)[0][0],
+             reference_run(prog, bench_j, zero, np.zeros(1), NoiseModel.off(), 0.0)[0][0])
+            for prog in progs]
+
+    def refuse(*args):
+        raise AssertionError("a run path expanded a train through dd_fragment")
+    monkeypatch.setattr(engine, "dd_fragment", refuse)
+    for prog, (noisy, ideal) in zip(progs, want):
+        assert np.array_equal(run_program(prog, bench_j, initial=rho0).state.rho, noisy)
+        [res] = run_batch(prog, bench_j, [[]], noise=NoiseModel.off())
+        assert np.array_equal(res.state.rho, ideal)
+        ket = program_unitary(prog, bench_j)[:, 0]
+        assert np.allclose(np.outer(ket, ket.conj()), ideal, atol=1e-12)
 
 
 def test_run_batch_results_own_their_memory(monkeypatch, bench_j):

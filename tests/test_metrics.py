@@ -145,6 +145,38 @@ def test_metrics_reject_non_finite_input(rng):
         state_fidelity(bad_rho, rho)
 
 
+def test_total_variation_rejects_non_finite_input():
+    with pytest.raises(MetricsError, match=r"p\[0\] is nan; p must be finite"):
+        total_variation([np.nan, 1.0], [0.5, 0.5])
+    with pytest.raises(MetricsError, match=r"q\[1\] is inf"):
+        total_variation([0.5, 0.5], [0.5, np.inf])
+
+
+def test_statistical_overlap_rejects_non_finite_input():
+    with pytest.raises(MetricsError, match=r"p\[0\] is nan"):
+        statistical_overlap([np.nan, 1.0], [0.5, 0.5])
+    # an infinite entry would survive the clip to non-negative values
+    with pytest.raises(MetricsError, match=r"q\[3\] is inf"):
+        statistical_overlap(np.full(4, 0.25), [0.25, 0.25, 0.25, np.inf])
+
+
+def test_distinguishability_rejects_non_finite_input():
+    with pytest.raises(MetricsError, match=r"p\[1\] is inf; p must be finite"):
+        distinguishability([0.5, np.inf], [0.5, 0.5])
+    with pytest.raises(MetricsError, match=r"q\[0\] is -inf"):
+        distinguishability([0.5, 0.5], [-np.inf, 0.5])
+
+
+def test_process_fidelity_rejects_non_finite_input(rng):
+    u = np.linalg.qr(random_density_matrix(rng, 4))[0]
+    with pytest.raises(MetricsError, match=r"v\[0, 0\] is \(nan"):
+        process_fidelity(u, np.full((4, 4), np.nan))
+    bad = u.copy()
+    bad[2, 3] = np.inf
+    with pytest.raises(MetricsError, match=r"u\[2, 3\] is \(inf"):
+        process_fidelity(bad, u)
+
+
 def test_fringe_fidelity_from_phase():
     phases = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     probs = synthetic_fringe(phases, 0.5, 1.0, fringe_phase_for(0.4))

@@ -19,6 +19,7 @@ forms of a record set must carry the same numbers.
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -215,7 +216,7 @@ def bright_probability(rho, qubit, n):
 def explicit_fringe(state, qubit, phases):
     out = []
     for phi in phases:
-        probe = state.copy()
+        probe = replace(state, rho=state.rho.copy())
         apply_rotation(probe, qubit, np.pi / 2, phi)
         out.append(bright_probability(probe.rho, qubit, state.n_qubits))
     return np.array(out)
