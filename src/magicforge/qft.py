@@ -22,8 +22,9 @@ X = rho23 + pi/8, Y = rho23 - pi/8, the window is exact when
 (four real equations, three unknowns, consistent by construction). The solver
 runs damped Gauss-Newton from a lattice of starting points and keeps the root
 with the shortest window. Its normal equations are summed over the residual
-rows in the order an einsum over the Jacobian would add them, and starts that
-have settled on a fixed point or a two-cycle are retired from the batch
+rows in the order an einsum over the Jacobian would add them; one residual
+evaluation per step serves both the line search and the next step; and starts
+that have settled on a fixed point or a two-cycle are retired from the batch
 holding the iterate the last step would leave. Every result stays
 bit-identical to iterating all starts for the full iteration count. Every
 compile is gated by a process-fidelity check of the emitted program against
@@ -35,6 +36,7 @@ bit-reversed output order of the pulse skeleton requires.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -160,10 +162,12 @@ def solve_entangling_params(j, t1, t2):
     Every start's trajectory depends on that start alone, so a start whose
     new iterate equals, bit for bit, the one from two steps back (or whose
     step no longer moves it) alternates between two iterates from then on.
-    It is retired from the batch holding the one that step 80 would leave,
-    and the line search re-evaluates only the residual of starts whose
-    candidate is still worse. The result is bit for bit the one of iterating
-    every start for all 80 steps.
+    It is retired from the batch holding the one that step 80 would leave.
+    Each step evaluates the residual once, at the full step: that is the line
+    search's first trial and, for every start that accepts it, the next
+    step's residual. Only rejected starts are re-evaluated at the halved
+    steps. The result is bit for bit the one of iterating every start for all
+    80 steps.
     """
     j = _check_compile_couplings(j)
     rho23 = residual_phase(j, t1, t2)
@@ -171,15 +175,15 @@ def solve_entangling_params(j, t1, t2):
     ey = np.exp(1j * (rho23 - np.pi / 8.0)) / np.sqrt(2.0)
     pts = (np.arange(16) + 0.5) / 16 * 2.0 * np.pi
     b0, a10, a20 = (g.ravel() for g in np.meshgrid(pts, pts, pts, indexing="ij"))
-    theta = np.column_stack([b0, a10, a20])
-    prev = theta.copy()
+    th = prev = np.column_stack([b0, a10, a20])
+    theta = np.empty_like(th)
     shift = np.diag([1e-12, 1e-12, 1e-12, 0.0])
-    active = np.arange(theta.shape[0])
+    active = np.arange(th.shape[0])
+    r, trig = _window_residual(th, ex, ey)
     for it in range(_STEPS):
         if active.size == 0:
             break
-        th = theta[active]
-        r, (x, x2, s1, c1, s2, c2) = _window_residual(th, ex, ey)
+        x, x2, s1, c1, s2, c2 = trig
         cols = ((1j * ex * x - 2j * s1 * s2 * x2, 1j * ey * x - 2j * s1 * c2 * x2),
                 (-(c1 * s2 / 2.0) * x2 - (s1 * c2 / 2.0), -(c1 * c2 / 2.0) * x2 + (s1 * s2 / 2.0)),
                 (-(s1 * c2 / 2.0) * x2 - (c1 * s2 / 2.0), (s1 * s2 / 2.0) * x2 - (c1 * c2 / 2.0)),
@@ -189,28 +193,39 @@ def solve_entangling_params(j, t1, t2):
         for i in range(4):
             for k in range(i, 4):
                 gram[:, i, k] = gram[:, k, i] = _row_dot(cols[i], cols[k])
+        del cols, x, x2, s1, c1, s2, c2
         gram += shift
         sq = gram[:, 3, 3]
         step = -np.linalg.solve(gram[:, :3, :3], gram[:, :3, 3:])[..., 0]
-        scale = np.ones(active.size)
-        pending = np.arange(active.size)
-        for _ in range(8):
-            cand = th[pending] + scale[pending, None] * step[pending]
-            r_c, _ = _window_residual(cand, ex, ey)
-            pending = pending[_row_dot(r_c, r_c) > sq[pending]]
+        # line search from the full step (1.0 * step is step): each accepted
+        # trial is the next iterate, and its residual serves the next step
+        new = th + step
+        r, trig = _window_residual(new, ex, ey)
+        pending = np.flatnonzero(_row_dot(r, r) > sq)
+        for k in range(1, 9):
             if pending.size == 0:
                 break
-            scale[pending] *= 0.5
-        new = th + scale[:, None] * step
+            cand = th[pending] + 0.5 ** k * step[pending]
+            r_c, trig_c = _window_residual(cand, ex, ey)
+            # a NaN residual is accepted; after eight rejections 2^-8 is taken
+            accept = ~(_row_dot(r_c, r_c) > sq[pending]) | (k == 8)
+            at = pending[accept]
+            new[at] = cand[accept]
+            for term, trial in zip(r + trig, r_c + trig_c):
+                term[at] = trial[accept]
+            pending = pending[~accept]
         # compare bit patterns, so that signed zeros and NaNs repeat too
         bits = new.view(np.uint64)
-        done = (bits == th.view(np.uint64)).all(axis=1)
-        done |= (bits == prev[active].view(np.uint64)).all(axis=1)
-        if (_STEPS - it) % 2 == 0:  # an odd number of steps is left: end on th
-            new[done] = th[done]
-        theta[active] = new
-        prev[active] = th
-        active = active[~done]
+        same, back = bits == th.view(np.uint64), bits == prev.view(np.uint64)
+        done = (same[:, 0] & same[:, 1] & same[:, 2]) | (back[:, 0] & back[:, 1] & back[:, 2])
+        if done.any():
+            # an odd number of steps is left: a retired start ends on th
+            theta[active[done]] = (th if (_STEPS - it) % 2 == 0 else new)[done]
+            keep = ~done
+            active, th, new = active[keep], th[keep], new[keep]
+            r, trig = tuple(f[keep] for f in r), tuple(t[keep] for t in trig)
+        prev, th = th, new
+    theta[active] = th
     r, _ = _window_residual(theta, ex, ey)
     norms = np.sqrt(_row_dot(r, r))
     ok = norms < 1e-10
@@ -342,9 +357,16 @@ def verify_plan(compiled):
     """
     u = program_unitary(compiled.program, compiled.couplings)
     ref = reference_qft()
-    kets = [product_input_ket(label) for label in PRODUCT_INPUTS]
-    overlaps = np.array([state_fidelity(u @ v, ref @ v) for v in kets])
+    overlaps = np.array([state_fidelity(u @ v, ref @ v) for v in _plan_kets()])
     return PlanVerification(overlaps[:8], overlaps[8:])
+
+
+@cache
+def _plan_kets():
+    """(15, 8) kets of `PRODUCT_INPUTS`, built once; shared, read-only."""
+    kets = np.array([product_input_ket(label) for label in PRODUCT_INPUTS])
+    kets.setflags(write=False)
+    return kets
 
 
 def serial_baseline(j):

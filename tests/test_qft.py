@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from magicforge import qft
-from magicforge.engine import program_unitary
+from magicforge.engine import PRODUCT_INPUTS, product_input_ket, program_unitary
+from magicforge.metrics import state_fidelity
 from magicforge.program import FreeEvolve
 from magicforge.qft import (
     BENCH_T1,
@@ -222,6 +223,43 @@ def test_solver_retires_settled_starts_early(monkeypatch):
     j = calibrated_couplings()
     solve_entangling_params(j, *plan_times(j))
     assert 0 < len(calls) <= 30
+
+
+def test_line_search_trial_serves_the_next_step(monkeypatch):
+    # the full-step trial is the next step's residual for every start that
+    # accepts it: past the first and the final evaluation of all 4096 starts,
+    # the solver evaluates few more rows than it solves (2.05 times when each
+    # step evaluated its own residual before the line search)
+    evaluated, solved = [], []
+    residual, solve = qft._window_residual, np.linalg.solve
+
+    def counting_residual(theta, ex, ey):
+        evaluated.append(theta.shape[0])
+        return residual(theta, ex, ey)
+
+    def counting_solve(a, b):
+        solved.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(qft, "_window_residual", counting_residual)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    j = calibrated_couplings()
+    solve_entangling_params(j, *plan_times(j))
+    assert sum(solved) > 0
+    assert sum(evaluated) - 2 * 4096 <= 1.25 * sum(solved)
+
+
+def test_plan_kets_are_built_once(bench_j):
+    kets = qft._plan_kets()
+    assert kets is qft._plan_kets()
+    assert kets.shape == (len(PRODUCT_INPUTS), 8)
+    assert not kets.flags.writeable
+    compiled = compile_qft(bench_j, form="exact", dd_scheme="kdd")
+    check = verify_plan(compiled)
+    u, ref = program_unitary(compiled.program, compiled.couplings), reference_qft()
+    fresh = [state_fidelity(u @ v, ref @ v) for v in map(product_input_ket, PRODUCT_INPUTS)]
+    got = np.concatenate([check.basis_fidelities, check.superposition_fidelities])
+    assert got.tobytes() == np.array(fresh).tobytes()
 
 
 def test_exact_form_compiles_to_the_reference_anywhere():
