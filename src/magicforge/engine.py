@@ -18,17 +18,18 @@ s = 0 and is fully decoupled; a round trip restores the calibrated signs). A
 sigma- <-> sigma+ transfer is not a native block and must pass through pi.
 
 One walk over a program (`_walk`) resolves every instruction into a pulse
-(qubit and 2x2 operator) or a window (duration and Ising phases under the
+(qubit and 2x2 operator) or a window (duration and Ising phase factor under the
 encodings in force), tracking transfers and bounding qubit indices on the way;
 it expands a decoupling train straight from its phase list, each distinct pulse
-operator and window length resolved once. Every run applies the steps in place
-to a stack rho[b] of density matrices (`_run`); `program_unitary` multiplies
-them into the ideal unitary. A pulse is never lifted to 2^n x 2^n:
-`_apply_pulse` applies its 2x2 operator on the qubit's axis through one scratch
-stack. A window's phase factor and damp are rebuilt only for a new window
-object, so a train's repeated window reuses them; the damp is a gather at a ^ b
-(it depends only on which bits differ). Registers are capped at MAX_QUBITS;
-entering density matrices are checked.
+operator and window resolved once. Every run applies the steps in place to a
+stack rho[b] of density matrices (`_run`); `program_unitary` multiplies them
+into the ideal unitary. A pulse is never lifted to 2^n x 2^n: `_apply_pulse`
+applies its 2x2 operator on the qubit's axis through one scratch stack, by views
+of the stack and scratch built once per run, with each operator's conjugate
+built once. A window's factors and damp are rebuilt only for a new window
+object; the damp is a gather at a ^ b (it depends only on which bits differ).
+Registers are capped at MAX_QUBITS; entering density matrices are checked, and
+states the engine builds itself (fresh registers, results) are not re-checked.
 
 `run_program` is the one-slice case of that run. `run_batch` runs one program
 on several inputs at once: each input is prepared from |0...0> by its own
@@ -40,7 +41,7 @@ every register size.
 `fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
 state, so a scan over analysis phases runs its program once, not per phase.
 
-A depolarizing fraction zeta is folded in once at the end of a run,
+A depolarizing fraction zeta is folded in once, in place, at the end of a run,
 rho -> zeta I/2^n + (1 - zeta) rho, modelling accumulated pulse error over a
 whole sequence rather than per-gate noise. Readout error is classical and is
 applied to outcome distributions only, never to the state.
@@ -233,17 +234,24 @@ def prepare_state(n_qubits, spec=None):
             rho = np.outer(arr, arr.conj())
         else:
             rho = arr
-    return QuantumState(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
+        return QuantumState(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
+    return _trusted_state(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
 
 
-def _apply_pulse(rho, scratch, op, qubit):
-    """rho <- op rho op^dagger in place through `scratch` (contiguous, rho's shape): op on
-    the rows, then op* on the rows of rho^T, each a matmul into scratch and a transposed
-    copy back. This order matches the dense 2^n x 2^n product bit for bit on 2-7 qubits."""
-    shape = rho.shape[:-2] + (2**qubit, 2, -1)
-    for m in (op, op.conj()):
-        np.matmul(m, rho.reshape(shape), out=scratch.reshape(shape))
-        np.copyto(rho, scratch.swapaxes(-1, -2))
+def _trusted_state(n_qubits, rho, bases, time=0.0):
+    """A QuantumState of a complex rho the engine built itself, not checked again."""
+    state = object.__new__(QuantumState)
+    vars(state).update(n_qubits=n_qubits, rho=rho, bases=bases, time=time)
+    return state
+
+
+def _apply_pulse(rho, scratch_t, views, ops):
+    """rho <- op rho op^dagger in place, ops = (op, op*): op on the rows, then op* on the rows of
+    rho^T, each a matmul into scratch (`views`: rho, scratch as (..., 2^q, 2, -1)) and a copy back
+    from its transpose `scratch_t`. This order gives the dense product's bits on 2-7 qubits."""
+    for m in ops:
+        np.matmul(m, views[0], out=views[1])
+        np.copyto(rho, scratch_t)
 
 
 def apply_rotation(state, qubit, theta, phi=0.0):
@@ -252,17 +260,17 @@ def apply_rotation(state, qubit, theta, phi=0.0):
     A public per-step kernel: `run_program` does not go through it.
     """
     _check_qubit(qubit, state.n_qubits)
-    state.rho = state.rho.copy()
-    _apply_pulse(state.rho, np.empty_like(state.rho), rotation_2x2(theta, phi), qubit)
+    rho = state.rho = state.rho.copy()
+    scratch, op, shape = np.empty_like(rho), rotation_2x2(theta, phi), (2**qubit, 2, -1)
+    _apply_pulse(rho, scratch.T, (rho.reshape(shape), scratch.reshape(shape)), (op, op.conj()))
 
 
-def _window_phases(j, state, duration):
-    """Ising phase of each basis state over a window, under the encodings in force.
-
-    Each qubit's couplings scale by s = -m_F, its moment relative to sigma-.
+def _window_phase(j, state, duration):
+    """Ising phase factor exp(i phi) of each basis state over a window, under the encodings
+    in force. Each qubit's couplings scale by s = -m_F, its moment relative to sigma-.
     """
     s = np.array([-MF[b] for b in state.bases], dtype=float)
-    return free_phases(j * np.outer(s, s), duration, s.size)
+    return np.exp(1j * free_phases(j * np.outer(s, s), duration, s.size))
 
 
 def _by_xor(values):
@@ -281,8 +289,7 @@ def _damp(bases, duration, noise):
 
 def _window_factors(window, bases, noise):
     """The window's Ising phase factor outer(u, u*), then its damp if any."""
-    u = np.exp(1j * window.phases)
-    return (np.outer(u, u.conj()),) + _damp(bases, window.duration, noise)
+    return (np.outer(window.phase, window.phase.conj()),) + _damp(bases, window.duration, noise)
 
 
 def _evolve(frame, duration, factors):
@@ -300,7 +307,7 @@ def free_evolution(state, duration, j, noise=None):
     if not 0.0 <= duration < np.inf:
         raise EngineError(f"window duration must be finite and >= 0, got {duration}")
     j = check_couplings(j, state.n_qubits, EngineError)
-    window = _Window(duration, _window_phases(j, state, duration))
+    window = _Window(duration, _window_phase(j, state, duration))
     state.rho = state.rho.copy()
     _evolve(state, duration, _window_factors(window, state.bases, noise or NoiseModel.off()))
 
@@ -365,9 +372,9 @@ class _Pulse(NamedTuple):
 
 
 class _Window(NamedTuple):
-    """A resolved window: its duration and the Ising phase of each basis state."""
+    """A resolved window: its duration and the Ising phase factor of each basis state."""
     duration: float
-    phases: np.ndarray
+    phase: np.ndarray
 
 
 @dataclass
@@ -408,14 +415,14 @@ def _walk(program, j, frame):
         elif isinstance(ins, FreeEvolve) and ins.dd_pulses:
             phases = dd_phase_sequence(ins.dd_pulses, ins.dd_scheme)
             tau = ins.duration / ins.dd_pulses
-            half, full = (_Window(t, _window_phases(j, frame, t)) for t in (tau / 2, tau))
+            half, full = (_Window(t, _window_phase(j, frame, t)) for t in (tau / 2, tau))
             ops = {phi: rotation_2x2(np.pi, phi) for phi in set(phases)}
             yield half
             for k, phi in enumerate(phases):
                 yield from (_Pulse(qubit, ops[phi], True) for qubit in range(program.n_qubits))
                 yield full if k < ins.dd_pulses - 1 else half
         elif isinstance(ins, FreeEvolve):
-            yield _Window(ins.duration, _window_phases(j, frame, ins.duration))
+            yield _Window(ins.duration, _window_phase(j, frame, ins.duration))
         elif isinstance(ins, TransferBasis):
             transfer_basis(frame, ins.qubit, ins.target)
         elif isinstance(ins, Measure):
@@ -429,12 +436,6 @@ class RunResult:
     state: QuantumState
 
 
-def _relabel(state, perm):
-    i = relabel_index(perm)
-    state.rho = state.rho[..., i[:, None], i]
-    state.bases = tuple(state.bases[q] for q in perm)
-
-
 def _slice(state):
     """`state` as a one-slice `_Frame` on a fresh C-ordered stack, whatever rho's layout."""
     return _Frame(state.bases, np.array([state.rho], order="C"), np.array([state.time]))
@@ -445,7 +446,11 @@ def _run_steps(frame, program, j, noise, pulse_duration):
     Factors are rebuilt only for a new window object: a train's windows, built under one
     encoding pattern, take three factor pairs (tau/2, tau, tau/2). Pulse damps are per encoding."""
     scratch = np.empty(frame.rho.shape, frame.rho.dtype)
+    views = [(frame.rho.reshape(s), scratch.reshape(s))
+             for s in (frame.rho.shape[:-2] + (2**q, 2, -1) for q in range(frame.n_qubits))]
+    scratch_t = scratch.swapaxes(-1, -2)
     last = factors = None
+    pairs = {}  # id(op): (op, op*); holding op keeps its id from being reused
     pulse_damp = cache(lambda bases: _damp(bases, pulse_duration, noise))
     for step in _walk(program, j, frame):
         if isinstance(step, _Window):
@@ -453,7 +458,8 @@ def _run_steps(frame, program, j, noise, pulse_duration):
                 last, factors = step, _window_factors(step, frame.bases, noise)
             _evolve(frame, step.duration, factors)
         else:
-            _apply_pulse(frame.rho, scratch, step.op, step.qubit)
+            ops = pairs.get(id(step.op)) or pairs.setdefault(id(step.op), (step.op, step.op.conj()))
+            _apply_pulse(frame.rho, scratch_t, views[step.qubit], ops)
             if step.driven and pulse_duration > 0:
                 _evolve(frame, pulse_duration, pulse_damp(frame.bases))
 
@@ -463,12 +469,14 @@ def _run(frame, program, j, noise, pulse_duration):
     on the stack; one RunResult per slice."""
     _run_steps(frame, program, j, noise, pulse_duration)
     if program.relabel is not None:
-        _relabel(frame, program.relabel)
+        i = relabel_index(program.relabel)
+        frame.rho = frame.rho[..., i[:, None], i]
+        frame.bases = tuple(frame.bases[q] for q in program.relabel)
     if noise.white_noise_fraction > 0:
-        dim = 2**frame.n_qubits
-        zeta = noise.white_noise_fraction
-        frame.rho = zeta * np.eye(dim) / dim + (1 - zeta) * frame.rho
-    return [RunResult(QuantumState(frame.n_qubits, rho, frame.bases, float(t)))
+        zeta, dim = noise.white_noise_fraction, 2**frame.n_qubits
+        frame.rho *= 1 - zeta
+        frame.rho += zeta * np.eye(dim) / dim  # off-diagonal -0.0 + 0.0 is +0.0, as in the sum
+    return [RunResult(_trusted_state(frame.n_qubits, rho, frame.bases, float(t)))
             for rho, t in zip(frame.rho, frame.time)]
 
 
@@ -533,7 +541,7 @@ def program_unitary(program, j):
     u = np.eye(_register_dim(n), dtype=complex)
     for step in _walk(program, j, _Frame((BASIS_SIGMA_MINUS,) * n)):
         if isinstance(step, _Window):
-            u = np.exp(1j * step.phases)[:, None] * u
+            u = step.phase[:, None] * u
         else:
             # the 2x2 op on the qubit's axis of the rows of u
             u = np.matmul(step.op, u.reshape(2**step.qubit, 2, -1)).reshape(u.shape)

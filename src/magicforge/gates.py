@@ -30,22 +30,23 @@ def phase_2x2(phi):
     return np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
 
 
+def read_only(array):
+    """`array`, marked read-only: the idiom for an array built once and shared."""
+    array.setflags(write=False)
+    return array
+
+
 @cache
 def bit_table(n_qubits):
     """(2^n, n) array of bits; column k is the bit of qubit k (qubit 0 = MSB); shared, read-only."""
-    dim = 2**n_qubits
-    idx = np.arange(dim)
-    table = np.array([(idx >> (n_qubits - 1 - k)) & 1 for k in range(n_qubits)]).T
-    table.setflags(write=False)
-    return table
+    idx = np.arange(2**n_qubits)
+    return read_only(np.array([(idx >> (n_qubits - 1 - k)) & 1 for k in range(n_qubits)]).T)
 
 
 @cache
 def z_eigenvalues(n_qubits):
     """(2^n, n) array of sigma_z eigenvalues (+1 for bit 0, -1 for bit 1); shared, read-only."""
-    z = 1.0 - 2.0 * bit_table(n_qubits)
-    z.setflags(write=False)
-    return z
+    return read_only(1.0 - 2.0 * bit_table(n_qubits))
 
 
 def free_phases(j, duration, n_qubits):

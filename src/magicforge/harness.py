@@ -20,10 +20,11 @@ gradient-coupled register:
 * fidelity_table: direct and rotation-protocol fidelities of the transform
   output for all basis-state and |0>/|+> product inputs.
 
-Fidelity scenarios compare readout-corrected quantities, so they run with
-readout fidelity 1; the histogram scenario keeps the 0.96 default. Ion columns
-are reported in physical chain order (the relabeling at the end of the
-compiled sequence is undone for reporting).
+`run_all` compiles the transform once and runs it once, on one stack of the 17
+distinct inputs its three scenarios read. Readout error enters only on measuring:
+the histogram scenario keeps the 0.96 default; the fidelity scenarios compare
+readout-corrected quantities. Ion columns are reported in physical chain order
+(the relabeling at the end of the compiled sequence is undone for reporting).
 """
 
 import configparser
@@ -31,6 +32,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .engine import (
     run_program,
     sample_counts,
 )
-from .gates import check_couplings
+from .gates import check_couplings, read_only
 from .metrics import (
     MetricsError,
     distinguishability,
@@ -176,10 +178,10 @@ def scenario_topologies():
     return {"topologies": records}
 
 
-def _transform_runs(labels, compiled, noise):
-    """The compiled transform on each product input in `labels`, as one stack."""
-    return run_batch(compiled.program, compiled.couplings,
-                     [product_input_pulses(label) for label in labels], noise=noise)
+def _transform_runs(labels, compiled):
+    """{label: RunResult} of the transform on each product input in `labels`, as one stack."""
+    pulses = [product_input_pulses(label) for label in labels]
+    return dict(zip(labels, run_batch(compiled.program, compiled.couplings, pulses)))
 
 
 def _compile_transform():
@@ -187,9 +189,10 @@ def _compile_transform():
     return compile_qft(form="optimized", dd_scheme="kdd")
 
 
+@cache
 def _ideal_output(label):
-    """The ideal transform's output ket for the product input `label`."""
-    return reference_qft() @ product_input_ket(label)
+    """The ideal transform's output ket for the product input `label`; shared, read-only."""
+    return read_only(reference_qft() @ product_input_ket(label))
 
 
 def _ion_fidelities(state, factors, perm):
@@ -201,11 +204,10 @@ def _ion_fidelities(state, factors, perm):
             for slot in np.argsort(perm)]
 
 
-def scenario_transform_fringes(rng, compiled):
+def scenario_transform_fringes(rng, runs, compiled):
     """Per-ion fringes, 150 shots per phase, on the compiled transform's output for |010>."""
     shots = 150
-    noise = NoiseModel(readout_fidelity=1.0)
-    [res] = _transform_runs(["010"], compiled, noise)
+    res = runs["010"]
     factors = factor_product_state(_ideal_output("010"), 3)
     perm = compiled.program.relabel
     reduced = _ion_fidelities(res.state, factors, perm)
@@ -254,14 +256,13 @@ def _histogram(label, p_ideal, p_model, counts=None):
 DISTRIBUTION_INPUTS = ("111", "+11", "++1", "+++")
 
 
-def scenario_distributions(rng, compiled):
+def scenario_distributions(rng, runs, compiled):
     """Transform outcome histograms of 1250 shots for inputs of growing coherence."""
     shots = 1250
     noise = NoiseModel()
     rows, summary = [], []
-    for label, res in zip(DISTRIBUTION_INPUTS,
-                          _transform_runs(DISTRIBUTION_INPUTS, compiled, noise)):
-        p_model = measurement_probabilities(res.state, noise)
+    for label in DISTRIBUTION_INPUTS:
+        p_model = measurement_probabilities(runs[label].state, noise)
         p_ideal = np.abs(_ideal_output(label)) ** 2
         counts = sample_counts(p_model, shots, rng)
         rows += _histogram(label, p_ideal, p_model, counts)
@@ -277,13 +278,12 @@ def scenario_distributions(rng, compiled):
     return {"distributions": rows, "distribution_summary": summary}
 
 
-def scenario_fidelity_table(compiled):
+def scenario_fidelity_table(runs, compiled):
     """Direct and rotation-protocol fidelities of the transform, all 15 inputs."""
-    noise = NoiseModel(readout_fidelity=1.0)
     perm = compiled.program.relabel
     records = []
-    for label, res in zip(PRODUCT_INPUTS, _transform_runs(PRODUCT_INPUTS, compiled, noise)):
-        ideal = _ideal_output(label)
+    for label in PRODUCT_INPUTS:
+        res, ideal = runs[label], _ideal_output(label)
         values = {
             "input": label,
             "fidelity": state_fidelity(res.state, ideal),
@@ -345,15 +345,15 @@ def _csv_escape(text):
     return text
 
 
-# name: (alias, shot-stream index or None, whether it runs the compiled transform).
+# name: (alias, shot-stream index or None, the compiled transform's inputs it reads).
 # Each sampling scenario owns a counter-based stream, so running any subset, in
 # any order, reproduces the exact bytes of a full run.
 _BUILTINS = {
-    "precession": ("fig1", 0, False),
-    "topologies": ("fig2", None, False),
-    "transform_fringes": ("fig4", 1, True),
-    "distributions": ("fig5", 2, True),
-    "fidelity_table": ("table1", None, True),
+    "precession": ("fig1", 0, ()),
+    "topologies": ("fig2", None, ()),
+    "transform_fringes": ("fig4", 1, ("010",)),
+    "distributions": ("fig5", 2, DISTRIBUTION_INPUTS),
+    "fidelity_table": ("table1", None, PRODUCT_INPUTS),
 }
 SCENARIO_NAMES = tuple(_BUILTINS)
 
@@ -372,19 +372,20 @@ def resolve_scenario_name(token):
     raise HarnessError(f"unknown scenario {token!r}; builtins: {known}")
 
 
-def run_scenario(name, directory, seed=DEFAULT_SEED, compiled=None):
+def run_scenario(name, directory, seed=DEFAULT_SEED, compiled=None, runs=None):
     """Run one builtin scenario; write its CSV/JSON pairs; return {stem: records}.
 
-    The transform scenarios run `compiled`, the optimized KDD-decoupled
-    `CompiledTransform` of the calibrated register; when it is None they
-    compile it themselves.
+    The transform scenarios read `runs` ({input label: RunResult}) of `compiled`, the
+    optimized KDD-decoupled `CompiledTransform` of the calibrated register; either one
+    left None is made here, `runs` from the scenario's own inputs alone.
     """
     name = resolve_scenario_name(name)
-    _, stream, transform = _BUILTINS[name]
+    _, stream, inputs = _BUILTINS[name]
     os.makedirs(directory, exist_ok=True)
     args = [] if stream is None else [_stream(seed, stream)]
-    if transform:
-        args.append(_compile_transform() if compiled is None else compiled)
+    if inputs:
+        compiled = _compile_transform() if compiled is None else compiled
+        args += [_transform_runs(inputs, compiled) if runs is None else runs, compiled]
     # looked up at call time, so a wrapper set on the module attribute sees the call
     out = globals()[f"scenario_{name}"](*args)
     for stem, records in out.items():
@@ -395,12 +396,14 @@ def run_scenario(name, directory, seed=DEFAULT_SEED, compiled=None):
 def run_all(directory, seed=DEFAULT_SEED):
     """Run every builtin scenario; write one CSV/JSON pair per result table.
 
-    The transform is compiled once and shared by the scenarios that run it.
+    The transform is compiled once and run once, on one stack of its scenarios' inputs.
     """
     compiled = _compile_transform()
+    inputs = dict.fromkeys(label for _, _, labels in _BUILTINS.values() for label in labels)
+    runs = _transform_runs(inputs, compiled)
     out = {}
     for name in SCENARIO_NAMES:
-        out.update(run_scenario(name, directory, seed, compiled=compiled))
+        out.update(run_scenario(name, directory, seed, compiled=compiled, runs=runs))
     return out
 
 

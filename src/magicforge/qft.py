@@ -35,13 +35,13 @@ seconds. The emitted programs end with the label swap 0 <-> 2 that the
 bit-reversed output order of the pulse skeleton requires.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .engine import PRODUCT_INPUTS, product_input_ket, program_unitary
-from .gates import check_couplings
+from .gates import check_couplings, read_only
 from .metrics import process_fidelity, state_fidelity
 from .program import (
     BASIS_PI,
@@ -63,10 +63,11 @@ BENCH_T2 = 0.22e-3
 BENCH_T3 = 4.87e-3
 
 
+@cache
 def reference_qft():
-    """The three-qubit transform, F[j, k] = exp(2 pi i j k / 8) / sqrt(8)."""
+    """The three-qubit transform, F[j, k] = exp(2 pi i j k / 8) / sqrt(8); shared, read-only."""
     j, k = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-    return np.exp(2j * np.pi * j * k / 8) / np.sqrt(8)
+    return read_only(np.exp(2j * np.pi * j * k / 8) / np.sqrt(8))
 
 
 def calibrated_couplings():
@@ -310,7 +311,12 @@ class CompiledTransform:
     a1: float
     a2: float
     form: str
-    process_fidelity: float
+    unitary: np.ndarray = field(init=False)  # the program's ideal unitary; read-only
+    process_fidelity: float = field(init=False)
+
+    def __post_init__(self):  # so dataclasses.replace builds both anew
+        self.unitary = read_only(program_unitary(self.program, self.couplings))
+        self.process_fidelity = process_fidelity(reference_qft(), self.unitary)
 
     @property
     def duration(self):
@@ -329,13 +335,13 @@ def compile_qft(j=None, form="exact", dd_scheme=None):
     t1, t2 = plan_times(j)
     sol = solve_entangling_params(j, t1, t2)
     program = emit_sequence(t1, t2, sol, form=form, dd_scheme=dd_scheme)
-    fid = process_fidelity(reference_qft(), program_unitary(program, j))
-    if fid < 1.0 - FORM_TOLERANCE[form]:
+    compiled = CompiledTransform(program, j, t1, t2, sol.t3, sol.a1, sol.a2, form)
+    if compiled.process_fidelity < 1.0 - FORM_TOLERANCE[form]:
         raise CompilerError(
-            f"compiled {form} sequence reached process fidelity {fid:.9f}, "
-            f"below the 1 - {FORM_TOLERANCE[form]:g} gate"
+            f"compiled {form} sequence reached process fidelity "
+            f"{compiled.process_fidelity:.9f}, below the 1 - {FORM_TOLERANCE[form]:g} gate"
         )
-    return CompiledTransform(program, j, t1, t2, sol.t3, sol.a1, sol.a2, form, fid)
+    return compiled
 
 
 @dataclass
@@ -352,11 +358,10 @@ def verify_plan(compiled):
     """Ideal-output checks of a compiled program against the reference transform.
 
     Runs every computational basis state and the seven nontrivial |0>/|+>
-    product inputs (`PRODUCT_INPUTS`) through the program's unitary and
-    reports the overlaps with the reference outputs.
+    product inputs (`PRODUCT_INPUTS`) through the program's unitary, the one
+    `CompiledTransform` built, and reports the overlaps with the reference outputs.
     """
-    u = program_unitary(compiled.program, compiled.couplings)
-    ref = reference_qft()
+    u, ref = compiled.unitary, reference_qft()
     overlaps = np.array([state_fidelity(u @ v, ref @ v) for v in _plan_kets()])
     return PlanVerification(overlaps[:8], overlaps[8:])
 
@@ -364,9 +369,7 @@ def verify_plan(compiled):
 @cache
 def _plan_kets():
     """(15, 8) kets of `PRODUCT_INPUTS`, built once; shared, read-only."""
-    kets = np.array([product_input_ket(label) for label in PRODUCT_INPUTS])
-    kets.setflags(write=False)
-    return kets
+    return read_only(np.array([product_input_ket(label) for label in PRODUCT_INPUTS]))
 
 
 def serial_baseline(j):

@@ -315,11 +315,12 @@ def test_white_noise_applied_once_at_run_end(rng):
     j = random_j(rng)
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(2e-3),
                             Rotate(1, np.pi / 2, 0.5), FreeEvolve(2e-3)])
-    zeta = 0.25
-    full = run_program(prog, j, noise=NoiseModel(readout_fidelity=1.0)).state.rho
     deph = run_program(prog, j, noise=NoiseModel(white_noise_fraction=0.0,
                                                  readout_fidelity=1.0)).state.rho
-    assert full == pytest.approx(zeta * np.eye(8) / 8 + (1 - zeta) * deph, abs=1e-12)
+    for zeta in (0.25, 1.0):
+        full = run_program(prog, j, noise=NoiseModel(white_noise_fraction=zeta)).state.rho
+        # bit for bit, signed zeros included: (1 - zeta) * -x is -0.0 at zeta = 1
+        assert full.tobytes() == (zeta * np.eye(8) / 8 + (1 - zeta) * deph).tobytes()
 
 
 def test_readout_confusion_kernel():
@@ -598,9 +599,9 @@ def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
     scratches = []
     apply_pulse = engine._apply_pulse
 
-    def recording(rho, scratch, op, qubit):
-        scratches.append(scratch)
-        apply_pulse(rho, scratch, op, qubit)
+    def recording(rho, scratch_t, views, ops):
+        scratches.extend([scratch_t, views[1]])  # both views of the run's scratch stack
+        apply_pulse(rho, scratch_t, views, ops)
 
     monkeypatch.setattr(engine, "_apply_pulse", recording)
     prog = PulseProgram(3, [FreeEvolve(1e-3, 20, "kdd"), Rotate(1, np.pi / 2, 0.4)])

@@ -62,12 +62,15 @@ def test_tables_match_frozen_reproduction(full_run):
 
 
 def test_single_scenario_reproduces_full_run_bytes(full_run, tmp_path):
+    # a transform scenario run alone stacks only its own inputs, and still writes the
+    # bytes of its slices of run_all's one stack
     directory, _ = full_run
-    harness.run_scenario("distributions", tmp_path, seed=harness.DEFAULT_SEED)
-    for stem in ("distributions", "distribution_summary"):
-        for ext in (".csv", ".json"):
-            assert filecmp.cmp(directory / f"{stem}{ext}", tmp_path / f"{stem}{ext}",
-                               shallow=False)
+    for name in ("transform_fringes", "distributions", "fidelity_table"):
+        out = harness.run_scenario(name, tmp_path / name, seed=harness.DEFAULT_SEED)
+        for stem in out:
+            for ext in (".csv", ".json"):
+                assert filecmp.cmp(directory / f"{stem}{ext}", tmp_path / name / f"{stem}{ext}",
+                                   shallow=False), stem
 
 
 def test_same_seed_same_bytes(tmp_path):
@@ -97,32 +100,42 @@ def test_transform_compiled_once_per_run(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
-def test_shared_program_walked_once_per_scenario(monkeypatch):
-    # the inputs of a scenario are one stack: the program they share after their
-    # preparation pulses is walked once, not once per input
+def test_transform_program_walked_once_per_run(monkeypatch, tmp_path):
+    # run_all runs the transform once, over one stack of the 17 distinct inputs its
+    # three scenarios read; a scenario run alone walks it once over its own inputs
     compiled = harness._compile_transform()
     walked = []
     walk = engine._walk
 
     def counting_walk(program, j, frame):
-        walked.append(program)
+        walked.append((program, None if frame.rho is None else frame.rho.shape[0]))
         return walk(program, j, frame)
 
     monkeypatch.setattr(engine, "_walk", counting_walk)
-    tail = compiled.program.instructions
 
-    def transform_walks():
-        return sum(p.instructions[-len(tail):] == tail for p in walked)
+    def transform_stacks():
+        # the fidelity gate walks the program too, with no stack
+        stacks = [size for program, size in walked
+                  if program.name == compiled.program.name and size is not None]
+        walked.clear()
+        return stacks
 
-    harness.scenario_fidelity_table(compiled)
-    assert transform_walks() == 1
-    walked.clear()
-    harness.scenario_distributions(np.random.default_rng(0), compiled)
-    assert transform_walks() == 1
-    walked.clear()
+    harness.run_all(tmp_path / "all")
+    assert transform_stacks() == [17]
+    for name, inputs in (("transform_fringes", 1), ("distributions", 4), ("fidelity_table", 15)):
+        harness.run_scenario(name, tmp_path / name, compiled=compiled)
+        assert transform_stacks() == [inputs], name
     harness.scenario_precession(np.random.default_rng(0))
-    assert [p.name for p in walked if p.name.startswith("ramsey")] == [
+    assert [p.name for p, _ in walked if p.name.startswith("ramsey")] == [
         f"ramsey q0 T={t:.6g}" for t in (1e-3, 2e-3, 3e-3, 4e-3)]
+
+
+def test_ideal_outputs_are_built_once_and_read_only():
+    ket = harness._ideal_output("+11")
+    assert harness._ideal_output("+11") is ket
+    assert ket.tobytes() == (harness.reference_qft() @ engine.product_input_ket("+11")).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        ket[0] = 0.0
 
 
 def test_fringe_scans_run_once_per_configuration(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,10 @@ def test_reference_transform_is_the_dft():
     k, m = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
     assert f == pytest.approx(np.exp(2j * np.pi * k * m / 8) / np.sqrt(8), abs=1e-12)
     assert f @ f.conj().T == pytest.approx(np.eye(8), abs=1e-12)
+    # built once and shared, so no caller may write into it
+    assert reference_qft() is f
+    with pytest.raises(ValueError, match="read-only"):
+        f[0, 0] = 0.0
 
 
 def test_plan_times_closed_form(bench_j):
@@ -260,6 +266,28 @@ def test_plan_kets_are_built_once(bench_j):
     fresh = [state_fidelity(u @ v, ref @ v) for v in map(product_input_ket, PRODUCT_INPUTS)]
     got = np.concatenate([check.basis_fidelities, check.superposition_fidelities])
     assert got.tobytes() == np.array(fresh).tobytes()
+
+
+def test_verify_plan_reuses_the_gate_unitary(monkeypatch, bench_j):
+    compiled = compile_qft(bench_j, form="optimized", dd_scheme="kdd")
+    u = compiled.unitary
+    assert u.tobytes() == program_unitary(compiled.program, compiled.couplings).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0.0
+    # a replaced program brings its own unitary, so verify_plan never reads a stale one
+    exact = compile_qft(bench_j, form="exact")
+    swapped = dataclasses.replace(compiled, program=exact.program)
+    assert swapped.unitary.tobytes() == exact.unitary.tobytes()
+    assert swapped.process_fidelity == exact.process_fidelity
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return program_unitary(*args)
+
+    monkeypatch.setattr(qft, "program_unitary", counting)
+    check = verify_plan(compiled)
+    assert calls == [] and check.min_fidelity > 1 - 5e-3
 
 
 def test_exact_form_compiles_to_the_reference_anywhere():
