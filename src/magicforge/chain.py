@@ -239,12 +239,7 @@ def normal_modes(config, geometry):
     Eigenvalues lam_n give nu_n = nu1 * sqrt(lam_n); the lowest mode is the
     centre-of-mass mode at exactly nu1 with vector (1,...,1)/sqrt(N).
     """
-    n = config.ion_count
-    if n == 1:
-        lam = np.array([1.0])
-        vecs = np.ones((1, 1))
-    else:
-        lam, vecs = np.linalg.eigh(_scaled_hessian(geometry.scaled_positions))
+    lam, vecs = np.linalg.eigh(_scaled_hessian(geometry.scaled_positions))
     if np.any(lam <= 0):
         raise ChainModelError(f"non-positive mode eigenvalue encountered: {lam}")
     # deterministic sign: largest-magnitude component of each mode positive

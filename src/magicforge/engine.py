@@ -18,16 +18,17 @@ s = 0 and is fully decoupled; a round trip restores the calibrated signs). A
 sigma- <-> sigma+ transfer is not a native block and must pass through pi.
 
 One walk over a program (`_walk`) resolves every instruction into a pulse
-(qubit and 2x2 operator) or a window (duration and Ising phase factor under the
-encodings in force), tracking transfers and bounding qubit indices on the way;
-it expands a decoupling train straight from its phase list, each distinct pulse
-operator and window resolved once. Every run applies the steps in place to a
-stack rho[b] of density matrices (`_run`); `program_unitary` multiplies them
-into the ideal unitary. A pulse is never lifted to 2^n x 2^n: `_apply_pulse`
-applies its 2x2 operator on the qubit's axis through one scratch stack, by views
-of the stack and scratch built once per run, with each operator's conjugate
-built once. A window's factors and damp are rebuilt only for a new window
-object; the damp is a gather at a ^ b (it depends only on which bits differ).
+(qubit, 2x2 operator and its conjugate) or a window (duration and Ising phase
+factor under the encodings in force), tracking transfers and bounding qubit
+indices on the way; it expands a decoupling train straight from its phase list,
+each distinct pulse pair and window resolved once. Every run applies the steps
+in place to a stack rho[b] of density matrices (`_run`); `program_unitary`
+multiplies them into the ideal unitary. A pulse is never lifted to 2^n x 2^n:
+`_apply_pulse` applies its operator pair on the qubit's axis through one scratch
+stack, by views of the stack and scratch built once per run. A window's factors
+and damp are rebuilt only for a new window object; the damp is a gather at
+a ^ b (it depends only on which bits differ). The per-step kernels
+`apply_rotation` and `free_evolution` are one-instruction runs of that loop.
 Registers are capped at MAX_QUBITS; entering density matrices are checked, and
 states the engine builds itself (fresh registers, results) are not re-checked.
 
@@ -255,14 +256,9 @@ def _apply_pulse(rho, scratch_t, views, ops):
 
 
 def apply_rotation(state, qubit, theta, phi=0.0):
-    """Apply R(theta, phi) to one qubit of `state` in place.
-
-    A public per-step kernel: `run_program` does not go through it.
-    """
+    """Apply R(theta, phi) to one qubit of `state` in place: a one-instruction run."""
     _check_qubit(qubit, state.n_qubits)
-    rho = state.rho = state.rho.copy()
-    scratch, op, shape = np.empty_like(rho), rotation_2x2(theta, phi), (2**qubit, 2, -1)
-    _apply_pulse(rho, scratch.T, (rho.reshape(shape), scratch.reshape(shape)), (op, op.conj()))
+    _step(state, Rotate(qubit, theta, phi))
 
 
 def _window_phase(j, state, duration):
@@ -300,16 +296,10 @@ def _evolve(frame, duration, factors):
 
 
 def free_evolution(state, duration, j, noise=None):
-    """One window: Ising phases under the current encoding pattern, then dephasing.
-
-    A public per-step kernel: `run_program` does not go through it.
-    """
+    """One window in place, a one-instruction run: Ising phases, then dephasing if `noise`."""
     if not 0.0 <= duration < np.inf:
         raise EngineError(f"window duration must be finite and >= 0, got {duration}")
-    j = check_couplings(j, state.n_qubits, EngineError)
-    window = _Window(duration, _window_phase(j, state, duration))
-    state.rho = state.rho.copy()
-    _evolve(state, duration, _window_factors(window, state.bases, noise or NoiseModel.off()))
+    _step(state, FreeEvolve(duration), check_couplings(j, state.n_qubits, EngineError), noise)
 
 
 def transfer_basis(state, qubit, target):
@@ -365,10 +355,14 @@ def dd_fragment(duration, n_pulses, scheme="cpmg", n_qubits=3):
 
 
 class _Pulse(NamedTuple):
-    """A resolved pulse; `driven` is False for a virtual phase gate (PH)."""
+    """A resolved pulse, ops = (2x2 op, op*); `driven` is False for a virtual phase gate (PH)."""
     qubit: int
-    op: np.ndarray
+    ops: tuple
     driven: bool
+
+
+def _ops(op):
+    return op, op.conj()
 
 
 class _Window(NamedTuple):
@@ -407,16 +401,16 @@ def _walk(program, j, frame):
             raise ProgramError(f"{type(ins).__name__} on qubit {q} outside register "
                                f"of {program.n_qubits}")
         if isinstance(ins, Rotate):
-            yield _Pulse(ins.qubit, rotation_2x2(ins.theta, ins.phi), True)
+            yield _Pulse(ins.qubit, _ops(rotation_2x2(ins.theta, ins.phi)), True)
         elif isinstance(ins, Echo):
-            yield _Pulse(ins.qubit, rotation_2x2(np.pi, ins.phi), True)
+            yield _Pulse(ins.qubit, _ops(rotation_2x2(np.pi, ins.phi)), True)
         elif isinstance(ins, PhaseShift):
-            yield _Pulse(ins.qubit, phase_2x2(ins.phi), False)
+            yield _Pulse(ins.qubit, _ops(phase_2x2(ins.phi)), False)
         elif isinstance(ins, FreeEvolve) and ins.dd_pulses:
             phases = dd_phase_sequence(ins.dd_pulses, ins.dd_scheme)
             tau = ins.duration / ins.dd_pulses
             half, full = (_Window(t, _window_phase(j, frame, t)) for t in (tau / 2, tau))
-            ops = {phi: rotation_2x2(np.pi, phi) for phi in set(phases)}
+            ops = {phi: _ops(rotation_2x2(np.pi, phi)) for phi in set(phases)}
             yield half
             for k, phi in enumerate(phases):
                 yield from (_Pulse(qubit, ops[phi], True) for qubit in range(program.n_qubits))
@@ -450,7 +444,6 @@ def _run_steps(frame, program, j, noise, pulse_duration):
              for s in (frame.rho.shape[:-2] + (2**q, 2, -1) for q in range(frame.n_qubits))]
     scratch_t = scratch.swapaxes(-1, -2)
     last = factors = None
-    pairs = {}  # id(op): (op, op*); holding op keeps its id from being reused
     pulse_damp = cache(lambda bases: _damp(bases, pulse_duration, noise))
     for step in _walk(program, j, frame):
         if isinstance(step, _Window):
@@ -458,10 +451,17 @@ def _run_steps(frame, program, j, noise, pulse_duration):
                 last, factors = step, _window_factors(step, frame.bases, noise)
             _evolve(frame, step.duration, factors)
         else:
-            ops = pairs.get(id(step.op)) or pairs.setdefault(id(step.op), (step.op, step.op.conj()))
-            _apply_pulse(frame.rho, scratch_t, views[step.qubit], ops)
+            _apply_pulse(frame.rho, scratch_t, views[step.qubit], step.ops)
             if step.driven and pulse_duration > 0:
                 _evolve(frame, pulse_duration, pulse_damp(frame.bases))
+
+
+def _step(state, ins, j=None, noise=None):
+    """Run one instruction on `state` in place, through `_run_steps` on a one-slice stack
+    (no relabeling, no depolarizing mix); `noise` None is no dephasing."""
+    frame = _slice(state)
+    _run_steps(frame, PulseProgram(state.n_qubits, [ins]), j, noise or NoiseModel.off(), 0.0)
+    state.rho, state.time = frame.rho[0], float(frame.time[0])
 
 
 def _run(frame, program, j, noise, pulse_duration):
@@ -544,7 +544,7 @@ def program_unitary(program, j):
             u = step.phase[:, None] * u
         else:
             # the 2x2 op on the qubit's axis of the rows of u
-            u = np.matmul(step.op, u.reshape(2**step.qubit, 2, -1)).reshape(u.shape)
+            u = np.matmul(step.ops[0], u.reshape(2**step.qubit, 2, -1)).reshape(u.shape)
     if program.relabel is not None:
         u = u[relabel_index(program.relabel)]
     return u

@@ -302,17 +302,17 @@ def scenario_fidelity_table(runs, compiled):
     return {"fidelity_table": records}
 
 
-def _cell(v, missing="", text=str):
-    """One value as a CSV cell, or as JSON with missing="null", text=json.dumps."""
+def _cell(v):
+    """One value as its (CSV cell, JSON text) pair; a missing value is ("", "null")."""
     if isinstance(v, str):
-        return text(v)
+        return _csv_escape(v), json.dumps(v)
     if isinstance(v, (bool, np.bool_, int, np.integer)):
-        return str(int(v))
+        return (str(int(v)),) * 2
     if v is None or not math.isfinite(float(v)):
-        return missing
+        return "", "null"
     text = format(float(v), ".10g")
     # within 10 digits of the largest double the text can round past it to inf
-    return text if math.isfinite(float(text)) else repr(float(v))
+    return (text if math.isfinite(float(text)) else repr(float(v)),) * 2
 
 
 def emit_records(records, directory, stem):
@@ -325,15 +325,14 @@ def emit_records(records, directory, stem):
     csv_path = os.path.join(directory, f"{stem}.csv")
     json_path = os.path.join(directory, f"{stem}.json")
     rows = [{"scenario": stem, "label": rec.label, **rec.values} for rec in records]
+    cells = [[_cell(row.get(c)) for c in columns] for row in rows]
     lines = [",".join(_csv_escape(c) for c in columns)]
-    lines += [",".join(_csv_escape(_cell(row.get(c))) for c in columns) for row in rows]
+    lines += [",".join(csv for csv, _ in row) for row in cells]
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    chunks = []
-    for row in rows:
-        body = ", ".join(f"{json.dumps(c)}: {_cell(row.get(c), 'null', json.dumps)}"
-                         for c in columns)
-        chunks.append("  {" + body + "}")
+    keys = [json.dumps(c) for c in columns]
+    chunks = ["  {" + ", ".join(f"{k}: {text}" for k, (_, text) in zip(keys, row)) + "}"
+              for row in cells]
     with open(json_path, "w") as fh:
         fh.write("[\n" + ",\n".join(chunks) + "\n]\n")
     return csv_path, json_path

@@ -109,6 +109,19 @@ def test_com_mode_is_uniform_and_vectors_orthonormal():
     assert np.allclose(modes.vectors.T @ modes.vectors, np.eye(3), atol=1e-10)
 
 
+def test_single_ion_chain():
+    # one ion sits at the reference coordinate and its only mode is the COM mode at nu1;
+    # the general eigh path gives these exact values for the 1x1 scaled Hessian
+    for reference in (0.0, 1.5e-6, -2e-6):
+        config = TrapConfig(ion_count=1, reference_coordinate=reference)
+        geo = equilibrium_positions(config)
+        assert geo.positions.tolist() == [reference] and geo.iterations == 0
+        modes = normal_modes(config, geo)
+        assert modes.frequencies.tolist() == [config.axial_frequency]
+        assert modes.vectors.tolist() == [[1.0]]
+        assert coupling_matrix(config, geo).j.tolist() == [[0.0]]
+
+
 def test_ground_extio_match_definition():
     config = TrapConfig(ion_count=3)
     modes = normal_modes(config, equilibrium_positions(config))

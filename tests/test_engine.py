@@ -423,6 +423,47 @@ def test_per_step_kernels_bound_the_qubit():
         prepare_state(3, "000").reduced_density([1, 1])
 
 
+def test_rotation_rejects_non_finite_angles(bench_j):
+    for theta, phi, field in ((np.nan, 0.0, "theta"), (np.inf, 0.0, "theta"),
+                              (np.pi, np.nan, "phi"), (np.pi / 2, -np.inf, "phi")):
+        st = prepare_state(3, "+10")
+        free_evolution(st, 1e-3, bench_j, NoiseModel())
+        rho, time = st.rho.copy(), st.time
+        with pytest.raises(ProgramError, match=f"{field} must be finite, got"):
+            apply_rotation(st, 1, theta, phi)
+        assert np.array_equal(st.rho, rho) and st.time == time
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel()])
+def test_per_step_kernels_match_the_run(noise):
+    # the public kernels applied one by one give run_program's bits on the same
+    # instruction list, with a parked qubit and without the end-of-run depolarizing mix
+    rng = np.random.default_rng(20261019)
+    run_noise = NoiseModel.off() if noise is None else replace(noise, white_noise_fraction=0.0)
+    for n in [1, 2, 3, 4, 5, 6, 7] * 3:
+        j = random_j(rng, n)
+        parked = int(rng.integers(n))
+        ins = [Rotate(int(rng.integers(n)), *rng.uniform(0, 2 * np.pi, 2)),
+               TransferBasis(parked, "pi")]
+        for _ in range(5):
+            q, angles = int(rng.integers(n)), rng.uniform(0, 2 * np.pi, 2)
+            ins.append(Rotate(q, *angles) if rng.integers(2) else FreeEvolve(rng.uniform(0, 2e-3)))
+        ins.append(TransferBasis(parked, "sigma-"))
+        ins.append(FreeEvolve(rng.uniform(0, 2e-3)))
+        initial = QuantumState(n, random_density_matrix(rng, 2**n), ("sigma-",) * n, time=1e-3)
+        want = run_program(PulseProgram(n, ins), j, noise=run_noise, initial=initial).state
+        st = QuantumState(n, initial.rho, initial.bases, initial.time)
+        for step in ins:
+            if isinstance(step, Rotate):
+                apply_rotation(st, step.qubit, step.theta, step.phi)
+            elif isinstance(step, TransferBasis):
+                transfer_basis(st, step.qubit, step.target)
+            else:
+                free_evolution(st, step.duration, j, noise)
+        assert st.rho.tobytes() == want.rho.tobytes() and st.time == want.time
+        assert st.bases == want.bases == ("sigma-",) * n
+
+
 def test_free_evolution_rejects_non_finite_duration(bench_j):
     for duration in (float("nan"), float("inf"), -1e-3):
         st = prepare_state(3, "000")
