@@ -1,4 +1,4 @@
-"""Physical constants used across the package, and the register cap.
+"""Physical constants used across the package, and the register and chain caps.
 
 Values are CODATA 2018, fixed to 12 significant digits so results are
 reproducible independent of any constants library version. All SI.
@@ -15,3 +15,8 @@ ATOMIC_MASS = 1.66053906660e-27    # kg
 # Largest register the dense engine builds: a 2^n x 2^n density matrix of
 # complex doubles is 16 MB at 10 qubits and grows fourfold per qubit.
 MAX_QUBITS = 10
+
+# Longest ion chain TrapConfig accepts. Every chain of 1-84 ions reaches the
+# equilibrium solver's absolute |grad| < 1e-12 stop rule; beyond that the rule
+# lies below the rounding floor, and most longer chains report a stall.
+MAX_IONS = 84

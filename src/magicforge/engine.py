@@ -31,6 +31,8 @@ a ^ b (it depends only on which bits differ). The per-step kernels
 `apply_rotation` and `free_evolution` are one-instruction runs of that loop.
 Registers are capped at MAX_QUBITS; entering density matrices are checked, and
 states the engine builds itself (fresh registers, results) are not re-checked.
+A window or pulse whose Ising phase or damp exponent would overflow fails with an
+EngineError naming its duration.
 
 `run_program` is the one-slice case of that run. `run_batch` runs one program
 on several inputs at once: each input is prepared from |0...0> by its own
@@ -266,7 +268,10 @@ def _window_phase(j, state, duration):
     in force. Each qubit's couplings scale by s = -m_F, its moment relative to sigma-.
     """
     s = np.array([-MF[b] for b in state.bases], dtype=float)
-    return np.exp(1j * free_phases(j * np.outer(s, s), duration, s.size))
+    j = j * np.outer(s, s)
+    total = sum(map(abs, np.triu(j, 1).ravel().tolist()))
+    _check_exponent(float(duration) / 2.0 * total, duration, "Ising phase T/2*sum|J|")
+    return np.exp(1j * free_phases(j, duration, s.size))
 
 
 def _by_xor(values):
@@ -275,12 +280,20 @@ def _by_xor(values):
     return values[i[:, None] ^ i]
 
 
+def _check_exponent(value, duration, what):
+    """An exponent taken in Python floats, which never warn, must be finite; else numpy
+    would overflow on it, so an EngineError names the duration. Checked once per window."""
+    if not value < np.inf:
+        raise EngineError(f"duration {duration:g} s overflows the {what}")
+
+
 def _damp(bases, duration, noise):
     """(damp,): exp(-T sum_k gamma_k) over the qubits k whose bits differ; () if none dephase."""
     if not (duration > 0 and (noise.sigma_dephasing_rate or noise.pi_dephasing_rate)):
         return ()
-    rates = np.array([noise.rate_for(b) for b in bases])
-    return (_by_xor(np.exp(-duration * (bit_table(len(bases)) * rates).sum(axis=-1))),)
+    rates = [float(noise.rate_for(b)) for b in bases]
+    _check_exponent(float(duration) * sum(rates), duration, "dephasing exponent T*sum(gamma)")
+    return (_by_xor(np.exp(-duration * (bit_table(len(bases)) * np.array(rates)).sum(axis=-1))),)
 
 
 def _window_factors(window, bases, noise):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from magicforge.chain import (
     save_couplings,
     zeeman_profile,
 )
-from magicforge.constants import BOHR_MAGNETON, HBAR
+from magicforge.constants import BOHR_MAGNETON, HBAR, MAX_IONS
 
 
 def loop_gradient(u):
@@ -47,8 +49,8 @@ def loop_hessian(u):
 
 @st.composite
 def ascending_chains(draw):
-    """Strictly ascending scaled positions of 2-60 ions."""
-    n = draw(st.integers(2, 60))
+    """Strictly ascending scaled positions of 2-84 ions, every length TrapConfig accepts."""
+    n = draw(st.integers(2, MAX_IONS))
     start = draw(st.floats(-50.0, 0.0))
     gaps = draw(st.lists(st.floats(1e-2, 5.0), min_size=n - 1, max_size=n - 1))
     return start + np.concatenate([[0.0], np.cumsum(gaps)])
@@ -71,11 +73,39 @@ def test_broadcast_potential_matches_pairwise_loops(u):
     np.testing.assert_allclose(fd, h, rtol=1e-6, atol=1e-6 * np.abs(h).max())
 
 
-@pytest.mark.parametrize("n, iterations", [(2, 5), (3, 4), (10, 6), (35, 8), (60, 8)])
+def test_pair_powers_are_the_c_library_pow():
+    # J's last bit, and so the benchmark's frozen shot counts, rest on np.float_power calling
+    # the C library's pow per element, as math.pow does; np.power differs in ~5% of gaps
+    # at y = 3
+    rng = np.random.default_rng(20261019)
+    gaps = [10.0 ** rng.uniform(-3.0, 3.0, 100_000)]
+    for n in range(2, MAX_IONS + 1):
+        u = equilibrium_positions(TrapConfig(ion_count=n)).scaled_positions
+        gaps.append(np.abs(u[:, None] - u)[np.triu_indices(n, 1)])
+    gaps = np.concatenate(gaps)
+    for y in (2.0, 3.0):
+        want = np.array([math.pow(g, y) for g in gaps.tolist()])
+        assert np.float_power(gaps, y).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, iterations",
+                         [(2, 5), (3, 4), (10, 6), (35, 8), (60, 8), (MAX_IONS, 10)])
 def test_newton_iteration_counts_are_pinned(n, iterations):
     geo = equilibrium_positions(TrapConfig(ion_count=n))
     assert geo.iterations == iterations
     assert geo.gradient_norm < 1e-12
+
+
+def test_chains_above_the_cap_are_rejected(tmp_path):
+    # above 84 ions the absolute |grad| < 1e-12 stop rule lies below the rounding floor:
+    # the solver stalls on a converged 85-ion chain at |grad| = 1.04e-12
+    assert MAX_IONS == 84
+    with pytest.raises(ValueError, match="ion_count 85 is above MAX_IONS = 84"):
+        TrapConfig(ion_count=MAX_IONS + 1)
+    ini = tmp_path / "long.ini"
+    ini.write_text("[trap]\nion_count = 85\n")
+    with pytest.raises(ValueError, match="long.ini: ion_count 85 is above MAX_IONS"):
+        TrapConfig.from_ini(ini)
 
 
 def test_two_ion_equilibrium_closed_form():

@@ -472,6 +472,35 @@ def test_free_evolution_rejects_non_finite_duration(bench_j):
         assert st.time == 0.0 and np.isfinite(st.rho).all()
 
 
+def test_overflowing_windows_and_pulses_are_rejected(bench_j):
+    # T/2 * sum|J| overflows at 1e308 s; unchecked, numpy makes an all-NaN rho, or raises a
+    # bare RuntimeWarning under -W error
+    phase = r"duration 1e\+308 s overflows the Ising phase T/2\*sum\|J\|"
+    damp = r"duration 1e\+308 s overflows the dephasing exponent T\*sum\(gamma\)"
+    prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e308)])
+    for noise in (NoiseModel(), NoiseModel.off()):
+        with pytest.raises(EngineError, match=phase):
+            run_program(prog, bench_j, noise=noise)
+    with pytest.raises(EngineError, match=phase):
+        program_unitary(prog, bench_j)
+    # with no coupling only the damp exponent overflows, and only when something dephases
+    with pytest.raises(EngineError, match=damp):
+        run_program(PulseProgram(3, [FreeEvolve(1e308)]), np.zeros((3, 3)), noise=NoiseModel())
+    with pytest.raises(EngineError, match=damp):
+        run_program(PulseProgram(3, [Rotate(0, np.pi / 2, 0.0)]), bench_j, noise=NoiseModel(),
+                    pulse_duration=1e308)
+    for j, noise, message in ((bench_j, None, phase), (bench_j, NoiseModel(), phase),
+                              (np.zeros((3, 3)), NoiseModel(), damp)):
+        st = prepare_state(3, "+10")
+        with pytest.raises(EngineError, match=message):
+            free_evolution(st, 1e308, j, noise)
+        assert st.time == 0.0 and np.isfinite(st.rho).all()
+    # a long window whose exponents stay finite still runs
+    rho = run_program(PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e300)]), bench_j,
+                      noise=NoiseModel()).state.rho
+    assert np.isfinite(rho).all()
+
+
 def test_malformed_density_matrix_is_rejected(rng, bench_j):
     empty = PulseProgram(3, [])
     with pytest.raises(EngineError, match="rho: trace 24"):
