@@ -22,24 +22,26 @@ One walk over a program (`_walk`) resolves every instruction into a pulse
 factor under the encodings in force), tracking transfers and bounding qubit
 indices on the way; it expands a decoupling train straight from its phase list,
 each distinct pulse pair and window resolved once. Every run applies the steps
-in place to a stack rho[b] of density matrices (`_run`); `program_unitary`
-multiplies them into the ideal unitary. A pulse is never lifted to 2^n x 2^n:
-`_apply_pulse` applies its operator pair on the qubit's axis through one scratch
-stack, by views of the stack and scratch built once per run. A window's factors
+in place to a (2^n, 2^n, B) stack of density matrices, slice b last (`_run`);
+`program_unitary` multiplies them into the ideal unitary. A pulse is never
+lifted to 2^n x 2^n: `_apply_pulse` applies its operator pair on the qubit's
+axis through one scratch stack, by views built once per run. A window's factors
 and damp are rebuilt only for a new window object; the damp is a gather at
 a ^ b (it depends only on which bits differ). The per-step kernels
 `apply_rotation` and `free_evolution` are one-instruction runs of that loop.
 Registers are capped at MAX_QUBITS; entering density matrices are checked, and
 states the engine builds itself (fresh registers, results) are not re-checked.
-A window or pulse whose Ising phase or damp exponent would overflow fails with an
-EngineError naming its duration.
+A window or pulse whose Ising phase, damp exponent or run clock would overflow
+fails with an EngineError naming its duration.
 
 `run_program` is the one-slice case of that run. `run_batch` runs one program
 on several inputs at once: each input is prepared from |0...0> by its own
 pulses, never as a ket (a ket-prepared input differs in the last bits), and
-the program is then walked once over the whole stack. Each slice equals the
-single run of its input's pulses followed by the program, bit for bit, at
-every register size.
+the program is then walked once over the stack, a pulse on qubit q being 2^q
+zgemm calls 2^(2n-q-1) B columns wide. Each slice equals the single run of its
+input's pulses and the program bit for bit, by the 4-column rule: the pinned
+OpenBLAS rounds every column of a product a multiple of 4 wide alike. A 1-qubit
+single run is 2 columns wide, so a 1-qubit stack runs slice by slice.
 
 `fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
 state, so a scan over analysis phases runs its program once, not per phase.
@@ -249,9 +251,11 @@ def _trusted_state(n_qubits, rho, bases, time=0.0):
 
 
 def _apply_pulse(rho, scratch_t, views, ops):
-    """rho <- op rho op^dagger in place, ops = (op, op*): op on the rows, then op* on the rows of
-    rho^T, each a matmul into scratch (`views`: rho, scratch as (..., 2^q, 2, -1)) and a copy back
-    from its transpose `scratch_t`. This order gives the dense product's bits on 2-7 qubits."""
+    """rho <- op rho op^dagger in place on the (2^n, 2^n, B) stack, ops = (op, op*): op on the
+    rows, then op* on the rows of rho^T, each a matmul into scratch (`views`: rho, scratch as
+    (2^q, 2, -1), 2^q zgemm calls of B 2^(2n-q-1) columns) and a copy back from its transpose
+    `scratch_t`. This order gives the dense product's bits on 2-7 qubits, and the 4-column rule
+    (module docstring) each slice its single run's bits; 1-qubit stacks run slice by slice."""
     for m in ops:
         np.matmul(m, views[0], out=views[1])
         np.copyto(rho, scratch_t)
@@ -281,8 +285,8 @@ def _by_xor(values):
 
 
 def _check_exponent(value, duration, what):
-    """An exponent taken in Python floats, which never warn, must be finite; else numpy
-    would overflow on it, so an EngineError names the duration. Checked once per window."""
+    """An exponent or clock taken in Python floats, which never warn, must be finite; else
+    numpy would overflow on it, so an EngineError names the duration."""
     if not value < np.inf:
         raise EngineError(f"duration {duration:g} s overflows the {what}")
 
@@ -293,19 +297,14 @@ def _damp(bases, duration, noise):
         return ()
     rates = [float(noise.rate_for(b)) for b in bases]
     _check_exponent(float(duration) * sum(rates), duration, "dephasing exponent T*sum(gamma)")
-    return (_by_xor(np.exp(-duration * (bit_table(len(bases)) * np.array(rates)).sum(axis=-1))),)
+    damp = np.exp(-duration * (bit_table(len(bases)) * np.array(rates)).sum(axis=-1))
+    return (_by_xor(damp)[..., None],)  # a trailing axis over the stack
 
 
 def _window_factors(window, bases, noise):
     """The window's Ising phase factor outer(u, u*), then its damp if any."""
-    return (np.outer(window.phase, window.phase.conj()),) + _damp(bases, window.duration, noise)
-
-
-def _evolve(frame, duration, factors):
-    """The window kernel, in place: each factor in turn, then the clock."""
-    for factor in factors:
-        frame.rho *= factor
-    frame.time += duration
+    u = window.phase
+    return (np.outer(u, u.conj())[..., None],) + _damp(bases, window.duration, noise)
 
 
 def free_evolution(state, duration, j, noise=None):
@@ -445,28 +444,36 @@ class RunResult:
 
 def _slice(state):
     """`state` as a one-slice `_Frame` on a fresh C-ordered stack, whatever rho's layout."""
-    return _Frame(state.bases, np.array([state.rho], order="C"), np.array([state.time]))
+    return _Frame(state.bases, np.array(state.rho[..., None], order="C"), np.array([state.time]))
 
 
 def _run_steps(frame, program, j, noise, pulse_duration):
     """Apply `program`'s steps in place to the stack frame.rho and each slice's clock.
     Factors are rebuilt only for a new window object: a train's windows, built under one
-    encoding pattern, take three factor pairs (tau/2, tau, tau/2). Pulse damps are per encoding."""
+    encoding pattern, take three factor pairs (tau/2, tau, tau/2). Pulse damps are per encoding.
+    A window, or a driven pulse that takes time, applies its factors, then advances the clocks."""
     scratch = np.empty(frame.rho.shape, frame.rho.dtype)
-    views = [(frame.rho.reshape(s), scratch.reshape(s))
-             for s in (frame.rho.shape[:-2] + (2**q, 2, -1) for q in range(frame.n_qubits))]
-    scratch_t = scratch.swapaxes(-1, -2)
-    last = factors = None
+    views = [(frame.rho.reshape(2**q, 2, -1), scratch.reshape(2**q, 2, -1))
+             for q in range(frame.n_qubits)]
+    scratch_t = scratch.swapaxes(0, 1)
+    last = window_factors = None
+    clock = max(frame.time.tolist())
     pulse_damp = cache(lambda bases: _damp(bases, pulse_duration, noise))
     for step in _walk(program, j, frame):
         if isinstance(step, _Window):
             if step is not last:
-                last, factors = step, _window_factors(step, frame.bases, noise)
-            _evolve(frame, step.duration, factors)
+                last, window_factors = step, _window_factors(step, frame.bases, noise)
+            duration, factors = step.duration, window_factors
         else:
             _apply_pulse(frame.rho, scratch_t, views[step.qubit], step.ops)
-            if step.driven and pulse_duration > 0:
-                _evolve(frame, pulse_duration, pulse_damp(frame.bases))
+            if not (step.driven and pulse_duration > 0):
+                continue
+            duration, factors = pulse_duration, pulse_damp(frame.bases)
+        clock += duration  # the latest slice's clock, in Python floats
+        _check_exponent(clock, duration, "run clock")
+        for factor in factors:
+            frame.rho *= factor
+        frame.time += duration
 
 
 def _step(state, ins, j=None, noise=None):
@@ -474,7 +481,7 @@ def _step(state, ins, j=None, noise=None):
     (no relabeling, no depolarizing mix); `noise` None is no dephasing."""
     frame = _slice(state)
     _run_steps(frame, PulseProgram(state.n_qubits, [ins]), j, noise or NoiseModel.off(), 0.0)
-    state.rho, state.time = frame.rho[0], float(frame.time[0])
+    state.rho, state.time = frame.rho[..., 0], float(frame.time[0])
 
 
 def _run(frame, program, j, noise, pulse_duration):
@@ -483,14 +490,14 @@ def _run(frame, program, j, noise, pulse_duration):
     _run_steps(frame, program, j, noise, pulse_duration)
     if program.relabel is not None:
         i = relabel_index(program.relabel)
-        frame.rho = frame.rho[..., i[:, None], i]
+        frame.rho = frame.rho[i[:, None], i]
         frame.bases = tuple(frame.bases[q] for q in program.relabel)
     if noise.white_noise_fraction > 0:
         zeta, dim = noise.white_noise_fraction, 2**frame.n_qubits
         frame.rho *= 1 - zeta
-        frame.rho += zeta * np.eye(dim) / dim  # off-diagonal -0.0 + 0.0 is +0.0, as in the sum
-    return [RunResult(_trusted_state(frame.n_qubits, rho, frame.bases, float(t)))
-            for rho, t in zip(frame.rho, frame.time)]
+        frame.rho += (zeta * np.eye(dim) / dim)[..., None]  # off-diagonal -0.0 + 0.0 is +0.0
+    return [RunResult(_trusted_state(frame.n_qubits, np.ascontiguousarray(frame.rho[..., b]),
+                                     frame.bases, float(t))) for b, t in enumerate(frame.time)]
 
 
 def _check_pulse_duration(pulse_duration):
@@ -534,6 +541,8 @@ def run_batch(program, j, preparations, noise=None, pulse_duration=0.0):
     j = check_couplings(j, n, EngineError)
     if not preparations:
         raise EngineError("run_batch needs at least one preparation")
+    if n == 1 and len(preparations) > 1:  # 2 columns round unlike 4k (module docstring)
+        return [run_batch(program, j, [p], noise, pulse_duration)[0] for p in preparations]
     slices = []
     for prep in preparations:
         frame = _slice(prepare_state(n))
@@ -542,7 +551,7 @@ def run_batch(program, j, preparations, noise=None, pulse_duration=0.0):
             raise EngineError(f"preparation {prep!r} leaves encodings {frame.bases}, "
                               "not sigma-")
         slices.append(frame)
-    stack = _Frame(slices[0].bases, np.concatenate([f.rho for f in slices]),
+    stack = _Frame(slices[0].bases, np.concatenate([f.rho for f in slices], axis=-1),
                    np.concatenate([f.time for f in slices]))
     return _run(stack, program, j, noise, pulse_duration)
 

@@ -11,7 +11,7 @@ from conftest import (
     reference_run,
     selective_recoupling_wrap,
 )
-from magicforge import engine
+from magicforge import engine, harness
 from magicforge.engine import (
     MAX_QUBITS,
     STATE_TOLERANCE,
@@ -27,6 +27,7 @@ from magicforge.engine import (
     measurement_probabilities,
     prepare_state,
     product_input_ket,
+    product_input_pulses,
     program_unitary,
     ramsey_scan,
     run_batch,
@@ -499,6 +500,20 @@ def test_overflowing_windows_and_pulses_are_rejected(bench_j):
     rho = run_program(PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e300)]), bench_j,
                       noise=NoiseModel()).state.rho
     assert np.isfinite(rho).all()
+    # each step's exponents are finite, but the run clock's sum is not: unchecked, the run
+    # returns time = inf, or warns (an error in Tier-1) "overflow encountered in add"
+    clock = r"duration 1e\+308 s overflows the run clock"
+    off, zero = NoiseModel.off(), np.zeros((3, 3))
+    with pytest.raises(EngineError, match=clock):
+        run_program(PulseProgram(3, [FreeEvolve(1e308), FreeEvolve(1e308)]), zero, off)
+    with pytest.raises(EngineError, match=clock):
+        run_program(PulseProgram(3, [Rotate(0, np.pi, 0.0), Rotate(1, np.pi, 0.0)]), zero, off,
+                    pulse_duration=1e308)
+    with pytest.raises(EngineError, match=clock):
+        run_batch(PulseProgram(3, [FreeEvolve(1e308)]), zero, [[], [Rotate(0, np.pi, 0.0)]], off,
+                  pulse_duration=1e308)
+    [res] = run_batch(PulseProgram(3, [FreeEvolve(1e308)]), zero, [[]], off)
+    assert res.state.time == 1e308
 
 
 def test_malformed_density_matrix_is_rejected(rng, bench_j):
@@ -686,6 +701,57 @@ def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
     for k, rho in enumerate(rhos):
         assert not any(np.shares_memory(rho, other) for other in rhos[k + 1:])
         assert not any(np.shares_memory(rho, s) for s in scratches)
+
+
+def test_blas_rounds_every_column_of_a_4k_wide_product_alike():
+    # a stacked pulse is one (2x2) @ (2 x B 4^n / 2^(q+1)) product per row block, and a
+    # single run the same product B times narrower; the pinned OpenBLAS zgemm rounds each
+    # column of a product whose width is a multiple of 4 the same way, so the slices agree
+    rng = np.random.default_rng(20261019)
+    op = rotation_2x2(*rng.uniform(0, 2 * np.pi, 2))
+    for width in (8, 64, 17 * 32):
+        x = rng.normal(size=(2, width)) + 1j * rng.normal(size=(2, width))
+        blocks = np.concatenate([op @ np.ascontiguousarray(x[:, k:k + 4])
+                                 for k in range(0, width, 4)], axis=1)
+        assert (op @ x).tobytes() == blocks.tobytes(), (
+            f"zgemm rounds a {width}-column product unlike its 4-column blocks: stacked "
+            "runs no longer equal single runs bit for bit on this BLAS")
+    # every pulse product of a single run is a multiple of 4 wide but one: 1 qubit, 2 columns,
+    # so run_batch keeps 1-qubit stacks slice by slice
+    narrow = [(n, 4**n // 2**(q + 1)) for n in range(1, MAX_QUBITS + 1) for q in range(n)
+              if 4**n // 2**(q + 1) % 4]
+    assert narrow == [(1, 2)]
+
+
+def test_wide_transform_stack_matches_single_runs():
+    # run_all's 17-input stack of the calibrated KDD transform, slice by slice
+    compiled = harness._compile_transform()
+    prog = compiled.program
+    labels = list(dict.fromkeys(label for _, _, labels in harness._BUILTINS.values()
+                                for label in labels))
+    assert len(labels) == 17
+    stacked = run_batch(prog, compiled.couplings, list(map(product_input_pulses, labels)))
+    for label, res in zip(labels, stacked, strict=True):
+        single = run_program(PulseProgram(3, product_input_pulses(label) + prog.instructions,
+                                          relabel=prog.relabel), compiled.couplings).state
+        assert res.state.rho.tobytes() == single.rho.tobytes(), label
+        assert res.state.time == single.time and res.state.bases == single.bases
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_one_qubit_stacks_match_single_runs(size):
+    j = np.zeros((1, 1))
+    prog = PulseProgram(1, [Rotate(0, np.pi / 3, 0.2), FreeEvolve(1e-3, 10, "kdd"),
+                            PhaseShift(0, 0.7), TransferBasis(0, "pi"), FreeEvolve(5e-4),
+                            TransferBasis(0, "sigma-"), Rotate(0, np.pi / 2, 1.1)])
+    preps = [[], [Rotate(0, np.pi / 2, 0.5)], [Echo(0, 0.3)], [Rotate(0, 1.3, 2.9)]][:size]
+    for pulse_duration in (0.0, 2e-6):
+        stacked = run_batch(prog, j, preps, pulse_duration=pulse_duration)
+        for prep, res in zip(preps, stacked, strict=True):
+            single = run_program(PulseProgram(1, prep + prog.instructions), j,
+                                 pulse_duration=pulse_duration).state
+            assert res.state.rho.tobytes() == single.rho.tobytes()
+            assert res.state.time == single.time and res.state.bases == single.bases
 
 
 @pytest.mark.parametrize("pulse_duration", [0.0, 2e-6])

@@ -108,7 +108,7 @@ def test_transform_program_walked_once_per_run(monkeypatch, tmp_path):
     walk = engine._walk
 
     def counting_walk(program, j, frame):
-        walked.append((program, None if frame.rho is None else frame.rho.shape[0]))
+        walked.append((program, None if frame.time is None else frame.time.size))
         return walk(program, j, frame)
 
     monkeypatch.setattr(engine, "_walk", counting_walk)
