@@ -19,16 +19,17 @@ sigma- <-> sigma+ transfer is not a native block and must pass through pi.
 
 One walk over a program (`_walk`) resolves every instruction into a pulse
 (qubit, 2x2 operator and its conjugate) or a window (duration and Ising phase
-factor under the encodings in force), tracking transfers and bounding qubit
-indices on the way; it expands a decoupling train straight from its phase list,
-each distinct pulse pair and window resolved once. Every run applies the steps
-in place to a (2^n, 2^n, B) stack of density matrices, slice b last (`_run`);
-`program_unitary` multiplies them into the ideal unitary. A pulse is never
-lifted to 2^n x 2^n: `_apply_pulse` applies its operator pair on the qubit's
-axis through one scratch stack, by views built once per run. A window's factors
-and damp are rebuilt only for a new window object; the damp is a gather at
-a ^ b (it depends only on which bits differ). The per-step kernels
-`apply_rotation` and `free_evolution` are one-instruction runs of that loop.
+factor under the encodings in force), bounding qubit indices on the way. It is
+the one home of the transfer rule, and it expands a decoupling train straight
+from its phase list, each distinct pulse pair and window resolved once. Every
+run applies the steps in place to a (2^n, 2^n, B) stack of density matrices,
+slice b last (`_run`); `program_unitary` multiplies them into the ideal unitary.
+A pulse is never lifted to 2^n x 2^n: `_apply_pulse` applies its operator pair
+on the qubit's axis through one scratch stack, by views built once per run. A
+window's factors and damp are rebuilt only for a new window object; the damp is
+a gather at a ^ b (it depends only on which bits differ). All three per-step
+kernels, `apply_rotation`, `free_evolution` and `transfer_basis`, are
+one-instruction runs of that loop.
 Registers are capped at MAX_QUBITS; entering density matrices are checked, and
 states the engine builds itself (fresh registers, results) are not re-checked.
 A window or pulse whose Ising phase, damp exponent or run clock would overflow
@@ -309,24 +310,14 @@ def _window_factors(window, bases, noise):
 
 def free_evolution(state, duration, j, noise=None):
     """One window in place, a one-instruction run: Ising phases, then dephasing if `noise`."""
-    if not 0.0 <= duration < np.inf:
-        raise EngineError(f"window duration must be finite and >= 0, got {duration}")
     _step(state, FreeEvolve(duration), check_couplings(j, state.n_qubits, EngineError), noise)
 
 
 def transfer_basis(state, qubit, target):
-    """Re-house `qubit` (or "all") in `target`; sigma- <-> sigma+ must pass through pi."""
-    if target not in BASES:
-        raise EngineError(f"unknown encoding basis {target!r}")
-    bases = list(state.bases)
+    """Re-house `qubit` (or "all") in `target` in place: a one-instruction run."""
     if qubit != "all":
-        _check_qubit(qubit, len(bases))
-    for q in range(len(bases)) if qubit == "all" else [qubit]:
-        if {bases[q], target} == {BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS}:
-            raise EngineError(f"qubit {q}: direct {bases[q]} -> {target} transfer; "
-                              "route it through pi")
-        bases[q] = target
-    state.bases = tuple(bases)
+        _check_qubit(qubit, state.n_qubits)
+    _step(state, TransferBasis(qubit, target))
 
 
 def dd_phase_sequence(n_pulses, scheme="cpmg"):
@@ -399,10 +390,10 @@ def _walk(program, j, frame):
     """Resolve `program` into `_Pulse` and `_Window` steps, in order.
 
     This is the one interpreter of instructions: decoupled windows are expanded
-    in `dd_fragment`'s order, transfers update `frame.bases` as the walk passes
-    them, and each window's phases use the encodings then in force. `j` must be
-    checked already; each qubit an instruction names is bounded here against the
-    program's register.
+    in `dd_fragment`'s order, a transfer sets `frame.bases` once every qubit it
+    names has passed the sigma- <-> sigma+ rule, and each window's phases use the
+    encodings then in force. `j` must be checked already; each qubit an instruction
+    names is bounded here against the program's register.
     """
     measured = False
     for ins in program.instructions:
@@ -430,7 +421,13 @@ def _walk(program, j, frame):
         elif isinstance(ins, FreeEvolve):
             yield _Window(ins.duration, _window_phase(j, frame, ins.duration))
         elif isinstance(ins, TransferBasis):
-            transfer_basis(frame, ins.qubit, ins.target)
+            bases = list(frame.bases)
+            for q in range(program.n_qubits) if ins.qubit == "all" else [ins.qubit]:
+                if {bases[q], ins.target} == {BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS}:
+                    raise EngineError(f"qubit {q}: direct {bases[q]} -> {ins.target} transfer; "
+                                      "route it through pi")
+                bases[q] = ins.target
+            frame.bases = tuple(bases)
         elif isinstance(ins, Measure):
             measured = True
         else:
@@ -481,7 +478,7 @@ def _step(state, ins, j=None, noise=None):
     (no relabeling, no depolarizing mix); `noise` None is no dephasing."""
     frame = _slice(state)
     _run_steps(frame, PulseProgram(state.n_qubits, [ins]), j, noise or NoiseModel.off(), 0.0)
-    state.rho, state.time = frame.rho[..., 0], float(frame.time[0])
+    state.rho, state.bases, state.time = frame.rho[..., 0], frame.bases, float(frame.time[0])
 
 
 def _run(frame, program, j, noise, pulse_duration):
@@ -618,34 +615,36 @@ def sample_counts(p, shots, rng):
     return rng.multinomial(shots, p / total)
 
 
-def ramsey_program(qubit, duration, spectator_bits=None, dd_pulses=0):
+def ramsey_program(qubit, duration, dd_pulses=0):
     """Conditional-precession probe on the three-qubit register, up to its analysis pulse.
 
-    Spectators listed in `spectator_bits` (qubit -> 0/1) are flipped into the
-    requested basis state before the probe's pi/2 pulse; `dd_pulses` CPMG
-    pulses decouple the wait. `fringe_scan` reads the analysis pulse off the
-    finished state.
+    The probe's pi/2 pulse, then a wait that `dd_pulses` CPMG pulses decouple;
+    spectator states are prepared inputs (`product_input_pulses`), and
+    `fringe_scan` reads the analysis pulse off the finished state.
     """
-    ins = []
-    for q, bit in sorted((spectator_bits or {}).items()):
-        if q == qubit:
-            raise ProgramError("probe qubit cannot be its own spectator")
-        if bit:
-            ins.append(Rotate(q, np.pi, 0.0))
-    ins.append(Rotate(qubit, np.pi / 2, 0.0))
-    ins.append(FreeEvolve(duration, dd_pulses))
-    return PulseProgram(n_qubits=3, instructions=ins,
+    return PulseProgram(3, [Rotate(qubit, np.pi / 2, 0.0), FreeEvolve(duration, dd_pulses)],
                         name=f"ramsey q{qubit} T={duration:.6g}")
 
 
 def ramsey_scan(qubit, duration, phases, j, noise=None, spectator_bits=None, dd_pulses=0):
     """Bright-state probability of the probe qubit versus analysis phase.
 
-    One run of `ramsey_program`, then `fringe_scan`: exact under any
-    NoiseModel, as the pulse commutes with the end-of-run depolarizing mix.
+    Spectators listed in `spectator_bits` (qubit -> 0/1) are prepared in that
+    basis state, the rest in 0. One run of `ramsey_program` on that input, then
+    `fringe_scan`: exact under any NoiseModel, as the pulse commutes with the
+    end-of-run depolarizing mix.
     """
-    prog = ramsey_program(qubit, duration, spectator_bits, dd_pulses)
-    return fringe_scan(run_program(prog, j, noise=noise).state, qubit, phases)
+    label = ["0"] * 3
+    for q, bit in (spectator_bits or {}).items():
+        if q == qubit:
+            raise ProgramError("probe qubit cannot be its own spectator")
+        _check_qubit(q, 3)
+        if bit not in (0, 1):
+            raise ProgramError(f"spectator qubit {q}: bit must be 0 or 1, got {bit!r}")
+        label[q] = str(int(bit))
+    prep = product_input_pulses("".join(label))
+    [res] = run_batch(ramsey_program(qubit, duration, dd_pulses), j, [prep], noise)
+    return fringe_scan(res.state, qubit, phases)
 
 
 def fringe_scan(state, qubit, phases):

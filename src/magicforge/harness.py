@@ -47,7 +47,6 @@ from .engine import (
     product_input_pulses,
     ramsey_program,
     run_batch,
-    run_program,
     sample_counts,
 )
 from .gates import check_couplings, read_only
@@ -166,22 +165,17 @@ def scenario_topologies():
     noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
     for tag, text in (("both neighbours active", "-,-,-"), ("outer neighbour parked", "-,-,0")):
         assignment = parse_topology(text)
-        probe = ramsey_program(0, duration, {1: 1, 2: 1}, 20)
+        probe = ramsey_program(0, duration, 20)
         # every run starts in sigma-, so only the other encodings need a transfer before the wait
         probe.instructions[-1:-1] = [TransferBasis(q, basis)
                                      for q, basis in enumerate(assignment.bases)
                                      if basis != BASIS_SIGMA_MINUS]
-        p = fringe_scan(run_program(probe, j, noise=noise).state, 0, _PHASES)
+        [res] = run_batch(probe, j, [product_input_pulses("011")], noise=noise)
+        p = fringe_scan(res.state, 0, _PHASES)
         fit = ramsey_fit(_PHASES, p)
         rate = -_wrap(fit.phase - (-np.pi)) / duration
         records.append(_topology_row(tag, j, assignment, rate / (2 * np.pi), fit.contrast))
     return {"topologies": records}
-
-
-def _transform_runs(labels, compiled):
-    """{label: RunResult} of the transform on each product input in `labels`, as one stack."""
-    pulses = [product_input_pulses(label) for label in labels]
-    return dict(zip(labels, run_batch(compiled.program, compiled.couplings, pulses)))
 
 
 def _compile_transform():
@@ -371,39 +365,39 @@ def resolve_scenario_name(token):
     raise HarnessError(f"unknown scenario {token!r}; builtins: {known}")
 
 
-def run_scenario(name, directory, seed=DEFAULT_SEED, compiled=None, runs=None):
-    """Run one builtin scenario; write its CSV/JSON pairs; return {stem: records}.
+def _run_builtins(names, directory, seed):
+    """Run the named builtin scenarios; write their CSV/JSON pairs; return {stem: records}.
 
-    The transform scenarios read `runs` ({input label: RunResult}) of `compiled`, the
-    optimized KDD-decoupled `CompiledTransform` of the calibrated register; either one
-    left None is made here, `runs` from the scenario's own inputs alone.
+    The transform is compiled only if a named scenario reads it, and then run once, on one
+    stack of the union of their inputs ({label: RunResult}).
     """
-    name = resolve_scenario_name(name)
-    _, stream, inputs = _BUILTINS[name]
     os.makedirs(directory, exist_ok=True)
-    args = [] if stream is None else [_stream(seed, stream)]
+    inputs = dict.fromkeys(label for name in names for label in _BUILTINS[name][2])
     if inputs:
-        compiled = _compile_transform() if compiled is None else compiled
-        args += [_transform_runs(inputs, compiled) if runs is None else runs, compiled]
-    # looked up at call time, so a wrapper set on the module attribute sees the call
-    out = globals()[f"scenario_{name}"](*args)
+        compiled = _compile_transform()
+        pulses = [product_input_pulses(label) for label in inputs]
+        runs = dict(zip(inputs, run_batch(compiled.program, compiled.couplings, pulses)))
+    out = {}
+    for name in names:
+        _, stream, reads = _BUILTINS[name]
+        args = [] if stream is None else [_stream(seed, stream)]
+        if reads:
+            args += [runs, compiled]
+        # looked up at call time, so a wrapper set on the module attribute sees the call
+        out.update(globals()[f"scenario_{name}"](*args))
     for stem, records in out.items():
         emit_records(records, directory, stem)
     return out
 
 
-def run_all(directory, seed=DEFAULT_SEED):
-    """Run every builtin scenario; write one CSV/JSON pair per result table.
+def run_scenario(name, directory, seed=DEFAULT_SEED):
+    """Run one builtin scenario, by name or alias; write its tables as `run_all` does."""
+    return _run_builtins([resolve_scenario_name(name)], directory, seed)
 
-    The transform is compiled once and run once, on one stack of its scenarios' inputs.
-    """
-    compiled = _compile_transform()
-    inputs = dict.fromkeys(label for _, _, labels in _BUILTINS.values() for label in labels)
-    runs = _transform_runs(inputs, compiled)
-    out = {}
-    for name in SCENARIO_NAMES:
-        out.update(run_scenario(name, directory, seed, compiled=compiled, runs=runs))
-    return out
+
+def run_all(directory, seed=DEFAULT_SEED):
+    """Run every builtin scenario; write one CSV/JSON pair per result table."""
+    return _run_builtins(SCENARIO_NAMES, directory, seed)
 
 
 @dataclass

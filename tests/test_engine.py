@@ -232,6 +232,19 @@ def test_reencoding_flips_precession_sign():
     assert (base - flipped) == pytest.approx(2 * j[0, 1] * t, abs=1e-9)
 
 
+def test_transfer_changes_only_the_encodings(bench_j):
+    # a transfer is an identity on the logical state: rho and the clock keep every bit
+    st = prepare_state(3, "+10")
+    free_evolution(st, 1e-3, bench_j, NoiseModel())
+    rho, time = st.rho.copy(), st.time
+    transfer_basis(st, 1, "pi")
+    assert st.bases == ("sigma-", "pi", "sigma-")
+    assert st.rho.tobytes() == rho.tobytes() and st.time == time
+    with pytest.raises(ProgramError, match="unknown encoding basis 'up'"):
+        transfer_basis(st, 0, "up")
+    assert st.bases == ("sigma-", "pi", "sigma-")
+
+
 def test_direct_sigma_transfer_is_rejected(rng):
     st = prepare_state(3, "000")
     with pytest.raises(EngineError, match="qubit 0: direct sigma- -> sigma\\+"):
@@ -466,11 +479,15 @@ def test_per_step_kernels_match_the_run(noise):
 
 
 def test_free_evolution_rejects_non_finite_duration(bench_j):
-    for duration in (float("nan"), float("inf"), -1e-3):
+    # the window fails where FreeEvolve is built, before the state is touched
+    for duration, message in ((float("nan"), "duration must be finite, got nan"),
+                              (float("inf"), "duration must be finite, got inf"),
+                              (-1e-3, "free evolution duration must be >= 0, got -0.001")):
         st = prepare_state(3, "000")
-        with pytest.raises(EngineError, match="duration must be finite and >= 0"):
+        rho = st.rho.copy()
+        with pytest.raises(ProgramError, match=f"^{message}$"):
             free_evolution(st, duration, bench_j, NoiseModel())
-        assert st.time == 0.0 and np.isfinite(st.rho).all()
+        assert st.time == 0.0 and np.array_equal(st.rho, rho)
 
 
 def test_overflowing_windows_and_pulses_are_rejected(bench_j):
@@ -797,3 +814,22 @@ def test_fringe_phase_tracks_neighbour_state(bench_j):
     expected_gap = (2 * bench_j[0, 2]) * t   # flipping spectator 2 changes rate by 2 J02
     gap = (up_up - up_down) % (2 * np.pi)
     assert gap == pytest.approx(expected_gap % (2 * np.pi), abs=2 * np.pi / 24 + 1e-9)
+
+
+def test_ramsey_scan_checks_its_spectators(bench_j):
+    phases = np.linspace(0.0, 2 * np.pi, 5)
+
+    def scan(bits):
+        return ramsey_scan(0, 1e-3, phases, bench_j, spectator_bits=bits, dd_pulses=2)
+
+    for bits in ({1: 2}, {2: -1}, {1: 0.5}, {2: "1"}, {1: np.nan}):
+        [(q, bit)] = bits.items()
+        with pytest.raises(ProgramError, match=f"spectator qubit {q}: bit must be 0 or 1"):
+            scan(bits)
+    with pytest.raises(ProgramError, match="probe qubit cannot be its own spectator"):
+        scan({0: 1})
+    with pytest.raises(EngineError, match="qubit 3 outside register of 3"):
+        scan({3: 0})
+    # booleans are bits; a spectator left out is in 0
+    assert scan({1: True, 2: False}).tobytes() == scan({1: 1}).tobytes()
+    assert scan({1: 0, 2: 0}).tobytes() == scan(None).tobytes()

@@ -239,13 +239,14 @@ def test_fringe_scan_matches_explicit_analysis_pulse(n, data, seed, phases):
        st.sampled_from([0, 2, 4, 20]), phase_lists)
 def test_ramsey_scan_matches_per_phase_runs(qubit, bits, duration, dd_pulses, phases):
     # the scan runs once and reads every phase off the state; the oracle runs
-    # the probe program with its analysis pulse appended, once per phase
+    # the spectator flips, the probe program and its analysis pulse, once per phase
     spectators = dict(zip([q for q in range(3) if q != qubit], bits))
     j = np.array([[0.0, 229.3, 97.4], [229.3, 0.0, 229.3], [97.4, 229.3, 0.0]])
     noise = NoiseModel()
     oracle = []
     for phi in phases:
-        prog = ramsey_program(qubit, duration, spectator_bits=spectators, dd_pulses=dd_pulses)
+        prog = ramsey_program(qubit, duration, dd_pulses=dd_pulses)
+        prog.instructions[:0] = [Rotate(q, np.pi, 0.0) for q, bit in spectators.items() if bit]
         prog.instructions.append(Rotate(qubit, np.pi / 2, phi))
         oracle.append(bright_probability(run_program(prog, j, noise=noise).state.rho, qubit, 3))
     scan = ramsey_scan(qubit, duration, phases, j, noise=noise, spectator_bits=spectators,
