@@ -61,18 +61,30 @@ def test_tables_match_frozen_reproduction(full_run):
                     assert abs(float(cell) - w) <= 1e-12 + 1e-9 * abs(w), where
 
 
-SEED7 = Path(__file__).resolve().parent / "data" / "run_all_seed7"
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def assert_files_frozen(directory, frozen_dir):
+    frozen = sorted(path.name for path in frozen_dir.iterdir())
+    assert len(frozen) == 12
+    assert sorted(path.name for path in Path(directory).iterdir()) == frozen
+    for name in frozen:
+        assert (Path(directory) / name).read_bytes() == (frozen_dir / name).read_bytes(), \
+            f"{name} differs"
 
 
 def test_run_all_bytes_at_seed_7_are_frozen(tmp_path):
     # every file run_all writes, byte for byte, at a second seed: a change that leaves
     # the model's numbers alone moves none of them
     harness.run_all(tmp_path, seed=7)
-    frozen = sorted(path.name for path in SEED7.iterdir())
-    assert len(frozen) == 12
-    assert sorted(path.name for path in tmp_path.iterdir()) == frozen
-    for name in frozen:
-        assert (tmp_path / name).read_bytes() == (SEED7 / name).read_bytes(), f"{name} differs"
+    assert_files_frozen(tmp_path, DATA / "run_all_seed7")
+
+
+def test_run_all_bytes_at_the_default_seed_are_frozen(full_run):
+    # byte for byte, so a %.10g flip in an unsampled cell fails here, where
+    # test_tables_match_frozen_reproduction's 1e-9 relative tolerance lets it pass
+    directory, _ = full_run
+    assert_files_frozen(directory, DATA / "run_all_default")
 
 
 def test_single_scenario_reproduces_full_run_bytes(full_run, tmp_path):
