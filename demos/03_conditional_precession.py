@@ -24,14 +24,16 @@ print()
 for bits, expected in [({1: 0, 2: 0}, j[0, 1] + j[0, 2]),
                        ({1: 0, 2: 1}, j[0, 1] - j[0, 2])]:
     # Fit the fringe phase at T=0 and at T=wait; the rate is the slope.
-    # Precession shows up as a negative shift of the fringe phase, and the
-    # waits here are short enough that no 2pi unwrapping is needed.
+    # Precession shows up as a negative shift of the fringe phase. The fit at
+    # T=0 sits on the +-pi branch cut, where rounding picks the sign, so the
+    # phase difference is wrapped into [-pi, pi).
     fits = []
     for t in (0.0, wait):
         probs = ramsey_scan(0, t, phases, j, noise=NoiseModel.off(),
                             spectator_bits=bits)
         fits.append(ramsey_fit(phases, probs))
-    rate = -(fits[1].phase - fits[0].phase) / wait
+    shift = (fits[1].phase - fits[0].phase + np.pi) % (2 * np.pi) - np.pi
+    rate = -shift / wait
     print(f"spectators |{bits[1]}{bits[2]}>  fitted rate {rate:9.3f} rad/s"
           f"   expected {expected:9.3f}")
 

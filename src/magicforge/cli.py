@@ -40,7 +40,14 @@ from .chain import (
 )
 from .encoding import effective_couplings, topology_preset
 from .program import load_program
-from .qft import CompilerError, compile_qft, serial_baseline, verify_plan
+from .qft import (
+    CompilerError,
+    gate_sequence,
+    plan_times,
+    serial_baseline,
+    solve_entangling_params,
+    verify_plan,
+)
 
 OUTPUT_ROOT_VAR = "MAGIC_FORGE_OUT"
 
@@ -130,14 +137,16 @@ def _cmd_run(args):
 def _cmd_compile_qft(args):
     couplings = load_couplings(args.j)
     root = output_root()
-    # Both forms are compiled before any file is written. The selected form must
-    # pass its fidelity gate, or the command fails with nothing written; the other
-    # form is compiled best-effort so a gate failure there cannot block the one the
-    # user asked for.
+    # One schedule and window solve serve both forms, and both are emitted and gated
+    # before any file is written. The selected form must pass its fidelity gate, or
+    # the command fails with nothing written; the other form is gated best-effort so
+    # a gate failure there cannot block the one the user asked for.
+    t1, t2 = plan_times(couplings.j)
+    solution = solve_entangling_params(couplings.j, t1, t2)
     compiled = {}
     for form in ("exact", "optimized"):
         try:
-            compiled[form] = compile_qft(couplings.j, form=form)
+            compiled[form] = gate_sequence(couplings.j, t1, t2, solution, form=form)
         except CompilerError as exc:
             if form == args.form:
                 raise

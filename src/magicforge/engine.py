@@ -168,22 +168,33 @@ class QuantumState:
 
     def reduced_density(self, keep):
         """Partial trace keeping the listed qubits, in the order given."""
-        keep = list(keep)
-        n = self.n_qubits
-        for q in keep:
-            _check_qubit(q, n)
-        if len(set(keep)) != len(keep):
-            raise EngineError(f"qubits {keep} repeated in partial trace")
-        t = self.rho.reshape([2] * (2 * n))
-        drop = [q for q in range(n) if q not in keep]
-        for count, q in enumerate(sorted(drop)):
-            axis = q - count  # earlier traces shrink the index space
-            t = np.trace(t, axis1=axis, axis2=axis + (n - count))
-        remaining = [q for q in range(n) if q not in drop]
-        m = len(keep)
-        order = [remaining.index(q) for q in keep]
-        t = t.reshape([2] * (2 * m)).transpose(order + [o + m for o in order])
-        return t.reshape(2**m, 2**m)
+        return partial_trace(self.rho, keep)
+
+
+def partial_trace(rho, keep):
+    """Partial trace of a 2^n x 2^n rho keeping the listed qubits, in the order given.
+
+    `rho` may be a (2^n, 2^n, B) stack, slice b last as `run_batch` runs it; each
+    slice is traced as a single rho is, bit for bit, and the result keeps the stack axis.
+    """
+    n = int(rho.shape[0]).bit_length() - 1
+    stack = list(rho.shape[2:])
+    keep = list(keep)
+    for q in keep:
+        _check_qubit(q, n)
+    if len(set(keep)) != len(keep):
+        raise EngineError(f"qubits {keep} repeated in partial trace")
+    t = rho.reshape([2] * (2 * n) + stack)
+    drop = [q for q in range(n) if q not in keep]
+    for count, q in enumerate(sorted(drop)):
+        axis = q - count  # earlier traces shrink the index space
+        t = np.trace(t, axis1=axis, axis2=axis + (n - count))
+    remaining = [q for q in range(n) if q not in drop]
+    m = len(keep)
+    order = [remaining.index(q) for q in keep]
+    t = t.reshape([2] * (2 * m) + stack).transpose(
+        order + [o + m for o in order] + list(range(2 * m, 2 * m + len(stack))))
+    return t.reshape([2**m, 2**m] + stack)
 
 
 # Each token of a product input: its single-qubit ket, and the (theta, phi)
@@ -651,6 +662,10 @@ def fringe_scan(state, qubit, phases):
     """Analysis-pulse scan on a finished state: P(bright) after R(pi/2, phi).
 
     With r the probe's reduced state, P(phi) = (r00 + r11)/2 + Im(e^{i phi} r01).
+    `state` may also be a (2^n, 2^n, B) stack of finished states, slice b last as
+    `run_batch` runs them; it gives one row of P per slice, (B, len(phases)), and
+    each row holds the bits of that slice's own scan.
     """
-    r = state.reduced_density([qubit])
+    r = partial_trace(getattr(state, "rho", state), [qubit])
+    r = r[..., None] if r.ndim == 3 else r  # a stack: slice b's scan is row b
     return (r[0, 0] + r[1, 1]).real / 2 + np.imag(np.exp(1j * np.asarray(phases)) * r[0, 1])

@@ -28,6 +28,7 @@ readout-corrected quantities. Ion columns are reported in physical chain order
 """
 
 import configparser
+import itertools
 import json
 import math
 import os
@@ -43,6 +44,7 @@ from .engine import (
     NoiseModel,
     fringe_scan,
     measurement_probabilities,
+    partial_trace,
     product_input_ket,
     product_input_pulses,
     ramsey_program,
@@ -109,9 +111,13 @@ def _wrap(angle):
 _PHASES = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
 
 
-def _sampled_fit(rng, state, qubit, shots):
-    """Ramsey fit of `qubit`'s fringe in `state`, sampled with `shots` draws per phase."""
-    p = fringe_scan(state, qubit, _PHASES)
+def _stack(results):
+    """The finished states of `run_batch` results as one (2^n, 2^n, B) stack, slice b last."""
+    return np.stack([res.state.rho for res in results], axis=-1)
+
+
+def _sampled_fits(rng, p, shots):
+    """Ramsey fits of the fringe rows `p` (k, 16), `shots` draws per phase, drawn row by row."""
     counts = rng.binomial(shots, np.clip(p, 0.0, 1.0))
     return ramsey_fit(_PHASES, counts / shots, shots=shots)
 
@@ -121,31 +127,33 @@ def scenario_precession(rng):
     shots = 50
     j = demo_couplings()
     noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
-    records = []
     neighbours = ("00", "01", "10", "11")
-    for t_ms in (1, 2, 3, 4):
+    waits_ms = (1, 2, 3, 4)
+    # each neighbour state is prepared by its flips; the probe runs on all four at once
+    preparations = [product_input_pulses("0" + bits) for bits in neighbours]
+    rho = np.concatenate([
+        _stack(run_batch(ramsey_program(0, t_ms * 1e-3, dd_pulses=20), j, preparations,
+                         noise=noise)) for t_ms in waits_ms], axis=-1)
+    fits = _sampled_fits(rng, fringe_scan(rho, 0, _PHASES), shots)
+    records = []
+    for (t_ms, bits), fit in zip(itertools.product(waits_ms, neighbours), fits):
         duration = t_ms * 1e-3
-        # each neighbour state is prepared by its flips; the probe runs on all four at once
-        runs = run_batch(ramsey_program(0, duration, dd_pulses=20), j,
-                         [product_input_pulses("0" + bits) for bits in neighbours], noise=noise)
-        for bits, res in zip(neighbours, runs):
-            spect = {1: int(bits[0]), 2: int(bits[1])}
-            fit = _sampled_fit(rng, res.state, 0, shots)
-            rate = expected_precession_rate(j, 0, spect)
-            phase_pred = _wrap(-np.pi + rate * duration)
-            records.append(RunRecord(
-                f"T={t_ms}ms n={bits}",
-                {
-                    "duration_ms": float(t_ms),
-                    "neighbours": bits,
-                    "contrast": fit.contrast,
-                    "contrast_err": fit.contrast_err,
-                    "phase": fit.phase,
-                    "phase_err": fit.phase_err,
-                    "phase_predicted": phase_pred,
-                    "rate_predicted_hz": rate / (2 * np.pi),
-                    "shots_per_point": shots,
-                }))
+        spect = {1: int(bits[0]), 2: int(bits[1])}
+        rate = expected_precession_rate(j, 0, spect)
+        phase_pred = _wrap(-np.pi + rate * duration)
+        records.append(RunRecord(
+            f"T={t_ms}ms n={bits}",
+            {
+                "duration_ms": float(t_ms),
+                "neighbours": bits,
+                "contrast": fit.contrast,
+                "contrast_err": fit.contrast_err,
+                "phase": fit.phase,
+                "phase_err": fit.phase_err,
+                "phase_predicted": phase_pred,
+                "rate_predicted_hz": rate / (2 * np.pi),
+                "shots_per_point": shots,
+            }))
     return {"precession": records}
 
 
@@ -163,16 +171,18 @@ def scenario_topologies():
     records = [_topology_row(f"preset {label}", j, topology_preset(label)) for label in "ABCDE"]
     duration = 1e-3
     noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
-    for tag, text in (("both neighbours active", "-,-,-"), ("outer neighbour parked", "-,-,0")):
-        assignment = parse_topology(text)
+    tags = {"both neighbours active": parse_topology("-,-,-"),
+            "outer neighbour parked": parse_topology("-,-,0")}
+    runs = []
+    for assignment in tags.values():
         probe = ramsey_program(0, duration, 20)
         # every run starts in sigma-, so only the other encodings need a transfer before the wait
         probe.instructions[-1:-1] = [TransferBasis(q, basis)
                                      for q, basis in enumerate(assignment.bases)
                                      if basis != BASIS_SIGMA_MINUS]
-        [res] = run_batch(probe, j, [product_input_pulses("011")], noise=noise)
-        p = fringe_scan(res.state, 0, _PHASES)
-        fit = ramsey_fit(_PHASES, p)
+        runs += run_batch(probe, j, [product_input_pulses("011")], noise=noise)
+    fits = ramsey_fit(_PHASES, fringe_scan(_stack(runs), 0, _PHASES))
+    for (tag, assignment), fit in zip(tags.items(), fits):
         rate = -_wrap(fit.phase - (-np.pi)) / duration
         records.append(_topology_row(tag, j, assignment, rate / (2 * np.pi), fit.contrast))
     return {"topologies": records}
@@ -189,25 +199,47 @@ def _ideal_output(label):
     return read_only(reference_qft() @ product_input_ket(label))
 
 
-def _ion_fidelities(state, factors, perm):
-    """Fidelity of each ion's reduced state against its ideal factor, in ion order.
+def _ideal_factors(label):
+    """Per-qubit factors (3, 2) of `_ideal_output(label)`, or None if it is entangled.
 
-    Slot s of the finished register holds ion perm[s] and is compared with factors[s].
+    The transform maps the basis state |k> to the product over qubits q of
+    (|0> + e^{2 pi i k / 2^(q+1)} |1>) / sqrt(2), qubit 0 first, so a basis input's
+    factors are closed form; only a |+> input's output is factored numerically.
     """
-    return [state_fidelity(state.reduced_density([slot]), factors[slot])
-            for slot in np.argsort(perm)]
+    if "+" not in label:
+        k = int(label, 2)
+        return np.array([[1.0, np.exp(2j * np.pi * k / 2 ** (q + 1))]
+                         for q in range(3)]) / np.sqrt(2.0)
+    try:
+        return np.array(factor_product_state(_ideal_output(label), 3))
+    except MetricsError:  # an entangled output has no per-ion factors
+        return None
+
+
+def _ion_fidelities(rho, factors, perm):
+    """Fidelity of each ion's reduced state against its ideal factor, (3, B) in ion order.
+
+    `rho` is a (8, 8, B) stack and `factors` its (3, 2, B) ideal factors. Slot s of
+    the finished register holds ion perm[s] and is compared with factors[s]; the
+    three slots' reduced states are read as one stack of 3B slices.
+    """
+    reduced = np.concatenate([partial_trace(rho, [slot]) for slot in range(3)], axis=-1)
+    fidelities = state_fidelity(reduced, np.concatenate(factors, axis=-1))
+    return fidelities.reshape(3, -1)[np.argsort(perm)]
 
 
 def scenario_transform_fringes(rng, runs, compiled):
     """Per-ion fringes, 150 shots per phase, on the compiled transform's output for |010>."""
     shots = 150
-    res = runs["010"]
-    factors = factor_product_state(_ideal_output("010"), 3)
+    rho = _stack([runs["010"]])
+    factors = _ideal_factors("010")
     perm = compiled.program.relabel
-    reduced = _ion_fidelities(res.state, factors, perm)
+    reduced = _ion_fidelities(rho, factors[..., None], perm)[:, 0]
+    # the shots are drawn in slot order
+    fits = _sampled_fits(rng, np.concatenate([fringe_scan(rho, slot, _PHASES)
+                                              for slot in range(3)]), shots)
     records = []
-    for slot, ion in enumerate(perm):  # the shots are drawn in slot order
-        fit = _sampled_fit(rng, res.state, slot, shots)
+    for slot, (ion, fit) in enumerate(zip(perm, fits)):
         phi_star = fringe_phase_for(equatorial_phase(factors[slot]))
         records.append(RunRecord(
             f"ion {ion}",
@@ -274,24 +306,27 @@ def scenario_distributions(rng, runs, compiled):
 
 def scenario_fidelity_table(runs, compiled):
     """Direct and rotation-protocol fidelities of the transform, all 15 inputs."""
-    perm = compiled.program.relabel
+    rho = _stack([runs[label] for label in PRODUCT_INPUTS])
+    direct = state_fidelity(rho, np.stack([_ideal_output(label) for label in PRODUCT_INPUTS],
+                                          axis=-1))
+    # the rotation protocol and the per-ion fidelities need the output's product factors
+    factors = [_ideal_factors(label) for label in PRODUCT_INPUTS]
+    product = [b for b, f in enumerate(factors) if f is not None]
+    product_factors = np.stack([factors[b] for b in product], axis=-1)
+    rotation = np.full(len(PRODUCT_INPUTS), np.nan)
+    per_ion = np.full((3, len(PRODUCT_INPUTS)), np.nan)
+    rotation[product] = fidelity_via_local_rotation(rho[..., product], product_factors)
+    per_ion[:, product] = _ion_fidelities(rho[..., product], product_factors,
+                                          compiled.program.relabel)
     records = []
-    for label in PRODUCT_INPUTS:
-        res, ideal = runs[label], _ideal_output(label)
+    for b, label in enumerate(PRODUCT_INPUTS):
         values = {
             "input": label,
-            "fidelity": state_fidelity(res.state, ideal),
+            "fidelity": direct[b],
             "benchmark": 1 if label == "010" else 0,
+            "rotation_fidelity": rotation[b],
         }
-        try:
-            factors = factor_product_state(ideal, 3)
-        except MetricsError:  # an entangled output has no per-ion factors
-            rotation, per_ion = float("nan"), [float("nan")] * 3
-        else:
-            rotation = fidelity_via_local_rotation(res.state.rho, factors)
-            per_ion = _ion_fidelities(res.state, factors, perm)
-        values["rotation_fidelity"] = rotation
-        values.update((f"f_ion{ion}", fidelity) for ion, fidelity in enumerate(per_ion))
+        values.update((f"f_ion{ion}", per_ion[ion, b]) for ion in range(3))
         records.append(RunRecord(label, values))
     return {"fidelity_table": records}
 
@@ -497,7 +532,9 @@ def run_custom_scenario(scenario, directory):
     [res] = run_batch(scenario.program, scenario.couplings, [prep], noise=noise,
                       pulse_duration=scenario.pulse_duration)
     p_model = measurement_probabilities(res.state, noise)
-    [ideal] = run_batch(scenario.program, scenario.couplings, [prep], noise=NoiseModel.off())
+    ideal = res  # with noise off, the model run is the ideal run bit for bit
+    if scenario.noise:
+        [ideal] = run_batch(scenario.program, scenario.couplings, [prep], noise=NoiseModel.off())
     counts = None
     if scenario.shots:
         counts = sample_counts(p_model, scenario.shots, _stream(scenario.seed))

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import product_ket, rotation_2x2
-
 
 class MetricsError(ValueError):
     pass
@@ -34,21 +32,35 @@ def _sqrtm_psd(a):
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def _pure_fidelities(rho, kets):
+    """<psi_b|rho_b|psi_b> over a (2^n, 2^n, B) stack, slice b last, for (2^n, B) kets."""
+    t = kets / np.linalg.norm(kets, axis=0)
+    return np.einsum("ib,ijb,jb->b", t.conj(), rho, t).real
+
+
 def state_fidelity(state, target):
     """Fidelity of a state against a pure ket or another density matrix.
 
     Pure target: <psi|rho|psi>. Mixed target: Uhlmann fidelity
-    (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+    (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2. A (2^n, 2^n, B) stack of states,
+    slice b last as `run_batch` runs them, against a (2^n, B) stack of kets
+    gives the B pure-target fidelities as an array; one state against one ket
+    is its one-slice case.
     """
     rho = _as_rho(state)
     target = np.asarray(getattr(target, "rho", target), dtype=complex)
     _check_finite("state", rho)
     _check_finite("target", target)
+    if rho.ndim == 3:
+        if target.shape != rho.shape[1:]:
+            raise MetricsError(f"a stack of states {rho.shape} needs one ket per slice, "
+                               f"{rho.shape[1:]}, got {target.shape}")
+        return _pure_fidelities(rho, target)
     if target.ndim == 1:
-        t = target / np.linalg.norm(target)
         if rho.ndim == 1:
+            t = target / np.linalg.norm(target)
             return float(abs(np.vdot(t, rho / np.linalg.norm(rho))) ** 2)
-        return float(np.real(t.conj() @ rho @ t))
+        return float(state_fidelity(rho[..., None], target[:, None])[0])
     if rho.ndim == 1:
         return state_fidelity(target, rho)
     s = _sqrtm_psd(rho)
@@ -102,45 +114,51 @@ class FringeFit:
 
 
 def ramsey_fit(phases, probs, shots=None):
-    """Least-squares fit of P(phi) = offset - (C/2) cos(phi - phi0).
+    """Least-squares fit of P(phi) = offset - (C/2) cos(phi - phi0), one per row of `probs`.
 
-    The model is linear in (offset, a, b) once expanded in cos phi and sin phi,
-    so the fit is a single lstsq solve. With `shots` given, parameter errors
-    propagate binomial variance per point; otherwise the residual variance is
-    used. A fit whose contrast is indistinguishable from zero has no defined
-    phase and is flagged degenerate.
+    `probs` is one fringe (m,) over `phases`, or k fringes (k, m) over the same
+    phases; a single fringe gives a FringeFit, k fringes a list of k. The model is
+    linear in (offset, a, b) once expanded in cos phi and sin phi, so every row
+    is fit by one estimator (x^T x)^-1 x^T of the shared design matrix x. With
+    `shots` given, parameter errors propagate binomial variance per point;
+    otherwise each row's residual variance is used. A fit whose contrast is
+    indistinguishable from zero has no defined phase and is flagged degenerate.
     """
     phases = np.asarray(phases, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    if phases.size != probs.size or phases.size < 4:
+    rows = np.atleast_2d(probs)
+    if phases.ndim != 1 or probs.ndim not in (1, 2) or rows.shape[1] != phases.size \
+            or phases.size < 4:
         raise MetricsError("need matching phase/probability arrays, at least 4 points")
     _check_finite("phases", phases)
     _check_finite("probs", probs)
     x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    beta, *_ = np.linalg.lstsq(x, probs, rcond=None)
-    resid = probs - x @ beta
+    estimator = np.linalg.solve(x.T @ x, x.T)  # (3, m)
+    beta = rows @ estimator.T
     if shots:
-        var = np.clip(probs * (1.0 - probs), 1e-6, None) / shots
+        var = np.clip(rows * (1.0 - rows), 1e-6, None) / shots
     else:
+        resid = rows - beta @ x.T
         dof = max(phases.size - 3, 1)
-        var = np.full_like(probs, float(resid @ resid) / dof)
-    xtx_inv = np.linalg.inv(x.T @ x)
-    cov = xtx_inv @ (x.T * var) @ x @ xtx_inv
-    offset, a, b = beta
+        var = np.broadcast_to((resid * resid).sum(axis=1, keepdims=True) / dof, rows.shape)
+    cov = np.einsum("im,km,jm->kij", estimator, var, estimator)
+    offset, a, b = beta.T
+    sa2, sb2, sab = cov[:, 1, 1], cov[:, 2, 2], cov[:, 1, 2]
     r2 = a * a + b * b
     contrast = 2.0 * np.sqrt(r2)
-    phase = float(np.arctan2(-b, -a))
-    sa2, sb2, sab = cov[1, 1], cov[2, 2], cov[1, 2]
-    if r2 > 0:
-        contrast_err = 2.0 * np.sqrt(max(a * a * sa2 + 2 * a * b * sab + b * b * sb2, 0.0) / r2)
-        phase_err = np.sqrt(max(b * b * sa2 - 2 * a * b * sab + a * a * sb2, 0.0)) / r2
-    else:
-        contrast_err = 2.0 * np.sqrt(max(sa2, sb2))
-        phase_err = np.pi
-    degenerate = bool(r2 < 1e-18 or (contrast_err > 0 and contrast < 2 * contrast_err))
-    return FringeFit(float(offset), float(contrast), phase,
-                     float(np.sqrt(max(cov[0, 0], 0.0))), float(contrast_err),
-                     float(phase_err), degenerate)
+    tilted = r2 > 0
+    r2_or_1 = np.where(tilted, r2, 1.0)  # a flat row takes the r2 = 0 branch, with no division
+    radial = np.maximum(a * a * sa2 + 2 * a * b * sab + b * b * sb2, 0.0)
+    tangential = np.maximum(b * b * sa2 - 2 * a * b * sab + a * a * sb2, 0.0)
+    contrast_err = np.where(tilted, 2.0 * np.sqrt(radial / r2_or_1),
+                            2.0 * np.sqrt(np.maximum(sa2, sb2)))
+    phase_err = np.where(tilted, np.sqrt(tangential) / r2_or_1, np.pi)
+    degenerate = (r2 < 1e-18) | ((contrast_err > 0) & (contrast < 2 * contrast_err))
+    phase = np.arctan2(-b, -a)
+    offset_err = np.sqrt(np.maximum(cov[:, 0, 0], 0.0))
+    fits = [FringeFit(*(float(v) for v in values[:6]), bool(values[6])) for values in
+            zip(offset, contrast, phase, offset_err, contrast_err, phase_err, degenerate)]
+    return fits[0] if probs.ndim == 1 else fits
 
 
 def equatorial_phase(single_qubit_state):
@@ -187,35 +205,31 @@ def factor_product_state(vec, n_qubits):
     return factors
 
 
-def disentangling_rotations(target_kets):
-    """Per-qubit pulses mapping each target factor to |0>.
-
-    A factor with polar angle theta and azimuth chi returns to the pole under
-    R(theta, chi - pi/2).
-    """
-    ops = []
-    for psi in target_kets:
-        psi = np.asarray(psi, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
-        theta = 2.0 * np.arctan2(abs(psi[1]), abs(psi[0]))
-        chi = float(np.angle(psi[1]) - np.angle(psi[0]))
-        ops.append(rotation_2x2(theta, chi - np.pi / 2))
-    return ops
-
-
 def fidelity_via_local_rotation(state, target):
     """Overlap with a product target measured the way an experiment would.
 
-    Rotate each qubit by the pulse that maps its ideal factor to |0>, then
-    read the population of |00...0|. Equals <psi|rho|psi> exactly for a
-    product target, given as its list of single-qubit kets.
+    Rotate each qubit by the pulse R(theta, chi - pi/2) that maps its ideal
+    factor, of polar angle theta and azimuth chi, to |0>, then read the
+    population of |00...0>. Equals <psi|rho|psi> exactly for a product target,
+    given as its n single-qubit kets (n, 2). A (2^n, 2^n, B) stack of states,
+    slice b last, takes (n, 2, B) factors and gives the B fidelities as an
+    array; a single state is its one-slice case.
     """
     rho = _as_rho(state)
-    if len(target) != int(np.log2(rho.shape[0])):
+    factors = np.asarray(target, dtype=complex)
+    if rho.ndim == 2:
+        return float(fidelity_via_local_rotation(rho[..., None], factors[..., None])[0])
+    if factors.shape[:2] != (int(np.log2(rho.shape[0])), 2):
         raise MetricsError("need one target factor per qubit")
-    # the |00...0> population after the pulses R_k is <v|rho|v>, v = (x)_k R_k^dag |0>
-    v = product_ket([op[0].conj() for op in disentangling_rotations(target)])
-    return float(np.real(v.conj() @ rho @ v))
+    theta = 2.0 * np.arctan2(abs(factors[:, 1]), abs(factors[:, 0]))
+    chi = np.angle(factors[:, 1]) - np.angle(factors[:, 0])
+    # the |00...0> population after the pulses R_k is <v|rho|v>, v = (x)_k R_k^dag |0>,
+    # and R(theta, chi - pi/2)^dag |0> = (cos theta/2, e^{i chi} sin theta/2)
+    rows = np.stack([np.cos(theta / 2), np.exp(1j * chi) * np.sin(theta / 2)], axis=1)
+    v = rows[0]
+    for row in rows[1:]:
+        v = (v[:, None] * row[None]).reshape(-1, v.shape[-1])
+    return _pure_fidelities(rho, v)
 
 
 @dataclass

@@ -333,9 +333,16 @@ def compile_qft(j=None, form="exact", dd_scheme=None):
     """
     j = calibrated_couplings() if j is None else _check_compile_couplings(j)
     t1, t2 = plan_times(j)
-    sol = solve_entangling_params(j, t1, t2)
-    program = emit_sequence(t1, t2, sol, form=form, dd_scheme=dd_scheme)
-    compiled = CompiledTransform(program, j, t1, t2, sol.t3, sol.a1, sol.a2, form)
+    return gate_sequence(j, t1, t2, solve_entangling_params(j, t1, t2), form, dd_scheme)
+
+
+def gate_sequence(j, t1, t2, solution, form="exact", dd_scheme=None):
+    """Emit the transform in `form` from a solved schedule, then gate it as `compile_qft` does.
+
+    One schedule (`plan_times`, `solve_entangling_params`) serves every form.
+    """
+    program = emit_sequence(t1, t2, solution, form=form, dd_scheme=dd_scheme)
+    compiled = CompiledTransform(program, j, t1, t2, solution.t3, solution.a1, solution.a2, form)
     if compiled.process_fidelity < 1.0 - FORM_TOLERANCE[form]:
         raise CompilerError(
             f"compiled {form} sequence reached process fidelity "

@@ -1,3 +1,6 @@
+import ctypes
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -18,6 +21,38 @@ from magicforge.program import (
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
 # property failure in CI reproduces; local runs keep the default random profile.
 settings.register_profile("ci", derandomize=True)
+
+
+@functools.cache
+def _openblas_core():
+    """Name of the kernel set numpy's OpenBLAS runs on, e.g. "SkylakeX" or "Haswell".
+
+    numpy's OpenBLAS is built DYNAMIC_ARCH: it picks its kernels by the CPU at
+    load time (or by OPENBLAS_CORETYPE), and the kernels round differently.
+    """
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def kernel_pin(pins):
+    """The value pinned for the running OpenBLAS kernel set, out of {core name: value}.
+
+    Use it for a value that rounds differently per kernel; an unpinned kernel
+    fails the test, naming itself.
+    """
+    core = _openblas_core()
+    if core not in pins:
+        pytest.fail(f"no value pinned for OpenBLAS core {core!r} (pinned: {', '.join(pins)})")
+    return pins[core]
 
 
 @pytest.fixture

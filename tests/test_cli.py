@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from magicforge import cli, harness, qft
 from magicforge.chain import load_couplings
 from magicforge.cli import main
 from magicforge.engine import program_unitary
@@ -118,6 +121,45 @@ def test_compile_qft_writes_plan_and_programs(j_file, out_root, capsys):
     assert "process fidelity: 1.0000000000" in plan
     out = capsys.readouterr().out
     assert "serial one-pair-at-a-time baseline" in out
+
+
+FROZEN = Path(__file__).resolve().parent / "data" / "cli"
+
+
+def counting(calls, function):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+    return counted
+
+
+def test_compile_qft_solves_once_and_writes_the_frozen_files(j_file, out_root, monkeypatch):
+    # one window solve serves both forms; the files are those the command wrote when
+    # it compiled each form on its own
+    calls = []
+    for module in (cli, qft):
+        monkeypatch.setattr(module, "solve_entangling_params",
+                            counting(calls, qft.solve_entangling_params))
+    assert main(["compile-qft", "--j", j_file, "--form", "optimized"]) == 0
+    assert len(calls) == 1
+    for name in ("qft_exact.pulse", "qft_optimized.pulse"):
+        assert (out_root / name).read_bytes() == (FROZEN / "qft" / name).read_bytes(), name
+    plan = (out_root / "qft_plan.txt").read_text().replace(str(out_root), "{root}")
+    assert plan == (FROZEN / "qft" / "qft_plan.txt").read_text()
+
+
+def test_run_without_noise_runs_the_program_once(program_file, j_file, out_root, monkeypatch):
+    # with noise off the model run is the ideal run, so it serves as both
+    calls = []
+    monkeypatch.setattr(harness, "run_batch", counting(calls, harness.run_batch))
+    argv = ["run", program_file, "--j", j_file, "--shots", "200", "--seed", "9", "--input", "+1+"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    for name in ("scan.csv", "scan.json"):
+        assert (out_root / name).read_bytes() == (FROZEN / "run" / name).read_bytes(), name
+    calls.clear()
+    assert main([*argv, "--noise"]) == 0
+    assert len(calls) == 2
 
 
 def test_compile_qft_program_file_reads_back_exactly(j_file, out_root):

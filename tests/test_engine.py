@@ -212,6 +212,25 @@ def test_transfer_to_pi_removes_conditional_phase():
     assert st.rho == pytest.approx(ref.rho, abs=1e-9)
 
 
+def test_stacked_partial_trace_and_fringe_scan_match_each_slice(rng):
+    # slice b of a (8, 8, B) stack, as run_batch runs it, reads the bits of its own state
+    states = [QuantumState(3, random_density_matrix(rng, 8), ("sigma-",) * 3) for _ in range(5)]
+    stack = np.stack([st.rho for st in states], axis=-1)
+    phases = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    for keep in ([0], [2], [2, 0], [1, 2], [0, 1, 2], []):
+        reduced = engine.partial_trace(stack, keep)
+        assert reduced.shape == (2 ** len(keep), 2 ** len(keep), 5)
+        for b, st in enumerate(states):
+            assert reduced[..., b].tobytes() == st.reduced_density(keep).tobytes(), keep
+    for q in range(3):
+        rows = fringe_scan(stack, q, phases)
+        assert rows.shape == (5, 16)
+        for b, st in enumerate(states):
+            assert rows[b].tobytes() == fringe_scan(st, q, phases).tobytes()
+    with pytest.raises(EngineError, match="qubit 3"):
+        engine.partial_trace(stack, [3])
+
+
 def test_reencoding_flips_precession_sign():
     j = np.zeros((3, 3))
     j[0, 1] = j[1, 0] = 250.0

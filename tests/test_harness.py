@@ -164,6 +164,25 @@ def test_ideal_outputs_are_built_once_and_read_only():
         ket[0] = 0.0
 
 
+def test_closed_form_ideal_factors_match_the_numerical_factoring():
+    # a basis input's output factors are closed form; they agree with the SVD factoring
+    # up to each factor's global phase, and their product is the ideal output
+    for label in engine.PRODUCT_INPUTS:
+        factors = harness._ideal_factors(label)
+        ideal = harness._ideal_output(label)
+        if factors is None:
+            with pytest.raises(harness.MetricsError):
+                harness.factor_product_state(ideal, 3)
+            continue
+        assert factors.shape == (3, 2)
+        for got, want in zip(factors, harness.factor_product_state(ideal, 3)):
+            assert abs(np.vdot(got, want)) == pytest.approx(1.0, abs=1e-12), label
+        product = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        assert np.abs(product - ideal).max() <= 1e-15, label
+    assert [label for label in engine.PRODUCT_INPUTS if harness._ideal_factors(label) is None] \
+        == ["00+", "0+0", "0++", "+0+"]
+
+
 def test_fringe_scans_run_once_per_configuration(monkeypatch):
     calls = []
 

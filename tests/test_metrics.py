@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,62 @@ def test_flat_fringe_is_degenerate(rng):
 def test_ramsey_fit_input_validation():
     with pytest.raises(MetricsError):
         ramsey_fit([0.0, 1.0], [0.5, 0.5])
+    phases = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    for probs in (np.full((2, 7), 0.5), np.full((2, 2, 8), 0.5), 0.5):
+        with pytest.raises(MetricsError, match="need matching phase/probability arrays"):
+            ramsey_fit(phases, probs)
+
+
+def lstsq_fit(phases, probs, shots=None):
+    """The per-row fit the stacked one replaced: an SVD lstsq solve and a 3x3 inverse."""
+    x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+    beta, *_ = np.linalg.lstsq(x, probs, rcond=None)
+    resid = probs - x @ beta
+    if shots:
+        var = np.clip(probs * (1.0 - probs), 1e-6, None) / shots
+    else:
+        var = np.full_like(probs, float(resid @ resid) / max(phases.size - 3, 1))
+    xtx_inv = np.linalg.inv(x.T @ x)
+    cov = xtx_inv @ (x.T * var) @ x @ xtx_inv
+    offset, a, b = beta
+    r2 = a * a + b * b
+    sa2, sb2, sab = cov[1, 1], cov[2, 2], cov[1, 2]
+    contrast = 2.0 * np.sqrt(r2)
+    contrast_err = 2.0 * np.sqrt(max(a * a * sa2 + 2 * a * b * sab + b * b * sb2, 0.0) / r2)
+    phase_err = np.sqrt(max(b * b * sa2 - 2 * a * b * sab + a * a * sb2, 0.0)) / r2
+    degenerate = bool(r2 < 1e-18 or (contrast_err > 0 and contrast < 2 * contrast_err))
+    return (offset, contrast, float(np.arctan2(-b, -a)), np.sqrt(max(cov[0, 0], 0.0)),
+            contrast_err, phase_err, degenerate)
+
+
+@pytest.mark.parametrize("shots", [None, 50])
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_stacked_ramsey_fit_matches_per_row_fits(k, shots, rng):
+    # k = 3 is where a (k, 3) right-hand side would read as a stack of vectors on the
+    # numpy 1.24 floor and as a matrix on 2.x; the fit solves for its (3, m) estimator instead
+    phases = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    rows = np.array([synthetic_fringe(phases, rng.uniform(0.3, 0.7), rng.uniform(0.1, 0.9),
+                                      rng.uniform(-np.pi, np.pi)) for _ in range(k)])
+    rows = np.clip(rows + rng.normal(scale=0.02, size=rows.shape), 0.0, 1.0)
+    if k > 1:  # a flat row, and one whose contrast is lost in its noise
+        rows[0] = 0.5
+        rows[1] = 0.5 + rng.normal(scale=0.02, size=16)
+    fits = ramsey_fit(phases, rows, shots=shots)
+    assert isinstance(fits, list) and len(fits) == k
+    for row, fit in zip(rows, fits):
+        # the single fit is the one-row case; both agree with the per-row lstsq fit
+        for want in (lstsq_fit(phases, row, shots),
+                     dataclasses.astuple(ramsey_fit(phases, row, shots=shots))):
+            offset, contrast, phase, offset_err, contrast_err, phase_err, degenerate = want
+            assert fit.degenerate == degenerate
+            assert (fit.offset, fit.contrast, fit.offset_err) == pytest.approx(
+                (offset, contrast, offset_err), abs=1e-12)
+            if not degenerate:  # a degenerate fit's phase and its errors are not defined
+                assert abs((fit.phase - phase + np.pi) % (2 * np.pi) - np.pi) <= 1e-10
+                assert (fit.contrast_err, fit.phase_err) == pytest.approx(
+                    (contrast_err, phase_err), rel=1e-9, abs=1e-12)
+    if k > 1:
+        assert fits[0].degenerate and fits[1].degenerate
 
 
 def test_metrics_reject_non_finite_input(rng):
@@ -215,6 +273,23 @@ def test_local_rotation_protocol_equals_direct_fidelity(rng):
         direct = state_fidelity(rho, psi)
         via = fidelity_via_local_rotation(rho, factors)
         assert via == pytest.approx(direct, abs=1e-10)
+
+
+def test_stacked_fidelities_match_single_state_calls(rng):
+    # a (8, 8, B) stack, slice b last, against one target per slice: the single-state call
+    # is the one-slice case
+    rhos = [random_density_matrix(rng, 8, rank=int(rng.integers(1, 9))) for _ in range(5)]
+    targets = [random_product_ket(rng, 3) for _ in range(5)]
+    stack = np.stack(rhos, axis=-1)
+    direct = state_fidelity(stack, np.stack([psi for psi, _ in targets], axis=-1))
+    rotation = fidelity_via_local_rotation(stack, np.stack([f for _, f in targets], axis=-1))
+    assert direct.shape == rotation.shape == (5,)
+    for b, (rho, (psi, factors)) in enumerate(zip(rhos, targets)):
+        assert direct[b] == pytest.approx(state_fidelity(rho, psi), abs=1e-14)
+        assert rotation[b] == pytest.approx(fidelity_via_local_rotation(rho, factors), abs=1e-14)
+        assert rotation[b] == pytest.approx(direct[b], abs=1e-10)
+    with pytest.raises(MetricsError, match="needs one ket per slice"):
+        state_fidelity(stack, targets[0][0])
 
 
 # ---- error budget ----
