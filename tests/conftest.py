@@ -34,8 +34,8 @@ def _openblas_core():
         paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
     for path in sorted(paths):
         lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                       "openblas_get_corename64_", "openblas_get_corename"):
+        # numpy's wheels prefix the OpenBLAS symbols; a system OpenBLAS does not
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
             corename = getattr(lib, symbol, None)
             if corename is not None:
                 corename.argtypes, corename.restype = [], ctypes.c_char_p
