@@ -27,22 +27,21 @@ slice b last (`_run`); `program_unitary` multiplies them into the ideal unitary.
 A pulse is never lifted to 2^n x 2^n: `_apply_pulse` applies its operator pair
 on the qubit's axis through one scratch stack, by views built once per run. A
 window's factors and damp are rebuilt only for a new window object; the damp is
-a gather at a ^ b (it depends only on which bits differ). All three per-step
-kernels, `apply_rotation`, `free_evolution` and `transfer_basis`, are
-one-instruction runs of that loop.
+a gather at a ^ b (it depends only on which bits differ). Both per-step kernels,
+`apply_rotation` and `free_evolution`, are one-instruction runs of that loop.
 Registers are capped at MAX_QUBITS; entering density matrices are checked, and
 states the engine builds itself (fresh registers, results) are not re-checked.
 A window or pulse whose Ising phase, damp exponent or run clock would overflow
 fails with an EngineError naming its duration.
 
 `run_program` is the one-slice case of that run. `run_batch` runs one program
-on several inputs at once: each input is prepared from |0...0> by its own
-pulses, never as a ket (a ket-prepared input differs in the last bits), and
-the program is then walked once over the stack, a pulse on qubit q being 2^q
-zgemm calls 2^(2n-q-1) B columns wide. Each slice equals the single run of its
-input's pulses and the program bit for bit, by the 4-column rule: the pinned
-OpenBLAS rounds every column of a product a multiple of 4 wide alike. A 1-qubit
-single run is 2 columns wide, so a 1-qubit stack runs slice by slice.
+on several product inputs, labels over {0, 1, +}, at once: each is prepared
+from |0...0> by its own pulses, never as a ket (a ket-prepared input differs in
+the last bits), and the program is then walked once over the stack, a pulse on
+qubit q being 2^q zgemm calls 2^(2n-q-1) B columns wide. Each slice equals the
+single run of its input's pulses and the program bit for bit, by the 4-column
+rule: the pinned OpenBLAS rounds every column of a product a multiple of 4 wide
+alike. A 1-qubit run is 2 columns wide, so 1-qubit stacks run slice by slice.
 
 `fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
 state, so a scan over analysis phases runs its program once, not per phase.
@@ -210,20 +209,24 @@ PRODUCT_INPUTS = tuple(format(k, "03b") for k in range(8)) + tuple(
     format(k, "03b").replace("1", "+") for k in range(1, 8))
 
 
-def _input_tokens(label):
-    if set(label) - set(_INPUT_TOKENS):
-        raise ProgramError(f"bad preparation label {label!r}; use 0, 1 and +")
-    return [_INPUT_TOKENS[ch] for ch in label]
+def check_label(label, n_qubits, error):
+    """`label` if it is a product input over {0, 1, +} of `n_qubits` qubits, qubit 0
+    first; else an `error` (the caller's class) naming it."""
+    if not (isinstance(label, str) and set(label) <= _INPUT_TOKENS.keys()):
+        raise error(f"input: bad preparation label {label!r}; use 0, 1 and +")
+    if len(label) != n_qubits:
+        raise error(f"input {label!r} does not match a {n_qubits}-qubit program")
+    return label
 
 
 def product_input_ket(label):
     """Ket of the product state `label` over {0, 1, +}, qubit 0 first."""
-    return product_ket([k for k, _ in _input_tokens(label)])
+    return product_ket([_INPUT_TOKENS[c][0] for c in check_label(label, len(label), ProgramError)])
 
 
-def product_input_pulses(label):
-    """Pulses preparing the product state `label` over {0, 1, +} from |0...0>."""
-    return [Rotate(q, *pulse) for q, (_, pulse) in enumerate(_input_tokens(label)) if pulse]
+def _input_pulses(label):
+    """Pulses preparing the checked product input `label` from |0...0>."""
+    return [Rotate(q, *_INPUT_TOKENS[ch][1]) for q, ch in enumerate(label) if ch != "0"]
 
 
 def prepare_state(n_qubits, spec=None):
@@ -233,26 +236,22 @@ def prepare_state(n_qubits, spec=None):
     if spec is None:
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
-    elif isinstance(spec, str):
-        if len(spec) != n_qubits:
-            raise EngineError(f"bitstring {spec!r} does not match {n_qubits} qubits")
-        v = product_input_ket(spec)
-        rho = np.outer(v, v.conj())
-    else:
-        arr = np.asarray(spec, dtype=complex)
-        if arr.ndim == 1:
-            if arr.size != dim:
-                raise EngineError("state vector has wrong dimension")
-            norm = np.linalg.norm(arr)
-            if not abs(norm - 1.0) <= STATE_TOLERANCE:
-                raise EngineError(f"state vector: norm {norm:.6g} is not 1 "
-                                  f"(tolerance {STATE_TOLERANCE:g})")
-            arr = arr / norm
-            rho = np.outer(arr, arr.conj())
-        else:
-            rho = arr
-        return QuantumState(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
-    return _trusted_state(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
+        return _trusted_state(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
+    arr = np.asarray(spec)
+    if arr.dtype.kind not in "biufc" or arr.ndim not in (1, 2):  # not a ket or a matrix
+        v = product_input_ket(check_label(spec, n_qubits, EngineError))
+        return _trusted_state(n_qubits, np.outer(v, v.conj()), (BASIS_SIGMA_MINUS,) * n_qubits)
+    arr = arr.astype(complex, copy=False)
+    if arr.ndim == 1:
+        if arr.size != dim:
+            raise EngineError("state vector has wrong dimension")
+        norm = np.linalg.norm(arr)
+        if not abs(norm - 1.0) <= STATE_TOLERANCE:
+            raise EngineError(f"state vector: norm {norm:.6g} is not 1 "
+                              f"(tolerance {STATE_TOLERANCE:g})")
+        arr = arr / norm
+        arr = np.outer(arr, arr.conj())
+    return QuantumState(n_qubits, arr, (BASIS_SIGMA_MINUS,) * n_qubits)
 
 
 def _trusted_state(n_qubits, rho, bases, time=0.0):
@@ -322,13 +321,6 @@ def _window_factors(window, bases, noise):
 def free_evolution(state, duration, j, noise=None):
     """One window in place, a one-instruction run: Ising phases, then dephasing if `noise`."""
     _step(state, FreeEvolve(duration), check_couplings(j, state.n_qubits, EngineError), noise)
-
-
-def transfer_basis(state, qubit, target):
-    """Re-house `qubit` (or "all") in `target` in place: a one-instruction run."""
-    if qubit != "all":
-        _check_qubit(qubit, state.n_qubits)
-    _step(state, TransferBasis(qubit, target))
 
 
 def dd_phase_sequence(n_pulses, scheme="cpmg"):
@@ -489,7 +481,7 @@ def _step(state, ins, j=None, noise=None):
     (no relabeling, no depolarizing mix); `noise` None is no dephasing."""
     frame = _slice(state)
     _run_steps(frame, PulseProgram(state.n_qubits, [ins]), j, noise or NoiseModel.off(), 0.0)
-    state.rho, state.bases, state.time = frame.rho[..., 0], frame.bases, float(frame.time[0])
+    state.rho, state.time = frame.rho[..., 0], float(frame.time[0])
 
 
 def _run(frame, program, j, noise, pulse_duration):
@@ -533,31 +525,29 @@ def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     return result
 
 
-def run_batch(program, j, preparations, noise=None, pulse_duration=0.0):
-    """Run one program on several inputs as a stack rho[b]; one RunResult per input.
+def run_batch(program, j, inputs, noise=None, pulse_duration=0.0):
+    """Run one program on several product inputs as a stack rho[b]; one RunResult per input.
 
-    Input b is |0...0> in sigma- followed by the pulses `preparations[b]`,
-    applied on its own one-slice stack; `program` is then walked once over the
-    whole stack. Inputs are prepared by pulses, never as kets: a ket-prepared
-    input differs from the pulse-prepared one in the last bits. Each result
-    equals `run_program` on the input's pulses followed by `program`, bit for bit.
-    A preparation must leave every qubit in sigma-, where `program` starts.
+    Input b is the label `inputs[b]` over {0, 1, +}, one character per qubit of
+    `program`, qubit 0 first. It is prepared from |0...0> in sigma- by its pulses
+    (R(pi) for 1, R(pi/2, pi/2) for +) on its own one-slice stack, never as a ket:
+    a ket-prepared input differs from the pulse-prepared one in the last bits.
+    `program` is then walked once over the whole stack. Each result equals
+    `run_program` on the input's pulses followed by `program`, bit for bit.
     """
     _check_pulse_duration(pulse_duration)
     noise = noise or NoiseModel()
     n = program.n_qubits
     j = check_couplings(j, n, EngineError)
-    if not preparations:
-        raise EngineError("run_batch needs at least one preparation")
-    if n == 1 and len(preparations) > 1:  # 2 columns round unlike 4k (module docstring)
-        return [run_batch(program, j, [p], noise, pulse_duration)[0] for p in preparations]
+    if not inputs:
+        raise EngineError("run_batch needs at least one input")
+    if n == 1 and len(inputs) > 1:  # 2 columns round unlike 4k (module docstring)
+        return [run_batch(program, j, [label], noise, pulse_duration)[0] for label in inputs]
     slices = []
-    for prep in preparations:
+    for label in inputs:
         frame = _slice(prepare_state(n))
-        _run_steps(frame, PulseProgram(n, list(prep)), j, noise, pulse_duration)
-        if set(frame.bases) != {BASIS_SIGMA_MINUS}:
-            raise EngineError(f"preparation {prep!r} leaves encodings {frame.bases}, "
-                              "not sigma-")
+        prep = _input_pulses(check_label(label, n, EngineError))
+        _run_steps(frame, PulseProgram(n, prep), j, noise, pulse_duration)
         slices.append(frame)
     stack = _Frame(slices[0].bases, np.concatenate([f.rho for f in slices], axis=-1),
                    np.concatenate([f.time for f in slices]))
@@ -598,15 +588,16 @@ def measurement_probabilities(state, noise):
 
 
 def sample_counts(p, shots, rng):
-    """Multinomial shot counts for a distribution; rng must be a numpy Generator.
+    """Multinomial counts of `shots` draws (an int in 1..2^63-1) from a distribution p;
+    rng must be a numpy Generator.
 
     p holds one probability per basis state of a register, 2^n entries. An
     entry that is not finite or lies below -1e-12 is an error, and so is an
     all-zero p; rounding noise above -1e-12 is clipped to 0. The clipped entries
     must sum to 1 within 1e-9, and p is divided by that sum before the draw.
     """
-    if shots <= 0:
-        raise EngineError("shots must be positive")
+    if isinstance(shots, bool) or not (isinstance(shots, (int, np.integer)) and 0 < shots < 2**63):
+        raise EngineError(f"shots must be an int in 1..2^63-1, got {shots!r}")
     if rng is None:
         raise EngineError("finite-shot sampling needs an explicit rng")
     p = np.asarray(p, dtype=float)
@@ -630,8 +621,8 @@ def ramsey_program(qubit, duration, dd_pulses=0):
     """Conditional-precession probe on the three-qubit register, up to its analysis pulse.
 
     The probe's pi/2 pulse, then a wait that `dd_pulses` CPMG pulses decouple;
-    spectator states are prepared inputs (`product_input_pulses`), and
-    `fringe_scan` reads the analysis pulse off the finished state.
+    spectator states are product inputs of `run_batch`, and `fringe_scan`
+    reads the analysis pulse off the finished state.
     """
     return PulseProgram(3, [Rotate(qubit, np.pi / 2, 0.0), FreeEvolve(duration, dd_pulses)],
                         name=f"ramsey q{qubit} T={duration:.6g}")
@@ -653,8 +644,7 @@ def ramsey_scan(qubit, duration, phases, j, noise=None, spectator_bits=None, dd_
         if bit not in (0, 1):
             raise ProgramError(f"spectator qubit {q}: bit must be 0 or 1, got {bit!r}")
         label[q] = str(int(bit))
-    prep = product_input_pulses("".join(label))
-    [res] = run_batch(ramsey_program(qubit, duration, dd_pulses), j, [prep], noise)
+    [res] = run_batch(ramsey_program(qubit, duration, dd_pulses), j, ["".join(label)], noise)
     return fringe_scan(res.state, qubit, phases)
 
 

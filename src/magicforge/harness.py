@@ -42,11 +42,11 @@ from .encoding import effective_couplings, parse_topology, topology_preset
 from .engine import (
     PRODUCT_INPUTS,
     NoiseModel,
+    check_label,
     fringe_scan,
     measurement_probabilities,
     partial_trace,
     product_input_ket,
-    product_input_pulses,
     ramsey_program,
     run_batch,
     sample_counts,
@@ -129,11 +129,11 @@ def scenario_precession(rng):
     noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
     neighbours = ("00", "01", "10", "11")
     waits_ms = (1, 2, 3, 4)
-    # each neighbour state is prepared by its flips; the probe runs on all four at once
-    preparations = [product_input_pulses("0" + bits) for bits in neighbours]
+    # each neighbour state is a product input; the probe runs on all four at once
+    inputs = ["0" + bits for bits in neighbours]
     rho = np.concatenate([
-        _stack(run_batch(ramsey_program(0, t_ms * 1e-3, dd_pulses=20), j, preparations,
-                         noise=noise)) for t_ms in waits_ms], axis=-1)
+        _stack(run_batch(ramsey_program(0, t_ms * 1e-3, dd_pulses=20), j, inputs, noise=noise))
+        for t_ms in waits_ms], axis=-1)
     fits = _sampled_fits(rng, fringe_scan(rho, 0, _PHASES), shots)
     records = []
     for (t_ms, bits), fit in zip(itertools.product(waits_ms, neighbours), fits):
@@ -180,7 +180,7 @@ def scenario_topologies():
         probe.instructions[-1:-1] = [TransferBasis(q, basis)
                                      for q, basis in enumerate(assignment.bases)
                                      if basis != BASIS_SIGMA_MINUS]
-        runs += run_batch(probe, j, [product_input_pulses("011")], noise=noise)
+        runs += run_batch(probe, j, ["011"], noise=noise)
     fits = ramsey_fit(_PHASES, fringe_scan(_stack(runs), 0, _PHASES))
     for (tag, assignment), fit in zip(tags.items(), fits):
         rate = -_wrap(fit.phase - (-np.pi)) / duration
@@ -410,8 +410,7 @@ def _run_builtins(names, directory, seed):
     inputs = dict.fromkeys(label for name in names for label in _BUILTINS[name][2])
     if inputs:
         compiled = _compile_transform()
-        pulses = [product_input_pulses(label) for label in inputs]
-        runs = dict(zip(inputs, run_batch(compiled.program, compiled.couplings, pulses)))
+        runs = dict(zip(inputs, run_batch(compiled.program, compiled.couplings, list(inputs))))
     out = {}
     for name in names:
         _, stream, reads = _BUILTINS[name]
@@ -459,12 +458,10 @@ class Scenario:
         self.couplings = check_couplings(self.couplings, n, HarnessError)
         if self.input_state is None:
             self.input_state = "0" * n
-        try:
-            product_input_pulses(self.input_state)
-        except ProgramError as exc:
-            raise HarnessError(f"input: {exc}") from exc
-        if len(self.input_state) != n:
-            raise HarnessError(f"input {self.input_state!r} does not match a {n}-qubit program")
+        check_label(self.input_state, n, HarnessError)
+        if not (isinstance(self.shots, (int, np.integer)) and not isinstance(self.shots, bool)
+                and self.shots < 2**63):
+            raise HarnessError(f"shots must be an int below 2^63, got {self.shots!r}")
         if self.shots < 0:
             raise HarnessError(f"shots must be >= 0, got {self.shots}")
         if self.seed < 0:
@@ -480,7 +477,7 @@ def load_scenario_file(path):
     Required keys in [scenario]: program (path). Coupling source: either
     couplings (J matrix file) or trap (trap config file); only trap takes
     topology (preset letter or per-qubit basis list). Optional: input (one of
-    0, 1, + per program qubit; all 0 by default), noise, shots, seed (>= 0),
+    0, 1, + per program qubit; all 0 by default), noise, shots (0..2^63-1), seed (>= 0),
     name (one line, no path separator, not . or ..; also the output file stem),
     pulse_duration.
     """
@@ -528,13 +525,13 @@ def run_custom_scenario(scenario, directory):
     """Execute a file-defined scenario; write its histogram; return the records."""
     os.makedirs(directory, exist_ok=True)
     noise = NoiseModel() if scenario.noise else NoiseModel.off()
-    prep = product_input_pulses(scenario.input_state)
-    [res] = run_batch(scenario.program, scenario.couplings, [prep], noise=noise,
+    inputs = [scenario.input_state]
+    [res] = run_batch(scenario.program, scenario.couplings, inputs, noise=noise,
                       pulse_duration=scenario.pulse_duration)
     p_model = measurement_probabilities(res.state, noise)
     ideal = res  # with noise off, the model run is the ideal run bit for bit
     if scenario.noise:
-        [ideal] = run_batch(scenario.program, scenario.couplings, [prep], noise=NoiseModel.off())
+        [ideal] = run_batch(scenario.program, scenario.couplings, inputs, noise=NoiseModel.off())
     counts = None
     if scenario.shots:
         counts = sample_counts(p_model, scenario.shots, _stream(scenario.seed))

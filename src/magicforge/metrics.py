@@ -120,9 +120,10 @@ def ramsey_fit(phases, probs, shots=None):
     phases; a single fringe gives a FringeFit, k fringes a list of k. The model is
     linear in (offset, a, b) once expanded in cos phi and sin phi, so every row
     is fit by one estimator (x^T x)^-1 x^T of the shared design matrix x. With
-    `shots` given, parameter errors propagate binomial variance per point;
-    otherwise each row's residual variance is used. A fit whose contrast is
-    indistinguishable from zero has no defined phase and is flagged degenerate.
+    `shots` given, a positive finite number, parameter errors propagate binomial
+    variance per point; with None, each row's residual variance is used. A fit
+    whose contrast is indistinguishable from zero has no defined phase and is
+    flagged degenerate.
     """
     phases = np.asarray(phases, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -132,10 +133,13 @@ def ramsey_fit(phases, probs, shots=None):
         raise MetricsError("need matching phase/probability arrays, at least 4 points")
     _check_finite("phases", phases)
     _check_finite("probs", probs)
+    if shots is not None and not (isinstance(shots, (int, float, np.integer, np.floating))
+                                  and 0 < shots < np.inf):
+        raise MetricsError(f"shots must be None or a positive finite number, got {shots!r}")
     x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     estimator = np.linalg.solve(x.T @ x, x.T)  # (3, m)
     beta = rows @ estimator.T
-    if shots:
+    if shots is not None:
         var = np.clip(rows * (1.0 - rows), 1e-6, None) / shots
     else:
         resid = rows - beta @ x.T

@@ -105,6 +105,13 @@ def selective_recoupling_wrap(duration, echo_qubit):
                             FreeEvolve(duration / 2), Rotate(echo_qubit, np.pi, 0.0)])
 
 
+def label_pulses(label):
+    """Pulses preparing the product input `label` over {0, 1, +} from |0...0>, built here
+    so the stacked-run oracles do not take the engine's own preparation."""
+    pulses = {"0": [], "1": [(np.pi, 0.0)], "+": [(np.pi / 2, np.pi / 2)]}
+    return [Rotate(q, *pulse) for q, ch in enumerate(label) for pulse in pulses[ch]]
+
+
 def random_distribution(rng, dim):
     p = rng.random(dim)
     return p / p.sum()

@@ -28,13 +28,11 @@ from magicforge.encoding import effective_couplings, topology_preset
 from magicforge.engine import (
     NoiseModel,
     apply_rotation,
-    free_evolution,
     measurement_probabilities,
     prepare_state,
     program_unitary,
     ramsey_scan,
     run_program,
-    transfer_basis,
 )
 from magicforge.gates import SX, SY, SZ
 from magicforge.metrics import (
@@ -46,7 +44,7 @@ from magicforge.metrics import (
     state_fidelity,
     statistical_overlap,
 )
-from magicforge.program import PulseProgram, Rotate
+from magicforge.program import FreeEvolve, PulseProgram, Rotate, TransferBasis
 from magicforge.qft import compile_qft, plan_times, solve_entangling_params
 
 GAMMA_SIGMA = 62.5      # 0.0625 / ms
@@ -189,28 +187,21 @@ def test_a06_topology_control_and_recoupling(bench_j):
     # parked spin contributes no conditional phase
     t = 2.7e-3
     phases = []
+    parked = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), TransferBasis(1, "pi"), FreeEvolve(t),
+                              TransferBasis(1, "sigma-")])
     for bit in (0, 1):
-        state = prepare_state(3, f"0{bit}0")
-        apply_rotation(state, 0, np.pi / 2, 0.0)
-        transfer_basis(state, 1, "pi")
-        free_evolution(state, t, bench_j)
-        transfer_basis(state, 1, "sigma-")
+        state = run_program(parked, bench_j, noise=NoiseModel.off(), initial=f"0{bit}0").state
         phases.append(equatorial_phase(state.reduced_density([0])))
     assert abs(phases[0] - phases[1]) <= 1e-9
 
     # round trips: working -> pi -> working and working -> pi -> other sigma -> back
-    state = prepare_state(3, "000")
-    for q in range(3):
-        apply_rotation(state, q, np.pi / 2, 0.4 * (q + 1))
-    before = state.rho.copy()
-    transfer_basis(state, "all", "pi")
-    transfer_basis(state, "all", "sigma-")
-    assert np.abs(state.rho - before).max() <= 1e-9
-    transfer_basis(state, 0, "pi")
-    transfer_basis(state, 0, "sigma+")
-    transfer_basis(state, 0, "pi")
-    transfer_basis(state, 0, "sigma-")
-    assert np.abs(state.rho - before).max() <= 1e-9
+    pulses = [Rotate(q, np.pi / 2, 0.4 * (q + 1)) for q in range(3)]
+    before = run_program(PulseProgram(3, pulses), bench_j, noise=NoiseModel.off()).state.rho
+    for trip in ([TransferBasis("all", "pi"), TransferBasis("all", "sigma-")],
+                 [TransferBasis(0, "pi"), TransferBasis(0, "sigma+"), TransferBasis(0, "pi"),
+                  TransferBasis(0, "sigma-")]):
+        after = run_program(PulseProgram(3, pulses + trip), bench_j, noise=NoiseModel.off())
+        assert np.abs(after.state.rho - before).max() <= 1e-9
 
 
 def test_a07_conditional_precession_rates_and_dd_contrast(bench_j):

@@ -91,7 +91,9 @@ def test_run_requires_seed_with_shots(program_file, j_file, out_root, capsys):
 def test_run_rejects_bad_input_and_seed(program_file, j_file, out_root, capsys):
     for extra, message in ((["--input", "01"], "input '01' does not match a 3-qubit program"),
                            (["--input", "0x1"], "input: bad preparation label '0x1'"),
-                           (["--shots", "5", "--seed", "-1"], "seed must be >= 0, got -1")):
+                           (["--shots", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
+                           (["--shots", str(10**22), "--seed", "1"],
+                            f"shots must be an int below 2^63, got {10**22}")):
         assert main(["run", program_file, "--j", j_file, *extra]) == 1
         assert message in capsys.readouterr().err
 

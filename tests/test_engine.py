@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import (
     free_unitary,
+    label_pulses,
     random_density_matrix,
     random_pure_state,
     reference_run,
@@ -27,13 +29,11 @@ from magicforge.engine import (
     measurement_probabilities,
     prepare_state,
     product_input_ket,
-    product_input_pulses,
     program_unitary,
     ramsey_scan,
     run_batch,
     run_program,
     sample_counts,
-    transfer_basis,
 )
 from magicforge.gates import rotation_2x2
 from magicforge.program import (
@@ -189,12 +189,10 @@ def test_dephasing_mask_rates(plus_state):
 
 def test_parked_qubit_dephases_at_pi_rate():
     noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
-    st = prepare_state(3, "000")
-    apply_rotation(st, 0, np.pi / 2, 0.0)
-    transfer_basis(st, 0, "pi")
     t = 10e-3
-    free_evolution(st, t, np.zeros((3, 3)), noise=noise)
-    transfer_basis(st, 0, "sigma-")
+    prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), TransferBasis(0, "pi"), FreeEvolve(t),
+                            TransferBasis(0, "sigma-")])
+    st = run_program(prog, np.zeros((3, 3)), noise=noise).state
     coh = 2.0 * abs(st.rho[0b000, 0b100])
     assert coh == pytest.approx(np.exp(-noise.pi_dephasing_rate * t), rel=1e-10)
 
@@ -202,13 +200,11 @@ def test_parked_qubit_dephases_at_pi_rate():
 def test_transfer_to_pi_removes_conditional_phase():
     j = np.zeros((3, 3))
     j[0, 1] = j[1, 0] = 250.0
-    st = prepare_state(3, "010")
-    apply_rotation(st, 0, np.pi / 2, 0.0)
-    transfer_basis(st, 1, "pi")
-    free_evolution(st, 3e-3, j)
-    transfer_basis(st, 1, "sigma-")
-    ref = prepare_state(3, "010")
-    apply_rotation(ref, 0, np.pi / 2, 0.0)
+    probe = [Rotate(0, np.pi / 2, 0.0)]
+    parked = [TransferBasis(1, "pi"), FreeEvolve(3e-3), TransferBasis(1, "sigma-")]
+    off = NoiseModel.off()
+    st = run_program(PulseProgram(3, probe + parked), j, noise=off, initial="010").state
+    ref = run_program(PulseProgram(3, probe), j, noise=off, initial="010").state
     assert st.rho == pytest.approx(ref.rho, abs=1e-9)
 
 
@@ -237,12 +233,10 @@ def test_reencoding_flips_precession_sign():
     t = 2e-3
 
     def probe_phase(reencode):
-        st = prepare_state(3, "010")
-        apply_rotation(st, 0, np.pi / 2, 0.0)
+        ins = [Rotate(0, np.pi / 2, 0.0), FreeEvolve(t)]
         if reencode:
-            transfer_basis(st, 0, "pi")
-            transfer_basis(st, 0, "sigma+")
-        free_evolution(st, t, j)
+            ins[1:1] = [TransferBasis(0, "pi"), TransferBasis(0, "sigma+")]
+        st = run_program(PulseProgram(3, ins), j, noise=NoiseModel.off(), initial="010").state
         r = st.reduced_density([0])
         return np.angle(r[1, 0])
 
@@ -253,27 +247,27 @@ def test_reencoding_flips_precession_sign():
 
 def test_transfer_changes_only_the_encodings(bench_j):
     # a transfer is an identity on the logical state: rho and the clock keep every bit
-    st = prepare_state(3, "+10")
-    free_evolution(st, 1e-3, bench_j, NoiseModel())
-    rho, time = st.rho.copy(), st.time
-    transfer_basis(st, 1, "pi")
+    window = [FreeEvolve(1e-3)]
+    plain = run_program(PulseProgram(3, window), bench_j, initial="+10").state
+    st = run_program(PulseProgram(3, window + [TransferBasis(1, "pi")]), bench_j,
+                     initial="+10").state
     assert st.bases == ("sigma-", "pi", "sigma-")
-    assert st.rho.tobytes() == rho.tobytes() and st.time == time
+    assert st.rho.tobytes() == plain.rho.tobytes() and st.time == plain.time
     with pytest.raises(ProgramError, match="unknown encoding basis 'up'"):
-        transfer_basis(st, 0, "up")
-    assert st.bases == ("sigma-", "pi", "sigma-")
+        run_program(PulseProgram(3, window + [TransferBasis(0, "up")]), bench_j)
 
 
 def test_direct_sigma_transfer_is_rejected(rng):
-    st = prepare_state(3, "000")
-    with pytest.raises(EngineError, match="qubit 0: direct sigma- -> sigma\\+"):
-        transfer_basis(st, 0, "sigma+")
-    transfer_basis(st, 2, "pi")
-    transfer_basis(st, 2, "sigma+")
-    with pytest.raises(EngineError, match="qubit 2: direct sigma\\+ -> sigma-"):
-        transfer_basis(st, "all", "sigma-")
-    assert st.bases == ("sigma-", "sigma-", "sigma+")
     j = random_j(rng)
+    with pytest.raises(EngineError, match="qubit 0: direct sigma- -> sigma\\+"):
+        run_program(PulseProgram(3, [TransferBasis(0, "sigma+")]), j)
+    routed = [TransferBasis(2, "pi"), TransferBasis(2, "sigma+")]
+    assert run_program(PulseProgram(3, routed), j).state.bases == ("sigma-", "sigma-", "sigma+")
+    # "all" re-houses every qubit, and the rule holds for each
+    with pytest.raises(EngineError, match="qubit 2: direct sigma\\+ -> sigma-"):
+        run_program(PulseProgram(3, routed + [TransferBasis("all", "sigma-")]), j)
+    every = routed + [TransferBasis("all", "pi"), TransferBasis("all", "sigma-")]
+    assert run_program(PulseProgram(3, every), j).state.bases == ("sigma-",) * 3
     direct = PulseProgram(3, [TransferBasis(1, "sigma+"), FreeEvolve(1e-3)])
     with pytest.raises(EngineError, match="qubit 1"):
         run_program(direct, j)
@@ -384,6 +378,18 @@ def test_sample_counts_deterministic():
         sample_counts(p, 1000)
 
 
+def test_sample_counts_takes_an_int_shot_count():
+    # a fractional count was floored, True drew one shot, "5" and 10**22 escaped bare
+    p = np.full(8, 1 / 8)
+    rng = np.random.default_rng(3)
+    for shots in (1.5, True, "5", 10**22, 2**63, 0, -3, np.float64(4.0)):
+        with pytest.raises(EngineError, match=f"shots must be an int in 1..2\\^63-1, "
+                                              f"got {re.escape(repr(shots))}$"):
+            sample_counts(p, shots, rng)
+    for shots in (1, np.int64(5), 2**63 - 1):
+        assert sample_counts(p, shots, rng).sum() == shots
+
+
 def test_sample_counts_rejects_bad_distributions():
     rng = np.random.default_rng(3)
     with pytest.raises(EngineError, match=r"p\[1\] is -1.0"):
@@ -446,8 +452,6 @@ def test_per_step_kernels_bound_the_qubit():
         with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
             apply_rotation(st, q, np.pi)
         with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
-            transfer_basis(st, q, "pi")
-        with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
             fringe_scan(st, q, [0.0, 1.0])
         with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
             st.reduced_density([0, q])
@@ -489,8 +493,9 @@ def test_per_step_kernels_match_the_run(noise):
         for step in ins:
             if isinstance(step, Rotate):
                 apply_rotation(st, step.qubit, step.theta, step.phi)
-            elif isinstance(step, TransferBasis):
-                transfer_basis(st, step.qubit, step.target)
+            elif isinstance(step, TransferBasis):  # the transfer rule is the walk's
+                st.bases = tuple(step.target if k == step.qubit else b
+                                 for k, b in enumerate(st.bases))
             else:
                 free_evolution(st, step.duration, j, noise)
         assert st.rho.tobytes() == want.rho.tobytes() and st.time == want.time
@@ -546,9 +551,9 @@ def test_overflowing_windows_and_pulses_are_rejected(bench_j):
         run_program(PulseProgram(3, [Rotate(0, np.pi, 0.0), Rotate(1, np.pi, 0.0)]), zero, off,
                     pulse_duration=1e308)
     with pytest.raises(EngineError, match=clock):
-        run_batch(PulseProgram(3, [FreeEvolve(1e308)]), zero, [[], [Rotate(0, np.pi, 0.0)]], off,
+        run_batch(PulseProgram(3, [FreeEvolve(1e308)]), zero, ["000", "100"], off,
                   pulse_duration=1e308)
-    [res] = run_batch(PulseProgram(3, [FreeEvolve(1e308)]), zero, [[]], off)
+    [res] = run_batch(PulseProgram(3, [FreeEvolve(1e308)]), zero, ["000"], off)
     assert res.state.time == 1e308
 
 
@@ -651,20 +656,15 @@ def test_run_program_leaves_initial_state_unchanged(rng, bench_j):
 
 def test_run_batch_rejects_bad_preparations(bench_j):
     prog = PulseProgram(3, [FreeEvolve(1e-3, 20, "kdd")])
-    with pytest.raises(EngineError, match="at least one preparation"):
+    with pytest.raises(EngineError, match="at least one input"):
         run_batch(prog, bench_j, [])
-    # the shared program starts where J is calibrated, every qubit in sigma-
-    parked = [TransferBasis(1, "pi")]
-    with pytest.raises(EngineError, match="leaves encodings"):
-        run_batch(prog, bench_j, [[], parked])
-    round_trip = parked + [Rotate(1, np.pi, 0.0), TransferBasis(1, "sigma-")]
-    [res] = run_batch(prog, bench_j, [round_trip])
-    assert np.array_equal(res.state.rho, run_program(
-        PulseProgram(3, round_trip + prog.instructions), bench_j).state.rho)
-    with pytest.raises(ProgramError, match="outside register"):
-        run_batch(prog, bench_j, [[Rotate(3, np.pi, 0.0)]])
+    # every input is checked, so a short one cannot prepare fewer qubits
+    with pytest.raises(EngineError, match="input '01' does not match a 3-qubit program"):
+        run_batch(prog, bench_j, ["000", "01"])
+    with pytest.raises(EngineError, match="input: bad preparation label '0-1'"):
+        run_batch(prog, bench_j, ["0-1"])
     with pytest.raises(EngineError, match="pulse_duration must be finite"):
-        run_batch(prog, bench_j, [[]], pulse_duration=float("nan"))
+        run_batch(prog, bench_j, ["000"], pulse_duration=float("nan"))
 
 
 def test_decoupled_window_builds_each_factor_once(monkeypatch, bench_j):
@@ -710,7 +710,7 @@ def test_trains_run_without_building_a_program(monkeypatch, bench_j):
     monkeypatch.setattr(engine, "dd_fragment", refuse)
     for prog, (noisy, ideal) in zip(progs, want):
         assert np.array_equal(run_program(prog, bench_j, initial=rho0).state.rho, noisy)
-        [res] = run_batch(prog, bench_j, [[]], noise=NoiseModel.off())
+        [res] = run_batch(prog, bench_j, ["000"], noise=NoiseModel.off())
         assert np.array_equal(res.state.rho, ideal)
         ket = program_unitary(prog, bench_j)[:, 0]
         assert np.allclose(np.outer(ket, ket.conj()), ideal, atol=1e-12)
@@ -726,11 +726,11 @@ def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
 
     monkeypatch.setattr(engine, "_apply_pulse", recording)
     prog = PulseProgram(3, [FreeEvolve(1e-3, 20, "kdd"), Rotate(1, np.pi / 2, 0.4)])
-    preps = [[Rotate(0, np.pi / 2, 0.0)], [Rotate(1, np.pi, 0.0)], []]
+    inputs = ["+00", "010", "000"]
     # no depolarizing mix, so each result is the run's own stack, not a fresh sum
     noise = NoiseModel(white_noise_fraction=0.0)
-    first = run_batch(prog, bench_j, preps, noise=noise, pulse_duration=1e-6)
-    second = run_batch(prog, bench_j, preps, noise=noise, pulse_duration=1e-6)
+    first = run_batch(prog, bench_j, inputs, noise=noise, pulse_duration=1e-6)
+    second = run_batch(prog, bench_j, inputs, noise=noise, pulse_duration=1e-6)
     for a, b in zip(first, second, strict=True):
         assert np.array_equal(a.state.rho, b.state.rho) and a.state.time == b.state.time
     rhos = [r.state.rho for r in first + second]
@@ -766,9 +766,9 @@ def test_wide_transform_stack_matches_single_runs():
     labels = list(dict.fromkeys(label for _, _, labels in harness._BUILTINS.values()
                                 for label in labels))
     assert len(labels) == 17
-    stacked = run_batch(prog, compiled.couplings, list(map(product_input_pulses, labels)))
+    stacked = run_batch(prog, compiled.couplings, labels)
     for label, res in zip(labels, stacked, strict=True):
-        single = run_program(PulseProgram(3, product_input_pulses(label) + prog.instructions,
+        single = run_program(PulseProgram(3, label_pulses(label) + prog.instructions,
                                           relabel=prog.relabel), compiled.couplings).state
         assert res.state.rho.tobytes() == single.rho.tobytes(), label
         assert res.state.time == single.time and res.state.bases == single.bases
@@ -780,11 +780,11 @@ def test_one_qubit_stacks_match_single_runs(size):
     prog = PulseProgram(1, [Rotate(0, np.pi / 3, 0.2), FreeEvolve(1e-3, 10, "kdd"),
                             PhaseShift(0, 0.7), TransferBasis(0, "pi"), FreeEvolve(5e-4),
                             TransferBasis(0, "sigma-"), Rotate(0, np.pi / 2, 1.1)])
-    preps = [[], [Rotate(0, np.pi / 2, 0.5)], [Echo(0, 0.3)], [Rotate(0, 1.3, 2.9)]][:size]
+    labels = ["0", "+", "1", "+"][:size]
     for pulse_duration in (0.0, 2e-6):
-        stacked = run_batch(prog, j, preps, pulse_duration=pulse_duration)
-        for prep, res in zip(preps, stacked, strict=True):
-            single = run_program(PulseProgram(1, prep + prog.instructions), j,
+        stacked = run_batch(prog, j, labels, pulse_duration=pulse_duration)
+        for label, res in zip(labels, stacked, strict=True):
+            single = run_program(PulseProgram(1, label_pulses(label) + prog.instructions), j,
                                  pulse_duration=pulse_duration).state
             assert res.state.rho.tobytes() == single.rho.tobytes()
             assert res.state.time == single.time and res.state.bases == single.bases

@@ -112,7 +112,7 @@ def test_every_entry_point_rejects_an_asymmetric_coupling(bench_j, tmp_path):
     named = r"coupling J\[1, 2\] = .* but J\[2, 1\] = "
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0)])
     for error, call in ((EngineError, lambda: run_program(prog, j)),
-                        (EngineError, lambda: run_batch(prog, j, [[]])),
+                        (EngineError, lambda: run_batch(prog, j, ["000"])),
                         (EngineError, lambda: program_unitary(prog, j)),
                         (CompilerError, lambda: compile_qft(j)),
                         (ValueError, lambda: CouplingMatrix(j=j)),

@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,8 @@ def test_scenario_file_error_reporting(tmp_path):
                           ("pulse_duration = inf", "pulse_duration must be finite and >= 0"),
                           ("pulse_duration = -1", "pulse_duration must be finite and >= 0"),
                           ("shots = -5", "shots must be >= 0, got -5"),
+                          (f"shots = {10**22}",
+                           f"shots must be an int below 2\\^63, got {10**22}"),
                           ("seed = -1", "seed must be >= 0, got -1"),
                           ("input = 0x1", "input: bad preparation label '0x1'"),
                           ("input = 01", "input '01' does not match a 3-qubit program"),
@@ -373,6 +376,16 @@ def test_scenario_file_error_reporting(tmp_path):
         bad.write_text(f"[scenario]\nprogram = ok.pulse\ncouplings = j.txt\n{line}\n")
         with pytest.raises(harness.HarnessError, match=f"bad.ini: {message}"):
             harness.load_scenario_file(bad)
+
+
+def test_scenario_takes_an_int_shot_count():
+    # 10**22 reached sample_counts and escaped the CLI as a bare OverflowError
+    prog = harness.PulseProgram(3, [])
+    for shots in (1.5, True, "5", 10**22, 2**63):
+        with pytest.raises(harness.HarnessError, match=r"shots must be an int below 2\^63, got "
+                                                       + re.escape(repr(shots))):
+            harness.Scenario("s", prog, np.zeros((3, 3)), shots=shots)
+    assert harness.Scenario("s", prog, np.zeros((3, 3)), shots=2**63 - 1).shots == 2**63 - 1
 
 
 def test_scenario_file_names_a_bad_coupling_source(tmp_path):

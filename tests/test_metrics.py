@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,20 @@ def test_stacked_ramsey_fit_matches_per_row_fits(k, shots, rng):
                     (contrast_err, phase_err), rel=1e-9, abs=1e-12)
     if k > 1:
         assert fits[0].degenerate and fits[1].degenerate
+
+
+def test_ramsey_fit_takes_none_or_a_positive_finite_shot_count():
+    phases = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    probs = 0.5 - 0.4 * np.cos(phases - 0.3)
+    # -3 made a bare sqrt warning, nan NaN errors, inf zero errors, 0 the residual path
+    for shots in (-3, 0, 0.0, np.nan, np.inf, -np.inf, "50", 50j):
+        with pytest.raises(MetricsError, match=f"shots must be None or a positive finite "
+                                               f"number, got {re.escape(repr(shots))}$"):
+            ramsey_fit(phases, probs, shots=shots)
+    want = dataclasses.astuple(ramsey_fit(phases, probs, shots=50))
+    for shots in (50.0, np.int64(50), np.float64(50.0)):
+        assert dataclasses.astuple(ramsey_fit(phases, probs, shots=shots)) == want
+    assert dataclasses.astuple(ramsey_fit(phases, probs, shots=0.5))[4] > want[4]
 
 
 def test_metrics_reject_non_finite_input(rng):

@@ -5,8 +5,8 @@ qubit with leading transfers, then mix R, PH, ECHO, plain and decoupled EV
 windows, transfers routed through pi, and an optional RELABEL. Noiselessly
 the density matrix path must agree with the ideal unitary; under the full
 noise model the state must stay a density matrix. On 1-8 qubits, each slice
-of a stacked run over pulse-prepared inputs must equal the single-state run
-of that input bit for bit. On 1-7 qubits, both run paths must equal the
+of a stacked run over product inputs must equal the single-state run of that
+input's pulses and the program bit for bit. On 1-7 qubits, both run paths must equal the
 allocating step-by-step oracle (`conftest.reference_run`) bit for bit under
 the full noise model. The closed-form fringe readout must agree
 with applying the analysis pulse explicitly, phase by phase. The engine's
@@ -25,7 +25,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import embed, reference_run, reference_steps
+from conftest import embed, label_pulses, reference_run, reference_steps
 from magicforge.engine import (
     NoiseModel,
     apply_readout_confusion,
@@ -126,42 +126,43 @@ def test_noisy_run_keeps_a_density_matrix(case, pulse_duration):
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
-@st.composite
-def preparations(draw, n):
-    """Preparation pulses of one input: R, PH and ECHO on drawn qubits."""
-    ins = []
-    for _ in range(draw(st.integers(0, 4))):
-        q = draw(st.integers(0, n - 1))
-        kind = draw(st.sampled_from(["R", "PH", "ECHO"]))
-        if kind == "R":
-            ins.append(Rotate(q, draw(angles), draw(angles)))
-        elif kind == "PH":
-            ins.append(PhaseShift(q, draw(angles)))
-        else:
-            ins.append(Echo(q, draw(angles)))
-    return ins
+def labels(n):
+    """Product inputs of an n-qubit register, one of 0, 1, + per qubit."""
+    return st.text(alphabet="01+", min_size=n, max_size=n)
+
+
+def with_inputs(cases, max_inputs):
+    """(case, inputs): a drawn program case and 1..max_inputs product inputs of its register."""
+    return cases.flatmap(lambda case: st.tuples(
+        st.just(case), st.lists(labels(case[0].n_qubits), min_size=1, max_size=max_inputs)))
+
+
+one_qubit_stack = ((PulseProgram(1, [Rotate(0, 1.1, 0.3), FreeEvolve(1e-3, 2, "cpmg")]),
+                    np.zeros((1, 1)), 0), ["+", "1", "0"])
 
 
 @settings(max_examples=60, deadline=None)
-@given(programs(1, 8), st.data(), st.floats(1e-7, 5e-5))
-def test_stacked_run_matches_single_runs(case, data, pulse_duration):
-    # every slice of the stack is the single-state run of its preparation
+@given(with_inputs(programs(1, 8), 4), st.just(0.0) | st.floats(1e-7, 5e-5))
+@example(one_qubit_stack, 0.0)
+@example(one_qubit_stack, 2e-6)
+def test_stacked_run_matches_single_runs(drawn, pulse_duration):
+    # every slice of the stack is the single-state run of its input's pulses
     # followed by the program, bit for bit, clock and encodings included
-    prog, j, _ = case
+    (prog, j, _), inputs = drawn
     n = prog.n_qubits
-    preps = data.draw(st.lists(preparations(n), min_size=1, max_size=4))
     noise = NoiseModel()
-    stacked = run_batch(prog, j, preps, noise=noise, pulse_duration=pulse_duration)
-    assert len(stacked) == len(preps)
-    for prep, res in zip(preps, stacked):
-        single = run_program(PulseProgram(n, prep + prog.instructions, relabel=prog.relabel),
+    stacked = run_batch(prog, j, inputs, noise=noise, pulse_duration=pulse_duration)
+    assert len(stacked) == len(inputs)
+    for label, res in zip(inputs, stacked):
+        single = run_program(PulseProgram(n, label_pulses(label) + prog.instructions,
+                                          relabel=prog.relabel),
                              j, noise=noise, pulse_duration=pulse_duration).state
         assert np.array_equal(res.state.rho, single.rho)
         assert res.state.time == single.time and res.state.bases == single.bases
 
 
-def check_against_oracle(prog, j, seed, preps, pulse_duration):
-    """run_program from a random rho, and run_batch on `preps`, against the oracle."""
+def check_against_oracle(prog, j, seed, inputs, pulse_duration):
+    """run_program from a random rho, and run_batch on `inputs`, against the oracle."""
     n = prog.n_qubits
     noise = NoiseModel()
     rho0 = random_rho(seed, n)
@@ -173,23 +174,22 @@ def check_against_oracle(prog, j, seed, preps, pulse_duration):
     # each input is prepared by its pulses on its own stack, then one stacked run
     zero = np.zeros((1, 2**n, 2**n), dtype=complex)
     zero[0, 0, 0] = 1.0
-    prepared = [reference_steps(prep, n, j, zero, np.zeros(1), noise, pulse_duration)
-                for prep in preps]
+    prepared = [reference_steps(label_pulses(label), n, j, zero, np.zeros(1), noise,
+                                pulse_duration) for label in inputs]
     want_rho, want_time, _ = reference_run(prog, j, np.concatenate([r for r, _, _ in prepared]),
                                            np.concatenate([t for _, t, _ in prepared]), noise,
                                            pulse_duration)
-    batch = run_batch(prog, j, preps, noise=noise, pulse_duration=pulse_duration)
+    batch = run_batch(prog, j, inputs, noise=noise, pulse_duration=pulse_duration)
     for res, rho, time in zip(batch, want_rho, want_time, strict=True):
         assert np.array_equal(res.state.rho, rho)
         assert res.state.time == time
 
 
 @settings(max_examples=40, deadline=None)
-@given(programs(1, 7), st.data(), st.sampled_from([0.0, 2e-6]))
-def test_in_place_runs_match_allocating_oracle(case, data, pulse_duration):
-    prog, j, seed = case
-    preps = data.draw(st.lists(preparations(prog.n_qubits), min_size=1, max_size=3))
-    check_against_oracle(prog, j, seed, preps, pulse_duration)
+@given(with_inputs(programs(1, 7), 3), st.sampled_from([0.0, 2e-6]))
+def test_in_place_runs_match_allocating_oracle(drawn, pulse_duration):
+    (prog, j, seed), inputs = drawn
+    check_against_oracle(prog, j, seed, inputs, pulse_duration)
 
 
 def test_wide_parked_trains_match_allocating_oracle():
@@ -202,9 +202,8 @@ def test_wide_parked_trains_match_allocating_oracle():
         TransferBasis(2, BASIS_PI), FreeEvolve(1e-3, 20, "kdd"), Rotate(2, np.pi, 0.0),
         FreeEvolve(4e-4, 4, "cpmg"), TransferBasis(2, BASIS_SIGMA_MINUS)],
         relabel=(6, 0, 1, 2, 3, 4, 5))
-    preps = [[], [Rotate(0, np.pi, 0.0), Echo(3, 0.2)]]
     for pulse_duration in (0.0, 2e-6):
-        check_against_oracle(prog, j, 5, preps, pulse_duration)
+        check_against_oracle(prog, j, 5, ["0000000", "1+0+001"], pulse_duration)
 
 
 def bright_probability(rho, qubit, n):
