@@ -14,6 +14,7 @@ S_in the normal-mode matrix.
 
 import configparser
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,13 @@ _TRAP_KEYS = {
     "reference_coordinate_m": ("reference_coordinate", 1.0),
     "g_factor": ("g_factor", 1.0),
 }
+
+
+def check_ini_keys(section, known):
+    """Raise a ValueError naming the first key of the INI `section` that is not in `known`."""
+    for key in section:
+        if key not in known:
+            raise ValueError(f"[{section.name}] has unknown key {key!r}; known: {', '.join(known)}")
 
 
 @dataclass
@@ -93,7 +101,7 @@ class TrapConfig:
 
         Keys (all optional, defaults above): ion_count, ion_mass_amu,
         axial_frequency_hz (nu1/2pi), magnetic_gradient_t_per_m, bias_field_t,
-        reference_coordinate_m, g_factor.
+        reference_coordinate_m, g_factor. Any other key is rejected.
         """
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
@@ -102,6 +110,7 @@ class TrapConfig:
             if "trap" not in parser:
                 raise ValueError("missing [trap] section")
             sec = parser["trap"]
+            check_ini_keys(sec, _TRAP_KEYS)
             kwargs = {}
             for key, (name, factor) in _TRAP_KEYS.items():
                 if key in sec:
@@ -315,9 +324,13 @@ def save_couplings(path, couplings):
 def load_couplings(path):
     """Read a plain-text coupling matrix (rad/s), checked as `CouplingMatrix` checks J.
 
-    A parse error or a bad J names the file.
+    A parse error, a file with no data or a bad J names the file.
     """
     try:
-        return CouplingMatrix(j=np.atleast_2d(np.loadtxt(path)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt only warns on no data
+            return CouplingMatrix(j=np.atleast_2d(np.loadtxt(path)))
+    except UserWarning as exc:
+        raise ValueError(f"{path}: no coupling matrix in the file") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

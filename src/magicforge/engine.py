@@ -165,10 +165,6 @@ class QuantumState:
     def populations(self):
         return np.clip(np.diag(self.rho).real, 0.0, None)
 
-    def reduced_density(self, keep):
-        """Partial trace keeping the listed qubits, in the order given."""
-        return partial_trace(self.rho, keep)
-
 
 def partial_trace(rho, keep):
     """Partial trace of a 2^n x 2^n rho keeping the listed qubits, in the order given.
@@ -203,10 +199,6 @@ _INPUT_TOKENS = {
     "1": (np.array([0.0, 1.0], dtype=complex), (np.pi, 0.0)),
     "+": (np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), (np.pi / 2, np.pi / 2)),
 }
-# The 15 three-qubit inputs the transform is checked on: every basis state,
-# then each nonempty set of qubits in |+> with the rest in |0>.
-PRODUCT_INPUTS = tuple(format(k, "03b") for k in range(8)) + tuple(
-    format(k, "03b").replace("1", "+") for k in range(1, 8))
 
 
 def check_label(label, n_qubits, error):
@@ -500,9 +492,10 @@ def _run(frame, program, j, noise, pulse_duration):
                                      frame.bases, float(t))) for b, t in enumerate(frame.time)]
 
 
-def _check_pulse_duration(pulse_duration):
+def check_pulse_duration(pulse_duration, error):
+    """Raise an `error` (the caller's class) unless `pulse_duration` is finite and >= 0."""
     if not 0.0 <= pulse_duration < np.inf:
-        raise EngineError(f"pulse_duration must be finite and >= 0, got {pulse_duration}")
+        raise error(f"pulse_duration must be finite and >= 0, got {pulse_duration}")
 
 
 def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
@@ -513,7 +506,7 @@ def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     while the Ising evolution stays frozen (driven qubits are spin-locked).
     The run is the one-slice case of `run_batch`'s stack; `initial` is left as it is.
     """
-    _check_pulse_duration(pulse_duration)
+    check_pulse_duration(pulse_duration, EngineError)
     noise = noise or NoiseModel()
     j = check_couplings(j, program.n_qubits, EngineError)
     if not isinstance(initial, QuantumState):
@@ -535,10 +528,12 @@ def run_batch(program, j, inputs, noise=None, pulse_duration=0.0):
     `program` is then walked once over the whole stack. Each result equals
     `run_program` on the input's pulses followed by `program`, bit for bit.
     """
-    _check_pulse_duration(pulse_duration)
+    check_pulse_duration(pulse_duration, EngineError)
     noise = noise or NoiseModel()
     n = program.n_qubits
     j = check_couplings(j, n, EngineError)
+    if isinstance(inputs, str):
+        raise EngineError(f"inputs must be a list of product labels, not the string {inputs!r}")
     if not inputs:
         raise EngineError("run_batch needs at least one input")
     if n == 1 and len(inputs) > 1:  # 2 columns round unlike 4k (module docstring)

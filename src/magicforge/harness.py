@@ -33,30 +33,26 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .chain import TrapConfig, coupling_matrix, load_couplings
+from .chain import TrapConfig, check_ini_keys, coupling_matrix, load_couplings
 from .encoding import effective_couplings, parse_topology, topology_preset
 from .engine import (
-    PRODUCT_INPUTS,
     NoiseModel,
     check_label,
+    check_pulse_duration,
     fringe_scan,
     measurement_probabilities,
     partial_trace,
-    product_input_ket,
     ramsey_program,
     run_batch,
     sample_counts,
 )
-from .gates import check_couplings, read_only
+from .gates import check_couplings
 from .metrics import (
-    MetricsError,
     distinguishability,
     equatorial_phase,
-    factor_product_state,
     fidelity_via_local_rotation,
     fringe_fidelity,
     fringe_phase_for,
@@ -66,13 +62,12 @@ from .metrics import (
 )
 from .program import (
     BASIS_SIGMA_MINUS,
-    ProgramError,
     PulseProgram,
     TransferBasis,
     check_name,
     load_program,
 )
-from .qft import compile_qft, reference_qft
+from .qft import PRODUCT_INPUTS, compile_qft, reference_answer
 
 DEFAULT_SEED = 20260816
 
@@ -193,29 +188,6 @@ def _compile_transform():
     return compile_qft(form="optimized", dd_scheme="kdd")
 
 
-@cache
-def _ideal_output(label):
-    """The ideal transform's output ket for the product input `label`; shared, read-only."""
-    return read_only(reference_qft() @ product_input_ket(label))
-
-
-def _ideal_factors(label):
-    """Per-qubit factors (3, 2) of `_ideal_output(label)`, or None if it is entangled.
-
-    The transform maps the basis state |k> to the product over qubits q of
-    (|0> + e^{2 pi i k / 2^(q+1)} |1>) / sqrt(2), qubit 0 first, so a basis input's
-    factors are closed form; only a |+> input's output is factored numerically.
-    """
-    if "+" not in label:
-        k = int(label, 2)
-        return np.array([[1.0, np.exp(2j * np.pi * k / 2 ** (q + 1))]
-                         for q in range(3)]) / np.sqrt(2.0)
-    try:
-        return np.array(factor_product_state(_ideal_output(label), 3))
-    except MetricsError:  # an entangled output has no per-ion factors
-        return None
-
-
 def _ion_fidelities(rho, factors, perm):
     """Fidelity of each ion's reduced state against its ideal factor, (3, B) in ion order.
 
@@ -232,7 +204,7 @@ def scenario_transform_fringes(rng, runs, compiled):
     """Per-ion fringes, 150 shots per phase, on the compiled transform's output for |010>."""
     shots = 150
     rho = _stack([runs["010"]])
-    factors = _ideal_factors("010")
+    factors = reference_answer("010").factors
     perm = compiled.program.relabel
     reduced = _ion_fidelities(rho, factors[..., None], perm)[:, 0]
     # the shots are drawn in slot order
@@ -289,7 +261,7 @@ def scenario_distributions(rng, runs, compiled):
     rows, summary = [], []
     for label in DISTRIBUTION_INPUTS:
         p_model = measurement_probabilities(runs[label].state, noise)
-        p_ideal = np.abs(_ideal_output(label)) ** 2
+        p_ideal = np.abs(reference_answer(label).output) ** 2
         counts = sample_counts(p_model, shots, rng)
         rows += _histogram(label, p_ideal, p_model, counts)
         p_emp = counts / shots
@@ -307,12 +279,11 @@ def scenario_distributions(rng, runs, compiled):
 def scenario_fidelity_table(runs, compiled):
     """Direct and rotation-protocol fidelities of the transform, all 15 inputs."""
     rho = _stack([runs[label] for label in PRODUCT_INPUTS])
-    direct = state_fidelity(rho, np.stack([_ideal_output(label) for label in PRODUCT_INPUTS],
-                                          axis=-1))
+    answers = [reference_answer(label) for label in PRODUCT_INPUTS]
+    direct = state_fidelity(rho, np.stack([a.output for a in answers], axis=-1))
     # the rotation protocol and the per-ion fidelities need the output's product factors
-    factors = [_ideal_factors(label) for label in PRODUCT_INPUTS]
-    product = [b for b, f in enumerate(factors) if f is not None]
-    product_factors = np.stack([factors[b] for b in product], axis=-1)
+    product = [b for b, a in enumerate(answers) if a.factors is not None]
+    product_factors = np.stack([answers[b].factors for b in product], axis=-1)
     rotation = np.full(len(PRODUCT_INPUTS), np.nan)
     per_ion = np.full((3, len(PRODUCT_INPUTS)), np.nan)
     rotation[product] = fidelity_via_local_rotation(rho[..., product], product_factors)
@@ -450,10 +421,7 @@ class Scenario:
         # the name is the output file stem, so it must not leave the output directory
         if self.name in ("", ".", "..") or any(sep in self.name for sep in ("/", "\\", os.sep)):
             raise HarnessError(f"name must be a plain file stem, got {self.name!r}")
-        try:
-            check_name(self.name)
-        except ProgramError as exc:
-            raise HarnessError(str(exc)) from exc
+        check_name(self.name, HarnessError)
         n = self.program.n_qubits
         self.couplings = check_couplings(self.couplings, n, HarnessError)
         if self.input_state is None:
@@ -464,11 +432,17 @@ class Scenario:
             raise HarnessError(f"shots must be an int below 2^63, got {self.shots!r}")
         if self.shots < 0:
             raise HarnessError(f"shots must be >= 0, got {self.shots}")
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
+            raise HarnessError(f"seed must be an int, got {self.seed!r}")
         if self.seed < 0:
             raise HarnessError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.pulse_duration < math.inf:
-            raise HarnessError(f"pulse_duration must be finite and >= 0, "
-                               f"got {self.pulse_duration}")
+        check_pulse_duration(self.pulse_duration, HarnessError)
+
+
+# [scenario] key: (the Scenario field it sets, the SectionProxy getter that reads it)
+_SCENARIO_FIELDS = {"name": ("name", "get"), "input": ("input_state", "get"),
+                    "noise": ("noise", "getboolean"), "shots": ("shots", "getint"),
+                    "seed": ("seed", "getint"), "pulse_duration": ("pulse_duration", "getfloat")}
 
 
 def load_scenario_file(path):
@@ -478,8 +452,9 @@ def load_scenario_file(path):
     couplings (J matrix file) or trap (trap config file); only trap takes
     topology (preset letter or per-qubit basis list). Optional: input (one of
     0, 1, + per program qubit; all 0 by default), noise, shots (0..2^63-1), seed (>= 0),
-    name (one line, no path separator, not . or ..; also the output file stem),
-    pulse_duration.
+    name (one line, no path separator, not . or ..; the file's stem by default; also
+    the output file stem), pulse_duration. A key the file leaves out takes `Scenario`'s
+    default; any other key is rejected.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -488,6 +463,7 @@ def load_scenario_file(path):
         if not parser.has_section("scenario"):
             raise ValueError("missing [scenario] section")
         sec = parser["scenario"]
+        check_ini_keys(sec, ["program", "couplings", "trap", "topology", *_SCENARIO_FIELDS])
         if "program" not in sec:
             raise ValueError("missing program path")
         base = os.path.dirname(os.path.abspath(path))
@@ -507,16 +483,10 @@ def load_scenario_file(path):
                 j = effective_couplings(j, parse_topology(topology))
         else:
             raise ValueError("need either couplings or trap")
-        return Scenario(
-            name=sec.get("name", os.path.splitext(os.path.basename(path))[0]),
-            program=program,
-            couplings=j,
-            input_state=sec.get("input"),
-            noise=sec.getboolean("noise", False),
-            shots=sec.getint("shots", 0),
-            seed=sec.getint("seed", DEFAULT_SEED),
-            pulse_duration=sec.getfloat("pulse_duration", 0.0),
-        )
+        fields = {"name": os.path.splitext(os.path.basename(path))[0]}
+        fields.update((field, getattr(sec, getter)(key))
+                      for key, (field, getter) in _SCENARIO_FIELDS.items() if key in sec)
+        return Scenario(program=program, couplings=j, **fields)
     except (OSError, ValueError, configparser.Error) as exc:
         raise HarnessError(f"{path}: {exc}") from exc
 

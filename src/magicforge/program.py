@@ -66,10 +66,10 @@ def _check_qubit(ins):
         raise ProgramError(f"{type(ins).__name__} qubit must be a non-negative int, got {q!r}")
 
 
-def check_name(name):
-    """Reject a program name that `to_text` could not keep on its one comment line."""
+def check_name(name, error):
+    """Raise an `error` (the caller's class) if `to_text` cannot keep `name` on one line."""
     if "".join(name.splitlines()) != name:
-        raise ProgramError(f"name must not contain a line break, got {name!r}")
+        raise error(f"name must not contain a line break, got {name!r}")
 
 
 @dataclass
@@ -144,7 +144,7 @@ class PulseProgram:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ProgramError("n_qubits must be at least 1")
-        check_name(self.name)
+        check_name(self.name, ProgramError)
         if self.relabel is not None:
             perm = tuple(self.relabel)
             if sorted(perm) != list(range(self.n_qubits)):

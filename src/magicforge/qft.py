@@ -37,12 +37,13 @@ bit-reversed output order of the pulse skeleton requires.
 
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .engine import PRODUCT_INPUTS, product_input_ket, program_unitary
+from .engine import product_input_ket, program_unitary
 from .gates import check_couplings, read_only
-from .metrics import process_fidelity, state_fidelity
+from .metrics import MetricsError, factor_product_state, process_fidelity, state_fidelity
 from .program import (
     BASIS_PI,
     BASIS_SIGMA_MINUS,
@@ -68,6 +69,30 @@ def reference_qft():
     """The three-qubit transform, F[j, k] = exp(2 pi i j k / 8) / sqrt(8); shared, read-only."""
     j, k = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
     return read_only(np.exp(2j * np.pi * j * k / 8) / np.sqrt(8))
+
+
+# The 15 three-qubit inputs the transform is checked on: every basis state,
+# then each nonempty set of qubits in |+> with the rest in |0>.
+PRODUCT_INPUTS = tuple(format(k, "03b") for k in range(8)) + tuple(
+    format(k, "03b").replace("1", "+") for k in range(1, 8))
+
+
+class ReferenceAnswer(NamedTuple):
+    ket: np.ndarray  # (8,) the product input
+    output: np.ndarray  # (8,) reference_qft() @ ket
+    factors: np.ndarray | None  # (3, 2) per-qubit factors of output; None if it is entangled
+
+
+@cache
+def reference_answer(label):
+    """The reference transform on the product input `label`; built once, every array read-only."""
+    ket = read_only(product_input_ket(label))
+    output = read_only(reference_qft() @ ket)
+    try:
+        factors = read_only(np.array(factor_product_state(output, 3)))
+    except MetricsError:  # an entangled output has no per-qubit factors
+        factors = None
+    return ReferenceAnswer(ket, output, factors)
 
 
 def calibrated_couplings():
@@ -368,15 +393,10 @@ def verify_plan(compiled):
     product inputs (`PRODUCT_INPUTS`) through the program's unitary, the one
     `CompiledTransform` built, and reports the overlaps with the reference outputs.
     """
-    u, ref = compiled.unitary, reference_qft()
-    overlaps = np.array([state_fidelity(u @ v, ref @ v) for v in _plan_kets()])
+    u = compiled.unitary
+    overlaps = np.array([state_fidelity(u @ answer.ket, answer.output)
+                         for answer in map(reference_answer, PRODUCT_INPUTS)])
     return PlanVerification(overlaps[:8], overlaps[8:])
-
-
-@cache
-def _plan_kets():
-    """(15, 8) kets of `PRODUCT_INPUTS`, built once; shared, read-only."""
-    return read_only(np.array([product_input_ket(label) for label in PRODUCT_INPUTS]))
 
 
 def serial_baseline(j):

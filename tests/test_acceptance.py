@@ -29,6 +29,7 @@ from magicforge.engine import (
     NoiseModel,
     apply_rotation,
     measurement_probabilities,
+    partial_trace,
     prepare_state,
     program_unitary,
     ramsey_scan,
@@ -181,7 +182,7 @@ def test_a06_topology_control_and_recoupling(bench_j):
         state = prepare_state(3, f"01{bit}")
         apply_rotation(state, 0, np.pi / 2, 0.0)
         res = run_program(wrap, bench_j, noise=NoiseModel.off(), initial=state.rho)
-        phases.append(equatorial_phase(res.state.reduced_density([0])))
+        phases.append(equatorial_phase(partial_trace(res.state.rho, [0])))
     assert abs(phases[0] - phases[1]) <= 1e-9
 
     # parked spin contributes no conditional phase
@@ -191,7 +192,7 @@ def test_a06_topology_control_and_recoupling(bench_j):
                               TransferBasis(1, "sigma-")])
     for bit in (0, 1):
         state = run_program(parked, bench_j, noise=NoiseModel.off(), initial=f"0{bit}0").state
-        phases.append(equatorial_phase(state.reduced_density([0])))
+        phases.append(equatorial_phase(partial_trace(state.rho, [0])))
     assert abs(phases[0] - phases[1]) <= 1e-9
 
     # round trips: working -> pi -> working and working -> pi -> other sigma -> back

@@ -264,6 +264,15 @@ def test_load_rejects_asymmetric_matrix(tmp_path):
         load_couplings(path)
 
 
+def test_load_names_a_file_with_no_data(tmp_path):
+    # numpy's loadtxt only warns on an empty file, and that warning escaped the reader
+    path = tmp_path / "empty.txt"
+    for text in ("", "# a comment and no matrix\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty.txt: no coupling matrix in the file"):
+            load_couplings(path)
+
+
 def test_coupling_matrix_validates_shape():
     with pytest.raises(ValueError):
         CouplingMatrix(j=np.zeros((2, 3)))
@@ -313,7 +322,10 @@ def test_from_ini_parses_and_reports_errors(tmp_path):
     for text, message in (("ion_count = 3\n", "no section headers"),
                           ("[trap]\nion_count = 3\n[trap]\n", "already exists"),
                           ("[trap]\nion_count = 0\n", "ion_count must be an int"),
-                          ("[trap]\nion_count = 3\ng_factor = 50%\n", "'%'")):
+                          ("[trap]\nion_count = 3\ng_factor = 50%\n", "'%'"),
+                          # a misspelt key once left its field at the default
+                          ("[trap]\nmagnetic_gradent_t_per_m = 40\n",
+                           r"\[trap\] has unknown key 'magnetic_gradent_t_per_m'; known: ")):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
         with pytest.raises(ValueError, match=f"bad.ini: .*{message}"):

@@ -217,7 +217,7 @@ def test_stacked_partial_trace_and_fringe_scan_match_each_slice(rng):
         reduced = engine.partial_trace(stack, keep)
         assert reduced.shape == (2 ** len(keep), 2 ** len(keep), 5)
         for b, st in enumerate(states):
-            assert reduced[..., b].tobytes() == st.reduced_density(keep).tobytes(), keep
+            assert reduced[..., b].tobytes() == engine.partial_trace(st.rho, keep).tobytes(), keep
     for q in range(3):
         rows = fringe_scan(stack, q, phases)
         assert rows.shape == (5, 16)
@@ -237,7 +237,7 @@ def test_reencoding_flips_precession_sign():
         if reencode:
             ins[1:1] = [TransferBasis(0, "pi"), TransferBasis(0, "sigma+")]
         st = run_program(PulseProgram(3, ins), j, noise=NoiseModel.off(), initial="010").state
-        r = st.reduced_density([0])
+        r = engine.partial_trace(st.rho, [0])
         return np.angle(r[1, 0])
 
     base = probe_phase(False)
@@ -454,10 +454,10 @@ def test_per_step_kernels_bound_the_qubit():
         with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
             fringe_scan(st, q, [0.0, 1.0])
         with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
-            st.reduced_density([0, q])
+            engine.partial_trace(st.rho, [0, q])
         assert st.populations()[0] == 1.0 and st.bases == ("sigma-",) * 3
     with pytest.raises(EngineError, match=r"qubits \[1, 1\] repeated"):
-        prepare_state(3, "000").reduced_density([1, 1])
+        engine.partial_trace(prepare_state(3, "000").rho, [1, 1])
 
 
 def test_rotation_rejects_non_finite_angles(bench_j):

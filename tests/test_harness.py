@@ -157,33 +157,6 @@ def test_transform_program_walked_once_per_run(monkeypatch, tmp_path):
         f"ramsey q0 T={t:.6g}" for t in (1e-3, 2e-3, 3e-3, 4e-3)]
 
 
-def test_ideal_outputs_are_built_once_and_read_only():
-    ket = harness._ideal_output("+11")
-    assert harness._ideal_output("+11") is ket
-    assert ket.tobytes() == (harness.reference_qft() @ engine.product_input_ket("+11")).tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        ket[0] = 0.0
-
-
-def test_closed_form_ideal_factors_match_the_numerical_factoring():
-    # a basis input's output factors are closed form; they agree with the SVD factoring
-    # up to each factor's global phase, and their product is the ideal output
-    for label in engine.PRODUCT_INPUTS:
-        factors = harness._ideal_factors(label)
-        ideal = harness._ideal_output(label)
-        if factors is None:
-            with pytest.raises(harness.MetricsError):
-                harness.factor_product_state(ideal, 3)
-            continue
-        assert factors.shape == (3, 2)
-        for got, want in zip(factors, harness.factor_product_state(ideal, 3)):
-            assert abs(np.vdot(got, want)) == pytest.approx(1.0, abs=1e-12), label
-        product = np.kron(np.kron(factors[0], factors[1]), factors[2])
-        assert np.abs(product - ideal).max() <= 1e-15, label
-    assert [label for label in engine.PRODUCT_INPUTS if harness._ideal_factors(label) is None] \
-        == ["00+", "0+0", "0++", "+0+"]
-
-
 def test_fringe_scans_run_once_per_configuration(monkeypatch):
     calls = []
 
@@ -386,6 +359,32 @@ def test_scenario_takes_an_int_shot_count():
                                                        + re.escape(repr(shots))):
             harness.Scenario("s", prog, np.zeros((3, 3)), shots=shots)
     assert harness.Scenario("s", prog, np.zeros((3, 3)), shots=2**63 - 1).shots == 2**63 - 1
+
+
+def test_scenario_takes_an_int_seed():
+    # 1.5 died in the run with a bare TypeError from SeedSequence, and True ran as seed 1
+    prog = harness.PulseProgram(3, [])
+    for seed in (1.5, True, "5"):
+        with pytest.raises(harness.HarnessError, match="seed must be an int, got "
+                                                       + re.escape(repr(seed))):
+            harness.Scenario("s", prog, np.zeros((3, 3)), seed=seed)
+    assert harness.Scenario("s", prog, np.zeros((3, 3)), seed=np.int64(7)).seed == 7
+
+
+def test_scenario_file_rejects_unknown_keys(tmp_path):
+    # a misspelt key once ran with its default: shot = 100 drew no shots, and a
+    # trap's magnetic_gradent_t_per_m = 40 ran at the default gradient
+    (tmp_path / "ok.pulse").write_text("# qubits: 3\nR 0 pi 0\n")
+    np.savetxt(tmp_path / "j.txt", harness.demo_couplings(), fmt="%.12e")
+    (tmp_path / "trap.ini").write_text("[trap]\nmagnetic_gradent_t_per_m = 40\n")
+    bad = tmp_path / "bad.ini"
+    for source, message in (("couplings = j.txt\nshot = 100",
+                             r"bad.ini: \[scenario\] has unknown key 'shot'; known: "),
+                            ("trap = trap.ini", r"bad.ini: .*trap.ini: \[trap\] has unknown "
+                                                r"key 'magnetic_gradent_t_per_m'; known: ")):
+        bad.write_text(f"[scenario]\nprogram = ok.pulse\n{source}\n")
+        with pytest.raises(harness.HarnessError, match=message):
+            harness.load_scenario_file(bad)
 
 
 def test_scenario_file_names_a_bad_coupling_source(tmp_path):

@@ -62,6 +62,13 @@ def test_run_batch_runs_or_names_the_label(label):
         assert len(results) == 2
 
 
+def test_run_batch_names_a_string_of_inputs():
+    # a string is a sequence of one-character labels: "0+1" ran three 1-qubit inputs
+    with pytest.raises(EngineError, match=r"inputs must be a list of product labels, "
+                                          r"not the string '0\+1'"):
+        run_batch(PulseProgram(1, []), np.zeros((1, 1)), "0+1")
+
+
 @settings(max_examples=50, deadline=None)
 @given(python_labels)
 def test_scenario_runs_or_names_the_label(label):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from magicforge import qft
-from magicforge.engine import PRODUCT_INPUTS, product_input_ket, program_unitary
+from magicforge.engine import product_input_ket, program_unitary
 from magicforge.metrics import state_fidelity
 from magicforge.program import FreeEvolve
 from magicforge.qft import (
     BENCH_T1,
     BENCH_T2,
     BENCH_T3,
+    PRODUCT_INPUTS,
     CompilerError,
     calibrated_couplings,
     compile_qft,
@@ -255,17 +256,44 @@ def test_line_search_trial_serves_the_next_step(monkeypatch):
     assert sum(evaluated) - 2 * 4096 <= 1.25 * sum(solved)
 
 
-def test_plan_kets_are_built_once(bench_j):
-    kets = qft._plan_kets()
-    assert kets is qft._plan_kets()
-    assert kets.shape == (len(PRODUCT_INPUTS), 8)
-    assert not kets.flags.writeable
+def test_reference_answers_are_built_once_and_read_only(bench_j):
+    for label in PRODUCT_INPUTS:
+        answer = qft.reference_answer(label)
+        assert qft.reference_answer(label) is answer
+        ket = product_input_ket(label)
+        assert answer.ket.tobytes() == ket.tobytes()
+        assert answer.output.tobytes() == (reference_qft() @ ket).tobytes()
+        for array in (answer.ket, answer.output, answer.factors):
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+    # verify_plan reads them: its overlaps are the ones built from fresh kets, bit for bit
     compiled = compile_qft(bench_j, form="exact", dd_scheme="kdd")
     check = verify_plan(compiled)
     u, ref = program_unitary(compiled.program, compiled.couplings), reference_qft()
     fresh = [state_fidelity(u @ v, ref @ v) for v in map(product_input_ket, PRODUCT_INPUTS)]
     got = np.concatenate([check.basis_fidelities, check.superposition_fidelities])
     assert got.tobytes() == np.array(fresh).tobytes()
+
+
+def test_closed_form_basis_factors_match_the_reference_answers():
+    # the transform maps |k> to the product over qubits q of (|0> + e^{2 pi i k / 2^(q+1)} |1>)
+    # / sqrt(2), qubit 0 first; the numerical factors agree with it up to each one's global phase
+    for k in range(8):
+        factors = qft.reference_answer(format(k, "03b")).factors
+        assert factors.shape == (3, 2)
+        for q, got in enumerate(factors):
+            want = np.array([1.0, np.exp(2j * np.pi * k / 2 ** (q + 1))]) / np.sqrt(2.0)
+            assert np.outer(got, got.conj()) == pytest.approx(np.outer(want, want.conj()),
+                                                              abs=1e-12), (k, q)
+    for label in PRODUCT_INPUTS:
+        answer = qft.reference_answer(label)
+        if answer.factors is not None:
+            product = np.kron(np.kron(answer.factors[0], answer.factors[1]), answer.factors[2])
+            assert np.abs(product - answer.output).max() <= 1e-15, label
+    # the outputs that are entangled, and so have no per-qubit factors
+    assert [label for label in PRODUCT_INPUTS if qft.reference_answer(label).factors is None] \
+        == ["00+", "0+0", "0++", "+0+"]
 
 
 def test_verify_plan_reuses_the_gate_unitary(monkeypatch, bench_j):
