@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magicforge import engine, harness
+from magicforge import engine, harness, qft
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,20 @@ def test_transform_program_walked_once_per_run(monkeypatch, tmp_path):
     harness.scenario_precession(np.random.default_rng(0))
     assert [p.name for p, _ in walked if p.name.startswith("ramsey")] == [
         f"ramsey q0 T={t:.6g}" for t in (1e-3, 2e-3, 3e-3, 4e-3)]
+
+
+def test_ideal_outputs_are_built_once_and_read_only():
+    # the harness reads the transform's ideal outputs and their factors from qft's record
+    assert harness.reference_answer is qft.reference_answer
+    for label in harness.PRODUCT_INPUTS:
+        answer = harness.reference_answer(label)
+        assert harness.reference_answer(label) is answer
+        assert answer.output.tobytes() == \
+            (qft.reference_qft() @ engine.product_input_ket(label)).tobytes()
+        for array in (answer.output, answer.factors):
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
 
 
 def test_fringe_scans_run_once_per_configuration(monkeypatch):

@@ -256,18 +256,15 @@ def test_line_search_trial_serves_the_next_step(monkeypatch):
     assert sum(evaluated) - 2 * 4096 <= 1.25 * sum(solved)
 
 
-def test_reference_answers_are_built_once_and_read_only(bench_j):
+def test_plan_kets_are_built_once(bench_j):
+    # verify_plan's input kets live in qft.reference_answer's cached, read-only records
     for label in PRODUCT_INPUTS:
         answer = qft.reference_answer(label)
         assert qft.reference_answer(label) is answer
-        ket = product_input_ket(label)
-        assert answer.ket.tobytes() == ket.tobytes()
-        assert answer.output.tobytes() == (reference_qft() @ ket).tobytes()
-        for array in (answer.ket, answer.output, answer.factors):
-            if array is not None:
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0.0
-    # verify_plan reads them: its overlaps are the ones built from fresh kets, bit for bit
+        assert answer.ket.tobytes() == product_input_ket(label).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            answer.ket[0] = 0.0
+    # its overlaps are the ones built from fresh kets, bit for bit
     compiled = compile_qft(bench_j, form="exact", dd_scheme="kdd")
     check = verify_plan(compiled)
     u, ref = program_unitary(compiled.program, compiled.couplings), reference_qft()
