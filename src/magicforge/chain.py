@@ -13,6 +13,7 @@ S_in the normal-mode matrix.
 """
 
 import configparser
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -54,6 +55,20 @@ def check_ini_keys(section, known):
             raise ValueError(f"[{section.name}] has unknown key {key!r}; known: {', '.join(known)}")
 
 
+def read_ini_value(section, key, kind):
+    """`section[key]` read as `kind`: str, bool (as configparser reads a boolean), int or
+    float. A number must be ASCII text; a value that does not read names its key."""
+    text = section[key]
+    try:
+        if kind is bool:
+            return section.getboolean(key)
+        if kind is not str and not text.isascii():
+            raise ValueError("a number must be ASCII text")
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"[{section.name}] {key} = {text!r} is malformed: {exc}") from None
+
+
 @dataclass
 class TrapConfig:
     """Trap and field parameters, SI units throughout.
@@ -89,6 +104,17 @@ class TrapConfig:
             raise ValueError("ion_mass, axial_frequency and charge must be positive")
         if self.magnetic_gradient < 0:
             raise ValueError("magnetic_gradient must be non-negative")
+        try:
+            scale = self.length_scale
+        except ArithmeticError:  # m nu1^2 underflows to 0 or overflows
+            scale = 0.0
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"axial_frequency {self.axial_frequency:g} rad/s and ion_mass "
+                             f"{self.ion_mass:g} kg give no finite Coulomb length scale")
+        for name in ("bias_field", "magnetic_gradient"):
+            if not math.isfinite(self.g_factor * BOHR_MAGNETON * getattr(self, name) / HBAR):
+                raise ValueError(f"{name} {getattr(self, name):g} overflows its Zeeman rate "
+                                 f"g_factor mu_B {name} / hbar")
 
     @property
     def length_scale(self):
@@ -114,11 +140,12 @@ class TrapConfig:
             kwargs = {}
             for key, (name, factor) in _TRAP_KEYS.items():
                 if key in sec:
-                    try:
-                        kwargs[name] = (sec.getint(key) if factor is None
-                                        else sec.getfloat(key) * factor)
+                    kwargs[name] = (read_ini_value(sec, key, int) if factor is None
+                                    else read_ini_value(sec, key, float) * factor)
+                    try:  # the value alone, against the defaults, so an error names its key
+                        cls(**{name: kwargs[name]})
                     except ValueError as exc:
-                        raise ValueError(f"[trap] has a malformed value: {exc}") from exc
+                        raise ValueError(f"{exc} ([trap] {key} = {sec[key]})") from None
             return cls(**kwargs)
         except (ValueError, configparser.Error) as exc:
             raise ValueError(f"{path}: {exc}") from exc

@@ -20,3 +20,8 @@ MAX_QUBITS = 10
 # equilibrium solver's absolute |grad| < 1e-12 stop rule; beyond that the rule
 # lies below the rounding floor, and most longer chains report a stall.
 MAX_IONS = 84
+
+# Longest decoupling train one window takes; the schedules here use 8-20 pulses.
+# The engine applies each pulse to every qubit in turn (1,000 pulses on 7 qubits
+# run 1.2 s on one core), so an uncapped count such as dd=10**20 never ends.
+MAX_DD_PULSES = 10_000

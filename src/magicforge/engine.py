@@ -19,11 +19,12 @@ sigma- <-> sigma+ transfer is not a native block and must pass through pi.
 
 One walk over a program (`_walk`) resolves every instruction into a pulse
 (qubit, 2x2 operator and its conjugate) or a window (duration and Ising phase
-factor under the encodings in force), bounding qubit indices on the way. It is
-the one home of the transfer rule, and it expands a decoupling train straight
-from its phase list, each distinct pulse pair and window resolved once. Every
-run applies the steps in place to a (2^n, 2^n, B) stack of density matrices,
-slice b last (`_run`); `program_unitary` multiplies them into the ideal unitary.
+factor under the encodings in force). A program is checked when it is built, so
+the walk keeps only the transfer rule, which hangs on those encodings, and it
+expands a decoupling train from its phase list, each pulse pair and window
+resolved once. Every run applies the steps in place to a (2^n, 2^n, B) stack of
+density matrices, slice b last (`_run`); `program_unitary` multiplies them
+into the ideal unitary.
 A pulse is never lifted to 2^n x 2^n: `_apply_pulse` applies its operator pair
 on the qubit's axis through one scratch stack, by views built once per run. A
 window's factors and damp are rebuilt only for a new window object; the damp is
@@ -34,14 +35,15 @@ states the engine builds itself (fresh registers, results) are not re-checked.
 A window or pulse whose Ising phase, damp exponent or run clock would overflow
 fails with an EngineError naming its duration.
 
-`run_program` is the one-slice case of that run. `run_batch` runs one program
-on several product inputs, labels over {0, 1, +}, at once: each is prepared
-from |0...0> by its own pulses, never as a ket (a ket-prepared input differs in
-the last bits), and the program is then walked once over the stack, a pulse on
-qubit q being 2^q zgemm calls 2^(2n-q-1) B columns wide. Each slice equals the
-single run of its input's pulses and the program bit for bit, by the 4-column
-rule: the pinned OpenBLAS rounds every column of a product a multiple of 4 wide
-alike. A 1-qubit run is 2 columns wide, so 1-qubit stacks run slice by slice.
+`run_program` is the one-slice case of that run (of `run_batch`, for a label).
+`run_batch` runs one program on several product inputs, labels over {0, 1, +},
+at once: each is prepared from |0...0> by its own pulses, never as a ket (a
+ket-prepared input differs in the last bits), and the program is then walked
+once over the stack, a pulse on qubit q being 2^q zgemm calls 2^(2n-q-1) B
+columns wide. Each slice equals the single run of its input's pulses and the
+program bit for bit, by the 4-column rule: the pinned OpenBLAS rounds every
+column of a product a multiple of 4 wide alike. A 1-qubit run is 2 columns
+wide, so 1-qubit stacks run slice by slice.
 
 `fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
 state, so a scan over analysis phases runs its program once, not per phase.
@@ -52,6 +54,7 @@ whole sequence rather than per-gate noise. Readout error is classical and is
 applied to outcome distributions only, never to the state.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -76,7 +79,6 @@ from .program import (
     MF,
     Echo,
     FreeEvolve,
-    Measure,
     PhaseShift,
     ProgramError,
     PulseProgram,
@@ -93,14 +95,6 @@ class EngineError(RuntimeError):
 # How far a density matrix entering the engine may be from trace 1 and from
 # Hermitian (largest elementwise deviation).
 STATE_TOLERANCE = 1e-9
-
-
-def _register_dim(n_qubits):
-    """Dimension 2^n of a register, checked against MAX_QUBITS before anything is allocated."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise EngineError(f"register of {n_qubits} qubits outside 1..{MAX_QUBITS} "
-                          "(the dense engine holds 4^n amplitudes)")
-    return 2**n_qubits
 
 
 def _check_qubit(qubit, n_qubits):
@@ -224,7 +218,10 @@ def _input_pulses(label):
 def prepare_state(n_qubits, spec=None):
     """Fresh register state in sigma-: |0...0>, a product label over {0, 1, +}
     (`product_input_ket`), a unit ket vector, or a density matrix."""
-    dim = _register_dim(n_qubits)
+    if not 1 <= n_qubits <= MAX_QUBITS:  # before anything is allocated
+        raise EngineError(f"register of {n_qubits} qubits outside 1..{MAX_QUBITS} "
+                          "(the dense engine holds 4^n amplitudes)")
+    dim = 2**n_qubits
     if spec is None:
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
@@ -387,17 +384,9 @@ def _walk(program, j, frame):
     This is the one interpreter of instructions: decoupled windows are expanded
     in `dd_fragment`'s order, a transfer sets `frame.bases` once every qubit it
     names has passed the sigma- <-> sigma+ rule, and each window's phases use the
-    encodings then in force. `j` must be checked already; each qubit an instruction
-    names is bounded here against the program's register.
+    encodings then in force. `j` must be checked already, the program when built.
     """
-    measured = False
     for ins in program.instructions:
-        if measured:
-            raise ProgramError("MEAS must be the last instruction")
-        q = getattr(ins, "qubit", 0)  # windows and MEAS name no qubit
-        if not (q == "all" and isinstance(ins, TransferBasis) or 0 <= q < program.n_qubits):
-            raise ProgramError(f"{type(ins).__name__} on qubit {q} outside register "
-                               f"of {program.n_qubits}")
         if isinstance(ins, Rotate):
             yield _Pulse(ins.qubit, _ops(rotation_2x2(ins.theta, ins.phi)), True)
         elif isinstance(ins, Echo):
@@ -423,10 +412,6 @@ def _walk(program, j, frame):
                                       "route it through pi")
                 bases[q] = ins.target
             frame.bases = tuple(bases)
-        elif isinstance(ins, Measure):
-            measured = True
-        else:
-            raise ProgramError(f"cannot execute instruction {ins!r}")
 
 
 @dataclass
@@ -493,9 +478,11 @@ def _run(frame, program, j, noise, pulse_duration):
 
 
 def check_pulse_duration(pulse_duration, error):
-    """Raise an `error` (the caller's class) unless `pulse_duration` is finite and >= 0."""
-    if not 0.0 <= pulse_duration < np.inf:
-        raise error(f"pulse_duration must be finite and >= 0, got {pulse_duration}")
+    """Raise an `error` (the caller's class) unless `pulse_duration` is a real number (not a
+    bool), finite and >= 0."""
+    if isinstance(pulse_duration, bool) or not (isinstance(pulse_duration, numbers.Real)
+                                                and 0.0 <= pulse_duration < np.inf):
+        raise error(f"pulse_duration must be finite and >= 0, got {pulse_duration!r}")
 
 
 def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
@@ -504,8 +491,13 @@ def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     `j` is the coupling matrix calibrated with every qubit in sigma-. With
     pulse_duration > 0 each pulse adds that much dephasing time
     while the Ising evolution stays frozen (driven qubits are spin-locked).
-    The run is the one-slice case of `run_batch`'s stack; `initial` is left as it is.
+    `initial` is |0...0> by default, a ket, a density matrix or a QuantumState,
+    which is left as it is; the run is the one-slice case of `run_batch`'s stack.
+    A product label over {0, 1, +} runs as `run_batch` on that one input: it is
+    prepared by its pulses, which take pulse_duration each, never as a ket.
     """
+    if isinstance(initial, str):
+        return run_batch(program, j, [initial], noise, pulse_duration)[0]
     check_pulse_duration(pulse_duration, EngineError)
     noise = noise or NoiseModel()
     j = check_couplings(j, program.n_qubits, EngineError)
@@ -532,8 +524,9 @@ def run_batch(program, j, inputs, noise=None, pulse_duration=0.0):
     noise = noise or NoiseModel()
     n = program.n_qubits
     j = check_couplings(j, n, EngineError)
-    if isinstance(inputs, str):
-        raise EngineError(f"inputs must be a list of product labels, not the string {inputs!r}")
+    if not isinstance(inputs, (list, tuple)):
+        kind = "string" if isinstance(inputs, str) else type(inputs).__name__
+        raise EngineError(f"inputs must be a list of product labels, not the {kind} {inputs!r}")
     if not inputs:
         raise EngineError("run_batch needs at least one input")
     if n == 1 and len(inputs) > 1:  # 2 columns round unlike 4k (module docstring)
@@ -553,7 +546,7 @@ def program_unitary(program, j):
     """Ideal unitary of a program (relabeling included) from sigma-, tracking encoding windows."""
     n = program.n_qubits
     j = check_couplings(j, n, EngineError)
-    u = np.eye(_register_dim(n), dtype=complex)
+    u = np.eye(2**n, dtype=complex)
     for step in _walk(program, j, _Frame((BASIS_SIGMA_MINUS,) * n)):
         if isinstance(step, _Window):
             u = step.phase[:, None] * u

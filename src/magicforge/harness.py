@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TrapConfig, check_ini_keys, coupling_matrix, load_couplings
+from .chain import TrapConfig, check_ini_keys, coupling_matrix, load_couplings, read_ini_value
 from .encoding import effective_couplings, parse_topology, topology_preset
 from .engine import (
     NoiseModel,
@@ -170,11 +170,11 @@ def scenario_topologies():
             "outer neighbour parked": parse_topology("-,-,0")}
     runs = []
     for assignment in tags.values():
-        probe = ramsey_program(0, duration, 20)
+        *pulses, wait = ramsey_program(0, duration, 20).instructions
         # every run starts in sigma-, so only the other encodings need a transfer before the wait
-        probe.instructions[-1:-1] = [TransferBasis(q, basis)
-                                     for q, basis in enumerate(assignment.bases)
-                                     if basis != BASIS_SIGMA_MINUS]
+        transfers = [TransferBasis(q, basis) for q, basis in enumerate(assignment.bases)
+                     if basis != BASIS_SIGMA_MINUS]
+        probe = PulseProgram(3, [*pulses, *transfers, wait])
         runs += run_batch(probe, j, ["011"], noise=noise)
     fits = ramsey_fit(_PHASES, fringe_scan(_stack(runs), 0, _PHASES))
     for (tag, assignment), fit in zip(tags.items(), fits):
@@ -427,6 +427,8 @@ class Scenario:
         if self.input_state is None:
             self.input_state = "0" * n
         check_label(self.input_state, n, HarnessError)
+        if not isinstance(self.noise, bool):
+            raise HarnessError(f"noise must be a bool, got {self.noise!r}")
         if not (isinstance(self.shots, (int, np.integer)) and not isinstance(self.shots, bool)
                 and self.shots < 2**63):
             raise HarnessError(f"shots must be an int below 2^63, got {self.shots!r}")
@@ -439,10 +441,10 @@ class Scenario:
         check_pulse_duration(self.pulse_duration, HarnessError)
 
 
-# [scenario] key: (the Scenario field it sets, the SectionProxy getter that reads it)
-_SCENARIO_FIELDS = {"name": ("name", "get"), "input": ("input_state", "get"),
-                    "noise": ("noise", "getboolean"), "shots": ("shots", "getint"),
-                    "seed": ("seed", "getint"), "pulse_duration": ("pulse_duration", "getfloat")}
+# [scenario] key: (the Scenario field it sets, the type `read_ini_value` reads it as)
+_SCENARIO_FIELDS = {"name": ("name", str), "input": ("input_state", str), "noise": ("noise", bool),
+                    "shots": ("shots", int), "seed": ("seed", int),
+                    "pulse_duration": ("pulse_duration", float)}
 
 
 def load_scenario_file(path):
@@ -484,8 +486,8 @@ def load_scenario_file(path):
         else:
             raise ValueError("need either couplings or trap")
         fields = {"name": os.path.splitext(os.path.basename(path))[0]}
-        fields.update((field, getattr(sec, getter)(key))
-                      for key, (field, getter) in _SCENARIO_FIELDS.items() if key in sec)
+        fields.update((field, read_ini_value(sec, key, kind))
+                      for key, (field, kind) in _SCENARIO_FIELDS.items() if key in sec)
         return Scenario(program=program, couplings=j, **fields)
     except (OSError, ValueError, configparser.Error) as exc:
         raise HarnessError(f"{path}: {exc}") from exc

@@ -1,8 +1,11 @@
 """Pulse-program data model and its plain-text serialization.
 
-A program is an ordered list of instructions on an n-qubit register plus an
+A program is an ordered tuple of instructions on an n-qubit register plus an
 optional classical relabeling applied at the end (a permutation of qubit
 labels; it never touches the physical state, only how outcomes are indexed).
+Programs and instructions are frozen and checked once, when built: an
+instruction its operands, `PulseProgram` the register, each instruction's place
+in it (`_check_instruction`, which the parser calls per line) and the relabeling.
 
 In text, each line holds one instruction and `#` starts a comment. The
 grammar lives in `_SYNTAX`: each opcode (R, PH, EV, XFER, ECHO, MEAS) names
@@ -12,19 +15,20 @@ Only three forms are special: EV's optional `dd=<n>,<scheme>` decoupling
 suffix, the `# qubits: <n>` register declaration, and the directive
 `RELABEL <q0> <q1> ...`.
 
-Qubit indices are 0-based; XFER also takes `all` and a basis (sigma-, sigma+,
-pi). Durations are seconds. Angles are radians, and a trailing ``pi``
-multiplies by pi (``0.5pi``, ``-pi``). Floats are written as their shortest
-exact repr, so parsing a program's text gives back its register,
-instructions and relabeling exactly.
+Instruction text is ASCII: a fullwidth numeral is an error. Qubit indices are
+0-based; XFER also takes `all` and a basis (sigma-, sigma+, pi). Durations are
+seconds. Angles are radians, and a trailing ``pi`` multiplies by pi (``0.5pi``,
+``-pi``). Floats are written as their shortest exact repr, so parsing a
+program's text gives back its register, instructions and relabeling exactly.
 """
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import MAX_QUBITS
+from .constants import MAX_DD_PULSES, MAX_QUBITS
 
 BASIS_SIGMA_MINUS = "sigma-"
 BASIS_SIGMA_PLUS = "sigma+"
@@ -39,11 +43,17 @@ class ProgramError(ValueError):
     """Raised for malformed programs or text that does not parse."""
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_decoupling(n_pulses, scheme):
     """Reject a pulse count the decoupling scheme cannot use.
 
-    cpmg needs an even count, kdd a multiple of ten.
+    The count is an int in 0..MAX_DD_PULSES; cpmg needs an even count, kdd a multiple of ten.
     """
+    if not (_is_int(n_pulses) and 0 <= n_pulses <= MAX_DD_PULSES):
+        raise ProgramError(f"dd_pulses must be an int in 0..{MAX_DD_PULSES}, got {n_pulses!r}")
     if scheme not in DD_SCHEMES:
         raise ProgramError(f"unknown decoupling scheme {scheme!r}")
     if scheme == "cpmg" and n_pulses % 2:
@@ -54,6 +64,8 @@ def check_decoupling(n_pulses, scheme):
 
 def _check_finite(**values):
     for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ProgramError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise ProgramError(f"{name} must be finite, got {value}")
 
@@ -61,7 +73,7 @@ def _check_finite(**values):
 def _check_qubit(ins):
     """Reject a qubit that is not a non-negative int; only a transfer also takes "all"."""
     q = ins.qubit
-    if not (isinstance(q, (int, np.integer)) and q >= 0
+    if not (_is_int(q) and q >= 0
             or q == "all" and isinstance(ins, TransferBasis)):
         raise ProgramError(f"{type(ins).__name__} qubit must be a non-negative int, got {q!r}")
 
@@ -72,7 +84,7 @@ def check_name(name, error):
         raise error(f"name must not contain a line break, got {name!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rotate:
     qubit: int
     theta: float
@@ -83,7 +95,7 @@ class Rotate:
         _check_finite(theta=self.theta, phi=self.phi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseShift:
     qubit: int
     phi: float
@@ -93,7 +105,7 @@ class PhaseShift:
         _check_finite(phi=self.phi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FreeEvolve:
     duration: float
     dd_pulses: int = 0
@@ -103,12 +115,10 @@ class FreeEvolve:
         _check_finite(duration=self.duration)
         if self.duration < 0:
             raise ProgramError(f"free evolution duration must be >= 0, got {self.duration}")
-        if self.dd_pulses < 0:
-            raise ProgramError("dd_pulses must be >= 0")
         check_decoupling(self.dd_pulses, self.dd_scheme)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferBasis:
     qubit: object  # int or "all"
     target: str
@@ -119,7 +129,7 @@ class TransferBasis:
             raise ProgramError(f"unknown encoding basis {self.target!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Echo:
     qubit: int
     phi: float = np.pi / 2
@@ -129,27 +139,32 @@ class Echo:
         _check_finite(phi=self.phi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Measure:
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PulseProgram:
     n_qubits: int
-    instructions: list = field(default_factory=list)
+    instructions: tuple = ()
     relabel: tuple = None
     name: str = ""
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ProgramError("n_qubits must be at least 1")
+        n = self.n_qubits
+        if not (_is_int(n) and 1 <= n <= MAX_QUBITS):
+            raise ProgramError(f"register of {n!r} qubits is not an int in 1..{MAX_QUBITS}")
         check_name(self.name, ProgramError)
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        for previous, ins in zip((None, *self.instructions), self.instructions):
+            _check_instruction(ins, n, previous)
         if self.relabel is not None:
             perm = tuple(self.relabel)
-            if sorted(perm) != list(range(self.n_qubits)):
-                raise ProgramError(f"relabel {perm} is not a permutation of 0..{self.n_qubits - 1}")
-            self.relabel = perm
+            if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
+                raise ProgramError(f"RELABEL {' '.join(map(str, perm))} "
+                                   f"is not a permutation of 0..{n - 1}")
+            object.__setattr__(self, "relabel", perm)
 
     @property
     def duration(self):
@@ -178,15 +193,26 @@ _SYNTAX = {
 _OPCODES = {cls: op for op, (cls, _) in _SYNTAX.items()}
 
 
+def _check_instruction(ins, n_qubits, previous=None):
+    """Raise a ProgramError unless `ins`, of a grammar class, may follow `previous` (not MEAS)
+    with its qubits inside a register of `n_qubits` (None: undeclared, up to MAX_QUBITS)."""
+    if type(ins) not in _OPCODES:
+        raise ProgramError(f"unknown instruction {ins!r}")
+    if isinstance(previous, Measure):
+        raise ProgramError("MEAS must be the last instruction")
+    q = getattr(ins, "qubit", "all")  # windows and MEAS name no qubit
+    if q != "all" and q >= (n_qubits or MAX_QUBITS):
+        raise ProgramError(f"qubit {q} outside register of {n_qubits}" if n_qubits else
+                           f"qubit {q} needs a register above the {MAX_QUBITS}-qubit cap")
+
+
 def _write_operand(name, value):
     # repr is the shortest text that reads back to the same float
     return str(value) if name in ("qubit", "target") else repr(float(value))
 
 
 def _format_instruction(ins):
-    op = _OPCODES.get(type(ins))
-    if op is None:
-        raise ProgramError(f"cannot serialize instruction {ins!r}")
+    op = _OPCODES[type(ins)]
     words = [op] + [_write_operand(name, getattr(ins, name)) for name in _SYNTAX[op][1]]
     if isinstance(ins, FreeEvolve) and (ins.dd_pulses or ins.dd_scheme != "cpmg"):
         words.append(f"dd={ins.dd_pulses},{ins.dd_scheme}")
@@ -210,23 +236,18 @@ def parse_angle(token):
         raise ProgramError(f"bad angle token {token!r}") from exc
 
 
-def _parse_qubit(token, n_qubits):
+def _parse_qubit(token):
     if token == "all":
         return "all"
     try:
-        q = int(token)
+        return int(token)
     except ValueError as exc:
         raise ProgramError(f"bad qubit index {token!r}") from exc
-    if n_qubits is not None and not 0 <= q < n_qubits:
-        raise ProgramError(f"qubit {q} outside register of {n_qubits}")
-    if q >= MAX_QUBITS:
-        raise ProgramError(f"qubit {q} needs a register above the {MAX_QUBITS}-qubit cap")
-    return q
 
 
-def _read_operand(name, token, limit):
+def _read_operand(name, token):
     if name == "qubit":
-        return _parse_qubit(token, limit)
+        return _parse_qubit(token)
     if name == "target":
         return token
     return float(token) if name == "duration" else parse_angle(token)
@@ -238,7 +259,8 @@ def parse_program(text):
     The register is the `# qubits: N` declared once before the first
     instruction, else the smallest that holds every index and the one RELABEL
     permutation; a declared register bounds every qubit index and the RELABEL.
-    Either way the register may not exceed MAX_QUBITS.
+    Either way the register may not exceed MAX_QUBITS. Each instruction is checked
+    at its line, the RELABEL against the final register, which a later one may widen.
     """
     instructions = []
     relabel = None
@@ -247,7 +269,7 @@ def parse_program(text):
         stripped = raw.strip()
         if stripped.startswith("# qubits:"):
             value = stripped.split(":", 1)[1].strip()
-            if not value.isdigit() or int(value) < 1:
+            if not (value.isascii() and value.isdigit()) or int(value) < 1:
                 raise ProgramError(f"line {line_no}: bad register size {value!r}")
             if int(value) > MAX_QUBITS:
                 raise ProgramError(f"line {line_no}: register of {value} qubits is above "
@@ -264,6 +286,8 @@ def parse_program(text):
         word, *operands = line.split()
         op = word.upper()
         try:
+            if not line.isascii():
+                raise ProgramError(f"{line!r} is not ASCII text")
             if op == "RELABEL":
                 if relabel is not None:
                     raise ProgramError("RELABEL given twice")
@@ -273,8 +297,6 @@ def parse_program(text):
                                        f"{MAX_QUBITS}-qubit cap")
                 relabel_line = line_no
                 continue
-            if instructions and isinstance(instructions[-1], Measure):
-                raise ProgramError("MEAS must be the last instruction")
             if op not in _SYNTAX:
                 raise ProgramError(f"unknown instruction {word!r}")
             cls, names = _SYNTAX[op]
@@ -287,8 +309,10 @@ def parse_program(text):
                 if cls is FreeEvolve:
                     usage += " [dd=<n>,<scheme>]"
                 raise ProgramError(f"{op} takes {usage}, got {len(operands)} operand(s)")
-            instructions.append(cls(*[_read_operand(name, token, limit)
-                                      for name, token in zip(names, operands)], **options))
+            ins = cls(*[_read_operand(name, token) for name, token in zip(names, operands)],
+                      **options)
+            _check_instruction(ins, limit, instructions[-1] if instructions else None)
+            instructions.append(ins)
         except ValueError as exc:  # ProgramError included
             raise ProgramError(f"line {line_no}: {exc}") from None
     if limit is None:
@@ -297,11 +321,10 @@ def parse_program(text):
             q = getattr(ins, "qubit", None)
             if isinstance(q, int):
                 limit = max(limit, q + 1)
-    # checked against the final register, which a later instruction may widen
-    if relabel is not None and sorted(relabel) != list(range(limit)):
-        raise ProgramError(f"line {relabel_line}: RELABEL {' '.join(map(str, relabel))} "
-                           f"is not a permutation of 0..{limit - 1}")
-    return PulseProgram(n_qubits=limit, instructions=instructions, relabel=relabel)
+    try:
+        return PulseProgram(n_qubits=limit, instructions=instructions, relabel=relabel)
+    except ProgramError as exc:  # only the RELABEL is left to fail
+        raise ProgramError(f"line {relabel_line}: {exc}") from None
 
 
 def load_program(path):

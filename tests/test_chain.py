@@ -325,7 +325,20 @@ def test_from_ini_parses_and_reports_errors(tmp_path):
                           ("[trap]\nion_count = 3\ng_factor = 50%\n", "'%'"),
                           # a misspelt key once left its field at the default
                           ("[trap]\nmagnetic_gradent_t_per_m = 40\n",
-                           r"\[trap\] has unknown key 'magnetic_gradent_t_per_m'; known: ")):
+                           r"\[trap\] has unknown key 'magnetic_gradent_t_per_m'; known: "),
+                          # int() and float() read non-ASCII numerals: this ran a 3-ion chain
+                          ("[trap]\nion_count = \uff13\n",
+                           r"\[trap\] ion_count = '\uff13' is malformed: a number must be ASCII"),
+                          # an overflow in zeeman_profile escaped as a bare RuntimeWarning,
+                          # and a zero division in length_scale as a bare ZeroDivisionError
+                          ("[trap]\nbias_field_t = 1e308\n",
+                           r"bias_field 1e\+308 overflows .*\(\[trap\] bias_field_t = 1e308\)"),
+                          ("[trap]\naxial_frequency_hz = 1e-300\n",
+                           r"no finite Coulomb length .*\(\[trap\] axial_frequency_hz = 1e-300\)"),
+                          ("[trap]\naxial_frequency_hz = 1e200\n",
+                           r"\(\[trap\] axial_frequency_hz = 1e200\)"),
+                          ("[trap]\nmagnetic_gradient_t_per_m = 1e308\n",
+                           r"\(\[trap\] magnetic_gradient_t_per_m = 1e308\)")):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
         with pytest.raises(ValueError, match=f"bad.ini: .*{message}"):

@@ -357,6 +357,11 @@ def test_scenario_file_error_reporting(tmp_path):
                           (f"shots = {10**22}",
                            f"shots must be an int below 2\\^63, got {10**22}"),
                           ("seed = -1", "seed must be >= 0, got -1"),
+                          # int() and float() read non-ASCII numerals
+                          ("shots = \uff15", r"\[scenario\] shots = '\uff15' is malformed"),
+                          ("pulse_duration = \uff11e-5",
+                           r"\[scenario\] pulse_duration = '\uff11e-5' is malformed"),
+                          ("noise = maybe", r"\[scenario\] noise = 'maybe' is malformed"),
                           ("input = 0x1", "input: bad preparation label '0x1'"),
                           ("input = 01", "input '01' does not match a 3-qubit program"),
                           ("input = 0001", "input '0001' does not match a 3-qubit program")):
@@ -383,6 +388,20 @@ def test_scenario_takes_an_int_seed():
                                                        + re.escape(repr(seed))):
             harness.Scenario("s", prog, np.zeros((3, 3)), seed=seed)
     assert harness.Scenario("s", prog, np.zeros((3, 3)), seed=np.int64(7)).seed == 7
+
+
+def test_scenario_takes_a_bool_noise_and_a_number_pulse_duration():
+    # noise="no" ran the full noise model, and a string or None pulse_duration
+    # escaped as a bare TypeError
+    prog = harness.PulseProgram(3, [])
+    for noise in ("no", 0, None):
+        with pytest.raises(harness.HarnessError, match="noise must be a bool, got "
+                                                       + re.escape(repr(noise))):
+            harness.Scenario("s", prog, np.zeros((3, 3)), noise=noise)
+    for pulse_duration in ("1e-5", None):
+        message = "pulse_duration must be finite and >= 0, got " + re.escape(repr(pulse_duration))
+        with pytest.raises(harness.HarnessError, match=message):
+            harness.Scenario("s", prog, np.zeros((3, 3)), pulse_duration=pulse_duration)
 
 
 def test_scenario_file_rejects_unknown_keys(tmp_path):

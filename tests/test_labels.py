@@ -67,6 +67,10 @@ def test_run_batch_names_a_string_of_inputs():
     with pytest.raises(EngineError, match=r"inputs must be a list of product labels, "
                                           r"not the string '0\+1'"):
         run_batch(PulseProgram(1, []), np.zeros((1, 1)), "0+1")
+    # an int once escaped as a bare TypeError from iterating it
+    with pytest.raises(EngineError, match="inputs must be a list of product labels, "
+                                          "not the int 5"):
+        run_batch(PulseProgram(1, []), np.zeros((1, 1)), 5)
 
 
 @settings(max_examples=50, deadline=None)

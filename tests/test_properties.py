@@ -154,7 +154,7 @@ def test_stacked_run_matches_single_runs(drawn, pulse_duration):
     stacked = run_batch(prog, j, inputs, noise=noise, pulse_duration=pulse_duration)
     assert len(stacked) == len(inputs)
     for label, res in zip(inputs, stacked):
-        single = run_program(PulseProgram(n, label_pulses(label) + prog.instructions,
+        single = run_program(PulseProgram(n, [*label_pulses(label), *prog.instructions],
                                           relabel=prog.relabel),
                              j, noise=noise, pulse_duration=pulse_duration).state
         assert np.array_equal(res.state.rho, single.rho)
@@ -244,9 +244,9 @@ def test_ramsey_scan_matches_per_phase_runs(qubit, bits, duration, dd_pulses, ph
     noise = NoiseModel()
     oracle = []
     for phi in phases:
-        prog = ramsey_program(qubit, duration, dd_pulses=dd_pulses)
-        prog.instructions[:0] = [Rotate(q, np.pi, 0.0) for q, bit in spectators.items() if bit]
-        prog.instructions.append(Rotate(qubit, np.pi / 2, phi))
+        flips = [Rotate(q, np.pi, 0.0) for q, bit in spectators.items() if bit]
+        probe = ramsey_program(qubit, duration, dd_pulses=dd_pulses).instructions
+        prog = PulseProgram(3, [*flips, *probe, Rotate(qubit, np.pi / 2, phi)])
         oracle.append(bright_probability(run_program(prog, j, noise=noise).state.rho, qubit, 3))
     scan = ramsey_scan(qubit, duration, phases, j, noise=noise, spectator_bits=spectators,
                        dd_pulses=dd_pulses)
