@@ -9,6 +9,8 @@ Ising evolution windows, and the fidelity/overlap metrics used to judge the
 results.
 """
 
+import types
+
 from .chain import (
     ChainGeometry,
     ChainModelError,
@@ -102,81 +104,6 @@ from .qft import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASIS_PI",
-    "BASIS_SIGMA_MINUS",
-    "BASIS_SIGMA_PLUS",
-    "ChainGeometry",
-    "ChainModelError",
-    "CompiledTransform",
-    "CompilerError",
-    "CouplingMatrix",
-    "Echo",
-    "EncodingError",
-    "EngineError",
-    "ErrorBudget",
-    "FreeEvolve",
-    "FringeFit",
-    "HarnessError",
-    "Measure",
-    "MetricsError",
-    "ModeDecomposition",
-    "NoiseModel",
-    "PRODUCT_INPUTS",
-    "PhaseShift",
-    "PlanVerification",
-    "ProgramError",
-    "PulseProgram",
-    "QuantumState",
-    "Rotate",
-    "RunRecord",
-    "RunResult",
-    "Scenario",
-    "TopologyAssignment",
-    "TransferBasis",
-    "TrapConfig",
-    "ZeemanProfile",
-    "calibrated_couplings",
-    "compile_qft",
-    "coupling_matrix",
-    "decoupled_memory_fragment",
-    "distinguishability",
-    "effective_couplings",
-    "emit_records",
-    "emit_sequence",
-    "equilibrium_positions",
-    "error_budget",
-    "fidelity_via_local_rotation",
-    "fringe_fidelity",
-    "fringe_scan",
-    "load_couplings",
-    "load_scenario_file",
-    "measurement_probabilities",
-    "normal_modes",
-    "parse_program",
-    "parse_topology",
-    "plan_times",
-    "prepare_state",
-    "process_fidelity",
-    "product_input_ket",
-    "program_unitary",
-    "ramsey_fit",
-    "ramsey_program",
-    "ramsey_scan",
-    "reference_qft",
-    "run_all",
-    "run_batch",
-    "run_custom_scenario",
-    "run_program",
-    "run_scenario",
-    "sample_counts",
-    "save_couplings",
-    "serial_baseline",
-    "solve_entangling_params",
-    "state_fidelity",
-    "statistical_overlap",
-    "topology_preset",
-    "total_variation",
-    "verify_plan",
-    "zeeman_profile",
-]
+# every public name imported above; the submodules themselves are not exports
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]

@@ -14,7 +14,6 @@ S_in the normal-mode matrix.
 
 import configparser
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .constants import (
     MAX_IONS,
     PLANCK,
 )
-from .gates import check_couplings
+from .gates import check_couplings, check_int, check_real
 
 
 class ChainModelError(RuntimeError):
@@ -55,16 +54,24 @@ def check_ini_keys(section, known):
             raise ValueError(f"[{section.name}] has unknown key {key!r}; known: {', '.join(known)}")
 
 
+def read_number(text, kind):
+    """`text` read as a `kind` (int or float) number. It must be ASCII text: int() and float()
+    would also read other scripts' digits, such as a fullwidth '３'."""
+    if not text.isascii():
+        raise ValueError("a number must be ASCII text")
+    return kind(text)
+
+
 def read_ini_value(section, key, kind):
-    """`section[key]` read as `kind`: str, bool (as configparser reads a boolean), int or
-    float. A number must be ASCII text; a value that does not read names its key."""
+    """`section[key]` read as `kind`: str, bool (as configparser reads a boolean), or an int
+    or float by `read_number`. A value that does not read names its key."""
     text = section[key]
     try:
+        if kind is str:
+            return text
         if kind is bool:
             return section.getboolean(key)
-        if kind is not str and not text.isascii():
-            raise ValueError("a number must be ASCII text")
-        return kind(text)
+        return read_number(text, kind)
     except ValueError as exc:
         raise ValueError(f"[{section.name}] {key} = {text!r} is malformed: {exc}") from None
 
@@ -90,16 +97,13 @@ class TrapConfig:
 
     def __post_init__(self):
         count = self.ion_count
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"ion_count must be an int of at least 1, got {count!r}")
-        if count > MAX_IONS:
-            raise ValueError(f"ion_count {count} is above MAX_IONS = {MAX_IONS}, "
-                             "the longest chain the equilibrium solver converges on")
+        check_int(count, "ion_count", ValueError, 1,
+                  message=f"ion_count must be an int of at least 1, got {count!r}")
+        check_int(count, "ion_count", ValueError, high=MAX_IONS,
+                  message=f"ion_count {count} is above MAX_IONS = {MAX_IONS}, "
+                          "the longest chain the equilibrium solver converges on")
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            check_real(value, name, ValueError)
         if self.ion_mass <= 0 or self.axial_frequency <= 0 or self.charge <= 0:
             raise ValueError("ion_mass, axial_frequency and charge must be positive")
         if self.magnetic_gradient < 0:
@@ -310,7 +314,8 @@ def zeeman_profile(config, geometry):
     fields = config.bias_field + config.magnetic_gradient * dz
     if np.any(fields < 0):
         raise ValueError(
-            "bias_field too small: the field changes sign across the chain, "
+            f"bias_field too small: the field changes sign across the chain (bias_field "
+            f"{config.bias_field:g} T, magnetic_gradient {config.magnetic_gradient:g} T/m), "
             "so the per-ion splitting is not monotonic in position"
         )
     splittings = config.g_factor * BOHR_MAGNETON * fields / HBAR
@@ -322,6 +327,18 @@ def zeeman_profile(config, geometry):
         addressing_offsets_hz=offsets_hz,
         gradient_rates=np.full(config.ion_count, rate),
     )
+
+
+def solve_trap_file(path):
+    """`TrapConfig.from_ini(path)` and its equilibrium geometry, with the field's sign checked
+    across the chain (`zeeman_profile`, which needs the positions); an error names the file."""
+    config = TrapConfig.from_ini(path)
+    try:
+        geometry = equilibrium_positions(config)
+        zeeman_profile(config, geometry)
+    except (ValueError, ChainModelError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    return config, geometry
 
 
 def coupling_matrix(config, geometry=None):

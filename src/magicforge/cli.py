@@ -30,12 +30,12 @@ import numpy as np
 
 from . import harness
 from .chain import (
-    TrapConfig,
     coupling_matrix,
-    equilibrium_positions,
     load_couplings,
     normal_modes,
+    read_number,
     save_couplings,
+    solve_trap_file,
     zeeman_profile,
 )
 from .encoding import effective_couplings, topology_preset
@@ -65,9 +65,16 @@ def _fmt_matrix(j):
     return "J/2pi (Hz):\n  " + "\n  ".join(rows)
 
 
+def _read_int(flag, text):
+    """The int value of `flag`, None if not given; read as the INI readers read an int."""
+    try:
+        return None if text is None else read_number(text, int)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text!r} is malformed: {exc}") from None
+
+
 def _cmd_chain(args):
-    config = TrapConfig.from_ini(args.config)
-    geometry = equilibrium_positions(config)
+    config, geometry = solve_trap_file(args.config)
     modes = normal_modes(config, geometry)
     zeeman = zeeman_profile(config, geometry)
     couplings = coupling_matrix(config, geometry)
@@ -91,8 +98,7 @@ def _cmd_chain(args):
 
 
 def _cmd_couplings(args):
-    config = TrapConfig.from_ini(args.config)
-    couplings = coupling_matrix(config)
+    couplings = coupling_matrix(*solve_trap_file(args.config))
     stem = "couplings"
     if args.topology:
         shaped = effective_couplings(couplings.j, topology_preset(args.topology))
@@ -106,7 +112,8 @@ def _cmd_couplings(args):
 
 
 def _cmd_run(args):
-    if args.shots and args.seed is None:
+    shots, seed = _read_int("--shots", args.shots) or 0, _read_int("--seed", args.seed)
+    if shots and seed is None:
         raise ValueError("--seed is required when --shots is finite")
     program = load_program(args.program)
     couplings = load_couplings(args.j)
@@ -117,8 +124,8 @@ def _cmd_run(args):
         couplings=couplings.j,
         input_state=args.input,
         noise=args.noise,
-        shots=args.shots,
-        seed=args.seed if args.seed is not None else harness.DEFAULT_SEED,
+        shots=shots,
+        seed=harness.DEFAULT_SEED if seed is None else seed,
     )
     records = harness.run_custom_scenario(scenario, output_root())
     columns = [c for c in records[0].values if c != "input"]  # the histogram's own layout
@@ -189,15 +196,16 @@ def _cmd_compile_qft(args):
 
 def _cmd_scenario(args):
     root = output_root()
+    seed = _read_int("--seed", args.seed)
     if os.path.exists(args.scenario) and not os.path.isdir(args.scenario):
         scenario = harness.load_scenario_file(args.scenario)
-        if args.seed is not None:
-            scenario = dataclasses.replace(scenario, seed=args.seed)
+        if seed is not None:
+            scenario = dataclasses.replace(scenario, seed=seed)
         harness.run_custom_scenario(scenario, root)
         print(f"wrote {os.path.join(root, scenario.name)}.csv/.json")
         return 0
-    seed = args.seed if args.seed is not None else harness.DEFAULT_SEED
-    out = harness.run_scenario(args.scenario, root, seed=seed)
+    out = harness.run_scenario(args.scenario, root,
+                               seed=harness.DEFAULT_SEED if seed is None else seed)
     for stem in out:
         print(f"wrote {os.path.join(root, stem)}.csv/.json")
     return 0
@@ -225,9 +233,8 @@ def build_parser():
     p.add_argument("program", help="pulse program file")
     p.add_argument("--j", required=True, help="coupling matrix file (rad/s)")
     p.add_argument("--noise", action="store_true", help="enable the noise model")
-    p.add_argument("--shots", type=int, default=0,
-                   help="sample a finite number of shots (default: analytic)")
-    p.add_argument("--seed", type=int, help="RNG seed; required with --shots")
+    p.add_argument("--shots", help="sample a finite number of shots (default: analytic)")
+    p.add_argument("--seed", help="RNG seed; required with --shots")
     p.add_argument("--input", help="product input state over {0,1,+} (default all 0)")
     p.set_defaults(func=_cmd_run)
 
@@ -240,7 +247,7 @@ def build_parser():
 
     p = sub.add_parser("scenario", help="run a builtin or file-defined scenario")
     p.add_argument("scenario", help="builtin name or scenario config file")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--seed", help="override the scenario seed")
     p.set_defaults(func=_cmd_scenario)
     return parser
 

@@ -28,7 +28,6 @@ from .program import (
     MF,
     Echo,
     FreeEvolve,
-    ProgramError,
     PulseProgram,
     TransferBasis,
 )
@@ -112,8 +111,6 @@ def decoupled_memory_fragment(qubit, total_duration):
     sigma- halfway for a single echo pulse on the perpendicular axis (phase
     pi/2), then parked again. Four transfer blocks and one echo in total.
     """
-    if total_duration < 0:
-        raise ProgramError("storage duration must be >= 0")
     half = total_duration / 2.0
     return PulseProgram(n_qubits=3, name=f"decoupled memory q{qubit}", instructions=[
         TransferBasis(qubit, BASIS_PI), FreeEvolve(half),

@@ -54,7 +54,6 @@ whole sequence rather than per-gate noise. Readout error is classical and is
 applied to outcome distributions only, never to the state.
 """
 
-import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -65,6 +64,8 @@ from .constants import MAX_QUBITS
 from .gates import (
     bit_table,
     check_couplings,
+    check_int,
+    check_real,
     free_phases,
     phase_2x2,
     product_ket,
@@ -98,8 +99,8 @@ STATE_TOLERANCE = 1e-9
 
 
 def _check_qubit(qubit, n_qubits):
-    if not (isinstance(qubit, (int, np.integer)) and 0 <= qubit < n_qubits):
-        raise EngineError(f"qubit {qubit} outside register of {n_qubits}")
+    check_int(qubit, "qubit", EngineError, 0, n_qubits - 1,
+              f"qubit {qubit!r} outside register of {n_qubits}")
 
 
 @dataclass
@@ -116,13 +117,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("sigma_dephasing_rate", "pi_dephasing_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
-        if not 0.0 <= self.white_noise_fraction <= 1.0:
-            raise ValueError("white_noise_fraction must lie in [0, 1]")
-        if not 0.5 <= self.readout_fidelity <= 1.0:
-            raise ValueError("readout_fidelity must lie in [0.5, 1]")
+            check_real(getattr(self, name), name, ValueError, 0)
+        check_real(self.white_noise_fraction, "white_noise_fraction", ValueError, 0, 1)
+        check_real(self.readout_fidelity, "readout_fidelity", ValueError, 0.5, 1)
 
     @classmethod
     def off(cls):
@@ -218,9 +215,9 @@ def _input_pulses(label):
 def prepare_state(n_qubits, spec=None):
     """Fresh register state in sigma-: |0...0>, a product label over {0, 1, +}
     (`product_input_ket`), a unit ket vector, or a density matrix."""
-    if not 1 <= n_qubits <= MAX_QUBITS:  # before anything is allocated
-        raise EngineError(f"register of {n_qubits} qubits outside 1..{MAX_QUBITS} "
-                          "(the dense engine holds 4^n amplitudes)")
+    check_int(n_qubits, "n_qubits", EngineError, 1, MAX_QUBITS,  # before anything is allocated
+              f"register of {n_qubits!r} qubits outside 1..{MAX_QUBITS} "
+              "(the dense engine holds 4^n amplitudes)")
     dim = 2**n_qubits
     if spec is None:
         rho = np.zeros((dim, dim), dtype=complex)
@@ -477,14 +474,6 @@ def _run(frame, program, j, noise, pulse_duration):
                                      frame.bases, float(t))) for b, t in enumerate(frame.time)]
 
 
-def check_pulse_duration(pulse_duration, error):
-    """Raise an `error` (the caller's class) unless `pulse_duration` is a real number (not a
-    bool), finite and >= 0."""
-    if isinstance(pulse_duration, bool) or not (isinstance(pulse_duration, numbers.Real)
-                                                and 0.0 <= pulse_duration < np.inf):
-        raise error(f"pulse_duration must be finite and >= 0, got {pulse_duration!r}")
-
-
 def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     """Execute a pulse program and return the final (noisy) register state.
 
@@ -498,7 +487,7 @@ def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     """
     if isinstance(initial, str):
         return run_batch(program, j, [initial], noise, pulse_duration)[0]
-    check_pulse_duration(pulse_duration, EngineError)
+    check_real(pulse_duration, "pulse_duration", EngineError, 0)
     noise = noise or NoiseModel()
     j = check_couplings(j, program.n_qubits, EngineError)
     if not isinstance(initial, QuantumState):
@@ -520,7 +509,7 @@ def run_batch(program, j, inputs, noise=None, pulse_duration=0.0):
     `program` is then walked once over the whole stack. Each result equals
     `run_program` on the input's pulses followed by `program`, bit for bit.
     """
-    check_pulse_duration(pulse_duration, EngineError)
+    check_real(pulse_duration, "pulse_duration", EngineError, 0)
     noise = noise or NoiseModel()
     n = program.n_qubits
     j = check_couplings(j, n, EngineError)
@@ -584,8 +573,8 @@ def sample_counts(p, shots, rng):
     all-zero p; rounding noise above -1e-12 is clipped to 0. The clipped entries
     must sum to 1 within 1e-9, and p is divided by that sum before the draw.
     """
-    if isinstance(shots, bool) or not (isinstance(shots, (int, np.integer)) and 0 < shots < 2**63):
-        raise EngineError(f"shots must be an int in 1..2^63-1, got {shots!r}")
+    check_int(shots, "shots", EngineError, 1, 2**63 - 1,
+              f"shots must be an int in 1..2^63-1, got {shots!r}")
     if rng is None:
         raise EngineError("finite-shot sampling needs an explicit rng")
     p = np.asarray(p, dtype=float)
@@ -629,9 +618,8 @@ def ramsey_scan(qubit, duration, phases, j, noise=None, spectator_bits=None, dd_
         if q == qubit:
             raise ProgramError("probe qubit cannot be its own spectator")
         _check_qubit(q, 3)
-        if bit not in (0, 1):
-            raise ProgramError(f"spectator qubit {q}: bit must be 0 or 1, got {bit!r}")
-        label[q] = str(int(bit))
+        label[q] = str(check_int(bit, "bit", ProgramError, 0, 1,
+                                 f"spectator qubit {q}: bit must be 0 or 1, got {bit!r}"))
     [res] = run_batch(ramsey_program(qubit, duration, dd_pulses), j, ["".join(label)], noise)
     return fringe_scan(res.state, qubit, phases)
 

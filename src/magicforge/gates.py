@@ -9,6 +9,8 @@ Conventions used everywhere in this package:
 * free evolution U(T) = exp(+i T/2 sum_{i<j} J_ij sigma_z^i sigma_z^j).
 """
 
+import math
+import numbers
 from functools import cache
 
 import numpy as np
@@ -81,6 +83,34 @@ def check_couplings(j, n_qubits, error):
         raise error(f"coupling J[{a}, {b}] = {j[a, b]} but J[{b}, {a}] = {j[b, a]}; "
                     "J must be symmetric to 1e-9 of max|J|")
     return j
+
+
+def check_int(value, name, error, low=None, high=None, message=None):
+    """`value` if it is an int (a numbers.Integral, numpy's too, but not a bool) within the
+    inclusive bounds, None for none; else an `error` (the caller's class) with `message`, by
+    default "<name> must be an int in <low>..<high>, got <value!r>"."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) \
+            and (low is None or value >= low) and (high is None or value <= high):
+        return value
+    rule = "an int" if low is None and high is None else f"an int in {low}..{high}"
+    raise error(message or f"{name} must be {rule}, got {value!r}")
+
+
+def check_real(value, name, error, low=None, high=None, message=None):
+    """`value` if it is a real number (a numbers.Real, numpy's too, but not a bool), finite as
+    a float and within the inclusive bounds, None for none; else an `error` (the caller's
+    class) with `message`, by default "<name> must be a real number" or "... finite", with
+    its bounds ("... finite and >= <low>"), then ", got <value!r>"."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int past the largest float
+        finite = False
+    if finite and (low is None or value >= low) and (high is None or value <= high):
+        return value
+    bounds = "".join(f" and {op} {b}" for op, b in ((">=", low), ("<=", high)) if b is not None)
+    rule = f"finite{bounds}" if real or bounds else "a real number"
+    raise error(message or f"{name} must be {rule}, got {value!r}")
 
 
 def relabel_index(perm):

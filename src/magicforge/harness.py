@@ -36,12 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TrapConfig, check_ini_keys, coupling_matrix, load_couplings, read_ini_value
+from .chain import check_ini_keys, coupling_matrix, load_couplings, read_ini_value, solve_trap_file
 from .encoding import effective_couplings, parse_topology, topology_preset
 from .engine import (
     NoiseModel,
     check_label,
-    check_pulse_duration,
     fringe_scan,
     measurement_probabilities,
     partial_trace,
@@ -49,7 +48,7 @@ from .engine import (
     run_batch,
     sample_counts,
 )
-from .gates import check_couplings
+from .gates import check_couplings, check_int, check_real
 from .metrics import (
     distinguishability,
     equatorial_phase,
@@ -306,9 +305,9 @@ def _cell(v):
     """One value as its (CSV cell, JSON text) pair; a missing value is ("", "null")."""
     if isinstance(v, str):
         return _csv_escape(v), json.dumps(v)
-    if isinstance(v, (bool, np.bool_, int, np.integer)):
+    if not isinstance(v, (float, np.floating, type(None))):  # an int, numpy's or a flag
         return (str(int(v)),) * 2
-    if v is None or not math.isfinite(float(v)):
+    if v is None or not math.isfinite(v):
         return "", "null"
     text = format(float(v), ".10g")
     # within 10 digits of the largest double the text can round past it to inf
@@ -418,27 +417,24 @@ class Scenario:
     pulse_duration: float = 0.0
 
     def __post_init__(self):
+        check_name(self.name, HarnessError)
         # the name is the output file stem, so it must not leave the output directory
         if self.name in ("", ".", "..") or any(sep in self.name for sep in ("/", "\\", os.sep)):
             raise HarnessError(f"name must be a plain file stem, got {self.name!r}")
-        check_name(self.name, HarnessError)
         n = self.program.n_qubits
         self.couplings = check_couplings(self.couplings, n, HarnessError)
         if self.input_state is None:
             self.input_state = "0" * n
         check_label(self.input_state, n, HarnessError)
-        if not isinstance(self.noise, bool):
+        if type(self.noise) is not bool:
             raise HarnessError(f"noise must be a bool, got {self.noise!r}")
-        if not (isinstance(self.shots, (int, np.integer)) and not isinstance(self.shots, bool)
-                and self.shots < 2**63):
-            raise HarnessError(f"shots must be an int below 2^63, got {self.shots!r}")
-        if self.shots < 0:
-            raise HarnessError(f"shots must be >= 0, got {self.shots}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise HarnessError(f"seed must be an int, got {self.seed!r}")
-        if self.seed < 0:
-            raise HarnessError(f"seed must be >= 0, got {self.seed}")
-        check_pulse_duration(self.pulse_duration, HarnessError)
+        check_int(self.shots, "shots", HarnessError, high=2**63 - 1,
+                  message=f"shots must be an int below 2^63, got {self.shots!r}")
+        check_int(self.shots, "shots", HarnessError, 0,
+                  message=f"shots must be >= 0, got {self.shots}")
+        check_int(self.seed, "seed", HarnessError)
+        check_int(self.seed, "seed", HarnessError, 0, message=f"seed must be >= 0, got {self.seed}")
+        check_real(self.pulse_duration, "pulse_duration", HarnessError, 0)
 
 
 # [scenario] key: (the Scenario field it sets, the type `read_ini_value` reads it as)
@@ -480,7 +476,7 @@ def load_scenario_file(path):
                 raise ValueError("topology needs a trap source, not couplings")
             j = load_couplings(_resolve(sec["couplings"])).j
         elif "trap" in sec:
-            j = coupling_matrix(TrapConfig.from_ini(_resolve(sec["trap"]))).j
+            j = coupling_matrix(*solve_trap_file(_resolve(sec["trap"]))).j
             if topology:
                 j = effective_couplings(j, parse_topology(topology))
         else:

@@ -4,9 +4,12 @@ Everything here is plain linear algebra on numpy arrays; density matrices may
 be passed directly or as any object exposing a `.rho` attribute.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .gates import check_real
 
 
 class MetricsError(ValueError):
@@ -133,9 +136,9 @@ def ramsey_fit(phases, probs, shots=None):
         raise MetricsError("need matching phase/probability arrays, at least 4 points")
     _check_finite("phases", phases)
     _check_finite("probs", probs)
-    if shots is not None and not (isinstance(shots, (int, float, np.integer, np.floating))
-                                  and 0 < shots < np.inf):
-        raise MetricsError(f"shots must be None or a positive finite number, got {shots!r}")
+    if shots is not None:  # positive: at least the least positive float
+        check_real(shots, "shots", MetricsError, math.ulp(0.0),
+                   message=f"shots must be None or a positive finite number, got {shots!r}")
     x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     estimator = np.linalg.solve(x.T @ x, x.T)  # (3, m)
     beta = rows @ estimator.T

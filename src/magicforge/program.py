@@ -22,13 +22,12 @@ seconds. Angles are radians, and a trailing ``pi`` multiplies by pi (``0.5pi``,
 program's text gives back its register, instructions and relabeling exactly.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import MAX_DD_PULSES, MAX_QUBITS
+from .gates import check_int, check_real
 
 BASIS_SIGMA_MINUS = "sigma-"
 BASIS_SIGMA_PLUS = "sigma+"
@@ -43,17 +42,12 @@ class ProgramError(ValueError):
     """Raised for malformed programs or text that does not parse."""
 
 
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def check_decoupling(n_pulses, scheme):
     """Reject a pulse count the decoupling scheme cannot use.
 
     The count is an int in 0..MAX_DD_PULSES; cpmg needs an even count, kdd a multiple of ten.
     """
-    if not (_is_int(n_pulses) and 0 <= n_pulses <= MAX_DD_PULSES):
-        raise ProgramError(f"dd_pulses must be an int in 0..{MAX_DD_PULSES}, got {n_pulses!r}")
+    check_int(n_pulses, "dd_pulses", ProgramError, 0, MAX_DD_PULSES)
     if scheme not in DD_SCHEMES:
         raise ProgramError(f"unknown decoupling scheme {scheme!r}")
     if scheme == "cpmg" and n_pulses % 2:
@@ -62,26 +56,28 @@ def check_decoupling(n_pulses, scheme):
         raise ProgramError(f"kdd pulse count must be a multiple of 10, got {n_pulses}")
 
 
-def _check_finite(**values):
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ProgramError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise ProgramError(f"{name} must be finite, got {value}")
-
-
 def _check_qubit(ins):
     """Reject a qubit that is not a non-negative int; only a transfer also takes "all"."""
     q = ins.qubit
-    if not (_is_int(q) and q >= 0
-            or q == "all" and isinstance(ins, TransferBasis)):
-        raise ProgramError(f"{type(ins).__name__} qubit must be a non-negative int, got {q!r}")
+    if not (isinstance(ins, TransferBasis) and q == "all"):
+        check_int(q, "qubit", ProgramError, 0,
+                  message=f"{type(ins).__name__} qubit must be a non-negative int, got {q!r}")
 
 
 def check_name(name, error):
-    """Raise an `error` (the caller's class) if `to_text` cannot keep `name` on one line."""
+    """Raise an `error` (the caller's class) unless `name` is a str `to_text` keeps on one line."""
+    if not isinstance(name, str):
+        raise error(f"name must be a str, got {name!r}")
     if "".join(name.splitlines()) != name:
         raise error(f"name must not contain a line break, got {name!r}")
+
+
+def _as_tuple(value, field):
+    """`value`, any iterable, as a tuple; else a ProgramError naming `field`."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ProgramError(f"{field} must be a sequence, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,8 @@ class Rotate:
 
     def __post_init__(self):
         _check_qubit(self)
-        _check_finite(theta=self.theta, phi=self.phi)
+        check_real(self.theta, "theta", ProgramError)
+        check_real(self.phi, "phi", ProgramError)
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ class PhaseShift:
 
     def __post_init__(self):
         _check_qubit(self)
-        _check_finite(phi=self.phi)
+        check_real(self.phi, "phi", ProgramError)
 
 
 @dataclass(frozen=True)
@@ -112,9 +109,9 @@ class FreeEvolve:
     dd_scheme: str = "cpmg"
 
     def __post_init__(self):
-        _check_finite(duration=self.duration)
-        if self.duration < 0:
-            raise ProgramError(f"free evolution duration must be >= 0, got {self.duration}")
+        check_real(self.duration, "duration", ProgramError)
+        check_real(self.duration, "duration", ProgramError, 0,
+                   message=f"free evolution duration must be >= 0, got {self.duration}")
         check_decoupling(self.dd_pulses, self.dd_scheme)
 
 
@@ -136,7 +133,7 @@ class Echo:
 
     def __post_init__(self):
         _check_qubit(self)
-        _check_finite(phi=self.phi)
+        check_real(self.phi, "phi", ProgramError)
 
 
 @dataclass(frozen=True)
@@ -152,18 +149,18 @@ class PulseProgram:
     name: str = ""
 
     def __post_init__(self):
-        n = self.n_qubits
-        if not (_is_int(n) and 1 <= n <= MAX_QUBITS):
-            raise ProgramError(f"register of {n!r} qubits is not an int in 1..{MAX_QUBITS}")
+        n = check_int(self.n_qubits, "n_qubits", ProgramError, 1, MAX_QUBITS,
+                      f"register of {self.n_qubits!r} qubits is not an int in 1..{MAX_QUBITS}")
         check_name(self.name, ProgramError)
-        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "instructions", _as_tuple(self.instructions, "instructions"))
         for previous, ins in zip((None, *self.instructions), self.instructions):
             _check_instruction(ins, n, previous)
         if self.relabel is not None:
-            perm = tuple(self.relabel)
-            if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
-                raise ProgramError(f"RELABEL {' '.join(map(str, perm))} "
-                                   f"is not a permutation of 0..{n - 1}")
+            perm = _as_tuple(self.relabel, "relabel")
+            message = f"RELABEL {' '.join(map(str, perm))} is not a permutation of 0..{n - 1}"
+            if sorted(check_int(q, "relabel", ProgramError, 0, n - 1, message)
+                      for q in perm) != list(range(n)):
+                raise ProgramError(message)
             object.__setattr__(self, "relabel", perm)
 
     @property
@@ -318,8 +315,8 @@ def parse_program(text):
     if limit is None:
         limit = len(relabel or ()) or 1
         for ins in instructions:
-            q = getattr(ins, "qubit", None)
-            if isinstance(q, int):
+            q = getattr(ins, "qubit", "all")  # windows and MEAS name no qubit
+            if q != "all":
                 limit = max(limit, q + 1)
     try:
         return PulseProgram(n_qubits=limit, instructions=instructions, relabel=relabel)

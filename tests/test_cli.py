@@ -68,10 +68,17 @@ def test_file_errors_name_the_file(tmp_path, program_file, j_file, out_root, cap
     bad_j.write_text("0 1 2\n1 0 x\n2 1 0\n")
     headless = tmp_path / "headless.ini"
     headless.write_text("ion_count = 3\n")
+    # the field's sign check needs the chain's positions, so it runs after from_ini and
+    # named no file
+    steep = tmp_path / "steep.ini"
+    steep.write_text("[trap]\nmagnetic_gradient_t_per_m = 1e290\n")
+    sign = (f"{steep}: bias_field too small: the field changes sign across the chain "
+            "(bias_field 0.0004146 T, magnetic_gradient 1e+290 T/m)")
     for argv, message in ((["run", str(broken), "--j", j_file], f"{broken}: line 3"),
                           (["run", program_file, "--j", str(bad_j)], f"{bad_j}: could not"),
                           (["compile-qft", "--j", str(bad_j)], f"{bad_j}: could not"),
-                          (["chain", str(headless)], f"{headless}: File contains no section")):
+                          (["chain", str(headless)], f"{headless}: File contains no section"),
+                          (["chain", str(steep)], sign), (["couplings", str(steep)], sign)):
         assert main(argv) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -93,7 +100,12 @@ def test_run_rejects_bad_input_and_seed(program_file, j_file, out_root, capsys):
                            (["--input", "0x1"], "input: bad preparation label '0x1'"),
                            (["--shots", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
                            (["--shots", str(10**22), "--seed", "1"],
-                            f"shots must be an int below 2^63, got {10**22}")):
+                            f"shots must be an int below 2^63, got {10**22}"),
+                           # argparse's type=int read a fullwidth digit: this drew 3 shots
+                           (["--shots", "\uff13", "--seed", "\uff17"],
+                            "--shots '\uff13' is malformed: a number must be ASCII text"),
+                           (["--shots", "3", "--seed", "\uff17"],
+                            "--seed '\uff17' is malformed: a number must be ASCII text")):
         assert main(["run", program_file, "--j", j_file, *extra]) == 1
         assert message in capsys.readouterr().err
 
@@ -204,6 +216,8 @@ def test_scenario_builtin_alias(out_root, capsys):
     assert (out_root / "fidelity_table.csv").exists()
     assert main(["scenario", "fig9"]) == 1
     assert "unknown scenario" in capsys.readouterr().err
+    assert main(["scenario", "fig1", "--seed", "\uff17"]) == 1
+    assert "error: --seed '\uff17' is malformed" in capsys.readouterr().err
 
 
 def test_scenario_file(tmp_path, j_file, program_file, out_root):

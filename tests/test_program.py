@@ -149,7 +149,11 @@ def test_a_program_is_checked_when_it_is_built():
             (lambda: FreeEvolve(1e-3, 10.0), "dd_pulses must be an int in 0..10000, got 10.0"),
             (lambda: FreeEvolve(1e-3, True), "dd_pulses must be an int in 0..10000, got True"),
             (lambda: FreeEvolve(1e-3, 2**70), "dd_pulses must be an int in 0..10000"),
-            (lambda: FreeEvolve(1e-3, -2), "dd_pulses must be an int in 0..10000, got -2")):
+            (lambda: FreeEvolve(1e-3, -2), "dd_pulses must be an int in 0..10000, got -2"),
+            # these three raised a bare AttributeError or TypeError
+            (lambda: PulseProgram(3, [], name=5), "name must be a str, got 5"),
+            (lambda: PulseProgram(3, None), "instructions must be a sequence, got None"),
+            (lambda: PulseProgram(3, [], relabel=5), "relabel must be a sequence, got 5")):
         with pytest.raises(ProgramError, match=re.escape(message)):
             build()
 

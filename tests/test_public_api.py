@@ -5,7 +5,7 @@ import magicforge
 
 
 def test_all_lists_exactly_the_imported_public_names():
-    # __init__ names every export twice, once imported and once in __all__
+    # __all__ is computed from __init__'s imports: exactly their public names, no submodule
     tree = ast.parse(Path(magicforge.__file__).read_text())
     imported = {alias.asname or alias.name
                 for node in tree.body if isinstance(node, ast.ImportFrom)
