@@ -6,20 +6,21 @@ sigma- (m_F = -1), sigma+ (m_F = +1) and pi (m_F = 0). The gradient couples
 only to the magnetic levels, so the effective Ising coupling between qubits i
 and j is
 
-    J_eff[i, j] = m_i * m_j * |J[i, j]|
+    J_eff[i, j] = m_i * m_j * J[i, j]
 
-with m in {-1, +1, 0}. Moving a qubit to the pi encoding therefore switches
-off every coupling that involves it; flipping sigma- to sigma+ inverts the
-sign of its couplings. Transfers between encodings are composite microwave
-pulse blocks that permute level populations; at the logical two-level model
-used here a transfer is an identity with metadata (dephasing rate, coupling
-sensitivity) attached.
+with m in {-1, +1, 0} and J calibrated in sigma- (`effective_couplings`, whose
+rule the engine's windows follow). Moving a qubit to pi switches off all its
+couplings; flipping sigma- to sigma+ inverts their sign. Transfers between
+encodings are composite microwave pulse blocks that permute level populations;
+at the logical two-level model used here a transfer is an identity with
+metadata (dephasing rate, coupling sensitivity) attached.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gates import check_couplings
 from .program import (
     BASES,
     BASIS_PI,
@@ -46,6 +47,8 @@ class TopologyAssignment:
     bases: tuple
 
     def __post_init__(self):
+        if not isinstance(self.bases, (tuple, list)):
+            raise EncodingError(f"bases must be a tuple of encodings, got {self.bases!r}")
         for b in self.bases:
             if b not in BASES:
                 raise EncodingError(f"unknown basis {b!r}")
@@ -61,8 +64,8 @@ class TopologyAssignment:
 
 def parse_topology(text):
     """A preset letter (see `topology_preset`) or a per-qubit list like '-,+,0'."""
-    if text.strip().upper() in _PRESETS:
-        return topology_preset(text.strip())
+    if not isinstance(text, str) or text.strip().upper() in _PRESETS:
+        return topology_preset(text)
     bases = {sym: basis for basis, sym in _SYMBOLS.items()}
     try:
         return TopologyAssignment(tuple(bases[tok.strip()] for tok in text.split(",")))
@@ -89,19 +92,16 @@ def topology_preset(label):
     D: middle ion moved to pi -> only the edge-edge coupling survives,
     E: all ions in pi -> fully decoupled memory configuration.
     """
-    label = label.upper()
-    if label not in _PRESETS:
+    if not (isinstance(label, str) and label.strip().upper() in _PRESETS):
         raise EncodingError(f"unknown topology preset {label!r}")
-    return TopologyAssignment(_PRESETS[label])
+    return TopologyAssignment(_PRESETS[label.strip().upper()])
 
 
 def effective_couplings(j, topology):
-    """Sign-shaped coupling matrix m_i m_j |J_ij| for a TopologyAssignment."""
-    j = np.asarray(j, dtype=float)
-    m = topology.mf
-    if len(m) != j.shape[0]:
-        raise EncodingError("topology length does not match coupling matrix")
-    return np.abs(j) * np.outer(m, m)
+    """The couplings m_i m_j J_ij under a TopologyAssignment, J calibrated in sigma- and checked
+    by `check_couplings`: the one encoding rule, which the engine's windows read too."""
+    m = topology.mf  # ints: for J >= 0 a parked qubit's couplings are +0.0
+    return check_couplings(j, m.size, EncodingError) * np.outer(m, m)
 
 
 def decoupled_memory_fragment(qubit, total_duration):

@@ -12,10 +12,10 @@ channel per qubit and window, so windows compose correctly.
 The coupling matrix J is calibrated with every qubit in sigma-, and every
 run starts there; only a transfer (XFER) changes a qubit's encoding. A
 transfer is an identity on the logical state but changes which couplings and
-which dephasing rate the qubit sees from then on: the coupling window scales
-by s_i s_j with s_k = -m_F of qubit k's encoding (a qubit parked in pi has
-s = 0 and is fully decoupled; a round trip restores the calibrated signs). A
-sigma- <-> sigma+ transfer is not a native block and must pass through pi.
+which dephasing rate the qubit sees from then on: J_ij scales by m_i m_j, the
+m_F of their encodings (`encoding.effective_couplings`; m = 0 in pi decouples a
+qubit, and a round trip restores the calibrated signs). A sigma- <-> sigma+
+transfer is not a native block and must pass through pi.
 
 One walk over a program (`_walk`) resolves every instruction into a pulse
 (qubit, 2x2 operator and its conjugate) or a window (duration and Ising phase
@@ -61,8 +61,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import MAX_QUBITS
+from .encoding import TopologyAssignment, effective_couplings
 from .gates import (
     bit_table,
+    check_array,
     check_couplings,
     check_int,
     check_real,
@@ -77,7 +79,6 @@ from .program import (
     BASIS_SIGMA_MINUS,
     BASIS_SIGMA_PLUS,
     BASES,
-    MF,
     Echo,
     FreeEvolve,
     PhaseShift,
@@ -163,7 +164,10 @@ def partial_trace(rho, keep):
     `rho` may be a (2^n, 2^n, B) stack, slice b last as `run_batch` runs it; each
     slice is traced as a single rho is, bit for bit, and the result keeps the stack axis.
     """
-    n = int(rho.shape[0]).bit_length() - 1
+    rho = check_array(rho, "rho", EngineError, complex, (2, 3))
+    n = rho.shape[0].bit_length() - 1
+    if rho.shape[:2] != (2**n, 2**n):
+        raise EngineError(f"rho of shape {rho.shape} is not 2^n x 2^n")
     stack = list(rho.shape[2:])
     keep = list(keep)
     for q in keep:
@@ -266,13 +270,11 @@ def apply_rotation(state, qubit, theta, phi=0.0):
 
 def _window_phase(j, state, duration):
     """Ising phase factor exp(i phi) of each basis state over a window, under the encodings
-    in force. Each qubit's couplings scale by s = -m_F, its moment relative to sigma-.
-    """
-    s = np.array([-MF[b] for b in state.bases], dtype=float)
-    j = j * np.outer(s, s)
+    in force, by the one encoding rule (`encoding.effective_couplings`)."""
+    j = effective_couplings(j, TopologyAssignment(state.bases))
     total = sum(map(abs, np.triu(j, 1).ravel().tolist()))
     _check_exponent(float(duration) / 2.0 * total, duration, "Ising phase T/2*sum|J|")
-    return np.exp(1j * free_phases(j, duration, s.size))
+    return np.exp(1j * free_phases(j, duration, state.n_qubits))
 
 
 def _by_xor(values):
@@ -549,7 +551,9 @@ def program_unitary(program, j):
 
 def apply_readout_confusion(p, fidelity, n_qubits):
     """Symmetric per-qubit classical bit-flip channel on an outcome distribution."""
-    p = np.asarray(p, dtype=float)
+    p = check_array(p, "p", EngineError, ndim=(1, 2))
+    if p.shape[0] != 2**n_qubits:
+        raise EngineError(f"p has shape {p.shape}; a {n_qubits}-qubit register has {2**n_qubits}")
     flips = _by_xor(bit_table(n_qubits).sum(axis=-1))
     c = fidelity ** (n_qubits - flips) * (1 - fidelity) ** flips
     return c @ p
@@ -577,14 +581,13 @@ def sample_counts(p, shots, rng):
               f"shots must be an int in 1..2^63-1, got {shots!r}")
     if rng is None:
         raise EngineError("finite-shot sampling needs an explicit rng")
-    p = np.asarray(p, dtype=float)
+    p = check_array(p, "p", EngineError)
     if p.ndim != 1 or p.size < 2 or p.size & (p.size - 1):
-        raise EngineError(f"distribution of shape {p.shape} is not one probability per "
+        raise EngineError(f"distribution p of shape {p.shape} is not one probability per "
                           "basis state of a register (2^n entries)")
-    bad = np.flatnonzero(~np.isfinite(p) | (p < -1e-12))
+    bad = np.flatnonzero(p < -1e-12)
     if bad.size:
-        raise EngineError(f"distribution entry p[{bad[0]}] is {float(p[bad[0]])}; "
-                          "probabilities must be finite and not below -1e-12")
+        raise EngineError(f"p[{bad[0]}] is {float(p[bad[0]])}; p must be >= -1e-12")
     p = np.clip(p, 0.0, None)
     total = p.sum()
     if not total > 0:
@@ -634,4 +637,5 @@ def fringe_scan(state, qubit, phases):
     """
     r = partial_trace(getattr(state, "rho", state), [qubit])
     r = r[..., None] if r.ndim == 3 else r  # a stack: slice b's scan is row b
-    return (r[0, 0] + r[1, 1]).real / 2 + np.imag(np.exp(1j * np.asarray(phases)) * r[0, 1])
+    phases = check_array(phases, "phases", EngineError, ndim=1)
+    return (r[0, 0] + r[1, 1]).real / 2 + np.imag(np.exp(1j * phases) * r[0, 1])

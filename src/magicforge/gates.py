@@ -62,27 +62,37 @@ def free_phases(j, duration, n_qubits):
 
 
 def check_couplings(j, n_qubits, error):
-    """The one check of a coupling matrix: J as a float array, else `error`.
+    """The one check of a coupling matrix: J as a float array by `check_array`, else `error`.
 
-    J must be n_qubits x n_qubits (any square size when n_qubits is None), every
-    entry finite, and symmetric to |J[a, b] - J[b, a]| <= 1e-9 max|J|: far above
-    rounding (about 1e-16 max|J|), far below a calibration error. The error names
-    the first bad J[a, b] in row order.
+    J must be n_qubits x n_qubits (any square size when n_qubits is None) and symmetric
+    to |J[a, b] - J[b, a]| <= 1e-9 max|J|: far above rounding (about 1e-16 max|J|), far
+    below a calibration error. The error names the first bad J[a, b] in row order.
     """
-    j = np.asarray(j, dtype=float)
+    j = check_array(j, "coupling J", error)
     if j.ndim != 2 or j.shape[0] != j.shape[1] or n_qubits not in (None, j.shape[0]):
         raise error(f"coupling matrix shape {j.shape} is not "
                     f"{'square' if n_qubits is None else (n_qubits, n_qubits)}")
-    bad = np.argwhere(~np.isfinite(j))
-    if bad.size:
-        a, b = bad[0]
-        raise error(f"coupling J[{a}, {b}] must be finite, got {j[a, b]}")
     bad = np.argwhere(np.abs(j - j.T) > 1e-9 * np.abs(j).max(initial=0.0))
     if bad.size:
         a, b = bad[0]
         raise error(f"coupling J[{a}, {b}] = {j[a, b]} but J[{b}, {a}] = {j[b, a]}; "
                     "J must be symmetric to 1e-9 of max|J|")
     return j
+
+
+def check_array(value, name, error, dtype=float, ndim=None):
+    """`value` as a `dtype` (float or complex) array, with `ndim` dimensions (an int, a tuple of
+    them, None for any) and finite entries; else an `error` (the caller's class) naming `name`."""
+    try:
+        a = np.asarray(value).astype(dtype, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:  # not numbers of that kind, or a ragged sequence
+        raise error(f"{name} must be an array of {dtype.__name__} numbers ({exc})") from None
+    if ndim is not None and a.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)):
+        raise error(f"{name} has shape {a.shape}; {name} must have {ndim} dimensions")
+    if not np.isfinite(a).all():
+        k = tuple(np.argwhere(~np.isfinite(a))[0])
+        raise error(f"{name}{list(map(int, k))} is {a[k]}; {name} must be finite")
+    return a
 
 
 def check_int(value, name, error, low=None, high=None, message=None):
@@ -97,11 +107,11 @@ def check_int(value, name, error, low=None, high=None, message=None):
 
 
 def check_real(value, name, error, low=None, high=None, message=None):
-    """`value` if it is a real number (a numbers.Real, numpy's too, but not a bool), finite as
-    a float and within the inclusive bounds, None for none; else an `error` (the caller's
-    class) with `message`, by default "<name> must be a real number" or "... finite", with
-    its bounds ("... finite and >= <low>"), then ", got <value!r>"."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """`value` if it is an int or a float (numpy's too, but not a bool or a Fraction), finite
+    and within the inclusive bounds, None for none; else an `error` (the caller's class) with
+    `message`, by default "<name> must be a real number" or "... finite", with its bounds
+    ("... finite and >= <low>"), then ", got <value!r>"."""
+    real = type(value) is not bool and isinstance(value, (int, float, np.integer, np.floating))
     try:
         finite = real and math.isfinite(value)
     except OverflowError:  # an int past the largest float

@@ -370,12 +370,19 @@ def resolve_scenario_name(token):
     raise HarnessError(f"unknown scenario {token!r}; builtins: {known}")
 
 
+def _check_seed(seed):
+    """`seed` if it is an int >= 0, else a HarnessError naming it."""
+    check_int(seed, "seed", HarnessError)
+    return check_int(seed, "seed", HarnessError, 0, message=f"seed must be >= 0, got {seed}")
+
+
 def _run_builtins(names, directory, seed):
     """Run the named builtin scenarios; write their CSV/JSON pairs; return {stem: records}.
 
     The transform is compiled only if a named scenario reads it, and then run once, on one
     stack of the union of their inputs ({label: RunResult}).
     """
+    _check_seed(seed)
     os.makedirs(directory, exist_ok=True)
     inputs = dict.fromkeys(label for name in names for label in _BUILTINS[name][2])
     if inputs:
@@ -432,8 +439,7 @@ class Scenario:
                   message=f"shots must be an int below 2^63, got {self.shots!r}")
         check_int(self.shots, "shots", HarnessError, 0,
                   message=f"shots must be >= 0, got {self.shots}")
-        check_int(self.seed, "seed", HarnessError)
-        check_int(self.seed, "seed", HarnessError, 0, message=f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         check_real(self.pulse_duration, "pulse_duration", HarnessError, 0)
 
 

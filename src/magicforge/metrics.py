@@ -9,24 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import check_real
+from .gates import check_array, check_real
 
 
 class MetricsError(ValueError):
     pass
-
-
-def _as_rho(state):
-    rho = getattr(state, "rho", state)
-    return np.asarray(rho, dtype=complex)
-
-
-def _check_finite(name, a):
-    """Reject an argument with a NaN or infinite entry, naming the first one."""
-    bad = ~np.isfinite(a)
-    if bad.any():
-        k = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise MetricsError(f"{name}[{', '.join(map(str, k))}] is {a[k]}; {name} must be finite")
 
 
 def _sqrtm_psd(a):
@@ -50,15 +37,15 @@ def state_fidelity(state, target):
     gives the B pure-target fidelities as an array; one state against one ket
     is its one-slice case.
     """
-    rho = _as_rho(state)
-    target = np.asarray(getattr(target, "rho", target), dtype=complex)
-    _check_finite("state", rho)
-    _check_finite("target", target)
+    rho = check_array(getattr(state, "rho", state), "state", MetricsError, complex, (1, 2, 3))
+    target = check_array(getattr(target, "rho", target), "target", MetricsError, complex, (1, 2))
     if rho.ndim == 3:
-        if target.shape != rho.shape[1:]:
+        if target.shape != rho.shape[1:] or rho.shape[0] != rho.shape[1]:
             raise MetricsError(f"a stack of states {rho.shape} needs one ket per slice, "
                                f"{rho.shape[1:]}, got {target.shape}")
         return _pure_fidelities(rho, target)
+    if len({*rho.shape, *target.shape}) != 1:  # each a ket or a square matrix, of one size
+        raise MetricsError(f"state of shape {rho.shape} does not match target {target.shape}")
     if target.ndim == 1:
         if rho.ndim == 1:
             t = target / np.linalg.norm(target)
@@ -72,31 +59,29 @@ def state_fidelity(state, target):
 
 def process_fidelity(u, v):
     """Global-phase-insensitive overlap |tr(u^dag v)|^2 / d^2 of two unitaries."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    _check_finite("u", u)
-    _check_finite("v", v)
-    d = u.shape[0]
-    return float(abs(np.trace(u.conj().T @ v)) ** 2 / d**2)
+    u, v = _matched(u, v, ("u", "v"), complex, 2)
+    if u.shape[0] != u.shape[1]:
+        raise MetricsError(f"u and v have shape {u.shape}; unitaries must be square")
+    return float(abs(np.trace(u.conj().T @ v)) ** 2 / u.shape[0] ** 2)
 
 
-def _distributions(p, q):
-    """p and q as float arrays, each checked finite."""
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    _check_finite("p", p)
-    _check_finite("q", q)
-    return p, q
+def _matched(a, b, names, dtype=float, ndim=1):
+    """Two arguments, each read by `check_array`, that must have one shape."""
+    a, b = (check_array(x, name, MetricsError, dtype, ndim) for x, name in zip((a, b), names))
+    if a.shape != b.shape:
+        raise MetricsError(f"{names[0]} has shape {a.shape} but {names[1]} has shape {b.shape}")
+    return a, b
 
 
 def statistical_overlap(p, q):
     """Squared Bhattacharyya overlap (sum_k sqrt(p_k q_k))^2 of two distributions."""
-    p, q = (np.clip(a, 0.0, None) for a in _distributions(p, q))
+    p, q = (np.clip(a, 0.0, None) for a in _matched(p, q, ("p", "q")))
     return float(np.sqrt(p * q).sum() ** 2)
 
 
 def total_variation(p, q):
     """Total variation distance 1/2 sum |p - q|."""
-    p, q = _distributions(p, q)
+    p, q = _matched(p, q, ("p", "q"))
     return float(0.5 * np.abs(p - q).sum())
 
 
@@ -128,14 +113,13 @@ def ramsey_fit(phases, probs, shots=None):
     whose contrast is indistinguishable from zero has no defined phase and is
     flagged degenerate.
     """
-    phases = np.asarray(phases, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+    phases = check_array(phases, "phases", MetricsError)
+    probs = check_array(probs, "probs", MetricsError)
     rows = np.atleast_2d(probs)
     if phases.ndim != 1 or probs.ndim not in (1, 2) or rows.shape[1] != phases.size \
             or phases.size < 4:
-        raise MetricsError("need matching phase/probability arrays, at least 4 points")
-    _check_finite("phases", phases)
-    _check_finite("probs", probs)
+        raise MetricsError("need matching phase/probability arrays, at least 4 points: "
+                           f"phases {phases.shape}, probs {probs.shape}")
     if shots is not None:  # positive: at least the least positive float
         check_real(shots, "shots", MetricsError, math.ulp(0.0),
                    message=f"shots must be None or a positive finite number, got {shots!r}")
@@ -168,9 +152,11 @@ def ramsey_fit(phases, probs, shots=None):
     return fits[0] if probs.ndim == 1 else fits
 
 
-def equatorial_phase(single_qubit_state):
+def equatorial_phase(state):
     """Azimuth chi of a single-qubit state's coherence, arg <1|rho|0>."""
-    rho = _as_rho(single_qubit_state)
+    rho = check_array(getattr(state, "rho", state), "state", MetricsError, complex)
+    if rho.shape not in ((2,), (2, 2)):
+        raise MetricsError(f"state of shape {rho.shape} is not a qubit's ket or rho")
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
     c = rho[1, 0]
@@ -195,9 +181,9 @@ def fringe_fidelity(fit, ideal_phase):
 
 def factor_product_state(vec, n_qubits):
     """Split a product ket into per-qubit factors; raises if entangled (Schmidt value > 1e-9)."""
-    vec = np.asarray(vec, dtype=complex)
+    vec = check_array(vec, "vec", MetricsError, complex, 1)
     if vec.size != 2**n_qubits:
-        raise MetricsError("state vector size does not match qubit count")
+        raise MetricsError(f"vec of size {vec.size} is not a ket of {n_qubits} qubits")
     vec = vec / np.linalg.norm(vec)
     factors = []
     rest = vec
@@ -222,12 +208,13 @@ def fidelity_via_local_rotation(state, target):
     slice b last, takes (n, 2, B) factors and gives the B fidelities as an
     array; a single state is its one-slice case.
     """
-    rho = _as_rho(state)
-    factors = np.asarray(target, dtype=complex)
+    rho = check_array(getattr(state, "rho", state), "state", MetricsError, complex, (2, 3))
+    factors = check_array(target, "target", MetricsError, complex, rho.ndim)
     if rho.ndim == 2:
         return float(fidelity_via_local_rotation(rho[..., None], factors[..., None])[0])
-    if factors.shape[:2] != (int(np.log2(rho.shape[0])), 2):
-        raise MetricsError("need one target factor per qubit")
+    n = rho.shape[0].bit_length() - 1
+    if n < 1 or rho.shape[:2] != (2**n, 2**n) or factors.shape != (n, 2, rho.shape[2]):
+        raise MetricsError(f"target {factors.shape} is not a factor per qubit of state {rho.shape}")
     theta = 2.0 * np.arctan2(abs(factors[:, 1]), abs(factors[:, 0]))
     chi = np.angle(factors[:, 1]) - np.angle(factors[:, 0])
     # the |00...0> population after the pulses R_k is <v|rho|v>, v = (x)_k R_k^dag |0>,
@@ -257,8 +244,10 @@ def error_budget(dephased_fidelity, white_noise_fraction, readout_fidelity):
     split into detection loss (chance that at least one of the three qubits
     reads out wrongly) and a residual attributed to imperfect pulses.
     """
+    check_real(dephased_fidelity, "dephased_fidelity", MetricsError)
+    zeta = check_real(white_noise_fraction, "white_noise_fraction", MetricsError, 0, 1)
+    check_real(readout_fidelity, "readout_fidelity", MetricsError, 0.5, 1)
     dim = 8
-    zeta = white_noise_fraction
     predicted = zeta / dim + (1.0 - zeta) * dephased_fidelity
     ceiling = zeta / dim + (1.0 - zeta)
     white = zeta * (1.0 - 1.0 / dim)

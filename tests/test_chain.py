@@ -297,7 +297,7 @@ def test_trap_config_rejects_non_finite_fields():
 def test_coupling_matrix_rejects_non_finite_entries():
     j = np.full((3, 3), 100.0)
     j[1, 2] = j[2, 1] = np.inf
-    with pytest.raises(ValueError, match=r"coupling J\[1, 2\] must be finite, got inf"):
+    with pytest.raises(ValueError, match=r"coupling J\[1, 2\] is inf; coupling J must be finite"):
         CouplingMatrix(j=j)
 
 

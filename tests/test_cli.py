@@ -218,6 +218,9 @@ def test_scenario_builtin_alias(out_root, capsys):
     assert "unknown scenario" in capsys.readouterr().err
     assert main(["scenario", "fig1", "--seed", "\uff17"]) == 1
     assert "error: --seed '\uff17' is malformed" in capsys.readouterr().err
+    # SeedSequence's own "expected non-negative integer" named neither the flag nor the field
+    assert main(["scenario", "fig1", "--seed", "-1"]) == 1
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_scenario_file(tmp_path, j_file, program_file, out_root):

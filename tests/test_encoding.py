@@ -9,7 +9,17 @@ from magicforge.encoding import (
     parse_topology,
     topology_preset,
 )
-from magicforge.program import BASIS_PI, BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS, Echo, FreeEvolve
+from magicforge.engine import program_unitary
+from magicforge.gates import free_phases
+from magicforge.program import (
+    BASIS_PI,
+    BASIS_SIGMA_MINUS,
+    BASIS_SIGMA_PLUS,
+    Echo,
+    FreeEvolve,
+    PulseProgram,
+    TransferBasis,
+)
 
 
 @pytest.fixture
@@ -39,9 +49,19 @@ def test_preset_sign_patterns(base_j):
     assert np.all(effective_couplings(base_j, topology_preset("E")) == 0.0)
 
 
-def test_effective_couplings_use_magnitudes(base_j):
-    shaped = effective_couplings(-base_j, topology_preset("A"))
-    assert shaped == pytest.approx(base_j)
+def test_effective_couplings_are_the_engines_windows(base_j):
+    # J keeps its calibrated sign: J_ij m_i m_j, the rule a run's windows follow, so a
+    # negative J01 with qubit 1 in sigma+ is a positive coupling in both
+    j = -100.0 * base_j
+    assert np.array_equal(effective_couplings(j, topology_preset("A")), j)
+    flip = PulseProgram(3, [TransferBasis(1, BASIS_PI), TransferBasis(1, BASIS_SIGMA_PLUS),
+                            FreeEvolve(1e-3)])
+    shaped = effective_couplings(j, topology_preset("B"))
+    assert shaped[0, 1] == 300.0
+    want = np.exp(1j * free_phases(shaped, 1e-3, 3))
+    assert np.abs(program_unitary(flip, j) - np.diag(want)).max() <= 1e-12
+    with pytest.raises(EncodingError, match=r"coupling J\[0, 1\] is nan"):
+        effective_couplings(np.where(np.eye(3) == 0, np.nan, j), topology_preset("A"))
 
 
 def test_parse_topology_round_trips():
@@ -56,11 +76,18 @@ def test_parse_topology_round_trips():
         parse_topology("-,x,0")
     with pytest.raises(EncodingError, match="bad topology token 'F'"):
         parse_topology("F")
+    # not a string: an EncodingError, not a bare AttributeError
+    for read in (parse_topology, topology_preset):
+        with pytest.raises(EncodingError, match="unknown topology preset 3"):
+            read(3)
 
 
 def test_assignment_validates_bases():
     with pytest.raises(EncodingError):
         TopologyAssignment(("sigma-", "nope", "pi"))
+    # a string is one basis name, not a sequence of them (it read as "unknown basis 'p'")
+    with pytest.raises(EncodingError, match="bases must be a tuple of encodings, got 'pi'"):
+        TopologyAssignment("pi")
 
 
 def test_assignment_length_must_match_matrix(base_j):

@@ -458,6 +458,22 @@ def test_per_step_kernels_bound_the_qubit():
         engine.partial_trace(prepare_state(3, "000").rho, [1, 1])
 
 
+def test_engine_names_arrays_that_do_not_fit():
+    # each once escaped as numpy's bare ValueError, or ran to a NaN fringe point
+    st = prepare_state(3, "+00")
+    for call, message in (
+            (lambda: engine.partial_trace(np.eye(6) / 6, [0]),
+             r"rho of shape \(6, 6\) is not 2\^n x 2\^n"),
+            (lambda: apply_readout_confusion(np.full(4, 0.25), 0.96, 3),
+             r"p has shape \(4,\); a 3-qubit register has 8"),
+            (lambda: fringe_scan(st, 0, [0.0, np.nan]),
+             r"phases\[1\] is nan; phases must be finite"),
+            (lambda: sample_counts("x", 10, np.random.default_rng(1)),
+             "p must be an array of float numbers")):
+        with pytest.raises(EngineError, match=message):
+            call()
+
+
 def test_rotation_rejects_non_finite_angles(bench_j):
     for theta, phi, field in ((np.nan, 0.0, "theta"), (np.inf, 0.0, "theta"),
                               (np.pi, np.nan, "phi"), (np.pi / 2, -np.inf, "phi")):
@@ -604,9 +620,9 @@ def test_non_finite_couplings_are_rejected(bench_j):
     j = np.array(bench_j)
     j[0, 1] = j[1, 0] = np.inf
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3)])
-    with pytest.raises(EngineError, match=r"coupling J\[0, 1\] must be finite, got inf"):
+    with pytest.raises(EngineError, match=r"coupling J\[0, 1\] is inf; coupling J must be finite"):
         run_program(prog, j)
-    with pytest.raises(EngineError, match=r"coupling J\[0, 1\] must be finite"):
+    with pytest.raises(EngineError, match=r"coupling J\[0, 1\] is inf; coupling J must be finite"):
         program_unitary(prog, j)
 
 

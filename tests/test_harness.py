@@ -380,7 +380,7 @@ def test_scenario_takes_an_int_shot_count():
     assert harness.Scenario("s", prog, np.zeros((3, 3)), shots=2**63 - 1).shots == 2**63 - 1
 
 
-def test_scenario_takes_an_int_seed():
+def test_scenario_takes_an_int_seed(tmp_path):
     # 1.5 died in the run with a bare TypeError from SeedSequence, and True ran as seed 1
     prog = harness.PulseProgram(3, [])
     for seed in (1.5, True, "5"):
@@ -388,6 +388,14 @@ def test_scenario_takes_an_int_seed():
                                                        + re.escape(repr(seed))):
             harness.Scenario("s", prog, np.zeros((3, 3)), seed=seed)
     assert harness.Scenario("s", prog, np.zeros((3, 3)), seed=np.int64(7)).seed == 7
+    # the builtins read the seed by the same rule, before anything runs: True ran as seed 1
+    # and "a" escaped as a bare TypeError
+    for seed, message in ((True, "seed must be an int, got True"),
+                          ("a", "seed must be an int, got 'a'"), (-1, "seed must be >= 0, got -1")):
+        for run in (harness.run_all, lambda d, seed: harness.run_scenario("fig2", d, seed)):
+            with pytest.raises(harness.HarnessError, match=message):
+                run(tmp_path, seed=seed)
+    assert not list(tmp_path.iterdir())
 
 
 def test_scenario_takes_a_bool_noise_and_a_number_pulse_duration():

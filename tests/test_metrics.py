@@ -250,6 +250,35 @@ def test_process_fidelity_rejects_non_finite_input(rng):
         process_fidelity(bad, u)
 
 
+def test_metrics_name_arrays_that_do_not_fit(rng):
+    # each once escaped as numpy's bare ValueError or a RuntimeWarning, or ran: 2x3
+    # "unitaries" gave a process fidelity of 9.0
+    ket, factors = random_product_ket(rng, 3)
+    nan_rho = np.eye(8) / 8
+    nan_rho[0, 0] = np.nan
+    for call, message in (
+            (lambda: process_fidelity(np.ones((2, 3)), np.ones((2, 3))),
+             r"u and v have shape \(2, 3\); unitaries must be square"),
+            (lambda: process_fidelity(np.eye(4), np.eye(8)),
+             r"u has shape \(4, 4\) but v has shape \(8, 8\)"),
+            (lambda: state_fidelity(np.eye(4) / 4, np.eye(8) / 8),
+             r"state of shape \(4, 4\) does not match target \(8, 8\)"),
+            (lambda: statistical_overlap([0.5, 0.5], [1, 0, 0]),
+             r"p has shape \(2,\) but q has shape \(3,\)"),
+            (lambda: total_variation([0.5, 0.5], [1, 0, 0]), r"p has shape \(2,\) but q"),
+            (lambda: distinguishability([1, 0, 0], [0.5, 0.5]), r"p has shape \(3,\) but q"),
+            (lambda: fidelity_via_local_rotation(nan_rho, factors),
+             r"state\[0, 0\] is \(nan\+0j\); state must be finite"),
+            (lambda: factor_product_state(np.where(np.arange(8) == 2, np.nan, ket), 3),
+             r"vec\[2\] is \(nan\+0j\); vec must be finite"),
+            (lambda: state_fidelity("x", ket), "state must be an array of complex numbers"),
+            (lambda: error_budget(np.nan, 0.25, 0.96), "dephased_fidelity must be finite"),
+            (lambda: error_budget(0.9, True, 0.96), "white_noise_fraction must be finite and "
+                                                    ">= 0 and <= 1, got True")):
+        with pytest.raises(MetricsError, match=message):
+            call()
+
+
 def test_fringe_fidelity_from_phase():
     phases = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     probs = synthetic_fringe(phases, 0.5, 1.0, fringe_phase_for(0.4))

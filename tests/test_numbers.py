@@ -5,10 +5,13 @@ An int is an int, numpy's included, but never a bool; a real is finite. Each ent
 must either run on a valid number or raise its own layer's error naming the field: never a
 bare exception, and never a warning (an error under Tier-1's -W error). Hostile values are
 drawn on purpose: bools (Python's and numpy's), a numeric string, None, nan, +-inf, 1e308,
--0.0, 2**63, numpy scalars, and a fraction where an int is due.
+-0.0, 2**63, numpy scalars, a float where an int is due, and a Fraction, which is a
+numbers.Real that numpy does not compute with.
 """
 
 import math
+import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,14 +30,14 @@ from magicforge.engine import (
     run_program,
     sample_counts,
 )
-from magicforge.metrics import MetricsError, ramsey_fit
+from magicforge.metrics import MetricsError, error_budget, ramsey_fit
 from magicforge.program import FreeEvolve, ProgramError, PulseProgram, Rotate
 
 PROGRAM = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3)])
 J = np.array([[0.0, 229.3, 97.4], [229.3, 0.0, 229.3], [97.4, 229.3, 0.0]])
 PHASES = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
 HOSTILE = [True, False, np.True_, "1", None, math.nan, math.inf, -math.inf, 1e308, -0.0,
-           2**63, np.int64(3), np.float32(0.5), 2.5]
+           2**63, np.int64(3), np.float32(0.5), 2.5, Fraction(1, 2)]
 
 # The test's own reading of the rule, by exact types, so it does not restate the checks.
 INT_TYPES = (int, np.int64)
@@ -57,6 +60,11 @@ def ints(low, high):
 def reals(low=-1e3, high=1e3):
     valid = st.floats(low, high)
     return valid | valid.map(np.float64) | st.sampled_from(HOSTILE)
+
+
+def run_scenario(seed):
+    with tempfile.TemporaryDirectory() as directory:
+        harness.run_scenario("fig2", directory, seed=seed)
 
 
 # entry point: (its call on one drawn value, the draw, the valid rule, layer error, field named)
@@ -107,6 +115,16 @@ ENTRY_POINTS = {
     "Scenario.pulse_duration": (lambda v: harness.Scenario("s", PROGRAM, J, pulse_duration=v),
                                 reals(-1e-5, 1e-5), lambda v: is_real(v, 0),
                                 harness.HarnessError, "pulse_duration"),
+    "run_scenario.seed": (run_scenario, ints(-2, 2**40), lambda v: is_int(v, 0, 2**63),
+                          harness.HarnessError, "seed"),
+    "error_budget.dephased_fidelity": (lambda v: error_budget(v, 0.25, 0.96), reals(-1.0, 2.0),
+                                       is_real, MetricsError, "dephased_fidelity"),
+    "error_budget.white_noise_fraction": (lambda v: error_budget(0.9, v, 0.96), reals(-0.5, 1.5),
+                                          lambda v: is_real(v, 0, 1), MetricsError,
+                                          "white_noise_fraction"),
+    "error_budget.readout_fidelity": (lambda v: error_budget(0.9, 0.25, v), reals(0.0, 1.5),
+                                      lambda v: is_real(v, 0.5, 1), MetricsError,
+                                      "readout_fidelity"),
     "ramsey_fit.shots": (lambda v: ramsey_fit(PHASES, 0.5 - 0.4 * np.cos(PHASES), shots=v),
                          reals(-10.0, 1e4),
                          lambda v: v is None or is_real(v) and v > 0, MetricsError, "shots"),

@@ -351,7 +351,8 @@ def test_compile_rejects_degenerate_couplings():
 def test_compile_rejects_non_finite_couplings():
     j = pair_matrix(200.0, 113.0, 207.0)
     j[0, 2] = j[2, 0] = np.inf
-    with pytest.raises(CompilerError, match=r"coupling J\[0, 2\] must be finite, got inf"):
+    with pytest.raises(CompilerError,
+                       match=r"coupling J\[0, 2\] is inf; coupling J must be finite"):
         compile_qft(j)
 
 
