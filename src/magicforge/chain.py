@@ -47,13 +47,6 @@ _TRAP_KEYS = {
 }
 
 
-def check_ini_keys(section, known):
-    """Raise a ValueError naming the first key of the INI `section` that is not in `known`."""
-    for key in section:
-        if key not in known:
-            raise ValueError(f"[{section.name}] has unknown key {key!r}; known: {', '.join(known)}")
-
-
 def read_number(text, kind):
     """`text` read as a `kind` (int or float) number. It must be ASCII text: int() and float()
     would also read other scripts' digits, such as a fullwidth '３'."""
@@ -62,18 +55,33 @@ def read_number(text, kind):
     return kind(text)
 
 
-def read_ini_value(section, key, kind):
-    """`section[key]` read as `kind`: str, bool (as configparser reads a boolean), or an int
-    or float by `read_number`. A value that does not read names its key."""
-    text = section[key]
+def read_ini(path, section, kinds):
+    """{key: value} for each key that [`section`] of the INI file `path` sets, read as
+    `kinds[key]`: str, bool (as configparser reads a boolean), or an int or float by
+    `read_number`; `#` and `;` start inline comments. An unreadable file, a missing section,
+    a key not in `kinds`, a malformed value and configparser's own errors raise a ValueError
+    without the path, which the caller adds."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        if kind is str:
-            return text
-        if kind is bool:
-            return section.getboolean(key)
-        return read_number(text, kind)
-    except ValueError as exc:
-        raise ValueError(f"[{section.name}] {key} = {text!r} is malformed: {exc}") from None
+        if not parser.read(path):
+            raise ValueError("config file not found, or cannot read it")
+        if not parser.has_section(section):
+            raise ValueError(f"missing [{section}] section")
+        sec = parser[section]
+        for key in sec:
+            if key not in kinds:
+                raise ValueError(f"[{section}] has unknown key {key!r}; known: {', '.join(kinds)}")
+        values = {}
+        for key in filter(sec.__contains__, kinds):
+            text, kind = sec[key], kinds[key]
+            try:
+                values[key] = (text if kind is str else sec.getboolean(key) if kind is bool
+                               else read_number(text, kind))
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key} = {text!r} is malformed: {exc}") from None
+        return values
+    except configparser.Error as exc:
+        raise ValueError(exc) from exc
 
 
 @dataclass
@@ -133,25 +141,19 @@ class TrapConfig:
         axial_frequency_hz (nu1/2pi), magnetic_gradient_t_per_m, bias_field_t,
         reference_coordinate_m, g_factor. Any other key is rejected.
         """
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        kinds = {key: int if factor is None else float for key, (_, factor) in _TRAP_KEYS.items()}
         try:
-            if not parser.read(path):
-                raise ValueError("config file not found or empty")
-            if "trap" not in parser:
-                raise ValueError("missing [trap] section")
-            sec = parser["trap"]
-            check_ini_keys(sec, _TRAP_KEYS)
             kwargs = {}
-            for key, (name, factor) in _TRAP_KEYS.items():
-                if key in sec:
-                    kwargs[name] = (read_ini_value(sec, key, int) if factor is None
-                                    else read_ini_value(sec, key, float) * factor)
-                    try:  # the value alone, against the defaults, so an error names its key
-                        cls(**{name: kwargs[name]})
-                    except ValueError as exc:
-                        raise ValueError(f"{exc} ([trap] {key} = {sec[key]})") from None
+            for key, value in read_ini(path, "trap", kinds).items():
+                name, factor = _TRAP_KEYS[key]
+                kwargs[name] = value if factor is None else value * factor
+                try:  # the value alone, against the defaults, so an error names its key
+                    cls(**{name: kwargs[name]})
+                except ValueError as exc:  # with the value as written in the file
+                    text = read_ini(path, "trap", dict.fromkeys(_TRAP_KEYS, str))[key]
+                    raise ValueError(f"{exc} ([trap] {key} = {text})") from None
             return cls(**kwargs)
-        except (ValueError, configparser.Error) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -320,7 +322,10 @@ def zeeman_profile(config, geometry):
         )
     splittings = config.g_factor * BOHR_MAGNETON * fields / HBAR
     offsets_hz = config.g_factor * BOHR_MAGNETON * (fields - config.bias_field) / PLANCK
-    rate = config.g_factor * BOHR_MAGNETON * config.magnetic_gradient / HBAR
+    rate = float(config.g_factor * BOHR_MAGNETON * config.magnetic_gradient / HBAR)
+    if not math.isfinite(rate * HBAR / (2 * config.ion_mass * config.axial_frequency**2) * rate):
+        raise ValueError(f"magnetic_gradient {config.magnetic_gradient:g} T/m overflows the "
+                         "coupling scale rate^2 hbar / (2 m nu1^2), which bounds every |J|")
     return ZeemanProfile(
         fields=fields,
         splittings=splittings,
@@ -351,13 +356,9 @@ def coupling_matrix(config, geometry=None):
     modes = normal_modes(config, geometry)
     zeeman = zeeman_profile(config, geometry)
     # eps_in = (d omega_i/dz) * (dz_n / nu_n) * S_in
-    eps = (
-        zeeman.gradient_rates[:, None]
-        * (modes.ground_extents / modes.frequencies)[None, :]
-        * modes.vectors
-    )
-    j = np.einsum("n,in,jn->ij", modes.frequencies, eps, eps)
-    return CouplingMatrix(j=j)
+    eps = (zeeman.gradient_rates[:, None] * (modes.ground_extents / modes.frequencies)[None, :]
+           * modes.vectors)
+    return CouplingMatrix(j=np.einsum("n,in,jn->ij", modes.frequencies, eps, eps))
 
 
 def save_couplings(path, couplings):

@@ -39,7 +39,6 @@ from .chain import (
     zeeman_profile,
 )
 from .encoding import effective_couplings, topology_preset
-from .program import load_program
 from .qft import (
     CompilerError,
     gate_sequence,
@@ -101,8 +100,7 @@ def _cmd_couplings(args):
     couplings = coupling_matrix(*solve_trap_file(args.config))
     stem = "couplings"
     if args.topology:
-        shaped = effective_couplings(couplings.j, topology_preset(args.topology))
-        couplings.j = shaped
+        couplings.j = effective_couplings(couplings.j, topology_preset(args.topology))
         stem += f"_{args.topology}"
     path = os.path.join(output_root(), f"{stem}.txt")
     save_couplings(path, couplings)
@@ -115,29 +113,17 @@ def _cmd_run(args):
     shots, seed = _read_int("--shots", args.shots) or 0, _read_int("--seed", args.seed)
     if shots and seed is None:
         raise ValueError("--seed is required when --shots is finite")
-    program = load_program(args.program)
-    couplings = load_couplings(args.j)
-    name = os.path.splitext(os.path.basename(args.program))[0]
-    scenario = harness.Scenario(
-        name=name,
-        program=program,
-        couplings=couplings.j,
-        input_state=args.input,
-        noise=args.noise,
-        shots=shots,
-        seed=harness.DEFAULT_SEED if seed is None else seed,
-    )
+    flags = {"program": args.program, "couplings": args.j, "input": args.input,
+             "noise": args.noise, "shots": shots, "seed": seed}
+    scenario = harness.build_scenario({key: v for key, v in flags.items() if v is not None}, "",
+                                      os.path.splitext(os.path.basename(args.program))[0])
     records = harness.run_custom_scenario(scenario, output_root())
     columns = [c for c in records[0].values if c != "input"]  # the histogram's own layout
     print("  ".join(f"{c:>17s}" for c in columns))
     for rec in records:
-        cells = []
-        for c in columns:
-            v = rec.values[c]
-            cells.append(f"{v:>17s}" if isinstance(v, str) else
-                         f"{v:>17d}" if isinstance(v, int) else f"{v:>17.6g}")
-        print("  ".join(cells))
-    print(f"wrote {os.path.join(output_root(), name)}.csv/.json")
+        print("  ".join(f"{v:>17s}" if isinstance(v, str) else f"{v:>17d}" if isinstance(v, int)
+                        else f"{v:>17.6g}" for v in map(rec.values.get, columns)))
+    print(f"wrote {os.path.join(output_root(), scenario.name)}.csv/.json")
     return 0
 
 

@@ -99,9 +99,14 @@ def topology_preset(label):
 
 def effective_couplings(j, topology):
     """The couplings m_i m_j J_ij under a TopologyAssignment, J calibrated in sigma- and checked
-    by `check_couplings`: the one encoding rule, which the engine's windows read too."""
-    m = topology.mf  # ints: for J >= 0 a parked qubit's couplings are +0.0
-    return check_couplings(j, m.size, EncodingError) * np.outer(m, m)
+    by `check_couplings`, by the one encoding rule (`_encoded`)."""
+    return _encoded(check_couplings(j, len(topology.bases), EncodingError), topology.bases)
+
+
+def _encoded(j, bases):
+    """m_i m_j J_ij under the encodings `bases`, J unchecked: the engine's windows read it too."""
+    m = np.array([MF[b] for b in bases])  # ints: for J >= 0 a parked qubit's couplings are +0.0
+    return j * np.outer(m, m)
 
 
 def decoupled_memory_fragment(qubit, total_duration):

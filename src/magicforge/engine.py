@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import MAX_QUBITS
-from .encoding import TopologyAssignment, effective_couplings
+from .encoding import _encoded
 from .gates import (
     bit_table,
     check_array,
@@ -97,6 +97,13 @@ class EngineError(RuntimeError):
 # How far a density matrix entering the engine may be from trace 1 and from
 # Hermitian (largest elementwise deviation).
 STATE_TOLERANCE = 1e-9
+
+
+def _check_register(n_qubits):
+    """`n_qubits` if it is an int in 1..MAX_QUBITS, else an EngineError naming it."""
+    return check_int(n_qubits, "n_qubits", EngineError, 1, MAX_QUBITS,
+                     f"register of {n_qubits!r} qubits outside 1..{MAX_QUBITS} "
+                     "(the dense engine holds 4^n amplitudes)")
 
 
 def _check_qubit(qubit, n_qubits):
@@ -138,13 +145,14 @@ class QuantumState:
     time: float = 0.0
 
     def __post_init__(self):
-        dim = 2**self.n_qubits
-        self.rho = np.asarray(self.rho, dtype=complex)
+        dim = 2 ** _check_register(self.n_qubits)
+        self.rho = check_array(self.rho, "rho", EngineError, complex, finite=False)
         if self.rho.shape != (dim, dim):
             raise EngineError(f"density matrix shape {self.rho.shape} != {(dim, dim)}")
         trace = np.trace(self.rho)
         if not abs(trace - 1.0) <= STATE_TOLERANCE:
             raise EngineError(f"rho: trace {trace:.6g} is not 1 (tolerance {STATE_TOLERANCE:g})")
+        check_array(self.rho, "rho", EngineError, complex)  # finite off the diagonal too
         if not np.abs(self.rho - self.rho.conj().T).max() <= STATE_TOLERANCE:
             raise EngineError(f"rho: not Hermitian (tolerance {STATE_TOLERANCE:g})")
         if len(self.bases) != self.n_qubits:
@@ -153,6 +161,7 @@ class QuantumState:
             if b not in BASES:
                 raise EngineError(f"unknown encoding basis {b!r}")
         self.bases = tuple(self.bases)
+        check_real(self.time, "time", EngineError)
 
     def populations(self):
         return np.clip(np.diag(self.rho).real, 0.0, None)
@@ -219,19 +228,20 @@ def _input_pulses(label):
 def prepare_state(n_qubits, spec=None):
     """Fresh register state in sigma-: |0...0>, a product label over {0, 1, +}
     (`product_input_ket`), a unit ket vector, or a density matrix."""
-    check_int(n_qubits, "n_qubits", EngineError, 1, MAX_QUBITS,  # before anything is allocated
-              f"register of {n_qubits!r} qubits outside 1..{MAX_QUBITS} "
-              "(the dense engine holds 4^n amplitudes)")
-    dim = 2**n_qubits
+    dim = 2 ** _check_register(n_qubits)
+    bases = (BASIS_SIGMA_MINUS,) * n_qubits
     if spec is None:
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
-        return _trusted_state(n_qubits, rho, (BASIS_SIGMA_MINUS,) * n_qubits)
-    arr = np.asarray(spec)
-    if arr.dtype.kind not in "biufc" or arr.ndim not in (1, 2):  # not a ket or a matrix
+        return _trusted_state(n_qubits, rho, bases)
+    try:  # text, bytes or a lone number is a label; numbers make a ket or a density matrix
+        label = np.ndim(spec) == 0 or np.asarray(spec).dtype.kind not in "biufc"
+    except ValueError:  # a ragged sequence, which check_array names
+        label = False
+    if label:
         v = product_input_ket(check_label(spec, n_qubits, EngineError))
-        return _trusted_state(n_qubits, np.outer(v, v.conj()), (BASIS_SIGMA_MINUS,) * n_qubits)
-    arr = arr.astype(complex, copy=False)
+        return _trusted_state(n_qubits, np.outer(v, v.conj()), bases)
+    arr = check_array(spec, "state", EngineError, complex, (1, 2), finite=False)
     if arr.ndim == 1:
         if arr.size != dim:
             raise EngineError("state vector has wrong dimension")
@@ -241,7 +251,7 @@ def prepare_state(n_qubits, spec=None):
                               f"(tolerance {STATE_TOLERANCE:g})")
         arr = arr / norm
         arr = np.outer(arr, arr.conj())
-    return QuantumState(n_qubits, arr, (BASIS_SIGMA_MINUS,) * n_qubits)
+    return QuantumState(n_qubits, arr, bases)
 
 
 def _trusted_state(n_qubits, rho, bases, time=0.0):
@@ -270,8 +280,8 @@ def apply_rotation(state, qubit, theta, phi=0.0):
 
 def _window_phase(j, state, duration):
     """Ising phase factor exp(i phi) of each basis state over a window, under the encodings
-    in force, by the one encoding rule (`encoding.effective_couplings`)."""
-    j = effective_couplings(j, TopologyAssignment(state.bases))
+    in force, by the one encoding rule (`encoding._encoded`) on J checked on entry."""
+    j = _encoded(j, state.bases)
     total = sum(map(abs, np.triu(j, 1).ravel().tolist()))
     _check_exponent(float(duration) / 2.0 * total, duration, "Ising phase T/2*sum|J|")
     return np.exp(1j * free_phases(j, duration, state.n_qubits))
@@ -324,11 +334,7 @@ def dd_phase_sequence(n_pulses, scheme="cpmg"):
     if scheme == "cpmg":
         return [np.pi / 2] * n_pulses
     block = (np.pi / 6, 0.0, np.pi / 2, 0.0, np.pi / 6)
-    phases = []
-    for b in range(n_pulses // 5):
-        shift = (np.pi / 2) * (b % 2)
-        phases.extend(p + shift for p in block)
-    return phases
+    return [p + (np.pi / 2) * (b % 2) for b in range(n_pulses // 5) for p in block]
 
 
 def dd_fragment(duration, n_pulses, scheme="cpmg", n_qubits=3):
@@ -341,8 +347,7 @@ def dd_fragment(duration, n_pulses, scheme="cpmg", n_qubits=3):
     tau = duration / n_pulses
     instructions = [FreeEvolve(tau / 2)]
     for k, ph in enumerate(phases):
-        for q in range(n_qubits):
-            instructions.append(Rotate(q, np.pi, ph))
+        instructions += [Rotate(q, np.pi, ph) for q in range(n_qubits)]
         instructions.append(FreeEvolve(tau if k < n_pulses - 1 else tau / 2))
     return PulseProgram(n_qubits=n_qubits, instructions=instructions,
                         name=f"dd {scheme} n={n_pulses}")
@@ -572,28 +577,30 @@ def sample_counts(p, shots, rng):
     """Multinomial counts of `shots` draws (an int in 1..2^63-1) from a distribution p;
     rng must be a numpy Generator.
 
-    p holds one probability per basis state of a register, 2^n entries. An
-    entry that is not finite or lies below -1e-12 is an error, and so is an
-    all-zero p; rounding noise above -1e-12 is clipped to 0. The clipped entries
-    must sum to 1 within 1e-9, and p is divided by that sum before the draw.
+    p holds one probability per basis state of a register, 2^n entries, or is a stack
+    of such distributions, one per row, drawn row by row in one call. An entry that is
+    not finite or lies below -1e-12 is an error, and so is an all-zero row; rounding
+    noise above -1e-12 is clipped to 0. Each row's clipped entries must sum to 1 within
+    1e-9, and the row is divided by that sum before the draw.
     """
     check_int(shots, "shots", EngineError, 1, 2**63 - 1,
               f"shots must be an int in 1..2^63-1, got {shots!r}")
     if rng is None:
         raise EngineError("finite-shot sampling needs an explicit rng")
-    p = check_array(p, "p", EngineError)
-    if p.ndim != 1 or p.size < 2 or p.size & (p.size - 1):
+    p = check_array(p, "p", EngineError, ndim=(1, 2))
+    if (size := p.shape[-1]) < 2 or size & (size - 1):
         raise EngineError(f"distribution p of shape {p.shape} is not one probability per "
                           "basis state of a register (2^n entries)")
-    bad = np.flatnonzero(p < -1e-12)
+    bad = np.argwhere(p < -1e-12)
     if bad.size:
-        raise EngineError(f"p[{bad[0]}] is {float(p[bad[0]])}; p must be >= -1e-12")
+        raise EngineError(f"p{bad[0].tolist()} is {float(p[tuple(bad[0])])}; p must be >= -1e-12")
     p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if not total > 0:
+    total = p.sum(axis=-1, keepdims=True)
+    if not (total > 0).all():
         raise EngineError("distribution has no weight to sample from (every entry is 0)")
-    if not abs(total - 1.0) <= 1e-9:
-        raise EngineError(f"distribution sums to {total:.12g}, not 1 within 1e-9")
+    off = total[~(abs(total - 1.0) <= 1e-9)]
+    if off.size:
+        raise EngineError(f"distribution sums to {off[0]:.12g}, not 1 within 1e-9")
     return rng.multinomial(shots, p / total)
 
 

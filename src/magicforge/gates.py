@@ -80,16 +80,17 @@ def check_couplings(j, n_qubits, error):
     return j
 
 
-def check_array(value, name, error, dtype=float, ndim=None):
+def check_array(value, name, error, dtype=float, ndim=None, finite=True):
     """`value` as a `dtype` (float or complex) array, with `ndim` dimensions (an int, a tuple of
-    them, None for any) and finite entries; else an `error` (the caller's class) naming `name`."""
+    them, None for any) and, if `finite`, finite entries; else an `error` (the caller's class)
+    naming `name`."""
     try:
         a = np.asarray(value).astype(dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError) as exc:  # not numbers of that kind, or a ragged sequence
         raise error(f"{name} must be an array of {dtype.__name__} numbers ({exc})") from None
     if ndim is not None and a.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)):
         raise error(f"{name} has shape {a.shape}; {name} must have {ndim} dimensions")
-    if not np.isfinite(a).all():
+    if finite and not np.isfinite(a).all():
         k = tuple(np.argwhere(~np.isfinite(a))[0])
         raise error(f"{name}{list(map(int, k))} is {a[k]}; {name} must be finite")
     return a

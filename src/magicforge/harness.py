@@ -27,7 +27,6 @@ readout-corrected quantities. Ion columns are reported in physical chain order
 (the relabeling at the end of the compiled sequence is undone for reporting).
 """
 
-import configparser
 import itertools
 import json
 import math
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import check_ini_keys, coupling_matrix, load_couplings, read_ini_value, solve_trap_file
+from .chain import coupling_matrix, load_couplings, read_ini, solve_trap_file
 from .encoding import effective_couplings, parse_topology, topology_preset
 from .engine import (
     NoiseModel,
@@ -83,11 +82,8 @@ class RunRecord:
 
 def demo_couplings():
     """Symmetric-chain couplings used by the precession scenarios (rad/s)."""
-    j = np.zeros((3, 3))
-    j[0, 1] = j[1, 0] = 2 * np.pi * 36.5
-    j[1, 2] = j[2, 1] = 2 * np.pi * 36.5
-    j[0, 2] = j[2, 0] = 2 * np.pi * 15.5
-    return j
+    near, far = 2 * np.pi * 36.5, 2 * np.pi * 15.5  # neighbours, and the outer pair
+    return np.array([[0.0, near, far], [near, 0.0, near], [far, near, 0.0]])
 
 
 def expected_precession_rate(j, probe, spectator_bits):
@@ -111,8 +107,10 @@ def _stack(results):
 
 
 def _sampled_fits(rng, p, shots):
-    """Ramsey fits of the fringe rows `p` (k, 16), `shots` draws per phase, drawn row by row."""
-    counts = rng.binomial(shots, np.clip(p, 0.0, 1.0))
+    """Ramsey fits of the fringe rows `p` (k, 16), `shots` draws per phase, drawn row by row:
+    each phase is a two-outcome distribution (P, 1 - P), and column 0 counts the bright shots."""
+    rows = p.reshape(-1, 1)
+    counts = sample_counts(np.hstack([rows, 1.0 - rows]), shots, rng)[:, 0].reshape(p.shape)
     return ramsey_fit(_PHASES, counts / shots, shots=shots)
 
 
@@ -371,8 +369,9 @@ def resolve_scenario_name(token):
 
 
 def _check_seed(seed):
-    """`seed` if it is an int >= 0, else a HarnessError naming it."""
+    """`seed` if it is an int in 0..2^64-1, else a HarnessError naming it."""
     check_int(seed, "seed", HarnessError)
+    check_int(seed, "seed", HarnessError, high=2**64 - 1, message=f"seed {seed} is not below 2^64")
     return check_int(seed, "seed", HarnessError, 0, message=f"seed must be >= 0, got {seed}")
 
 
@@ -443,55 +442,50 @@ class Scenario:
         check_real(self.pulse_duration, "pulse_duration", HarnessError, 0)
 
 
-# [scenario] key: (the Scenario field it sets, the type `read_ini_value` reads it as)
-_SCENARIO_FIELDS = {"name": ("name", str), "input": ("input_state", str), "noise": ("noise", bool),
-                    "shots": ("shots", int), "seed": ("seed", int),
-                    "pulse_duration": ("pulse_duration", float)}
+# [scenario] key: the type `chain.read_ini` reads it as
+_SCENARIO_FIELDS = {"program": str, "couplings": str, "trap": str, "topology": str, "name": str,
+                    "input": str, "noise": bool, "shots": int, "seed": int, "pulse_duration": float}
+
+
+def build_scenario(values, base, name):
+    """A `Scenario` from [scenario] `values`, {key: value} as `load_scenario_file` reads them and
+    `magic-forge run` passes its flags. Relative paths resolve against `base`; `name` is the name
+    if `values` sets none. A field that `values` leaves out takes `Scenario`'s default."""
+    fields = {"name": name, **values}
+    program, couplings, trap, topology = (fields.pop(key, None)
+                                          for key in ("program", "couplings", "trap", "topology"))
+    if program is None:
+        raise ValueError("missing program path")
+    program = load_program(os.path.join(base, program))
+    if couplings is not None:
+        if topology:
+            raise ValueError("topology needs a trap source, not couplings")
+        j = load_couplings(os.path.join(base, couplings)).j
+    elif trap is not None:
+        j = coupling_matrix(*solve_trap_file(os.path.join(base, trap))).j
+        if topology:
+            j = effective_couplings(j, parse_topology(topology))
+    else:
+        raise ValueError("need either couplings or trap")
+    return Scenario(program=program, couplings=j, input_state=fields.pop("input", None), **fields)
 
 
 def load_scenario_file(path):
-    """Parse a scenario config (INI format); raise HarnessError on bad input.
+    """`build_scenario` of a scenario config (INI, by `chain.read_ini`); HarnessError on bad input.
 
-    Required keys in [scenario]: program (path). Coupling source: either
-    couplings (J matrix file) or trap (trap config file); only trap takes
-    topology (preset letter or per-qubit basis list). Optional: input (one of
+    Required keys in [scenario]: program (path). Coupling source: either couplings (J matrix
+    file) or trap (trap config file); only trap takes topology (preset letter or per-qubit
+    basis list); relative paths are read from the file's directory. Optional: input (one of
     0, 1, + per program qubit; all 0 by default), noise, shots (0..2^63-1), seed (>= 0),
     name (one line, no path separator, not . or ..; the file's stem by default; also
     the output file stem), pulse_duration. A key the file leaves out takes `Scenario`'s
     default; any other key is rejected.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        if not parser.read(path):
-            raise OSError("cannot read scenario file")
-        if not parser.has_section("scenario"):
-            raise ValueError("missing [scenario] section")
-        sec = parser["scenario"]
-        check_ini_keys(sec, ["program", "couplings", "trap", "topology", *_SCENARIO_FIELDS])
-        if "program" not in sec:
-            raise ValueError("missing program path")
-        base = os.path.dirname(os.path.abspath(path))
-
-        def _resolve(rel):
-            return rel if os.path.isabs(rel) else os.path.join(base, rel)
-
-        program = load_program(_resolve(sec["program"]))
-        topology = sec.get("topology", "")
-        if "couplings" in sec:
-            if topology:
-                raise ValueError("topology needs a trap source, not couplings")
-            j = load_couplings(_resolve(sec["couplings"])).j
-        elif "trap" in sec:
-            j = coupling_matrix(*solve_trap_file(_resolve(sec["trap"]))).j
-            if topology:
-                j = effective_couplings(j, parse_topology(topology))
-        else:
-            raise ValueError("need either couplings or trap")
-        fields = {"name": os.path.splitext(os.path.basename(path))[0]}
-        fields.update((field, read_ini_value(sec, key, kind))
-                      for key, (field, kind) in _SCENARIO_FIELDS.items() if key in sec)
-        return Scenario(program=program, couplings=j, **fields)
-    except (OSError, ValueError, configparser.Error) as exc:
+        return build_scenario(read_ini(path, "scenario", _SCENARIO_FIELDS),
+                              os.path.dirname(os.path.abspath(path)),
+                              os.path.splitext(os.path.basename(path))[0])
+    except (OSError, ValueError) as exc:
         raise HarnessError(f"{path}: {exc}") from exc
 
 
@@ -506,9 +500,8 @@ def run_custom_scenario(scenario, directory):
     ideal = res  # with noise off, the model run is the ideal run bit for bit
     if scenario.noise:
         [ideal] = run_batch(scenario.program, scenario.couplings, inputs, noise=NoiseModel.off())
-    counts = None
-    if scenario.shots:
-        counts = sample_counts(p_model, scenario.shots, _stream(scenario.seed))
+    counts = (sample_counts(p_model, scenario.shots, _stream(scenario.seed)) if scenario.shots
+              else None)
     records = _histogram(scenario.input_state, ideal.state.populations(), p_model, counts)
     emit_records(records, directory, scenario.name)
     return records

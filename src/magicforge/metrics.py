@@ -22,9 +22,17 @@ def _sqrtm_psd(a):
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _pure_fidelities(rho, kets):
+def _unit(kets, name, axis=None):
+    """`kets` (one, or columns with axis=0) over their norms; else a MetricsError naming `name`."""
+    norm = np.linalg.norm(kets, axis=axis)
+    if not np.all(norm):
+        raise MetricsError(f"{name} is a zero ket; a ket must have a nonzero norm")
+    return kets / norm
+
+
+def _pure_fidelities(rho, kets, name):
     """<psi_b|rho_b|psi_b> over a (2^n, 2^n, B) stack, slice b last, for (2^n, B) kets."""
-    t = kets / np.linalg.norm(kets, axis=0)
+    t = _unit(kets, name, axis=0)
     return np.einsum("ib,ijb,jb->b", t.conj(), rho, t).real
 
 
@@ -43,16 +51,15 @@ def state_fidelity(state, target):
         if target.shape != rho.shape[1:] or rho.shape[0] != rho.shape[1]:
             raise MetricsError(f"a stack of states {rho.shape} needs one ket per slice, "
                                f"{rho.shape[1:]}, got {target.shape}")
-        return _pure_fidelities(rho, target)
+        return _pure_fidelities(rho, target, "target")
     if len({*rho.shape, *target.shape}) != 1:  # each a ket or a square matrix, of one size
         raise MetricsError(f"state of shape {rho.shape} does not match target {target.shape}")
     if target.ndim == 1:
         if rho.ndim == 1:
-            t = target / np.linalg.norm(target)
-            return float(abs(np.vdot(t, rho / np.linalg.norm(rho))) ** 2)
-        return float(state_fidelity(rho[..., None], target[:, None])[0])
-    if rho.ndim == 1:
-        return state_fidelity(target, rho)
+            return float(abs(np.vdot(_unit(target, "target"), _unit(rho, "state"))) ** 2)
+        return float(_pure_fidelities(rho[..., None], target[:, None], "target")[0])
+    if rho.ndim == 1:  # a ket against a density matrix: the pure fidelity the other way round
+        return float(_pure_fidelities(target[..., None], rho[:, None], "state")[0])
     s = _sqrtm_psd(rho)
     return float(np.real(np.trace(_sqrtm_psd(s @ target @ s))) ** 2)
 
@@ -60,8 +67,8 @@ def state_fidelity(state, target):
 def process_fidelity(u, v):
     """Global-phase-insensitive overlap |tr(u^dag v)|^2 / d^2 of two unitaries."""
     u, v = _matched(u, v, ("u", "v"), complex, 2)
-    if u.shape[0] != u.shape[1]:
-        raise MetricsError(f"u and v have shape {u.shape}; unitaries must be square")
+    if u.shape[0] != u.shape[1] or not u.size:
+        raise MetricsError(f"u and v have shape {u.shape}; unitaries must be square and not empty")
     return float(abs(np.trace(u.conj().T @ v)) ** 2 / u.shape[0] ** 2)
 
 
@@ -109,7 +116,8 @@ def ramsey_fit(phases, probs, shots=None):
     linear in (offset, a, b) once expanded in cos phi and sin phi, so every row
     is fit by one estimator (x^T x)^-1 x^T of the shared design matrix x. With
     `shots` given, a positive finite number, parameter errors propagate binomial
-    variance per point; with None, each row's residual variance is used. A fit
+    variance per point; with None, each row's residual variance is used. `probs` must lie
+    in [0, 1] within 1e-9, and `phases` must hold 3 distinct phases mod 2 pi. A fit
     whose contrast is indistinguishable from zero has no defined phase and is
     flagged degenerate.
     """
@@ -120,14 +128,22 @@ def ramsey_fit(phases, probs, shots=None):
             or phases.size < 4:
         raise MetricsError("need matching phase/probability arrays, at least 4 points: "
                            f"phases {phases.shape}, probs {probs.shape}")
+    outside = rows[~(abs(rows - 0.5) <= 0.5 + 1e-9)]
+    if outside.size:
+        raise MetricsError(f"probs must lie in [0, 1] within 1e-9, got {float(outside[0])}")
     if shots is not None:  # positive: at least the least positive float
         check_real(shots, "shots", MetricsError, math.ulp(0.0),
                    message=f"shots must be None or a positive finite number, got {shots!r}")
+    # errors scale as 1/sqrt(shots): below 1e-200 shots, where the variance would overflow,
+    # they are taken at one shot and scaled
+    unit, scale = (1.0, 1.0 / math.sqrt(shots)) if shots and shots < 1e-200 else (shots, 1.0)
     x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+    if np.linalg.matrix_rank(x) < 3:
+        raise MetricsError("phases do not span a fringe: the fit needs 3 distinct phases mod 2 pi")
     estimator = np.linalg.solve(x.T @ x, x.T)  # (3, m)
     beta = rows @ estimator.T
     if shots is not None:
-        var = np.clip(rows * (1.0 - rows), 1e-6, None) / shots
+        var = np.clip(rows * (1.0 - rows), 1e-6, None) / unit
     else:
         resid = rows - beta @ x.T
         dof = max(phases.size - 3, 1)
@@ -142,11 +158,12 @@ def ramsey_fit(phases, probs, shots=None):
     radial = np.maximum(a * a * sa2 + 2 * a * b * sab + b * b * sb2, 0.0)
     tangential = np.maximum(b * b * sa2 - 2 * a * b * sab + a * a * sb2, 0.0)
     contrast_err = np.where(tilted, 2.0 * np.sqrt(radial / r2_or_1),
-                            2.0 * np.sqrt(np.maximum(sa2, sb2)))
-    phase_err = np.where(tilted, np.sqrt(tangential) / r2_or_1, np.pi)
+                            2.0 * np.sqrt(np.maximum(sa2, sb2))) * scale
+    with np.errstate(over="ignore"):  # a near-flat fringe below 1e-200 shots: an inf error
+        phase_err = np.where(tilted, np.sqrt(tangential) / r2_or_1 * scale, np.pi)
     degenerate = (r2 < 1e-18) | ((contrast_err > 0) & (contrast < 2 * contrast_err))
     phase = np.arctan2(-b, -a)
-    offset_err = np.sqrt(np.maximum(cov[:, 0, 0], 0.0))
+    offset_err = np.sqrt(np.maximum(cov[:, 0, 0], 0.0)) * scale
     fits = [FringeFit(*(float(v) for v in values[:6]), bool(values[6])) for values in
             zip(offset, contrast, phase, offset_err, contrast_err, phase_err, degenerate)]
     return fits[0] if probs.ndim == 1 else fits
@@ -184,7 +201,7 @@ def factor_product_state(vec, n_qubits):
     vec = check_array(vec, "vec", MetricsError, complex, 1)
     if vec.size != 2**n_qubits:
         raise MetricsError(f"vec of size {vec.size} is not a ket of {n_qubits} qubits")
-    vec = vec / np.linalg.norm(vec)
+    vec = _unit(vec, "vec")
     factors = []
     rest = vec
     for _ in range(n_qubits - 1):
@@ -223,7 +240,7 @@ def fidelity_via_local_rotation(state, target):
     v = rows[0]
     for row in rows[1:]:
         v = (v[:, None] * row[None]).reshape(-1, v.shape[-1])
-    return _pure_fidelities(rho, v)
+    return _pure_fidelities(rho, v, "target")
 
 
 @dataclass

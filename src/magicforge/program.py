@@ -57,11 +57,13 @@ def check_decoupling(n_pulses, scheme):
 
 
 def _check_qubit(ins):
-    """Reject a qubit that is not a non-negative int; only a transfer also takes "all"."""
+    """Reject a qubit that is not an int in 0..2^64-1; only a transfer also takes "all"."""
     q = ins.qubit
     if not (isinstance(ins, TransferBasis) and q == "all"):
         check_int(q, "qubit", ProgramError, 0,
                   message=f"{type(ins).__name__} qubit must be a non-negative int, got {q!r}")
+        check_int(q, "qubit", ProgramError, high=2**64 - 1,
+                  message=f"{type(ins).__name__} qubit {q} is not below 2^64")
 
 
 def check_name(name, error):

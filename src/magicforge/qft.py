@@ -105,11 +105,7 @@ def calibrated_couplings():
     j01 = np.pi / (4.0 * (BENCH_T1 + BENCH_T2))
     j02 = np.pi / (8.0 * (BENCH_T1 - BENCH_T2))
     j12 = 207.428523
-    j = np.zeros((3, 3))
-    j[0, 1] = j[1, 0] = j01
-    j[0, 2] = j[2, 0] = j02
-    j[1, 2] = j[2, 1] = j12
-    return j
+    return np.array([[0.0, j01, j02], [j01, 0.0, j12], [j02, j12, 0.0]])
 
 
 def _check_compile_couplings(j):
@@ -137,11 +133,6 @@ def plan_times(j):
     t1 = (total + diff) / 2.0
     t2 = (total - diff) / 2.0
     return t1, t2
-
-
-def residual_phase(j, t1, t2):
-    """Qubit-1/qubit-2 phase rho23 accumulated across the echoed T1/T2 windows."""
-    return (t1 - t2) * j[1, 2] / 2.0
 
 
 @dataclass
@@ -196,7 +187,7 @@ def solve_entangling_params(j, t1, t2):
     80 steps.
     """
     j = _check_compile_couplings(j)
-    rho23 = residual_phase(j, t1, t2)
+    rho23 = (t1 - t2) * j[1, 2] / 2.0  # the qubit-1/qubit-2 phase of the echoed T1/T2 windows
     ex = np.exp(1j * (rho23 + np.pi / 8.0)) / np.sqrt(2.0)
     ey = np.exp(1j * (rho23 - np.pi / 8.0)) / np.sqrt(2.0)
     pts = (np.arange(16) + 0.5) / 16 * 2.0 * np.pi
@@ -407,9 +398,6 @@ def serial_baseline(j):
     phi is phi / J. Returns (total, per-pair dict).
     """
     j = _check_compile_couplings(j)
-    steps = {
-        (0, 1): (np.pi / 2) / j[0, 1],
-        (0, 2): (np.pi / 4) / j[0, 2],
-        (1, 2): (np.pi / 2) / j[1, 2],
-    }
+    steps = {(0, 1): (np.pi / 2) / j[0, 1], (0, 2): (np.pi / 4) / j[0, 2],
+             (1, 2): (np.pi / 2) / j[1, 2]}
     return sum(steps.values()), steps

@@ -81,7 +81,7 @@ ENTRY_POINTS = {
     "apply_readout_confusion.p": (lambda a: apply_readout_confusion(a, 0.96, 3), distributions,
                                   lambda a: a[None, None], lambda a: a[:4], EngineError, "p"),
     "sample_counts.p": (lambda a: sample_counts(a, 100, np.random.default_rng(1)),
-                        distributions, lambda a: a[None], lambda a: a[:6] / a[:6].sum(),
+                        distributions, lambda a: a[None, None], lambda a: a[:6] / a[:6].sum(),
                         EngineError, "p"),
     "run_program.j": (lambda a: run_program(PROGRAM, a).state.rho, seeded(couplings),
                       lambda a: a[0], lambda a: a[:2, :2], EngineError, "coupling"),

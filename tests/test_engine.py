@@ -401,7 +401,7 @@ def test_sample_counts_rejects_bad_distributions():
         sample_counts([np.inf, 0.0], 10, rng)
     with pytest.raises(EngineError, match=r"p\[3\] is -2e-12"):
         sample_counts([0.5, 0.25, 0.25, -2e-12], 10, rng)
-    for shape in ((3,), (1,), (2, 2)):
+    for shape in ((3,), (1,), (2, 3)):
         with pytest.raises(EngineError, match=r"2\^n entries"):
             sample_counts(np.full(shape, 1 / np.prod(shape)), 10, rng)
     with pytest.raises(EngineError, match="no weight"):
@@ -469,7 +469,38 @@ def test_engine_names_arrays_that_do_not_fit():
             (lambda: fringe_scan(st, 0, [0.0, np.nan]),
              r"phases\[1\] is nan; phases must be finite"),
             (lambda: sample_counts("x", 10, np.random.default_rng(1)),
-             "p must be an array of float numbers")):
+             "p must be an array of float numbers"),
+            (lambda: sample_counts(np.full(4, 0.25), 10, None), "needs an explicit rng"),
+            (lambda: QuantumState(3, np.eye(4) / 4, ("sigma-",) * 3),
+             r"density matrix shape \(4, 4\) != \(8, 8\)"),
+            (lambda: QuantumState(1, np.eye(2) / 2, ("sigma-",) * 2),
+             "one encoding basis per qubit required"),
+            (lambda: QuantumState(1, np.eye(2) / 2, ("up",)), "unknown encoding basis 'up'"),
+            (lambda: run_program(PulseProgram(3, []), np.zeros((3, 3)), initial=prepare_state(2)),
+             "initial state has 2 qubits, program 3")):
+        with pytest.raises(EngineError, match=message):
+            call()
+
+
+def test_a_state_is_checked_when_it_is_built():
+    # each once ran, escaped as numpy's bare ValueError or TypeError, or failed late
+    rho = np.eye(2) / 2
+    inf_rho = np.array([[0.5, np.inf], [np.inf, 0.5]])
+    for call, message in (
+            # True ran as 1 qubit
+            (lambda: QuantumState(True, rho, ("sigma-",)), "register of True qubits outside"),
+            (lambda: QuantumState(1, "ab", ("sigma-",)), "rho must be an array of complex"),
+            # an inf off the diagonal warned in the Hermitian check
+            (lambda: QuantumState(1, inf_rho, ("sigma-",)), r"rho\[0, 1\] is \(inf\+0j\)"),
+            # "x" died in the run with a bare TypeError, nan as "overflows the run clock"
+            (lambda: QuantumState(1, rho, ("sigma-",), time="x"),
+             "time must be a real number, got 'x'"),
+            (lambda: QuantumState(1, rho, ("sigma-",), time=np.nan),
+             "time must be finite, got nan"),
+            (lambda: prepare_state(1, [[1, 0], [0]]), "state must be an array of complex numbers"),
+            # a 3-D array was called a bad preparation label
+            (lambda: prepare_state(1, np.zeros((2, 2, 2))),
+             r"state has shape \(2, 2, 2\); state must have \(1, 2\) dimensions")):
         with pytest.raises(EngineError, match=message):
             call()
 
@@ -647,7 +678,7 @@ def test_pulse_duration_freezes_coupling():
                                               f"got {bad}"):
             run_program(prog, j, noise=noise, pulse_duration=bad)
     # a string or None once escaped as a bare TypeError, and True ran as a 1 s pulse
-    for bad in ("1e-5", None, True):
+    for bad in ("1e-5", None, True, 10**400):
         message = re.escape(f"pulse_duration must be finite and >= 0, got {bad!r}")
         with pytest.raises(EngineError, match=message):
             run_program(prog, j, noise=noise, pulse_duration=bad)

@@ -437,6 +437,8 @@ def test_scenario_file_names_a_bad_coupling_source(tmp_path):
     (tmp_path / "twice.ini").write_text("[trap]\n[trap]\n")
     (tmp_path / "zero.ini").write_text("[trap]\nion_count = 0\n")
     (tmp_path / "steep.ini").write_text("[trap]\nmagnetic_gradient_t_per_m = 1e290\n")
+    (tmp_path / "huge.ini").write_text("[trap]\nmagnetic_gradient_t_per_m = 1e290\n"
+                                       "bias_field_t = 1e290\n")
     bad = tmp_path / "bad.ini"
     for source, message in (("couplings = j2.txt", r"shape \(2, 2\) is not \(1, 1\)"),
                             ("couplings = asym.txt", r"asym.txt: coupling J\[0, 1\]"),
@@ -445,7 +447,10 @@ def test_scenario_file_names_a_bad_coupling_source(tmp_path):
                             ("trap = zero.ini", "zero.ini: ion_count must be an int"),
                             # the field's sign is checked once the positions are solved
                             ("trap = steep.ini", r"steep.ini: bias_field too small: .* \(bias_"
-                                                 r"field 0.0004146 T, magnetic_gradient 1e\+290")):
+                                                 r"field 0.0004146 T, magnetic_gradient 1e\+290"),
+                            # with the sign kept, J overflowed and the error named no file
+                            ("trap = huge.ini", r"huge.ini: magnetic_gradient 1e\+290 T/m "
+                                                "overflows the coupling scale")):
         bad.write_text(f"[scenario]\nprogram = one.pulse\n{source}\n")
         with pytest.raises(harness.HarnessError, match=f"bad.ini: .*{message}"):
             harness.load_scenario_file(bad)

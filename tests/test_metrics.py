@@ -197,6 +197,21 @@ def test_ramsey_fit_takes_none_or_a_positive_finite_shot_count():
     assert dataclasses.astuple(ramsey_fit(phases, probs, shots=0.5))[4] > want[4]
 
 
+def test_ramsey_fit_errors_scale_below_the_variance_overflow():
+    # a subnormal shot count overflowed the variance per point (a RuntimeWarning); below
+    # 1e-200 shots the errors are taken at one shot and scaled by 1/sqrt(shots)
+    phases = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    probs = 0.5 - 0.4 * np.cos(phases - 0.3)
+    one = ramsey_fit(phases, probs, shots=1)
+    for shots in (2.2e-311, 5e-324):
+        fit = ramsey_fit(phases, probs, shots=shots)
+        assert (fit.offset, fit.contrast, fit.phase) == (one.offset, one.contrast, one.phase)
+        for err in ("offset_err", "contrast_err", "phase_err"):
+            assert getattr(fit, err) == pytest.approx(getattr(one, err) / np.sqrt(shots))
+    # a fringe of contrast 2e-150 at 5e-324 shots has a phase error past the largest float
+    assert ramsey_fit(phases, 1e-150 * (1 - np.cos(phases)), shots=5e-324).phase_err == np.inf
+
+
 def test_metrics_reject_non_finite_input(rng):
     phases = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
     probs = 0.5 - 0.4 * np.cos(phases)
@@ -272,6 +287,17 @@ def test_metrics_name_arrays_that_do_not_fit(rng):
             (lambda: factor_product_state(np.where(np.arange(8) == 2, np.nan, ket), 3),
              r"vec\[2\] is \(nan\+0j\); vec must be finite"),
             (lambda: state_fidelity("x", ket), "state must be an array of complex numbers"),
+            (lambda: equatorial_phase(np.array([1.0, 0.0])), "no equatorial component"),
+            # each of these warned, or raised numpy's bare LinAlgError
+            (lambda: state_fidelity(np.eye(8) / 8, np.zeros(8)), "target is a zero ket"),
+            (lambda: state_fidelity(np.zeros(8), np.eye(8) / 8), "state is a zero ket"),
+            (lambda: state_fidelity(np.zeros(8), ket), "state is a zero ket"),
+            (lambda: factor_product_state(np.zeros(8), 3), "vec is a zero ket"),
+            (lambda: process_fidelity(np.zeros((0, 0)), np.zeros((0, 0))),
+             r"u and v have shape \(0, 0\); unitaries must be square"),
+            (lambda: ramsey_fit(np.zeros(8), np.full(8, 0.5)), "phases do not span a fringe"),
+            (lambda: ramsey_fit(np.linspace(0, 6, 8), np.full(8, 1e200)),
+             r"probs must lie in \[0, 1\] within 1e-9, got 1e\+200"),
             (lambda: error_budget(np.nan, 0.25, 0.96), "dephased_fidelity must be finite"),
             (lambda: error_budget(0.9, True, 0.96), "white_noise_fraction must be finite and "
                                                     ">= 0 and <= 1, got True")):

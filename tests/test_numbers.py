@@ -5,11 +5,13 @@ An int is an int, numpy's included, but never a bool; a real is finite. Each ent
 must either run on a valid number or raise its own layer's error naming the field: never a
 bare exception, and never a warning (an error under Tier-1's -W error). Hostile values are
 drawn on purpose: bools (Python's and numpy's), a numeric string, None, nan, +-inf, 1e308,
--0.0, 2**63, numpy scalars, a float where an int is due, and a Fraction, which is a
-numbers.Real that numpy does not compute with.
+-0.0, 2**63, 10**400 (past the largest float), 5e-324 (the least subnormal), numpy scalars,
+a float where an int is due, and a Fraction, which is a numbers.Real that numpy does not
+compute with.
 """
 
 import math
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ PROGRAM = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3)])
 J = np.array([[0.0, 229.3, 97.4], [229.3, 0.0, 229.3], [97.4, 229.3, 0.0]])
 PHASES = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
 HOSTILE = [True, False, np.True_, "1", None, math.nan, math.inf, -math.inf, 1e308, -0.0,
-           2**63, np.int64(3), np.float32(0.5), 2.5, Fraction(1, 2)]
+           2**63, 10**400, 5e-324, np.int64(3), np.float32(0.5), 2.5, Fraction(1, 2)]
 
 # The test's own reading of the rule, by exact types, so it does not restate the checks.
 INT_TYPES = (int, np.int64)
@@ -49,7 +51,11 @@ def is_int(value, low, high):
 
 
 def is_real(value, low=-math.inf, high=math.inf):
-    return type(value) in REAL_TYPES and math.isfinite(float(value)) and low <= value <= high
+    if type(value) not in REAL_TYPES:
+        return False
+    # an int past the largest float is not finite; float(10**400) would raise OverflowError
+    finite = abs(value) <= sys.float_info.max if type(value) in INT_TYPES else math.isfinite(value)
+    return finite and low <= value <= high
 
 
 def ints(low, high):

@@ -67,6 +67,8 @@ def test_parse_errors_carry_line_numbers():
         parse_program("R 0 pi 0\nEV 1e-3 dd=0,foo\n")
     with pytest.raises(ProgramError, match="unknown decoupling scheme 'bogus'"):
         FreeEvolve(1e-3, 0, "bogus")
+    with pytest.raises(ProgramError, match="line 2: bad angle token '0.5xpi'"):
+        parse_program("R 0 pi 0\nR 1 0.5xpi 0\n")
     with pytest.raises(ProgramError, match="line 2: register declared twice"):
         parse_program("# qubits: 2\n# qubits: 3\nR 0 pi 0\n")
     with pytest.raises(ProgramError, match="line 3: RELABEL given twice"):

@@ -346,6 +346,9 @@ def test_compile_rejects_degenerate_couplings():
     asym[0, 1] = 150.0
     with pytest.raises((CompilerError, ValueError)):
         compile_qft(asym)
+    with pytest.raises(CompilerError, match="unknown sequence form 'x'"):
+        qft.emit_sequence(BENCH_T1, BENCH_T2, qft.EntanglingSolution(BENCH_T3, 1.0, 1.0, 0.0, 1),
+                          form="x")
 
 
 def test_compile_rejects_non_finite_couplings():
