@@ -116,17 +116,18 @@ class TrapConfig:
             raise ValueError("ion_mass, axial_frequency and charge must be positive")
         if self.magnetic_gradient < 0:
             raise ValueError("magnetic_gradient must be non-negative")
-        try:
-            scale = self.length_scale
-        except ArithmeticError:  # m nu1^2 underflows to 0 or overflows
-            scale = 0.0
-        if not 0.0 < scale < math.inf:
-            raise ValueError(f"axial_frequency {self.axial_frequency:g} rad/s and ion_mass "
-                             f"{self.ion_mass:g} kg give no finite Coulomb length scale")
-        for name in ("bias_field", "magnetic_gradient"):
-            if not math.isfinite(self.g_factor * BOHR_MAGNETON * getattr(self, name) / HBAR):
-                raise ValueError(f"{name} {getattr(self, name):g} overflows its Zeeman rate "
-                                 f"g_factor mu_B {name} / hbar")
+        with np.errstate(all="ignore"):  # numpy scalars overflow to inf, 0 or nan: checked below
+            try:
+                scale = self.length_scale
+            except ArithmeticError:  # m nu1^2 underflows to 0 or overflows
+                scale = 0.0
+            if not 0.0 < scale < math.inf:
+                raise ValueError(f"axial_frequency {self.axial_frequency:g} rad/s and ion_mass "
+                                 f"{self.ion_mass:g} kg give no finite Coulomb length scale")
+            for name in ("bias_field", "magnetic_gradient"):
+                if not math.isfinite(self.g_factor * BOHR_MAGNETON * getattr(self, name) / HBAR):
+                    raise ValueError(f"{name} {getattr(self, name):g} overflows its Zeeman rate "
+                                     f"g_factor mu_B {name} / hbar")
 
     @property
     def length_scale(self):

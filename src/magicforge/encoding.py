@@ -22,7 +22,6 @@ import numpy as np
 
 from .gates import check_couplings
 from .program import (
-    BASES,
     BASIS_PI,
     BASIS_SIGMA_MINUS,
     BASIS_SIGMA_PLUS,
@@ -31,6 +30,7 @@ from .program import (
     FreeEvolve,
     PulseProgram,
     TransferBasis,
+    check_bases,
 )
 
 
@@ -47,16 +47,7 @@ class TopologyAssignment:
     bases: tuple
 
     def __post_init__(self):
-        if not isinstance(self.bases, (tuple, list)):
-            raise EncodingError(f"bases must be a tuple of encodings, got {self.bases!r}")
-        for b in self.bases:
-            if b not in BASES:
-                raise EncodingError(f"unknown basis {b!r}")
-        self.bases = tuple(self.bases)
-
-    @property
-    def mf(self):
-        return np.array([MF[b] for b in self.bases])
+        self.bases = check_bases(self.bases, EncodingError)
 
     def __str__(self):
         return ",".join(_SYMBOLS[b] for b in self.bases)

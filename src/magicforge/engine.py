@@ -78,7 +78,6 @@ from .program import (
     BASIS_PI,
     BASIS_SIGMA_MINUS,
     BASIS_SIGMA_PLUS,
-    BASES,
     Echo,
     FreeEvolve,
     PhaseShift,
@@ -86,6 +85,7 @@ from .program import (
     PulseProgram,
     Rotate,
     TransferBasis,
+    check_bases,
     check_decoupling,
 )
 
@@ -155,12 +155,7 @@ class QuantumState:
         check_array(self.rho, "rho", EngineError, complex)  # finite off the diagonal too
         if not np.abs(self.rho - self.rho.conj().T).max() <= STATE_TOLERANCE:
             raise EngineError(f"rho: not Hermitian (tolerance {STATE_TOLERANCE:g})")
-        if len(self.bases) != self.n_qubits:
-            raise EngineError("one encoding basis per qubit required")
-        for b in self.bases:
-            if b not in BASES:
-                raise EngineError(f"unknown encoding basis {b!r}")
-        self.bases = tuple(self.bases)
+        self.bases = check_bases(self.bases, EngineError, self.n_qubits)
         check_real(self.time, "time", EngineError)
 
     def populations(self):

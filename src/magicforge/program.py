@@ -42,6 +42,18 @@ class ProgramError(ValueError):
     """Raised for malformed programs or text that does not parse."""
 
 
+def check_bases(bases, error, n_qubits=None):
+    """`bases` as a tuple of names from BASES, one per qubit given `n_qubits`; else `error`."""
+    if not isinstance(bases, (tuple, list)):
+        raise error(f"bases must be a tuple of encodings, got {bases!r}")
+    if n_qubits is not None and len(bases) != n_qubits:
+        raise error("one encoding basis per qubit required")
+    for b in bases:
+        if not isinstance(b, str) or b not in BASES:  # an array's == would not be one bool
+            raise error(f"unknown encoding basis {b!r}")
+    return tuple(bases)
+
+
 def check_decoupling(n_pulses, scheme):
     """Reject a pulse count the decoupling scheme cannot use.
 
@@ -124,8 +136,7 @@ class TransferBasis:
 
     def __post_init__(self):
         _check_qubit(self)
-        if self.target not in BASES:
-            raise ProgramError(f"unknown encoding basis {self.target!r}")
+        check_bases((self.target,), ProgramError)
 
 
 @dataclass(frozen=True)

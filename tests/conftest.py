@@ -43,11 +43,20 @@ def _openblas_core():
     return "unknown"
 
 
+def _numpy_simd_tier():
+    """The highest x86-64 tier numpy's own SIMD loops dispatch to, "X86_V2", "X86_V3" or
+    "X86_V4", read as numpy.show_runtime() reads it; NPY_DISABLE_CPU_FEATURES lowers it."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return next((t for t in ("X86_V4", "X86_V3", "X86_V2") if __cpu_features__.get(t)), "unknown")
+
+
 def kernel_pin(pins):
     """The value pinned for the running OpenBLAS kernel set, out of {core name: value}.
 
-    Use it for a value that rounds differently per kernel; an unpinned kernel
-    fails the test, naming itself.
+    Use it only for a value that depends on the BLAS kernels alone. A value that numpy's
+    own SIMD tier (X86_V2, X86_V3 or X86_V4) also moves is not keyed by the core: pin
+    what the (tier, core) pairs that real CPUs run print, as tests/test_demos.py does for
+    demo 04. An unpinned core fails the test, naming itself.
     """
     core = _openblas_core()
     if core not in pins:

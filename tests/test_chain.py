@@ -97,12 +97,15 @@ def test_newton_iteration_counts_are_pinned(n, iterations):
 
 
 def test_newton_stop_at_max_ions_is_pinned_per_kernel():
-    # np.linalg.solve rounds the last Newton steps per OpenBLAS kernel: under SkylakeX the
-    # 84-ion chain meets |grad| < 1e-12 at iteration 10; under Haswell no damped step gets
-    # below 1.09e-12, inside the rounding floor, and the search stops at iteration 12
+    # np.linalg.solve rounds the last Newton steps per OpenBLAS core, and numpy's SIMD tier
+    # does not move them (measured under each of X86_V2, X86_V3 and X86_V4 with each core),
+    # so the pin is keyed by the core alone. Under SkylakeX the 84-ion chain meets
+    # |grad| < 1e-12 at iteration 10, and under Sandybridge at 11; under Haswell no damped
+    # step gets below 1.09e-12, inside the rounding floor, and the search stops at 12
     geo = equilibrium_positions(TrapConfig(ion_count=MAX_IONS))
     iterations, gradient_norm = kernel_pin({"SkylakeX": (10, 9.128095163917694e-13),
-                                            "Haswell": (12, 1.0897090427327293e-12)})
+                                            "Haswell": (12, 1.0897090427327293e-12),
+                                            "Sandybridge": (11, 9.413053801389982e-13)})
     assert (geo.iterations, geo.gradient_norm) == (iterations, gradient_norm)
     assert geo.gradient_norm <= chain._rounding_floor(geo.scaled_positions)
 
@@ -120,7 +123,7 @@ def test_newton_stall_above_the_rounding_floor_raises(monkeypatch):
 
 
 def test_chains_above_the_cap_are_rejected(tmp_path):
-    # the cap stays at 84 ions, the longest chain Tier-1 pins (per kernel)
+    # the cap stays at 84 ions, the longest chain Tier-1 pins (per OpenBLAS core)
     assert MAX_IONS == 84
     with pytest.raises(ValueError, match="ion_count 85 is above MAX_IONS = 84"):
         TrapConfig(ion_count=MAX_IONS + 1)

@@ -68,7 +68,8 @@ def test_parse_topology_round_trips():
     assignment = parse_topology(" -, +, 0 ")
     assert assignment.bases == (BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS, BASIS_PI)
     assert str(assignment) == "-,+,0"
-    assert assignment.mf.tolist() == [-1, 1, 0]
+    shaped = effective_couplings(1.0 - np.eye(3), assignment)
+    assert shaped.tolist() == [[0, -1, 0], [-1, 0, 0], [0, 0, 0]]  # m_F = -1, +1, 0
     for label in "ABCDE":  # a preset letter reads as its assignment, in either case
         preset = topology_preset(label)
         assert parse_topology(f" {label.lower()} ") == preset == parse_topology(str(preset))

@@ -476,6 +476,15 @@ def test_engine_names_arrays_that_do_not_fit():
             (lambda: QuantumState(1, np.eye(2) / 2, ("sigma-",) * 2),
              "one encoding basis per qubit required"),
             (lambda: QuantumState(1, np.eye(2) / 2, ("up",)), "unknown encoding basis 'up'"),
+            # None and 3 raised a bare TypeError from len(); "pi" read as the bases 'p', 'i'
+            (lambda: QuantumState(1, np.eye(2) / 2, None),
+             "bases must be a tuple of encodings, got None"),
+            (lambda: QuantumState(1, np.eye(2) / 2, 3), "bases must be a tuple of encodings, got 3"),
+            (lambda: QuantumState(2, np.eye(4) / 4, "pi"),
+             "bases must be a tuple of encodings, got 'pi'"),
+            # an array entry raised numpy's bare "truth value ... is ambiguous" ValueError
+            (lambda: QuantumState(1, np.eye(2) / 2, (np.array(["pi", "pi"]),)),
+             r"unknown encoding basis array\(\['pi', 'pi'\]"),
             (lambda: run_program(PulseProgram(3, []), np.zeros((3, 3)), initial=prepare_state(2)),
              "initial state has 2 qubits, program 3")):
         with pytest.raises(EngineError, match=message):

@@ -92,6 +92,16 @@ ENTRY_POINTS = {
                              lambda v: is_int(v, 1, MAX_IONS), ValueError, "ion_count"),
     "TrapConfig.reference_coordinate": (lambda v: TrapConfig(reference_coordinate=v), reals(),
                                         is_real, ValueError, "reference_coordinate"),
+    # a numpy scalar's nu1^2 overflows (1e200) or its m nu1^2 underflows to 0 (1e-200) with a
+    # warning where a float's raises: both give no finite Coulomb length scale
+    "TrapConfig.axial_frequency": (lambda v: TrapConfig(axial_frequency=v),
+                                   reals(1.0, 1e7) | st.sampled_from([np.float64(1e200),
+                                                                      np.float64(1e-200)]),
+                                   lambda v: is_real(v, 1e-30, 1e30), ValueError,
+                                   "axial_frequency"),
+    "TrapConfig.bias_field": (lambda v: TrapConfig(bias_field=v),
+                              reals() | st.just(np.float64(1e300)),
+                              lambda v: is_real(v, -1e30, 1e30), ValueError, "bias_field"),
     "NoiseModel.sigma_dephasing_rate": (lambda v: NoiseModel(sigma_dephasing_rate=v),
                                         reals(-10.0, 100.0), lambda v: is_real(v, 0),
                                         ValueError, "sigma_dephasing_rate"),
