@@ -192,38 +192,47 @@ class CouplingMatrix:
         np.fill_diagonal(self.j, 0.0)
 
 
-def _pair_powers(u, y):
-    """|u_k - u_m|**y for every pair of ions, inf on the diagonal so self-terms vanish.
+def _gaps(u):
+    """(d, |d|), d_km = u_k - u_m: one Newton iterate's gaps, for its gradient and Hessian."""
+    d = u[:, None] - u
+    return d, np.abs(d)
+
+
+def _pair_powers(gaps, y):
+    """|u_k - u_m|**y from the pair gaps |d|, inf on the diagonal so self-terms vanish.
 
     np.float_power calls the C library's pow per element, as the per-pair scalar pow J was
     frozen with did; never np.power, whose SIMD pow (x*x for y = 2) rounds the last bit
     differently (numpy 2.4.6, 200,000 gaps log-uniform over 1e-3..1e3: 10,362 at y = 3,
     171 at y = 2). The benchmark's frozen shot counts on 4-7 ion traps hang on that bit.
     """
-    p = np.float_power(np.abs(u[:, None] - u), y)
-    np.fill_diagonal(p, np.inf)
+    p = np.float_power(gaps, y)
+    p.flat[::len(p) + 1] = np.inf
     return p
 
 
-def _scaled_gradient(u):
-    """Gradient of V(u) = sum u^2/2 + sum_{i<j} 1/|u_i - u_j| in scaled units."""
-    terms = np.sign(u[:, None] - u) / _pair_powers(u, 2.0)
+def _scaled_gradient(u, gaps=None):
+    """Gradient of V(u) = sum u^2/2 + sum_{i<j} 1/|u_i - u_j| in scaled units; gaps = _gaps(u)."""
+    d, dist = _gaps(u) if gaps is None else gaps
+    folded = np.empty((len(u), len(u) + 1))  # u_k, then ion k's pair terms
+    folded[:, 0] = u
+    np.divide(np.sign(d), _pair_powers(dist, 2.0), out=folded[:, 1:])
     # a left fold, u_k minus each pair term in turn, so the sum rounds as a pair loop would
-    return np.subtract.reduce(np.column_stack([u, terms]), axis=1)
+    return np.subtract.reduce(folded, axis=1)
 
 
-def _scaled_hessian(u):
-    h = -2.0 / _pair_powers(u, 3.0)
+def _scaled_hessian(u, gaps=None):
+    h = -2.0 / _pair_powers((_gaps(u) if gaps is None else gaps)[1], 3.0)
     # 1 + the pair terms folded in pair order (0 - (-a) == 0 + a exactly)
-    np.fill_diagonal(h, np.subtract.reduce(h, axis=1, initial=0.0) + 1.0)
+    h.flat[::len(u) + 1] = np.subtract.reduce(h, axis=1, initial=0.0) + 1.0
     return h
 
 
 def _rounding_floor(u):
     """16 eps |s|, with s_k = |u_k| + sum_m 1/(u_k - u_m)^2 the magnitude of ion k's gradient
-    terms. A converged chain's |grad| stagnates at 0.2-8 eps |s| (2-120 ions, measured
-    under OpenBLAS's SkylakeX and Haswell kernels), so no damped step lowers it further."""
-    terms = np.abs(u) + (1.0 / _pair_powers(u, 2.0)).sum(axis=1)
+    terms. A converged chain's |grad| stagnates at 0.15-7.7 eps |s| (2-120 ions, measured under
+    OpenBLAS's SkylakeX, Haswell and Sandybridge kernels), so no damped step lowers it further."""
+    terms = np.abs(u) + (1.0 / _pair_powers(_gaps(u)[1], 2.0)).sum(axis=1)
     return 16.0 * np.finfo(float).eps * float(np.linalg.norm(terms))
 
 
@@ -240,29 +249,27 @@ def equilibrium_positions(config):
     n = config.ion_count
     scale = config.length_scale
     if n == 1:
-        return ChainGeometry(
-            positions=np.array([config.reference_coordinate]),
-            scaled_positions=np.zeros(1),
-            length_scale=scale,
-            iterations=0,
-            gradient_norm=0.0,
-        )
+        return ChainGeometry(positions=np.array([config.reference_coordinate]),
+                             scaled_positions=np.zeros(1), length_scale=scale, iterations=0,
+                             gradient_norm=0.0)
     # empirical minimum-spacing estimate keeps the start inside the basin
     spacing = 2.018 / n**0.559
     u = (np.arange(n) - (n - 1) / 2.0) * spacing
-    g = _scaled_gradient(u)
-    gnorm = np.linalg.norm(g)
+    gaps = _gaps(u)  # each iterate's gaps serve its gradient and then its Hessian
+    g = _scaled_gradient(u, gaps)
+    gnorm = np.sqrt(g.dot(g))  # what np.linalg.norm computes, without its checks
     for iteration in range(1, 201):
         if gnorm < 1e-12:
             break
-        step = np.linalg.solve(_scaled_hessian(u), g)
+        step = np.linalg.solve(_scaled_hessian(u, gaps), g)
         damp = 1.0
         for _ in range(40):
             trial = u - damp * step
-            if np.all(np.diff(trial) > 0):
-                # the accepted trial's gradient is the next iteration's
-                g_trial = _scaled_gradient(trial)
-                gnorm_trial = np.linalg.norm(g_trial)
+            if (trial[1:] > trial[:-1]).all():
+                # the accepted trial's gradient and gaps are the next iteration's
+                trial_gaps = _gaps(trial)
+                g_trial = _scaled_gradient(trial, trial_gaps)
+                gnorm_trial = np.sqrt(g_trial.dot(g_trial))
                 if gnorm_trial < gnorm:
                     break
             damp *= 0.5
@@ -273,7 +280,7 @@ def equilibrium_positions(config):
                                       f"|grad| = {gnorm:.3e}, above its rounding floor "
                                       f"{floor:.3e}")
             break
-        u, g, gnorm = trial, g_trial, gnorm_trial
+        u, gaps, g, gnorm = trial, trial_gaps, g_trial, gnorm_trial
     else:
         raise ChainModelError(
             "equilibrium search did not reach |grad| < 1e-12 in 200 iterations "

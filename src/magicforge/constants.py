@@ -16,9 +16,9 @@ ATOMIC_MASS = 1.66053906660e-27    # kg
 # complex doubles is 16 MB at 10 qubits and grows fourfold per qubit.
 MAX_QUBITS = 10
 
-# Longest ion chain TrapConfig accepts. Every chain of 1-84 ions reaches the
-# equilibrium solver's absolute |grad| < 1e-12 stop rule; beyond that the rule
-# lies below the rounding floor, and most longer chains report a stall.
+# Longest ion chain TrapConfig accepts. Every chain of 1-84 ions meets |grad| < 1e-12 but
+# one: under OpenBLAS Haswell the 84-ion search stops at 1.0897e-12, inside its rounding
+# floor. Beyond that the rule lies below the floor, and most longer chains report a stall.
 MAX_IONS = 84
 
 # Longest decoupling train one window takes; the schedules here use 8-20 pulses.

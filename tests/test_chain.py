@@ -1,4 +1,5 @@
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -48,6 +49,51 @@ def loop_hessian(u):
     return h
 
 
+LONG = np.longdouble
+
+
+def gauss_jordan(a, b):
+    """x with a x = b in a's dtype, by Gauss-Jordan elimination (np.linalg takes no longdouble).
+    No pivoting: every matrix solved here is a scaled Hessian, strictly diagonally dominant
+    (A_kk = 1 + sum_m |A_km|)."""
+    m = np.concatenate([a, b.reshape(len(a), -1)], axis=1)
+    for k in range(len(a)):
+        m[k] /= m[k, k]
+        column = m[:, k].copy()
+        column[k] = 0
+        m -= np.outer(column, m[k])
+    return m[:, len(a):].reshape(b.shape)
+
+
+def long_gradient_hessian(u):
+    """The scaled gradient and Hessian of V(u) in u's dtype, written out from V."""
+    off = ~np.eye(len(u), dtype=bool)
+    d = np.where(off, u[:, None] - u, 1)
+    pull = np.where(off, np.sign(d) / d**2, 0)
+    curve = np.where(off, 2 / np.abs(d) ** 3, 0)
+    h = -curve
+    h[np.diag_indices(len(u))] = 1 + curve.sum(axis=1)
+    return u - pull.sum(axis=1), h
+
+
+def long_double_couplings(config):
+    """Oracle J in np.longdouble: the equilibrium by Newton from the float64 one, then
+    J = hbar r^2 / (2 m nu1^2) A^-1, A the scaled Hessian there and r the Zeeman gradient rate
+    (the mode sum sum_n nu_n eps_in eps_jn collapsed; ROADMAP direction 9)."""
+    u = equilibrium_positions(config).scaled_positions.astype(LONG)
+    for _ in range(3):
+        g, h = long_gradient_hessian(u)
+        step = gauss_jordan(h, g)
+        u = u - step
+    # converged from float64 in one step: the last step is at long double's own resolution
+    assert np.abs(step).max() <= 64 * np.finfo(LONG).eps * np.abs(u).max()
+    rate = LONG(config.g_factor) * LONG(BOHR_MAGNETON) * LONG(config.magnetic_gradient) / LONG(HBAR)
+    scale = LONG(HBAR) * rate**2 / (2 * LONG(config.ion_mass) * LONG(config.axial_frequency) ** 2)
+    j = scale * gauss_jordan(long_gradient_hessian(u)[1], np.eye(len(u), dtype=LONG))
+    np.fill_diagonal(j, 0)
+    return j
+
+
 @st.composite
 def ascending_chains(draw):
     """Strictly ascending scaled positions of 2-84 ions, every length TrapConfig accepts."""
@@ -65,6 +111,10 @@ def test_broadcast_potential_matches_pairwise_loops(u):
     assert np.array_equal(chain._scaled_gradient(u), loop_gradient(u))
     h = chain._scaled_hessian(u)
     assert np.array_equal(h, loop_hessian(u))
+    # the search hands both the gaps it built once; that call form rounds alike
+    gaps = chain._gaps(u)
+    assert chain._scaled_gradient(u, gaps).tobytes() == loop_gradient(u).tobytes()
+    assert chain._scaled_hessian(u, gaps).tobytes() == h.tobytes()
     # the Hessian is the derivative of the gradient: central differences, column by column
     step = 1e-5 * np.diff(u).min()
     eye = np.eye(len(u))
@@ -72,6 +122,25 @@ def test_broadcast_potential_matches_pairwise_loops(u):
         (chain._scaled_gradient(u + step * e) - chain._scaled_gradient(u - step * e)) / (2 * step)
         for e in eye])
     np.testing.assert_allclose(fd, h, rtol=1e-6, atol=1e-6 * np.abs(h).max())
+
+
+@pytest.mark.skipif(np.finfo(LONG).eps == np.finfo(float).eps,
+                    reason=f"np.longdouble is float64 on {platform.system()} {platform.machine()}")
+def test_coupling_matrix_error_against_the_long_double_oracle():
+    """`coupling_matrix` within 3 x its measured float64 error of the long-double oracle.
+
+    Measured with numpy 2.4.6 as max |J - J_oracle| / max |J_oracle| per chain, worst over
+    every chain of 2-84 ions at a 0.05 T bias: 1.13e-13 (82 ions) under OpenBLAS SkylakeX,
+    1.27e-13 (73) under Haswell and 1.10e-13 (83) under Sandybridge. k = 3 over the worst
+    gives 3.8e-13; a J scaled by 1 + 1e-12 is about 9e-13 off and fails.
+    """
+    # IEEE quad (aarch64 Linux) is software arithmetic: a sample of the lengths there
+    lengths = range(2, MAX_IONS + 1) if np.finfo(LONG).nmant <= 64 else (2, 3, 10, 42, MAX_IONS)
+    for n in lengths:
+        config = TrapConfig(ion_count=n, bias_field=0.05)
+        want = long_double_couplings(config)
+        error = np.abs(coupling_matrix(config).j - want).max() / np.abs(want).max()
+        assert error <= 3 * 1.27e-13, (n, float(error))
 
 
 def test_pair_powers_are_the_c_library_pow():
@@ -116,10 +185,42 @@ def test_newton_stall_above_the_rounding_floor_raises(monkeypatch):
     rng = np.random.default_rng(7)
     gradient = chain._scaled_gradient
     monkeypatch.setattr(chain, "_scaled_gradient",
-                        lambda u: gradient(u) + 1e-9 * rng.standard_normal(u.size))
+                        lambda u, *rest: gradient(u, *rest) + 1e-9 * rng.standard_normal(u.size))
     with pytest.raises(chain.ChainModelError, match=r"stalled at iteration \d+, \|grad\| = "
                                                     r"\S+, above its rounding floor"):
         equilibrium_positions(TrapConfig(ion_count=10))
+
+
+def test_each_newton_iterate_subtracts_its_pairs_once(monkeypatch):
+    # one gap matrix per iterate whose gradient is taken (the start and each trial) serves
+    # that gradient and, once the trial is accepted, the next step's Hessian; the search
+    # once subtracted every pair three times per iterate, twice in the gradient and once
+    # more in the Hessian
+    built, gradients, hessians = [], [], []
+    gaps, gradient, hessian = chain._gaps, chain._scaled_gradient, chain._scaled_hessian
+
+    def counting_gaps(u):
+        built.append((u, gaps(u)))
+        return built[-1][1]
+
+    def counting_gradient(u, *rest):
+        gradients.append((u, *rest))
+        return gradient(u, *rest)
+
+    def counting_hessian(u, *rest):
+        hessians.append((u, *rest))
+        return hessian(u, *rest)
+
+    monkeypatch.setattr(chain, "_gaps", counting_gaps)
+    monkeypatch.setattr(chain, "_scaled_gradient", counting_gradient)
+    monkeypatch.setattr(chain, "_scaled_hessian", counting_hessian)
+    geo = equilibrium_positions(TrapConfig(ion_count=10))
+    # every Newton step took its first trial: the start and five trials, six builds
+    assert (geo.iterations, len(built), len(gradients), len(hessians)) == (6, 6, 6, 5)
+    for (u, g), call in zip(built, gradients):
+        assert call[0] is u and call[1] is g
+    for (u, g), call in zip(built, hessians):  # step k's Hessian is at iterate k
+        assert call[0] is u and call[1] is g
 
 
 def test_chains_above_the_cap_are_rejected(tmp_path):
