@@ -24,12 +24,12 @@ the walk keeps only the transfer rule, which hangs on those encodings, and it
 expands a decoupling train from its phase list, each pulse pair and window
 resolved once. Every run applies the steps in place to a (2^n, 2^n, B) stack of
 density matrices, slice b last (`_run`); `program_unitary` multiplies them
-into the ideal unitary.
-A pulse is never lifted to 2^n x 2^n: `_apply_pulse` applies its operator pair
-on the qubit's axis through one scratch stack, by views built once per run. A
-window's factors and damp are rebuilt only for a new window object; the damp is
-a gather at a ^ b (it depends only on which bits differ). Both per-step kernels,
-`apply_rotation` and `free_evolution`, are one-instruction runs of that loop.
+into the ideal unitary. A pulse is never lifted to 2^n x 2^n. A run keeps its
+stack pair-major (`_pairs`: each qubit's row and column bit adjacent, qubits in
+a tracked order); a pulse on q gathers q's pair to the front if it is not there,
+then applies op as one zgemm 4^n B/2 columns wide and op* as two 4^(n-1) B wide.
+A window's damp is a gather at a ^ b (it depends only on which bits differ). Both
+per-step kernels, `apply_rotation` and `free_evolution`, are one-instruction runs.
 Registers are capped at MAX_QUBITS; entering density matrices are checked, and
 states the engine builds itself (fresh registers, results) are not re-checked.
 A window or pulse whose Ising phase, damp exponent or run clock would overflow
@@ -39,11 +39,11 @@ fails with an EngineError naming its duration.
 `run_batch` runs one program on several product inputs, labels over {0, 1, +},
 at once: each is prepared from |0...0> by its own pulses, never as a ket (a
 ket-prepared input differs in the last bits), and the program is then walked
-once over the stack, a pulse on qubit q being 2^q zgemm calls 2^(2n-q-1) B
-columns wide. Each slice equals the single run of its input's pulses and the
-program bit for bit, by the 4-column rule: the pinned OpenBLAS rounds every
-column of a product a multiple of 4 wide alike. A 1-qubit run is 2 columns
-wide, so 1-qubit stacks run slice by slice.
+once over the stack. Each slice equals the single run of its input's pulses and
+the program bit for bit, by the 4-column rule: the pinned OpenBLAS rounds every
+column of a product a multiple of 4 wide alike, and from 2 qubits up every
+product is. A 1-qubit run's products are 2 columns wide (its op* runs on the
+transpose: 1 column would be a zgemv), so 1-qubit stacks run slice by slice.
 
 `fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
 state, so a scan over analysis phases runs its program once, not per phase.
@@ -54,8 +54,9 @@ whole sequence rather than per-gate noise. Readout error is classical and is
 applied to outcome distributions only, never to the state.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -135,6 +136,15 @@ class NoiseModel:
 
     def rate_for(self, basis):
         return self.pi_dephasing_rate if basis == BASIS_PI else self.sigma_dephasing_rate
+
+
+def _check_noise(noise, default=None):
+    """`noise` if a NoiseModel, `default()` for None where there is one; else an EngineError."""
+    if noise is None and default:
+        return default()
+    if not isinstance(noise, NoiseModel):
+        raise EngineError(f"noise must be a NoiseModel{' or None' * bool(default)}, got {noise!r}")
+    return noise
 
 
 @dataclass
@@ -254,17 +264,6 @@ def _trusted_state(n_qubits, rho, bases, time=0.0):
     state = object.__new__(QuantumState)
     vars(state).update(n_qubits=n_qubits, rho=rho, bases=bases, time=time)
     return state
-
-
-def _apply_pulse(rho, scratch_t, views, ops):
-    """rho <- op rho op^dagger in place on the (2^n, 2^n, B) stack, ops = (op, op*): op on the
-    rows, then op* on the rows of rho^T, each a matmul into scratch (`views`: rho, scratch as
-    (2^q, 2, -1), 2^q zgemm calls of B 2^(2n-q-1) columns) and a copy back from its transpose
-    `scratch_t`. This order gives the dense product's bits on 2-7 qubits, and the 4-column rule
-    (module docstring) each slice its single run's bits; 1-qubit stacks run slice by slice."""
-    for m in ops:
-        np.matmul(m, views[0], out=views[1])
-        np.copyto(rho, scratch_t)
 
 
 def apply_rotation(state, qubit, theta, phi=0.0):
@@ -423,40 +422,66 @@ def _slice(state):
     return _Frame(state.bases, np.array(state.rho[..., None], order="C"), np.array([state.time]))
 
 
+def _pairs(stack, order):
+    """The (2^n, 2^n, B) `stack` viewed pair-major: bits r_q, c_q per qubit q in `order`, then b."""
+    n = len(order)
+    bits = stack.reshape((2,) * 2 * n + stack.shape[2:])
+    return bits.transpose([axis for q in order for axis in (q, n + q)] + [2 * n])
+
+
 def _run_steps(frame, program, j, noise, pulse_duration):
-    """Apply `program`'s steps in place to the stack frame.rho and each slice's clock.
-    Factors are rebuilt only for a new window object: a train's windows, built under one
-    encoding pattern, take three factor pairs (tau/2, tau, tau/2). Pulse damps are per encoding.
+    """Apply `program`'s steps in place to the stack frame.rho and each slice's clock. Window
+    factors are built once per window object (a train's, under one encoding pattern, take three:
+    tau/2, tau, tau/2), pulse damps once per encoding pattern, and each is laid out once per order.
     A window, or a driven pulse that takes time, applies its factors, then advances the clocks."""
-    scratch = np.empty(frame.rho.shape, frame.rho.dtype)
-    views = [(frame.rho.reshape(2**q, 2, -1), scratch.reshape(2**q, 2, -1))
-             for q in range(frame.n_qubits)]
-    scratch_t = scratch.swapaxes(0, 1)
-    last = window_factors = None
+    n, order = frame.n_qubits, tuple(range(frame.n_qubits))
+    bufs = [np.empty_like(frame.rho), frame.rho]
+    pair_major = bufs[0].reshape((2,) * 2 * n + (-1,))
+    np.copyto(pair_major, _pairs(frame.rho, order))
+    rows, cols = [b.reshape(2, -1) for b in bufs], [b.reshape(2, 2, -1) for b in bufs]
+    gather = cache(lambda k, p: (bufs[1 - k].reshape(4, 4**p, -1),  # pair p of k to the front
+                                 bufs[k].reshape(4**p, 4, -1).swapaxes(0, 1)))
+    i, last = 0, None  # i: the buffer that holds the state
     clock = max(frame.time.tolist())
     pulse_damp = cache(lambda bases: _damp(bases, pulse_duration, noise))
+    def layout(factors, order):  # each factor as a C-ordered table in the order `order`
+        return tuple(np.ascontiguousarray(_pairs(f, order)).reshape(f.shape) for f in factors)
+    laid_pulse_damp = cache(lambda bases, order: layout(pulse_damp(bases), order))
     for step in _walk(program, j, frame):
         if isinstance(step, _Window):
             if step is not last:
-                last, window_factors = step, _window_factors(step, frame.bases, noise)
-            duration, factors = step.duration, window_factors
+                last, laid = step, cache(partial(layout, _window_factors(step, frame.bases, noise)))
+            duration, factors = step.duration, laid(order)
         else:
-            _apply_pulse(frame.rho, scratch_t, views[step.qubit], step.ops)
+            if p := order.index(step.qubit):
+                np.copyto(*gather(i, p))
+                i, order = 1 - i, (step.qubit,) + order[:p] + order[p + 1:]
+            np.matmul(step.ops[0], rows[i], out=rows[1 - i])
+            if n > 1:
+                np.matmul(step.ops[1], cols[1 - i], out=cols[i])
+            else:  # B columns would be a zgemv at B = 1, which rounds unlike zgemm
+                np.copyto(cols[i], cols[1 - i].swapaxes(0, 1))
+                np.matmul(step.ops[1], rows[i], out=rows[1 - i])
+                np.copyto(cols[i], cols[1 - i].swapaxes(0, 1))
             if not (step.driven and pulse_duration > 0):
                 continue
-            duration, factors = pulse_duration, pulse_damp(frame.bases)
+            duration, factors = pulse_duration, laid_pulse_damp(frame.bases, order)
         clock += duration  # the latest slice's clock, in Python floats
         _check_exponent(clock, duration, "run clock")
         for factor in factors:
-            frame.rho *= factor
+            bufs[i] *= factor
         frame.time += duration
+    if i:  # the state is in frame.rho's buffer, which the copy back writes
+        np.copyto(bufs[0], bufs[1])
+    np.copyto(_pairs(frame.rho, order), pair_major)
 
 
 def _step(state, ins, j=None, noise=None):
     """Run one instruction on `state` in place, through `_run_steps` on a one-slice stack
     (no relabeling, no depolarizing mix); `noise` None is no dephasing."""
     frame = _slice(state)
-    _run_steps(frame, PulseProgram(state.n_qubits, [ins]), j, noise or NoiseModel.off(), 0.0)
+    _run_steps(frame, PulseProgram(state.n_qubits, [ins]), j, _check_noise(noise, NoiseModel.off),
+               0.0)
     state.rho, state.time = frame.rho[..., 0], float(frame.time[0])
 
 
@@ -490,7 +515,7 @@ def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     if isinstance(initial, str):
         return run_batch(program, j, [initial], noise, pulse_duration)[0]
     check_real(pulse_duration, "pulse_duration", EngineError, 0)
-    noise = noise or NoiseModel()
+    noise = _check_noise(noise, NoiseModel)
     j = check_couplings(j, program.n_qubits, EngineError)
     if not isinstance(initial, QuantumState):
         initial = prepare_state(program.n_qubits, initial)
@@ -512,7 +537,7 @@ def run_batch(program, j, inputs, noise=None, pulse_duration=0.0):
     `run_program` on the input's pulses followed by `program`, bit for bit.
     """
     check_real(pulse_duration, "pulse_duration", EngineError, 0)
-    noise = noise or NoiseModel()
+    noise = _check_noise(noise, NoiseModel)
     n = program.n_qubits
     j = check_couplings(j, n, EngineError)
     if not isinstance(inputs, (list, tuple)):
@@ -552,6 +577,7 @@ def program_unitary(program, j):
 def apply_readout_confusion(p, fidelity, n_qubits):
     """Symmetric per-qubit classical bit-flip channel on an outcome distribution."""
     p = check_array(p, "p", EngineError, ndim=(1, 2))
+    check_real(fidelity, "fidelity", EngineError, 0.5, 1)
     if p.shape[0] != 2**n_qubits:
         raise EngineError(f"p has shape {p.shape}; a {n_qubits}-qubit register has {2**n_qubits}")
     flips = _by_xor(bit_table(n_qubits).sum(axis=-1))
@@ -561,6 +587,7 @@ def apply_readout_confusion(p, fidelity, n_qubits):
 
 def measurement_probabilities(state, noise):
     """Outcome distribution over basis states, with readout error when readout_fidelity < 1."""
+    noise = _check_noise(noise)
     p = state.populations()
     p = p / p.sum()
     if noise.readout_fidelity < 1.0:
@@ -580,8 +607,9 @@ def sample_counts(p, shots, rng):
     """
     check_int(shots, "shots", EngineError, 1, 2**63 - 1,
               f"shots must be an int in 1..2^63-1, got {shots!r}")
-    if rng is None:
-        raise EngineError("finite-shot sampling needs an explicit rng")
+    if not isinstance(rng, np.random.Generator):
+        raise EngineError(f"finite-shot sampling needs an explicit rng, a numpy Generator; "
+                          f"got {rng!r}")
     p = check_array(p, "p", EngineError, ndim=(1, 2))
     if (size := p.shape[-1]) < 2 or size & (size - 1):
         raise EngineError(f"distribution p of shape {p.shape} is not one probability per "
@@ -618,6 +646,8 @@ def ramsey_scan(qubit, duration, phases, j, noise=None, spectator_bits=None, dd_
     `fringe_scan`: exact under any NoiseModel, as the pulse commutes with the
     end-of-run depolarizing mix.
     """
+    if not isinstance(spectator_bits, (Mapping, type(None))):
+        raise ProgramError(f"spectator_bits must map qubit to bit, got {spectator_bits!r}")
     label = ["0"] * 3
     for q, bit in (spectator_bits or {}).items():
         if q == qubit:

@@ -471,6 +471,26 @@ def test_engine_names_arrays_that_do_not_fit():
             (lambda: sample_counts("x", 10, np.random.default_rng(1)),
              "p must be an array of float numbers"),
             (lambda: sample_counts(np.full(4, 0.25), 10, None), "needs an explicit rng"),
+            # an int died in a bare AttributeError, a RandomState with a stacked p in
+            # numpy's "object too deep for desired array"
+            (lambda: sample_counts(np.full(4, 0.25), 10, 7),
+             "needs an explicit rng, a numpy Generator; got 7"),
+            (lambda: sample_counts(np.full((2, 4), 0.25), 10, np.random.RandomState(1)),
+             "a numpy Generator; got RandomState"),
+            # 1.5 gave negative weights
+            (lambda: apply_readout_confusion(np.full(8, 0.125), 1.5, 3),
+             "fidelity must be finite and >= 0.5 and <= 1, got 1.5"),
+            # a falsy noise (0, False) silently ran the full default model, and a string
+            # or None where no default exists died in a bare AttributeError
+            (lambda: run_program(PulseProgram(3, []), np.zeros((3, 3)), noise=0),
+             "noise must be a NoiseModel or None, got 0"),
+            (lambda: run_batch(PulseProgram(3, []), np.zeros((3, 3)), ["000"], noise=False),
+             "noise must be a NoiseModel or None, got False"),
+            (lambda: ramsey_scan(0, 1e-3, [0.0], np.zeros((3, 3)), noise="x"),
+             "noise must be a NoiseModel or None, got 'x'"),
+            (lambda: free_evolution(prepare_state(3), 1e-3, np.zeros((3, 3)), noise=0),
+             "noise must be a NoiseModel or None, got 0"),
+            (lambda: measurement_probabilities(st, None), "noise must be a NoiseModel, got None"),
             (lambda: QuantumState(3, np.eye(4) / 4, ("sigma-",) * 3),
              r"density matrix shape \(4, 4\) != \(8, 8\)"),
             (lambda: QuantumState(1, np.eye(2) / 2, ("sigma-",) * 2),
@@ -775,15 +795,33 @@ def test_trains_run_without_building_a_program(monkeypatch, bench_j):
         assert np.allclose(np.outer(ket, ket.conj()), ideal, atol=1e-12)
 
 
+class RecordingNumpy:
+    """numpy for `engine`, recording what its kernel does: the operand shapes of each
+    matmul, and every array the engine allocates empty or writes by matmul or copyto."""
+
+    def __init__(self):
+        self.products, self.written = [], []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty_like(self, *args, **kwargs):
+        self.written.append(np.empty_like(*args, **kwargs))
+        return self.written[-1]
+
+    def matmul(self, a, b, out=None):
+        self.products.append((np.shape(a), np.shape(b)))
+        self.written.append(out)
+        return np.matmul(a, b, out=out)
+
+    def copyto(self, dst, src):
+        self.written.append(dst)
+        np.copyto(dst, src)
+
+
 def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
-    scratches = []
-    apply_pulse = engine._apply_pulse
-
-    def recording(rho, scratch_t, views, ops):
-        scratches.extend([scratch_t, views[1]])  # both views of the run's scratch stack
-        apply_pulse(rho, scratch_t, views, ops)
-
-    monkeypatch.setattr(engine, "_apply_pulse", recording)
+    recorder = RecordingNumpy()
+    monkeypatch.setattr(engine, "np", recorder)
     prog = PulseProgram(3, [FreeEvolve(1e-3, 20, "kdd"), Rotate(1, np.pi / 2, 0.4)])
     inputs = ["+00", "010", "000"]
     # no depolarizing mix, so each result is the run's own stack, not a fresh sum
@@ -792,30 +830,59 @@ def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
     second = run_batch(prog, bench_j, inputs, noise=noise, pulse_duration=1e-6)
     for a, b in zip(first, second, strict=True):
         assert np.array_equal(a.state.rho, b.state.rho) and a.state.time == b.state.time
+    # every buffer the runs wrote: each stack, its scratch, and the products' outputs
+    written = [w for w in recorder.written if w is not None]
+    assert recorder.products and any(w.shape == (8, 8, 3) for w in written)
     rhos = [r.state.rho for r in first + second]
     for k, rho in enumerate(rhos):
         assert not any(np.shares_memory(rho, other) for other in rhos[k + 1:])
-        assert not any(np.shares_memory(rho, s) for s in scratches)
+        assert not any(np.shares_memory(rho, w) for w in written)
+
+
+def test_each_pulse_half_is_one_product_on_the_leading_axis(monkeypatch):
+    # whatever the qubit, op is one (2x2) @ (2 x 4^n B/2) product and op* one batch of two
+    # (2x2) @ (2 x 4^(n-1) B): both a multiple of 4 wide from 2 qubits up (4-column rule)
+    recorder = RecordingNumpy()
+    monkeypatch.setattr(engine, "np", recorder)
+    rng = np.random.default_rng(33)
+    for n in (2, 5, 7):
+        qubits = [*range(n), *rng.permutation(n), n - 1, 0, n - 1]
+        prog = PulseProgram(n, [Rotate(int(q), 1.1, 0.2 * q) for q in qubits])
+        for inputs in (["0" * n], ["+" * n, "1" * n, "0" * n]):
+            recorder.products.clear()
+            run_batch(prog, np.zeros((n, n)), inputs, noise=NoiseModel(), pulse_duration=1e-6)
+            width = 4**n * len(inputs)
+            assert recorder.products[-2 * len(qubits):] == [
+                ((2, 2), (2, width // 2)), ((2, 2), (2, 2, width // 4))] * len(qubits)
+            assert all(len(b) == 2 or b[0] <= 2 for _, b in recorder.products)
 
 
 def test_blas_rounds_every_column_of_a_4k_wide_product_alike():
-    # a stacked pulse is one (2x2) @ (2 x B 4^n / 2^(q+1)) product per row block, and a
-    # single run the same product B times narrower; the pinned OpenBLAS zgemm rounds each
-    # column of a product whose width is a multiple of 4 the same way, so the slices agree
+    # a pulse is one (2x2) @ (2 x 4^n B/2) product on the row bit and two (2x2) @
+    # (2 x 4^(n-1) B) on the column bit, B slices wide; a single run is the same products at
+    # B = 1. The pinned OpenBLAS zgemm rounds each column of a product whose width is a
+    # multiple of 4 as it rounds that column's 4-column block, so every slice of a stack
+    # keeps its single run's bits. Checked here for every width up to 2^19 columns, the row
+    # product of a 10-qubit single run (4^10 / 2). The wider stacked products of 9 and 10
+    # qubits (up to 4^10 17 / 2 columns, 285 MB an operand) are not allocated here.
     rng = np.random.default_rng(20261019)
     op = rotation_2x2(*rng.uniform(0, 2 * np.pi, 2))
-    for width in (8, 64, 17 * 32):
-        x = rng.normal(size=(2, width)) + 1j * rng.normal(size=(2, width))
-        blocks = np.concatenate([op @ np.ascontiguousarray(x[:, k:k + 4])
-                                 for k in range(0, width, 4)], axis=1)
-        assert (op @ x).tobytes() == blocks.tobytes(), (
+    widths = {(n, b): (4**n * b // 2, 4**(n - 1) * b)
+              for n in range(1, MAX_QUBITS + 1) for b in (1, 2, 3, 4, 17)}
+    checked = sorted({w for pair in widths.values() for w in pair if w % 4 == 0 and w <= 2**19})
+    assert 8192 in checked and 2**19 in checked  # the 7- and 10-qubit single-run row products
+    pool = rng.normal(size=2 * checked[-1]) + 1j * rng.normal(size=2 * checked[-1])
+    for width in checked:
+        x = pool[:2 * width].reshape(2, width)
+        blocks = np.ascontiguousarray(x.reshape(2, width // 4, 4).swapaxes(0, 1))
+        by_blocks = np.matmul(op, blocks).swapaxes(0, 1).reshape(2, width)
+        assert (op @ x).tobytes() == by_blocks.tobytes(), (
             f"zgemm rounds a {width}-column product unlike its 4-column blocks: stacked "
             "runs no longer equal single runs bit for bit on this BLAS")
-    # every pulse product of a single run is a multiple of 4 wide but one: 1 qubit, 2 columns,
-    # so run_batch keeps 1-qubit stacks slice by slice
-    narrow = [(n, 4**n // 2**(q + 1)) for n in range(1, MAX_QUBITS + 1) for q in range(n)
-              if 4**n // 2**(q + 1) % 4]
-    assert narrow == [(1, 2)]
+    # every product is a multiple of 4 wide but the 1-qubit ones (2B and B columns), so
+    # run_batch keeps 1-qubit stacks slice by slice and a 1-qubit op* runs transposed
+    narrow = sorted({n for (n, _), pair in widths.items() if any(w % 4 for w in pair)})
+    assert narrow == [1]
 
 
 def test_wide_transform_stack_matches_single_runs():
@@ -926,6 +993,9 @@ def test_ramsey_scan_checks_its_spectators(bench_j):
             scan(bits)
     with pytest.raises(ProgramError, match="probe qubit cannot be its own spectator"):
         scan({0: 1})
+    # a list died in a bare AttributeError
+    with pytest.raises(ProgramError, match=r"spectator_bits must map qubit to bit, got \[1, 0\]"):
+        scan([1, 0])
     with pytest.raises(EngineError, match="qubit 3 outside register of 3"):
         scan({3: 0})
     # numpy ints are bits; a spectator left out is in 0
