@@ -37,16 +37,19 @@ fails with an EngineError naming its duration.
 
 `run_program` is the one-slice case of that run (of `run_batch`, for a label).
 `run_batch` runs one program on several product inputs, labels over {0, 1, +},
-at once: each is prepared from |0...0> by its own pulses, never as a ket (a
-ket-prepared input differs in the last bits), and the program is then walked
-once over the stack. Each slice equals the single run of its input's pulses and
-the program bit for bit, by the 4-column rule: the pinned OpenBLAS rounds every
-column of a product a multiple of 4 wide alike, and from 2 qubits up every
-product is. A 1-qubit run's products are 2 columns wide (its op* runs on the
-transpose: 1 column would be a zgemv), so 1-qubit stacks run slice by slice.
+at once: each is prepared from |0...0> by its own pulses, the one preparation
+of a label (`_prepared`, which `prepare_state` returns too; `product_input_ket`
+is the ideal reference ket, which differs in the last bits), and the program is
+then walked once over the stack. Each slice equals the single run of its
+input's pulses and the program bit for bit, by the 4-column rule: the pinned
+OpenBLAS rounds every column of a product a multiple of 4 wide alike, and from
+2 qubits up every product is. A 1-qubit run's products are 2 columns wide (its
+op* runs on the transpose: 1 column would be a zgemv), so 1-qubit stacks run
+slice by slice.
 
 `fringe_scan` reads a Ramsey fringe in closed form off the probe's reduced
-state, so a scan over analysis phases runs its program once, not per phase.
+state (`partial_trace` takes one qubit), so a scan over analysis phases runs
+its program once, not per phase.
 
 A depolarizing fraction zeta is folded in once, in place, at the end of a run,
 rho -> zeta I/2^n + (1 - zeta) rho, modelling accumulated pulse error over a
@@ -172,33 +175,22 @@ class QuantumState:
         return np.clip(np.diag(self.rho).real, 0.0, None)
 
 
-def partial_trace(rho, keep):
-    """Partial trace of a 2^n x 2^n rho keeping the listed qubits, in the order given.
+def partial_trace(rho, qubit):
+    """The 2 x 2 reduced state of one qubit of a 2^n x 2^n rho.
 
     `rho` may be a (2^n, 2^n, B) stack, slice b last as `run_batch` runs it; each
-    slice is traced as a single rho is, bit for bit, and the result keeps the stack axis.
+    slice is traced as a single rho is, bit for bit, and the result is (2, 2, B).
     """
     rho = check_array(rho, "rho", EngineError, complex, (2, 3))
     n = rho.shape[0].bit_length() - 1
     if rho.shape[:2] != (2**n, 2**n):
         raise EngineError(f"rho of shape {rho.shape} is not 2^n x 2^n")
-    stack = list(rho.shape[2:])
-    keep = list(keep)
-    for q in keep:
-        _check_qubit(q, n)
-    if len(set(keep)) != len(keep):
-        raise EngineError(f"qubits {keep} repeated in partial trace")
-    t = rho.reshape([2] * (2 * n) + stack)
-    drop = [q for q in range(n) if q not in keep]
-    for count, q in enumerate(sorted(drop)):
+    _check_qubit(qubit, n)
+    t = rho.reshape([2] * (2 * n) + list(rho.shape[2:]))
+    for count, q in enumerate(q for q in range(n) if q != qubit):
         axis = q - count  # earlier traces shrink the index space
         t = np.trace(t, axis1=axis, axis2=axis + (n - count))
-    remaining = [q for q in range(n) if q not in drop]
-    m = len(keep)
-    order = [remaining.index(q) for q in keep]
-    t = t.reshape([2] * (2 * m) + stack).transpose(
-        order + [o + m for o in order] + list(range(2 * m, 2 * m + len(stack))))
-    return t.reshape([2**m, 2**m] + stack)
+    return t
 
 
 # Each token of a product input: its single-qubit ket, and the (theta, phi)
@@ -225,14 +217,9 @@ def product_input_ket(label):
     return product_ket([_INPUT_TOKENS[c][0] for c in check_label(label, len(label), ProgramError)])
 
 
-def _input_pulses(label):
-    """Pulses preparing the checked product input `label` from |0...0>."""
-    return [Rotate(q, *_INPUT_TOKENS[ch][1]) for q, ch in enumerate(label) if ch != "0"]
-
-
 def prepare_state(n_qubits, spec=None):
-    """Fresh register state in sigma-: |0...0>, a product label over {0, 1, +}
-    (`product_input_ket`), a unit ket vector, or a density matrix."""
+    """Fresh register state in sigma-: |0...0>, a product label over {0, 1, +} prepared
+    by its pulses as a run prepares it (`_prepared`), a unit ket vector, or a density matrix."""
     dim = 2 ** _check_register(n_qubits)
     bases = (BASIS_SIGMA_MINUS,) * n_qubits
     if spec is None:
@@ -244,8 +231,8 @@ def prepare_state(n_qubits, spec=None):
     except ValueError:  # a ragged sequence, which check_array names
         label = False
     if label:
-        v = product_input_ket(check_label(spec, n_qubits, EngineError))
-        return _trusted_state(n_qubits, np.outer(v, v.conj()), bases)
+        frame = _prepared(check_label(spec, n_qubits, EngineError), NoiseModel.off(), 0.0)
+        return _trusted_state(n_qubits, frame.rho[..., 0], bases)
     arr = check_array(spec, "state", EngineError, complex, (1, 2), finite=False)
     if arr.ndim == 1:
         if arr.size != dim:
@@ -278,7 +265,7 @@ def _window_phase(j, state, duration):
     j = _encoded(j, state.bases)
     total = sum(map(abs, np.triu(j, 1).ravel().tolist()))
     _check_exponent(float(duration) / 2.0 * total, duration, "Ising phase T/2*sum|J|")
-    return np.exp(1j * free_phases(j, duration, state.n_qubits))
+    return np.exp(1j * free_phases(j, duration))
 
 
 def _by_xor(values):
@@ -501,6 +488,15 @@ def _run(frame, program, j, noise, pulse_duration):
                                      frame.bases, float(t))) for b, t in enumerate(frame.time)]
 
 
+def _prepared(label, noise, pulse_duration):
+    """The one-slice frame that the checked product input `label`'s pulses (R(pi) for 1,
+    R(pi/2, pi/2) for +) make from |0...0> in sigma-; each pulse takes pulse_duration."""
+    frame = _slice(prepare_state(len(label)))
+    pulses = [Rotate(q, *_INPUT_TOKENS[ch][1]) for q, ch in enumerate(label) if ch != "0"]
+    _run_steps(frame, PulseProgram(len(label), pulses), None, noise, pulse_duration)
+    return frame
+
+
 def run_program(program, j, noise=None, initial=None, pulse_duration=0.0):
     """Execute a pulse program and return the final (noisy) register state.
 
@@ -530,11 +526,9 @@ def run_batch(program, j, inputs, noise=None, pulse_duration=0.0):
     """Run one program on several product inputs as a stack rho[b]; one RunResult per input.
 
     Input b is the label `inputs[b]` over {0, 1, +}, one character per qubit of
-    `program`, qubit 0 first. It is prepared from |0...0> in sigma- by its pulses
-    (R(pi) for 1, R(pi/2, pi/2) for +) on its own one-slice stack, never as a ket:
-    a ket-prepared input differs from the pulse-prepared one in the last bits.
-    `program` is then walked once over the whole stack. Each result equals
-    `run_program` on the input's pulses followed by `program`, bit for bit.
+    `program`, qubit 0 first, prepared by its pulses on its own one-slice stack
+    (`_prepared`). `program` is then walked once over the whole stack. Each result
+    equals `run_program` on the input's pulses followed by `program`, bit for bit.
     """
     check_real(pulse_duration, "pulse_duration", EngineError, 0)
     noise = _check_noise(noise, NoiseModel)
@@ -547,12 +541,8 @@ def run_batch(program, j, inputs, noise=None, pulse_duration=0.0):
         raise EngineError("run_batch needs at least one input")
     if n == 1 and len(inputs) > 1:  # 2 columns round unlike 4k (module docstring)
         return [run_batch(program, j, [label], noise, pulse_duration)[0] for label in inputs]
-    slices = []
-    for label in inputs:
-        frame = _slice(prepare_state(n))
-        prep = _input_pulses(check_label(label, n, EngineError))
-        _run_steps(frame, PulseProgram(n, prep), j, noise, pulse_duration)
-        slices.append(frame)
+    slices = [_prepared(check_label(label, n, EngineError), noise, pulse_duration)
+              for label in inputs]
     stack = _Frame(slices[0].bases, np.concatenate([f.rho for f in slices], axis=-1),
                    np.concatenate([f.time for f in slices]))
     return _run(stack, program, j, noise, pulse_duration)
@@ -574,12 +564,19 @@ def program_unitary(program, j):
     return u
 
 
-def apply_readout_confusion(p, fidelity, n_qubits):
-    """Symmetric per-qubit classical bit-flip channel on an outcome distribution."""
+def _register_of(p, axis):
+    """n for 2^n entries of p along `axis`, one per basis state; else an EngineError naming p."""
+    if (size := p.shape[axis]) < 2 or size & (size - 1):
+        raise EngineError(f"distribution p of shape {p.shape} is not one probability per "
+                          "basis state of a register (2^n entries)")
+    return size.bit_length() - 1
+
+
+def apply_readout_confusion(p, fidelity):
+    """Symmetric per-qubit classical bit-flip channel on a distribution p (or p's columns)."""
     p = check_array(p, "p", EngineError, ndim=(1, 2))
     check_real(fidelity, "fidelity", EngineError, 0.5, 1)
-    if p.shape[0] != 2**n_qubits:
-        raise EngineError(f"p has shape {p.shape}; a {n_qubits}-qubit register has {2**n_qubits}")
+    n_qubits = _register_of(p, 0)
     flips = _by_xor(bit_table(n_qubits).sum(axis=-1))
     c = fidelity ** (n_qubits - flips) * (1 - fidelity) ** flips
     return c @ p
@@ -591,7 +588,7 @@ def measurement_probabilities(state, noise):
     p = state.populations()
     p = p / p.sum()
     if noise.readout_fidelity < 1.0:
-        p = apply_readout_confusion(p, noise.readout_fidelity, state.n_qubits)
+        p = apply_readout_confusion(p, noise.readout_fidelity)
     return p
 
 
@@ -611,9 +608,7 @@ def sample_counts(p, shots, rng):
         raise EngineError(f"finite-shot sampling needs an explicit rng, a numpy Generator; "
                           f"got {rng!r}")
     p = check_array(p, "p", EngineError, ndim=(1, 2))
-    if (size := p.shape[-1]) < 2 or size & (size - 1):
-        raise EngineError(f"distribution p of shape {p.shape} is not one probability per "
-                          "basis state of a register (2^n entries)")
+    _register_of(p, -1)
     bad = np.argwhere(p < -1e-12)
     if bad.size:
         raise EngineError(f"p{bad[0].tolist()} is {float(p[tuple(bad[0])])}; p must be >= -1e-12")
@@ -667,7 +662,7 @@ def fringe_scan(state, qubit, phases):
     `run_batch` runs them; it gives one row of P per slice, (B, len(phases)), and
     each row holds the bits of that slice's own scan.
     """
-    r = partial_trace(getattr(state, "rho", state), [qubit])
+    r = partial_trace(getattr(state, "rho", state), qubit)
     r = r[..., None] if r.ndim == 3 else r  # a stack: slice b's scan is row b
     phases = check_array(phases, "phases", EngineError, ndim=1)
     return (r[0, 0] + r[1, 1]).real / 2 + np.imag(np.exp(1j * phases) * r[0, 1])

@@ -51,13 +51,12 @@ def z_eigenvalues(n_qubits):
     return read_only(1.0 - 2.0 * bit_table(n_qubits))
 
 
-def free_phases(j, duration, n_qubits):
-    """Diagonal phase angles T/2 * sum_{i<j} J_ij z_i z_j for each basis state."""
-    z = z_eigenvalues(n_qubits)
-    expo = np.zeros(2**n_qubits)
-    for i in range(n_qubits):
-        for k in range(i + 1, n_qubits):
-            expo += j[i, k] * z[:, i] * z[:, k]
+def free_phases(j, duration):
+    """Diagonal phase angles T/2 * sum_{i<j} J_ij z_i z_j for each basis state of J's register."""
+    z = z_eigenvalues(len(j))
+    expo = np.zeros(len(z))
+    for i, k in zip(*np.triu_indices(len(j), 1)):  # pairs in row order
+        expo += j[i, k] * z[:, i] * z[:, k]
     return duration / 2.0 * expo
 
 

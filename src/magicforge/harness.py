@@ -192,7 +192,7 @@ def _ion_fidelities(rho, factors, perm):
     the finished register holds ion perm[s] and is compared with factors[s]; the
     three slots' reduced states are read as one stack of 3B slices.
     """
-    reduced = np.concatenate([partial_trace(rho, [slot]) for slot in range(3)], axis=-1)
+    reduced = np.concatenate([partial_trace(rho, slot) for slot in range(3)], axis=-1)
     fidelities = state_fidelity(reduced, np.concatenate(factors, axis=-1))
     return fidelities.reshape(3, -1)[np.argsort(perm)]
 
@@ -457,6 +457,8 @@ def build_scenario(values, base, name):
     if program is None:
         raise ValueError("missing program path")
     program = load_program(os.path.join(base, program))
+    if (couplings is None) == (trap is None):
+        raise ValueError("need either couplings or trap, not both")
     if couplings is not None:
         if topology:
             raise ValueError("topology needs a trap source, not couplings")
@@ -465,16 +467,14 @@ def build_scenario(values, base, name):
         j = coupling_matrix(*solve_trap_file(os.path.join(base, trap))).j
         if topology:
             j = effective_couplings(j, parse_topology(topology))
-    else:
-        raise ValueError("need either couplings or trap")
     return Scenario(program=program, couplings=j, input_state=fields.pop("input", None), **fields)
 
 
 def load_scenario_file(path):
     """`build_scenario` of a scenario config (INI, by `chain.read_ini`); HarnessError on bad input.
 
-    Required keys in [scenario]: program (path). Coupling source: either couplings (J matrix
-    file) or trap (trap config file); only trap takes topology (preset letter or per-qubit
+    Required keys in [scenario]: program (path). Coupling source: exactly one of couplings (J
+    matrix file) or trap (trap config file); only trap takes topology (preset letter or per-qubit
     basis list); relative paths are read from the file's directory. Optional: input (one of
     0, 1, + per program qubit; all 0 by default), noise, shots (0..2^63-1), seed (>= 0),
     name (one line, no path separator, not . or ..; the file's stem by default; also

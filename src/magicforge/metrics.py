@@ -196,15 +196,14 @@ def fringe_fidelity(fit, ideal_phase):
     return float(0.5 + 0.5 * fit.contrast * np.cos(fit.phase - ideal_phase))
 
 
-def factor_product_state(vec, n_qubits):
-    """Split a product ket into per-qubit factors; raises if entangled (Schmidt value > 1e-9)."""
+def factor_product_state(vec):
+    """Split a product ket of 2^n entries into its n per-qubit factors; raises if entangled
+    (Schmidt value > 1e-9)."""
     vec = check_array(vec, "vec", MetricsError, complex, 1)
-    if vec.size != 2**n_qubits:
-        raise MetricsError(f"vec of size {vec.size} is not a ket of {n_qubits} qubits")
-    vec = _unit(vec, "vec")
-    factors = []
-    rest = vec
-    for _ in range(n_qubits - 1):
+    if vec.size < 2 or vec.size & (vec.size - 1):
+        raise MetricsError(f"vec of size {vec.size} is not a ket of a register (2^n entries)")
+    factors, rest = [], _unit(vec, "vec")
+    while rest.size > 2:  # split off the leading qubit
         m = rest.reshape(2, -1)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
         if s.size > 1 and s[1] > 1e-9:

@@ -89,7 +89,7 @@ def reference_answer(label):
     ket = read_only(product_input_ket(label))
     output = read_only(reference_qft() @ ket)
     try:
-        factors = read_only(np.array(factor_product_state(output, 3)))
+        factors = read_only(np.array(factor_product_state(output)))
     except MetricsError:  # an entangled output has no per-qubit factors
         factors = None
     return ReferenceAnswer(ket, output, factors)

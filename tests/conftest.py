@@ -106,9 +106,9 @@ def embed(op2, qubit, n_qubits):
     return out
 
 
-def free_unitary(j, duration, n_qubits):
+def free_unitary(j, duration):
     """Dense diagonal unitary of one free-evolution window."""
-    return np.diag(np.exp(1j * free_phases(j, duration, n_qubits)))
+    return np.diag(np.exp(1j * free_phases(j, duration)))
 
 
 def selective_recoupling_wrap(duration, echo_qubit):

@@ -74,12 +74,12 @@ phase_lists = st.floats(-10.0, 10.0).map(lambda offset: PHASES + offset)
 # dimensions and the array of a shape that does not fit, each made from a valid one (None:
 # every shape fits), the layer's error, the argument its messages name)
 ENTRY_POINTS = {
-    "partial_trace.rho": (lambda a: partial_trace(a, [0]), rhos, lambda a: a[0],
+    "partial_trace.rho": (lambda a: partial_trace(a, 0), rhos, lambda a: a[0],
                           lambda a: a[:6, :6], EngineError, "rho"),
     "fringe_scan.phases": (lambda a: fringe_scan(STATE, 1, a), phase_lists,
                            lambda a: a[None], None, EngineError, "phases"),
-    "apply_readout_confusion.p": (lambda a: apply_readout_confusion(a, 0.96, 3), distributions,
-                                  lambda a: a[None, None], lambda a: a[:4], EngineError, "p"),
+    "apply_readout_confusion.p": (lambda a: apply_readout_confusion(a, 0.96), distributions,
+                                  lambda a: a[None, None], lambda a: a[:6], EngineError, "p"),
     "sample_counts.p": (lambda a: sample_counts(a, 100, np.random.default_rng(1)),
                         distributions, lambda a: a[None, None], lambda a: a[:6] / a[:6].sum(),
                         EngineError, "p"),
@@ -109,9 +109,9 @@ ENTRY_POINTS = {
                          lambda a: a[None, None], lambda a: a[:5], MetricsError, "probs"),
     "equatorial_phase.state": (equatorial_phase, seeded(qubit_ket), lambda a: a[None, None],
                                lambda a: a[:1], MetricsError, "state"),
-    "factor_product_state.vec": (lambda a: np.concatenate(factor_product_state(a, 3)),
+    "factor_product_state.vec": (lambda a: np.concatenate(factor_product_state(a)),
                                  seeded(lambda rng: random_product_ket(rng, 3)[0]),
-                                 lambda a: a[None], lambda a: a[:4], MetricsError, "vec"),
+                                 lambda a: a[None], lambda a: a[:6], MetricsError, "vec"),
     "fidelity_via_local_rotation.state": (lambda a: fidelity_via_local_rotation(a, FACTORS),
                                           rhos, lambda a: a[0], lambda a: a[:4, :4],
                                           MetricsError, "state"),

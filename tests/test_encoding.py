@@ -58,7 +58,7 @@ def test_effective_couplings_are_the_engines_windows(base_j):
                             FreeEvolve(1e-3)])
     shaped = effective_couplings(j, topology_preset("B"))
     assert shaped[0, 1] == 300.0
-    want = np.exp(1j * free_phases(shaped, 1e-3, 3))
+    want = np.exp(1j * free_phases(shaped, 1e-3))
     assert np.abs(program_unitary(flip, j) - np.diag(want)).max() <= 1e-12
     with pytest.raises(EncodingError, match=r"coupling J\[0, 1\] is nan"):
         effective_couplings(np.where(np.eye(3) == 0, np.nan, j), topology_preset("A"))

@@ -170,7 +170,7 @@ def test_free_evolution_matches_gate_oracle(rng):
     psi = random_pure_state(rng, 8)
     st = prepare_state(3, psi)
     free_evolution(st, t, j)
-    u = free_unitary(j, t, 3)
+    u = free_unitary(j, t)
     expected = u @ psi
     assert st.rho == pytest.approx(np.outer(expected, expected.conj()), abs=1e-12)
 
@@ -214,18 +214,17 @@ def test_stacked_partial_trace_and_fringe_scan_match_each_slice(rng):
     states = [QuantumState(3, random_density_matrix(rng, 8), ("sigma-",) * 3) for _ in range(5)]
     stack = np.stack([st.rho for st in states], axis=-1)
     phases = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-    for keep in ([0], [2], [2, 0], [1, 2], [0, 1, 2], []):
-        reduced = engine.partial_trace(stack, keep)
-        assert reduced.shape == (2 ** len(keep), 2 ** len(keep), 5)
-        for b, st in enumerate(states):
-            assert reduced[..., b].tobytes() == engine.partial_trace(st.rho, keep).tobytes(), keep
     for q in range(3):
+        reduced = engine.partial_trace(stack, q)
+        assert reduced.shape == (2, 2, 5)
+        for b, st in enumerate(states):
+            assert reduced[..., b].tobytes() == engine.partial_trace(st.rho, q).tobytes(), q
         rows = fringe_scan(stack, q, phases)
         assert rows.shape == (5, 16)
         for b, st in enumerate(states):
             assert rows[b].tobytes() == fringe_scan(st, q, phases).tobytes()
     with pytest.raises(EngineError, match="qubit 3"):
-        engine.partial_trace(stack, [3])
+        engine.partial_trace(stack, 3)
 
 
 def test_reencoding_flips_precession_sign():
@@ -238,7 +237,7 @@ def test_reencoding_flips_precession_sign():
         if reencode:
             ins[1:1] = [TransferBasis(0, "pi"), TransferBasis(0, "sigma+")]
         st = run_program(PulseProgram(3, ins), j, noise=NoiseModel.off(), initial="010").state
-        r = engine.partial_trace(st.rho, [0])
+        r = engine.partial_trace(st.rho, 0)
         return np.angle(r[1, 0])
 
     base = probe_phase(False)
@@ -354,7 +353,7 @@ def test_white_noise_applied_once_at_run_end(rng):
 def test_readout_confusion_kernel():
     p = np.zeros(8)
     p[0b000] = 1.0
-    out = apply_readout_confusion(p, 0.96, 3)
+    out = apply_readout_confusion(p, 0.96)
     assert out[0b000] == pytest.approx(0.96**3)
     assert out[0b111] == pytest.approx(0.04**3)
     assert out[0b100] == pytest.approx(0.04 * 0.96**2)
@@ -452,20 +451,18 @@ def test_per_step_kernels_bound_the_qubit():
         with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
             fringe_scan(st, q, [0.0, 1.0])
         with pytest.raises(EngineError, match=f"qubit {q} outside register of 3"):
-            engine.partial_trace(st.rho, [0, q])
+            engine.partial_trace(st.rho, q)
         assert st.populations()[0] == 1.0 and st.bases == ("sigma-",) * 3
-    with pytest.raises(EngineError, match=r"qubits \[1, 1\] repeated"):
-        engine.partial_trace(prepare_state(3, "000").rho, [1, 1])
 
 
 def test_engine_names_arrays_that_do_not_fit():
     # each once escaped as numpy's bare ValueError, or ran to a NaN fringe point
     st = prepare_state(3, "+00")
     for call, message in (
-            (lambda: engine.partial_trace(np.eye(6) / 6, [0]),
+            (lambda: engine.partial_trace(np.eye(6) / 6, 0),
              r"rho of shape \(6, 6\) is not 2\^n x 2\^n"),
-            (lambda: apply_readout_confusion(np.full(4, 0.25), 0.96, 3),
-             r"p has shape \(4,\); a 3-qubit register has 8"),
+            (lambda: apply_readout_confusion(np.full(6, 1 / 6), 0.96),
+             r"distribution p of shape \(6,\) is not one probability per basis state"),
             (lambda: fringe_scan(st, 0, [0.0, np.nan]),
              r"phases\[1\] is nan; phases must be finite"),
             (lambda: sample_counts("x", 10, np.random.default_rng(1)),
@@ -478,7 +475,7 @@ def test_engine_names_arrays_that_do_not_fit():
             (lambda: sample_counts(np.full((2, 4), 0.25), 10, np.random.RandomState(1)),
              "a numpy Generator; got RandomState"),
             # 1.5 gave negative weights
-            (lambda: apply_readout_confusion(np.full(8, 0.125), 1.5, 3),
+            (lambda: apply_readout_confusion(np.full(8, 0.125), 1.5),
              "fidelity must be finite and >= 0.5 and <= 1, got 1.5"),
             # a falsy noise (0, False) silently ran the full default model, and a string
             # or None where no default exists died in a bare AttributeError

@@ -79,7 +79,7 @@ def test_free_unitary_matches_pairwise_sum():
     for a in range(3):
         for b in range(a + 1, 3):
             h += j[a, b] * (embed(SZ, a, 3) @ embed(SZ, b, 3))
-    assert np.allclose(free_unitary(j, t, 3), expm_herm(t / 2 * h), atol=1e-12)
+    assert np.allclose(free_unitary(j, t), expm_herm(t / 2 * h), atol=1e-12)
 
 
 def test_relabel_index_relabels_kets():

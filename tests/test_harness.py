@@ -343,6 +343,11 @@ def test_scenario_file_error_reporting(tmp_path):
     bad.write_text("[scenario]\nprogram = ok.pulse\ncouplings = j.txt\ntopology = E\n")
     with pytest.raises(harness.HarnessError, match="topology needs a trap"):
         harness.load_scenario_file(bad)
+    # both sources: the couplings file won and the trap was silently ignored
+    bad.write_text("[scenario]\nprogram = ok.pulse\ncouplings = j.txt\ntrap = trap.ini\n")
+    with pytest.raises(harness.HarnessError,
+                       match="bad.ini: need either couplings or trap, not both"):
+        harness.load_scenario_file(bad)
     bad.write_text("[scenario]\nprogram = ok.pulse\ncouplings = j.txt\nname = a\n  b\n")
     with pytest.raises(harness.HarnessError, match="name must not contain a line break"):
         harness.load_scenario_file(bad)

@@ -284,7 +284,7 @@ def test_metrics_name_arrays_that_do_not_fit(rng):
             (lambda: distinguishability([1, 0, 0], [0.5, 0.5]), r"p has shape \(3,\) but q"),
             (lambda: fidelity_via_local_rotation(nan_rho, factors),
              r"state\[0, 0\] is \(nan\+0j\); state must be finite"),
-            (lambda: factor_product_state(np.where(np.arange(8) == 2, np.nan, ket), 3),
+            (lambda: factor_product_state(np.where(np.arange(8) == 2, np.nan, ket)),
              r"vec\[2\] is \(nan\+0j\); vec must be finite"),
             (lambda: state_fidelity("x", ket), "state must be an array of complex numbers"),
             (lambda: equatorial_phase(np.array([1.0, 0.0])), "no equatorial component"),
@@ -292,7 +292,7 @@ def test_metrics_name_arrays_that_do_not_fit(rng):
             (lambda: state_fidelity(np.eye(8) / 8, np.zeros(8)), "target is a zero ket"),
             (lambda: state_fidelity(np.zeros(8), np.eye(8) / 8), "state is a zero ket"),
             (lambda: state_fidelity(np.zeros(8), ket), "state is a zero ket"),
-            (lambda: factor_product_state(np.zeros(8), 3), "vec is a zero ket"),
+            (lambda: factor_product_state(np.zeros(8)), "vec is a zero ket"),
             (lambda: process_fidelity(np.zeros((0, 0)), np.zeros((0, 0))),
              r"u and v have shape \(0, 0\); unitaries must be square"),
             (lambda: ramsey_fit(np.zeros(8), np.full(8, 0.5)), "phases do not span a fringe"),
@@ -324,7 +324,7 @@ def test_equatorial_phase():
 
 def test_factor_product_state_recovers_factors(rng):
     psi, factors = random_product_ket(rng, 3)
-    rec = factor_product_state(psi, 3)
+    rec = factor_product_state(psi)
     for got, want in zip(rec, factors):
         overlap = abs(np.vdot(got, want))
         assert overlap == pytest.approx(1.0, abs=1e-10)
@@ -333,7 +333,7 @@ def test_factor_product_state_recovers_factors(rng):
 def test_factor_product_state_rejects_entangled():
     ghz = (product_input_ket("000") + product_input_ket("111")) / np.sqrt(2)
     with pytest.raises(MetricsError):
-        factor_product_state(ghz, 3)
+        factor_product_state(ghz)
 
 
 def test_local_rotation_protocol_equals_direct_fidelity(rng):

@@ -110,8 +110,8 @@ ENTRY_POINTS = {
                                         ValueError, "white_noise_fraction"),
     "prepare_state.n_qubits": (lambda v: prepare_state(v), ints(-1, 3),
                                lambda v: is_int(v, 1, MAX_QUBITS), EngineError, "register"),
-    "partial_trace.keep": (lambda v: partial_trace(prepare_state(3).rho, [v]), ints(-1, 4),
-                           lambda v: is_int(v, 0, 2), EngineError, "qubit"),
+    "partial_trace.qubit": (lambda v: partial_trace(prepare_state(3).rho, v), ints(-1, 4),
+                            lambda v: is_int(v, 0, 2), EngineError, "qubit"),
     "sample_counts.shots": (lambda v: sample_counts(np.full(8, 1 / 8), v,
                                                     np.random.default_rng(1)),
                             ints(-2, 1000), lambda v: is_int(v, 1, 2**63 - 1),

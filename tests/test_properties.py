@@ -6,9 +6,10 @@ windows, transfers routed through pi, and an optional RELABEL. Noiselessly
 the density matrix path must agree with the ideal unitary; under the full
 noise model the state must stay a density matrix. On 1-8 qubits, each slice
 of a stacked run over product inputs must equal the single-state run of that
-input's pulses and the program bit for bit. On 1-7 qubits, both run paths must equal the
-allocating step-by-step oracle (`conftest.reference_run`) bit for bit under
-the full noise model. The closed-form fringe readout must agree
+input's pulses and the program bit for bit, and a run from `prepare_state`'s
+state for a label must equal the run given that label. On 1-7 qubits, both run
+paths must equal the allocating step-by-step oracle (`conftest.reference_run`)
+bit for bit under the full noise model. The closed-form fringe readout must agree
 with applying the analysis pulse explicitly, phase by phase. The engine's
 tensor-local pulse kernel must agree with the dense kron-embedded operator on
 1-8 qubits. Program text must read back to the program it was written from,
@@ -17,6 +18,7 @@ forms of a record set must carry the same numbers.
 """
 
 import csv
+import itertools
 import json
 import math
 import platform
@@ -163,6 +165,20 @@ def test_stacked_run_matches_single_runs(drawn, pulse_duration):
                              j, noise=noise, pulse_duration=pulse_duration).state
         assert np.array_equal(res.state.rho, single.rho)
         assert res.state.time == single.time and res.state.bases == single.bases
+
+
+@settings(max_examples=25, deadline=None)
+@given(programs(1, 3), st.sampled_from([NoiseModel(), NoiseModel.off()]))
+def test_a_label_names_one_state(case, noise):
+    # prepare_state(n, label) is the state a run prepares for the label, by its pulses, so a
+    # run from that state and a run given the label agree bit for bit, clock included
+    prog, j, _ = case
+    n = prog.n_qubits
+    for label in map("".join, itertools.product("01+", repeat=n)):
+        given = run_program(prog, j, noise, initial=prepare_state(n, label)).state
+        named = run_program(prog, j, noise, initial=label).state
+        assert given.rho.tobytes() == named.rho.tobytes(), label
+        assert given.time == named.time and given.bases == named.bases
 
 
 def check_against_oracle(prog, j, seed, inputs, pulse_duration):
@@ -392,9 +408,9 @@ def test_program_text_round_trip_is_exact(prog):
 def test_readout_confusion_is_column_stochastic(n, fidelity):
     if fidelity < 0.5:  # as NoiseModel's readout_fidelity; below it a weight went negative
         with pytest.raises(EngineError, match="fidelity must be finite and >= 0.5"):
-            apply_readout_confusion(np.eye(2**n), fidelity, n)
+            apply_readout_confusion(np.eye(2**n), fidelity)
         return
-    c = apply_readout_confusion(np.eye(2**n), fidelity, n)
+    c = apply_readout_confusion(np.eye(2**n), fidelity)
     assert c.min() >= 0.0
     assert np.abs(c.sum(axis=0) - 1.0).max() <= 1e-12
 

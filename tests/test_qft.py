@@ -1,4 +1,5 @@
 import dataclasses
+import platform
 
 import numpy as np
 import pytest
@@ -198,6 +199,46 @@ def test_solver_is_bit_identical_to_lattice_oracle():
         sol = solve_entangling_params(j, t1, t2)
         got = (sol.t3, sol.a1, sol.a2, sol.residual, sol.n_roots)
         assert got == lattice_oracle(j, t1, t2), label
+
+
+def long_double_window_residual(j, t1, t2, t3, a1, a2):
+    """|(f1, f2)|, the two window conditions of the qft module docstring, evaluated in
+    np.clongdouble at the float64 J12, T1, T2, T3, A1 and A2 as a compiled program holds them."""
+    long = np.longdouble
+    j12, pi = long(j[1, 2]), 4 * np.arctan(long(1))
+    rho = (long(t1) - long(t2)) * j12 / 2
+    x = np.exp(1j * (j12 * long(t3) / 2))
+    ex, ey = (np.exp(1j * (rho + sign * pi / 8)) / np.sqrt(long(2)) for sign in (1, -1))
+    (s1, c1), (s2, c2) = ((np.sin(long(a) / 2), np.cos(long(a) / 2)) for a in (a1, a2))
+    f1 = ex * x - s1 * s2 * x * x + c1 * c2
+    f2 = ey * x - s1 * c2 * x * x - c1 * s2
+    assert f1.dtype == f2.dtype == np.clongdouble
+    return float(np.sqrt(abs(f1) ** 2 + abs(f2) ** 2))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason=f"np.longdouble is float64 on {platform.system()} {platform.machine()}")
+def test_emitted_window_against_the_long_double_residual():
+    """The emitted (T3, A1, A2) meet the window conditions within 4 x their measured error.
+
+    Measured with numpy 2.4.6 as the long-double |(f1, f2)| at the solver's float64 output,
+    worst over these 11 matrices: 5.7e-15 under (X86_V4, SkylakeX) and (X86_V3, Haswell),
+    8.5e-15 under (X86_V2, Sandybridge); the solver's own float64 residual read 4.7e-15 to
+    7.8e-15 there. Over the 43 matrices of the lattice test the worst was 1.7e-13, 4.8e-14
+    and 1.4e-14 (the solver's residual up to 1.0e-13): a root is accepted below 1e-10, so the
+    error is where the 80 steps stop, not rounding. k = 4 over 8.5e-15 gives 3.4e-14; an A1
+    off by 1e-12 relative is about 1e-12 off and fails.
+    """
+    limit = 4 * 8.5e-15
+    rng = np.random.default_rng(4242)
+    cases = [calibrated_couplings(), pair_matrix(300.0, 5.0, 300.0),
+             pair_matrix(400.0, 60.0, 90.0)] + [random_couplings(rng) for _ in range(8)]
+    for j in cases:
+        t1, t2 = plan_times(j)
+        sol = solve_entangling_params(j, t1, t2)
+        assert long_double_window_residual(j, t1, t2, sol.t3, sol.a1, sol.a2) <= limit, j
+        off = long_double_window_residual(j, t1, t2, sol.t3, sol.a1 * (1 + 1e-12), sol.a2)
+        assert off > limit, j
 
 
 @pytest.mark.parametrize("steps", [79, 80])
