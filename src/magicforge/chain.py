@@ -10,9 +10,14 @@ motional modes:
 
 with dz_n = sqrt(hbar / (2 m nu_n)) the ground-state extent of mode n and
 S_in the normal-mode matrix.
+
+Each ion pair i < k is evaluated once per Newton iterate and mirrored to (k, i): exactly, since
+IEEE subtraction and division are sign-symmetric (u_k - u_i = -(u_i - u_k), (-s)/p = -(s/p)),
+so every double reaching the folds, LAPACK and the J einsum is the full n x n evaluation's.
 """
 
 import configparser
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -192,38 +197,50 @@ class CouplingMatrix:
         np.fill_diagonal(self.j, 0.0)
 
 
+@functools.lru_cache(maxsize=MAX_IONS)
+def _upper(n):
+    """The n x n mask of the pairs i < k, built once per chain length (every length fits)."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
 def _gaps(u):
-    """(d, |d|), d_km = u_k - u_m: one Newton iterate's gaps, for its gradient and Hessian."""
-    d = u[:, None] - u
+    """(d, |d|) over the pairs i < k in row order, d = u_i - u_k: each pair once per iterate."""
+    d = np.subtract.outer(u, u)[_upper(len(u))]
     return d, np.abs(d)
 
 
 def _pair_powers(gaps, y):
-    """|u_k - u_m|**y from the pair gaps |d|, inf on the diagonal so self-terms vanish.
+    """|u_i - u_k|**y from the pair gaps |d|, each pair once.
 
     np.float_power calls the C library's pow per element, as the per-pair scalar pow J was
     frozen with did; never np.power, whose SIMD pow (x*x for y = 2) rounds the last bit
     differently (numpy 2.4.6, 200,000 gaps log-uniform over 1e-3..1e3: 10,362 at y = 3,
     171 at y = 2). The benchmark's frozen shot counts on 4-7 ion traps hang on that bit.
     """
-    p = np.float_power(gaps, y)
-    p.flat[::len(p) + 1] = np.inf
-    return p
+    return np.float_power(gaps, y)
+
+
+def _mirror(above, below, out):
+    """`out` with pair p = (i, k)'s term above[p] at (i, k) and below[p] at (k, i), exactly."""
+    out[_upper(len(out))], out.T[_upper(len(out))] = above, below
+    return out
 
 
 def _scaled_gradient(u, gaps=None):
     """Gradient of V(u) = sum u^2/2 + sum_{i<j} 1/|u_i - u_j| in scaled units; gaps = _gaps(u)."""
     d, dist = _gaps(u) if gaps is None else gaps
-    folded = np.empty((len(u), len(u) + 1))  # u_k, then ion k's pair terms
+    t = np.sign(d) / _pair_powers(dist, 2.0)
+    folded = np.zeros((len(u), len(u) + 1))  # u_k, then ion k's pair terms (0.0 for k itself)
     folded[:, 0] = u
-    np.divide(np.sign(d), _pair_powers(dist, 2.0), out=folded[:, 1:])
+    _mirror(t, -t, folded[:, 1:])
     # a left fold, u_k minus each pair term in turn, so the sum rounds as a pair loop would
     return np.subtract.reduce(folded, axis=1)
 
 
 def _scaled_hessian(u, gaps=None):
-    h = -2.0 / _pair_powers((_gaps(u) if gaps is None else gaps)[1], 3.0)
-    # 1 + the pair terms folded in pair order (0 - (-a) == 0 + a exactly)
+    t = -2.0 / _pair_powers((_gaps(u) if gaps is None else gaps)[1], 3.0)
+    h = _mirror(t, t, np.zeros((len(u), len(u))))
+    # 1 + the pair terms folded in pair order (0 - (-a) == 0 + a; the diagonal's 0.0 adds nothing)
     h.flat[::len(u) + 1] = np.subtract.reduce(h, axis=1, initial=0.0) + 1.0
     return h
 
@@ -232,7 +249,8 @@ def _rounding_floor(u):
     """16 eps |s|, with s_k = |u_k| + sum_m 1/(u_k - u_m)^2 the magnitude of ion k's gradient
     terms. A converged chain's |grad| stagnates at 0.15-7.7 eps |s| (2-120 ions, measured under
     OpenBLAS's SkylakeX, Haswell and Sandybridge kernels), so no damped step lowers it further."""
-    terms = np.abs(u) + (1.0 / _pair_powers(_gaps(u)[1], 2.0)).sum(axis=1)
+    s = 1.0 / _pair_powers(_gaps(u)[1], 2.0)
+    terms = np.abs(u) + _mirror(s, s, np.zeros((len(u), len(u)))).sum(axis=1)
     return 16.0 * np.finfo(float).eps * float(np.linalg.norm(terms))
 
 

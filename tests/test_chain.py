@@ -158,6 +158,32 @@ def test_pair_powers_are_the_c_library_pow():
         assert np.float_power(gaps, y).tobytes() == want.tobytes()
 
 
+class RecordingNumpy:
+    """numpy for `chain`, recording how many gaps each np.float_power call raises."""
+
+    def __init__(self):
+        self.raised = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def float_power(self, x, y):
+        self.raised.append(np.size(x))
+        return np.float_power(x, y)
+
+
+@pytest.mark.parametrize("n", [10, 60])
+def test_each_newton_iterate_raises_each_pair_once(monkeypatch, n):
+    # the n(n-1)/2 pairs i < k, each mirrored to (k, i); the search once raised all n^2 entries of
+    # the gap matrix, each pair twice and the diagonal besides
+    recorder = RecordingNumpy()
+    monkeypatch.setattr(chain, "np", recorder)
+    geo = equilibrium_positions(TrapConfig(ion_count=n))
+    # a gradient at the start and at each trial, a Hessian at each step
+    assert len(recorder.raised) >= 2 * geo.iterations - 1
+    assert set(recorder.raised) == {n * (n - 1) // 2}
+
+
 @pytest.mark.parametrize("n, iterations", [(2, 5), (3, 4), (10, 6), (35, 8), (60, 8)])
 def test_newton_iteration_counts_are_pinned(n, iterations):
     geo = equilibrium_positions(TrapConfig(ion_count=n))

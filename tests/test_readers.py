@@ -20,8 +20,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magicforge import cli, harness
-from magicforge.chain import ChainModelError, coupling_matrix, load_couplings, solve_trap_file
+from magicforge.chain import (
+    ChainModelError,
+    coupling_matrix,
+    load_couplings,
+    read_ini,
+    solve_trap_file,
+)
 from magicforge.constants import MAX_IONS
+from magicforge.encoding import effective_couplings, parse_topology
 from magicforge.engine import EngineError
 
 HOSTILE = ["nan", "inf", "-inf", "1e308", "1e-300", "1e400", "1e290", "-0", "", str(10**400),
@@ -58,10 +65,14 @@ SCENARIO_KEYS = {
 }
 
 
-def ini(section, keys):
+def section(name, drawn):
+    """The INI section [`name`] setting each key of `drawn` to its value."""
+    return f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in drawn.items())
+
+
+def ini(name, keys):
     """An INI section of a drawn subset of `keys`, each with a drawn value."""
-    return st.fixed_dictionaries({}, optional=keys).map(
-        lambda drawn: f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in drawn.items()))
+    return st.fixed_dictionaries({}, optional=keys).map(lambda drawn: section(name, drawn))
 
 
 def runs_or_names(call, path, errors):
@@ -112,16 +123,54 @@ def test_a_coupling_file_runs_or_is_named(rows):
     assert couplings is None or np.isfinite(couplings.j).all()
 
 
-@settings(max_examples=40, deadline=None)
-@given(ini("scenario", SCENARIO_KEYS))
-def test_a_scenario_file_runs_or_is_named(text):
+def reads_to_its_source(path, drawn):
+    """Whether a scenario file's keys and values read and its program loads, so that the
+    readers go on to its coupling source."""
+    try:
+        read_ini(path, "scenario", harness._SCENARIO_FIELDS)
+    except ValueError:
+        return False
+    return drawn.get("program") == "p.pulse"  # the one program of `workdir` that loads
+
+
+def source_couplings(root, drawn):
+    """The J a scenario file drawn as `drawn`, naming one coupling source, must carry: its
+    couplings file's J, or its trap's J shaped by its topology."""
+    if "couplings" in drawn:
+        return load_couplings(root / drawn["couplings"]).j
+    j = coupling_matrix(*solve_trap_file(root / drawn["trap"])).j
+    topology = drawn.get("topology")
+    return effective_couplings(j, parse_topology(topology)) if topology else j
+
+
+# a fully drawn file mostly fails before its coupling source, so about half the draws take the
+# program that loads and a subset of the readable sources' keys: every source combination runs
+SOURCE_KEYS = {"couplings": st.just("j.txt"), "trap": st.just("trap.ini"),
+               "topology": SCENARIO_KEYS["topology"]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({}, optional=SCENARIO_KEYS)
+       | st.fixed_dictionaries({"program": st.just("p.pulse")}, optional=SOURCE_KEYS))
+@example({"program": "p.pulse", "couplings": "j.txt", "trap": "trap.ini"})
+@example({"program": "p.pulse", "couplings": "j.txt", "trap": "trap.ini", "topology": "A"})
+@example({"program": "p.pulse", "couplings": "j.txt"})
+@example({"program": "p.pulse", "trap": "trap.ini"})
+@example({"program": "p.pulse", "trap": "trap.ini", "topology": "-,+,0"})
+def test_a_scenario_file_runs_or_is_named(drawn):
     with workdir() as root:
         path = root / "s.ini"
-        path.write_text(text)
-        scenario = runs_or_names(lambda: harness.load_scenario_file(path), path,
-                                 (harness.HarnessError,))
-        if scenario is None:
+        path.write_text(section("scenario", drawn))
+        try:
+            scenario = harness.load_scenario_file(path)
+        except harness.HarnessError as exc:
+            assert type(exc) is harness.HarnessError and str(path) in str(exc), repr(exc)
+            # the readers check [scenario]'s keys and values, then the program, then the source
+            if "couplings" in drawn and "trap" in drawn and reads_to_its_source(path, drawn):
+                assert "need either couplings or trap, not both" in str(exc), repr(exc)
             return
+        assert ("couplings" in drawn) != ("trap" in drawn), drawn
+        assert scenario.couplings.tobytes() == source_couplings(root, drawn).tobytes()
         try:
             records = harness.run_custom_scenario(scenario, root / "out")
         except EngineError as exc:  # a pulse_duration at which the run clock overflows
