@@ -28,7 +28,8 @@ into the ideal unitary. A pulse is never lifted to 2^n x 2^n. A run keeps its
 stack pair-major (`_pairs`: each qubit's row and column bit adjacent, qubits in
 a tracked order); a pulse on q gathers q's pair to the front if it is not there,
 then applies op as one zgemm 4^n B/2 columns wide and op* as two 4^(n-1) B wide.
-A window's damp is a gather at a ^ b (it depends only on which bits differ). Both
+A walk folds each encoding pattern's Ising energies once and builds a train's two windows
+once; a window's damp depends only on a ^ b, and is gathered into the stack's order. Both
 per-step kernels, `apply_rotation` and `free_evolution`, are one-instruction runs.
 Registers are capped at MAX_QUBITS; entering density matrices are checked, and
 states the engine builds itself (fresh registers, results) are not re-checked.
@@ -259,15 +260,6 @@ def apply_rotation(state, qubit, theta, phi=0.0):
     _step(state, Rotate(qubit, theta, phi))
 
 
-def _window_phase(j, state, duration):
-    """Ising phase factor exp(i phi) of each basis state over a window, under the encodings
-    in force, by the one encoding rule (`encoding._encoded`) on J checked on entry."""
-    j = _encoded(j, state.bases)
-    total = sum(map(abs, np.triu(j, 1).ravel().tolist()))
-    _check_exponent(float(duration) / 2.0 * total, duration, "Ising phase T/2*sum|J|")
-    return np.exp(1j * free_phases(j, duration))
-
-
 def _by_xor(values):
     """(2^n, 2^n) table values[a ^ b]: at (a, b), a function of which bits differ."""
     i = np.arange(values.size)
@@ -282,13 +274,12 @@ def _check_exponent(value, duration, what):
 
 
 def _damp(bases, duration, noise):
-    """(damp,): exp(-T sum_k gamma_k) over the qubits k whose bits differ; () if none dephase."""
+    """(damp,): 2^n values exp(-T sum_k gamma_k), k over the bits of a ^ b; () if none dephase."""
     if not (duration > 0 and (noise.sigma_dephasing_rate or noise.pi_dephasing_rate)):
         return ()
     rates = [float(noise.rate_for(b)) for b in bases]
     _check_exponent(float(duration) * sum(rates), duration, "dephasing exponent T*sum(gamma)")
-    damp = np.exp(-duration * (bit_table(len(bases)) * np.array(rates)).sum(axis=-1))
-    return (_by_xor(damp)[..., None],)  # a trailing axis over the stack
+    return (np.exp(-duration * (bit_table(len(bases)) * np.array(rates)).sum(axis=-1)),)
 
 
 def _window_factors(window, bases, noise):
@@ -345,8 +336,9 @@ def _ops(op):
     return op, op.conj()
 
 
-class _Window(NamedTuple):
-    """A resolved window: its duration and the Ising phase factor of each basis state."""
+@dataclass(eq=False, frozen=True)
+class _Window:
+    """A resolved window, hashed by identity: its duration and each state's Ising phase factor."""
     duration: float
     phase: np.ndarray
 
@@ -369,8 +361,19 @@ def _walk(program, j, frame):
     This is the one interpreter of instructions: decoupled windows are expanded
     in `dd_fragment`'s order, a transfer sets `frame.bases` once every qubit it
     names has passed the sigma- <-> sigma+ rule, and each window's phases use the
-    encodings then in force. `j` must be checked already, the program when built.
+    encodings then in force. `j` must be checked already, the program when built. Each
+    pattern's sum|J| and energies E = `free_phases(_encoded(j, bases), 2.0)` are taken once per
+    walk; exp(i (T / 2.0) E) holds the bits of `free_phases` at T, as 2.0 / 2.0 is exactly 1.
     """
+    energies = {}
+    def window(t):
+        if frame.bases not in energies:
+            jb = _encoded(j, frame.bases)
+            total = sum(map(abs, np.triu(jb, 1).ravel().tolist()))
+            energies[frame.bases] = total, free_phases(jb, 2.0) if total < np.inf else None
+        total, e = energies[frame.bases]
+        _check_exponent(float(t) / 2.0 * total, t, "Ising phase T/2*sum|J|")
+        return _Window(t, np.exp(1j * (t / 2.0 * e)))
     for ins in program.instructions:
         if isinstance(ins, Rotate):
             yield _Pulse(ins.qubit, _ops(rotation_2x2(ins.theta, ins.phi)), True)
@@ -381,14 +384,15 @@ def _walk(program, j, frame):
         elif isinstance(ins, FreeEvolve) and ins.dd_pulses:
             phases = dd_phase_sequence(ins.dd_pulses, ins.dd_scheme)
             tau = ins.duration / ins.dd_pulses
-            half, full = (_Window(t, _window_phase(j, frame, t)) for t in (tau / 2, tau))
-            ops = {phi: _ops(rotation_2x2(np.pi, phi)) for phi in set(phases)}
+            half, full = window(tau / 2), window(tau)
+            layers = {phi: [_Pulse(q, ops, True) for q in range(program.n_qubits)]
+                      for phi in set(phases) for ops in [_ops(rotation_2x2(np.pi, phi))]}
             yield half
             for k, phi in enumerate(phases):
-                yield from (_Pulse(qubit, ops[phi], True) for qubit in range(program.n_qubits))
+                yield from layers[phi]
                 yield full if k < ins.dd_pulses - 1 else half
         elif isinstance(ins, FreeEvolve):
-            yield _Window(ins.duration, _window_phase(j, frame, ins.duration))
+            yield window(ins.duration)
         elif isinstance(ins, TransferBasis):
             bases = list(frame.bases)
             for q in range(program.n_qubits) if ins.qubit == "all" else [ins.qubit]:
@@ -418,9 +422,9 @@ def _pairs(stack, order):
 
 def _run_steps(frame, program, j, noise, pulse_duration):
     """Apply `program`'s steps in place to the stack frame.rho and each slice's clock. Window
-    factors are built once per window object (a train's, under one encoding pattern, take three:
-    tau/2, tau, tau/2), pulse damps once per encoding pattern, and each is laid out once per order.
-    A window, or a driven pulse that takes time, applies its factors, then advances the clocks."""
+    factors are built once per window object, the last two kept (a train's tau/2 and tau), pulse
+    damps once per encoding pattern; each is laid out once per order, a damp by one gather. A
+    window, or a driven pulse that takes time, applies its factors, then advances the clocks."""
     n, order = frame.n_qubits, tuple(range(frame.n_qubits))
     bufs = [np.empty_like(frame.rho), frame.rho]
     pair_major = bufs[0].reshape((2,) * 2 * n + (-1,))
@@ -428,17 +432,21 @@ def _run_steps(frame, program, j, noise, pulse_duration):
     rows, cols = [b.reshape(2, -1) for b in bufs], [b.reshape(2, 2, -1) for b in bufs]
     gather = cache(lambda k, p: (bufs[1 - k].reshape(4, 4**p, -1),  # pair p of k to the front
                                  bufs[k].reshape(4**p, 4, -1).swapaxes(0, 1)))
-    i, last = 0, None  # i: the buffer that holds the state
+    i, laid = 0, {}  # i: the buffer that holds the state; laid: window -> its factors by order
     clock = max(frame.time.tolist())
     pulse_damp = cache(lambda bases: _damp(bases, pulse_duration, noise))
-    def layout(factors, order):  # each factor as a C-ordered table in the order `order`
-        return tuple(np.ascontiguousarray(_pairs(f, order)).reshape(f.shape) for f in factors)
+    xor = cache(lambda order: np.ascontiguousarray(  # a ^ b at each place of the order's layout
+        _pairs(_by_xor(np.arange(2**n))[..., None], order)).reshape(2**n, 2**n, 1))
+    def layout(factors, order):  # in the order `order`: a table by one copy, a damp by a gather
+        return tuple(f[xor(order)] if f.ndim == 1 else
+                     np.ascontiguousarray(_pairs(f, order)).reshape(f.shape) for f in factors)
     laid_pulse_damp = cache(lambda bases, order: layout(pulse_damp(bases), order))
     for step in _walk(program, j, frame):
         if isinstance(step, _Window):
-            if step is not last:
-                last, laid = step, cache(partial(layout, _window_factors(step, frame.bases, noise)))
-            duration, factors = step.duration, laid(order)
+            if step not in laid:
+                laid = dict(list(laid.items())[-1:])  # at most two: a train's tau/2 and tau
+                laid[step] = cache(partial(layout, _window_factors(step, frame.bases, noise)))
+            duration, factors = step.duration, laid[step](order)
         else:
             if p := order.index(step.qubit):
                 np.copyto(*gather(i, p))

@@ -52,12 +52,13 @@ def z_eigenvalues(n_qubits):
 
 
 def free_phases(j, duration):
-    """Diagonal phase angles T/2 * sum_{i<j} J_ij z_i z_j for each basis state of J's register."""
-    z = z_eigenvalues(len(j))
-    expo = np.zeros(len(z))
-    for i, k in zip(*np.triu_indices(len(j), 1)):  # pairs in row order
-        expo += j[i, k] * z[:, i] * z[:, k]
-    return duration / 2.0 * expo
+    """Diagonal phase angles T/2 * sum_{i<j} J_ij z_i z_j for each basis state of J's register,
+    the pair terms summed in row order by one left fold from 0.0 (`np.add.accumulate`)."""
+    z = z_eigenvalues(len(j)).T
+    i, k = np.triu_indices(len(j), 1)
+    terms = np.zeros((len(i) + 1, 2 ** len(j)))
+    np.multiply(j[i, k][:, None] * z[i], z[k], out=terms[1:])
+    return duration / 2.0 * np.add.accumulate(terms)[-1]
 
 
 def check_couplings(j, n_qubits, error):

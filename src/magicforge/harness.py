@@ -458,7 +458,8 @@ def build_scenario(values, base, name):
         raise ValueError("missing program path")
     program = load_program(os.path.join(base, program))
     if (couplings is None) == (trap is None):
-        raise ValueError("need either couplings or trap, not both")
+        raise ValueError("need either couplings or trap, "
+                         + ("got neither" if trap is None else "not both"))
     if couplings is not None:
         if topology:
             raise ValueError("topology needs a trap source, not couplings")

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import re
 import tracemalloc
@@ -596,6 +597,13 @@ def test_overflowing_windows_and_pulses_are_rejected(bench_j):
             run_program(prog, bench_j, noise=noise)
     with pytest.raises(EngineError, match=phase):
         program_unitary(prog, bench_j)
+    # a J whose sum|J| overflows fails at its first window, before its energies are summed
+    # (the sum would overflow too, a RuntimeWarning under -W error)
+    huge, short = 1e308 * (1 - np.eye(3)), PulseProgram(3, [FreeEvolve(1e-3)])
+    with pytest.raises(EngineError, match=r"^duration 0.001 s overflows the Ising phase"):
+        run_program(short, huge, noise=NoiseModel.off())
+    with pytest.raises(EngineError, match=r"^duration 0.001 s overflows the Ising phase"):
+        program_unitary(short, huge)
     # with no coupling only the damp exponent overflows, and only when something dephases
     with pytest.raises(EngineError, match=damp):
         run_program(PulseProgram(3, [FreeEvolve(1e308)]), np.zeros((3, 3)), noise=NoiseModel())
@@ -744,31 +752,39 @@ def test_run_batch_rejects_bad_preparations(bench_j):
 
 
 def test_decoupled_window_builds_each_factor_once(monkeypatch, bench_j):
-    built = {"_window_factors": 0, "_damp": 0}
+    built = {"_window_factors": 0, "_damp": 0, "free_phases": 0}
     for name in built:
         def counting(*args, _real=getattr(engine, name), _name=name):
             built[_name] += 1
             return _real(*args)
         monkeypatch.setattr(engine, name, counting)
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3, 20, "cpmg")])
-    # 21 windows (tau/2, 19 x tau, tau/2) share two objects; factors are rebuilt only
-    # when the window changes, so three factor pairs, not 21
+    # 21 windows (tau/2, 19 x tau, tau/2) share two objects, and a run keeps the factors of
+    # both, so two factor pairs, not 21; the Ising energies are folded once, for the one
+    # encoding pattern
     windows = [s for s in engine._walk(prog, bench_j, engine._Frame(("sigma-",) * 3))
                if isinstance(s, engine._Window)]
     assert len(windows) == 21 and len({id(w) for w in windows}) == 2
+    built.update(free_phases=0)
     run_program(prog, bench_j, noise=NoiseModel())
-    assert built == {"_window_factors": 3, "_damp": 3}
+    assert built == {"_window_factors": 2, "_damp": 2, "free_phases": 1}
     # the 61 driven pulses share one damp: one encoding pattern
-    built.update(_window_factors=0, _damp=0)
+    built.update(_window_factors=0, _damp=0, free_phases=0)
     run_program(prog, bench_j, noise=NoiseModel(), pulse_duration=1e-6)
-    assert built == {"_window_factors": 3, "_damp": 4}
+    assert built == {"_window_factors": 2, "_damp": 3, "free_phases": 1}
     # a transfer between two trains: the second train's windows are new objects built
-    # under the new encodings, so the memo rebuilds for them, three pairs per train
-    built.update(_window_factors=0, _damp=0)
+    # under the new encodings, so two pairs per train, and one fold per encoding pattern
+    built.update(_window_factors=0, _damp=0, free_phases=0)
     train = FreeEvolve(1e-3, 20, "cpmg")
     run_program(PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), train, TransferBasis(1, "pi"), train]),
                 bench_j, noise=NoiseModel())
-    assert built == {"_window_factors": 6, "_damp": 6}
+    assert built == {"_window_factors": 4, "_damp": 4, "free_phases": 2}
+    # back to the first pattern: its energies are kept for the run, not folded again
+    built.update(_window_factors=0, _damp=0, free_phases=0)
+    run_program(PulseProgram(3, [train, TransferBasis(1, "pi"), FreeEvolve(2e-4),
+                                 TransferBasis(1, "sigma-"), FreeEvolve(3e-4), train]),
+                bench_j, noise=NoiseModel())
+    assert built == {"_window_factors": 6, "_damp": 6, "free_phases": 2}
 
 
 def test_trains_run_without_building_a_program(monkeypatch, bench_j):
@@ -834,6 +850,23 @@ def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
     for k, rho in enumerate(rhos):
         assert not any(np.shares_memory(rho, other) for other in rhos[k + 1:])
         assert not any(np.shares_memory(rho, w) for w in written)
+
+
+def test_a_run_leaves_no_reference_cycle(bench_j):
+    # a run's caches (window factors, laid-out damps and their a ^ b indices) go when it
+    # returns; a cycle among its closures would leave them to the cyclic collector, which on
+    # the wide_register benchmark held about 4 MB more at peak
+    prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3, 20, "kdd"),
+                            TransferBasis(1, "pi"), FreeEvolve(2e-4), Rotate(2, np.pi, 0.3)])
+    gc.collect()
+    gc.disable()
+    try:
+        run_program(prog, bench_j, noise=NoiseModel(), pulse_duration=1e-6)
+        run_batch(prog, bench_j, ["+00", "010"], noise=NoiseModel())
+        program_unitary(prog, bench_j)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_each_pulse_half_is_one_product_on_the_leading_axis(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import embed, free_unitary
 from magicforge.chain import CouplingMatrix, load_couplings
+from magicforge.encoding import _encoded
 from magicforge.engine import (
     EngineError,
     product_input_ket,
@@ -17,13 +18,14 @@ from magicforge.gates import (
     SY,
     SZ,
     bit_table,
+    free_phases,
     phase_2x2,
     product_ket,
     relabel_index,
     rotation_2x2,
     z_eigenvalues,
 )
-from magicforge.program import PulseProgram, Rotate
+from magicforge.program import BASIS_PI, BASIS_SIGMA_MINUS, BASIS_SIGMA_PLUS, PulseProgram, Rotate
 from magicforge.qft import CompilerError, compile_qft
 
 
@@ -80,6 +82,32 @@ def test_free_unitary_matches_pairwise_sum():
         for b in range(a + 1, 3):
             h += j[a, b] * (embed(SZ, a, 3) @ embed(SZ, b, 3))
     assert np.allclose(free_unitary(j, t), expm_herm(t / 2 * h), atol=1e-12)
+
+
+def test_free_phases_is_the_pair_loop_bit_for_bit():
+    # free_phases folds the pair terms from 0.0 in row order in one np.add.accumulate; this
+    # loop is the sum it folds, kept as the oracle. Under encodings with parked (m = 0) and
+    # flipped qubits the terms include +-0.0, and a basis state whose terms are all -0.0
+    # sums to +0.0 only because the fold starts at +0.0
+    rng = np.random.default_rng(20261020)
+    all_negative_zero = 0
+    for n in range(2, 11):
+        for _ in range(6):
+            j = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-4, 5)
+            j = np.triu(np.where(rng.random((n, n)) < 0.2, 0.0, j), 1)  # some exact zeros
+            bases = tuple(rng.choice([BASIS_SIGMA_MINUS, BASIS_PI, BASIS_SIGMA_PLUS], size=n))
+            j = _encoded(j + j.T, bases)
+            z = z_eigenvalues(n)
+            expo = np.zeros(2**n)
+            terms = []
+            for a, b in zip(*np.triu_indices(n, 1)):
+                terms.append(j[a, b] * z[:, a] * z[:, b])
+                expo += terms[-1]
+            all_negative_zero += np.all((np.array(terms) == 0) & np.signbit(terms), axis=0).sum()
+            for t in (2.0, 1e-3, rng.uniform(1e-6, 1e-2), -rng.uniform(1e-6, 1e-2)):
+                want = t / 2.0 * expo
+                assert free_phases(j, t).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert all_negative_zero > 0
 
 
 def test_relabel_index_relabels_kets():

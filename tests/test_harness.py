@@ -337,8 +337,10 @@ def test_scenario_file_error_reporting(tmp_path):
     with pytest.raises(harness.HarnessError, match="line 3"):
         harness.load_scenario_file(bad)
     (tmp_path / "ok.pulse").write_text("# qubits: 3\nR 0 pi 0\n")
+    # neither source: named as neither, not as the both case
     bad.write_text("[scenario]\nprogram = ok.pulse\n")
-    with pytest.raises(harness.HarnessError, match="couplings or trap"):
+    with pytest.raises(harness.HarnessError,
+                       match="bad.ini: need either couplings or trap, got neither$"):
         harness.load_scenario_file(bad)
     bad.write_text("[scenario]\nprogram = ok.pulse\ncouplings = j.txt\ntopology = E\n")
     with pytest.raises(harness.HarnessError, match="topology needs a trap"):
