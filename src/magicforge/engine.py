@@ -29,8 +29,9 @@ stack pair-major (`_pairs`: each qubit's row and column bit adjacent, qubits in
 a tracked order); a pulse on q gathers q's pair to the front if it is not there,
 then applies op as one zgemm 4^n B/2 columns wide and op* as two 4^(n-1) B wide.
 A walk folds each encoding pattern's Ising energies once and builds a train's two windows
-once; a window's damp depends only on a ^ b, and is gathered into the stack's order. Both
-per-step kernels, `apply_rotation` and `free_evolution`, are one-instruction runs.
+once. Time passes only in windows (a driven pulse's time is one without Ising phase), and each
+keeps its factors, laid out once per qubit order by one copy. Both per-step kernels,
+`apply_rotation` and `free_evolution`, are one-instruction runs.
 Registers are capped at MAX_QUBITS; entering density matrices are checked, and
 states the engine builds itself (fresh registers, results) are not re-checked.
 A window or pulse whose Ising phase, damp exponent or run clock would overflow
@@ -59,8 +60,8 @@ applied to outcome distributions only, never to the state.
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import cache, partial
+from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -274,18 +275,19 @@ def _check_exponent(value, duration, what):
 
 
 def _damp(bases, duration, noise):
-    """(damp,): 2^n values exp(-T sum_k gamma_k), k over the bits of a ^ b; () if none dephase."""
+    """(damp,): the (2^n, 2^n, 1) table exp(-T sum_k gamma_k), k over bits of a ^ b; () if none."""
     if not (duration > 0 and (noise.sigma_dephasing_rate or noise.pi_dephasing_rate)):
         return ()
     rates = [float(noise.rate_for(b)) for b in bases]
     _check_exponent(float(duration) * sum(rates), duration, "dephasing exponent T*sum(gamma)")
-    return (np.exp(-duration * (bit_table(len(bases)) * np.array(rates)).sum(axis=-1)),)
+    return (_by_xor(np.exp(-duration * (bit_table(len(bases)) * np.array(rates)).sum(axis=-1)))
+            [..., None],)
 
 
 def _window_factors(window, bases, noise):
-    """The window's Ising phase factor outer(u, u*), then its damp if any."""
-    u = window.phase
-    return (np.outer(u, u.conj())[..., None],) + _damp(bases, window.duration, noise)
+    """The window's Ising phase factor outer(u, u*) unless it has no phase, then its damp if any."""
+    phase = () if (u := window.phase) is None else (np.outer(u, u.conj())[..., None],)
+    return phase + _damp(bases, window.duration, noise)
 
 
 def free_evolution(state, duration, j, noise=None):
@@ -338,9 +340,11 @@ def _ops(op):
 
 @dataclass(eq=False, frozen=True)
 class _Window:
-    """A resolved window, hashed by identity: its duration and each state's Ising phase factor."""
+    """A resolved window, hashed by identity: its duration, each state's Ising phase factor (None
+    for a driven pulse's time, J frozen) and `laid`, its factors (key None) and their layouts."""
     duration: float
     phase: np.ndarray
+    laid: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -421,10 +425,10 @@ def _pairs(stack, order):
 
 
 def _run_steps(frame, program, j, noise, pulse_duration):
-    """Apply `program`'s steps in place to the stack frame.rho and each slice's clock. Window
-    factors are built once per window object, the last two kept (a train's tau/2 and tau), pulse
-    damps once per encoding pattern; each is laid out once per order, a damp by one gather. A
-    window, or a driven pulse that takes time, applies its factors, then advances the clocks."""
+    """Apply `program`'s steps in place to the stack frame.rho and each slice's clock. Time passes
+    only in windows: a driven pulse that takes time is followed by a window without Ising phase,
+    one per encoding pattern. A window builds its factors once and lays them out once per qubit
+    order, each by one copy; it applies them, then advances the clocks."""
     n, order = frame.n_qubits, tuple(range(frame.n_qubits))
     bufs = [np.empty_like(frame.rho), frame.rho]
     pair_major = bufs[0].reshape((2,) * 2 * n + (-1,))
@@ -432,22 +436,10 @@ def _run_steps(frame, program, j, noise, pulse_duration):
     rows, cols = [b.reshape(2, -1) for b in bufs], [b.reshape(2, 2, -1) for b in bufs]
     gather = cache(lambda k, p: (bufs[1 - k].reshape(4, 4**p, -1),  # pair p of k to the front
                                  bufs[k].reshape(4**p, 4, -1).swapaxes(0, 1)))
-    i, laid = 0, {}  # i: the buffer that holds the state; laid: window -> its factors by order
-    clock = max(frame.time.tolist())
-    pulse_damp = cache(lambda bases: _damp(bases, pulse_duration, noise))
-    xor = cache(lambda order: np.ascontiguousarray(  # a ^ b at each place of the order's layout
-        _pairs(_by_xor(np.arange(2**n))[..., None], order)).reshape(2**n, 2**n, 1))
-    def layout(factors, order):  # in the order `order`: a table by one copy, a damp by a gather
-        return tuple(f[xor(order)] if f.ndim == 1 else
-                     np.ascontiguousarray(_pairs(f, order)).reshape(f.shape) for f in factors)
-    laid_pulse_damp = cache(lambda bases, order: layout(pulse_damp(bases), order))
+    pulse_time = cache(lambda bases: _Window(pulse_duration, None))
+    i, clock = 0, max(frame.time.tolist())  # i: the buffer that holds the state
     for step in _walk(program, j, frame):
-        if isinstance(step, _Window):
-            if step not in laid:
-                laid = dict(list(laid.items())[-1:])  # at most two: a train's tau/2 and tau
-                laid[step] = cache(partial(layout, _window_factors(step, frame.bases, noise)))
-            duration, factors = step.duration, laid[step](order)
-        else:
+        if isinstance(step, _Pulse):
             if p := order.index(step.qubit):
                 np.copyto(*gather(i, p))
                 i, order = 1 - i, (step.qubit,) + order[:p] + order[p + 1:]
@@ -460,12 +452,18 @@ def _run_steps(frame, program, j, noise, pulse_duration):
                 np.copyto(cols[i], cols[1 - i].swapaxes(0, 1))
             if not (step.driven and pulse_duration > 0):
                 continue
-            duration, factors = pulse_duration, laid_pulse_damp(frame.bases, order)
-        clock += duration  # the latest slice's clock, in Python floats
-        _check_exponent(clock, duration, "run clock")
-        for factor in factors:
+            step = pulse_time(frame.bases)
+        laid = step.laid
+        if None not in laid:
+            laid[None] = _window_factors(step, frame.bases, noise)
+        if order not in laid:
+            laid[order] = tuple(np.ascontiguousarray(_pairs(f, order)).reshape(f.shape)
+                                for f in laid[None])
+        clock += step.duration  # the latest slice's clock, in Python floats
+        _check_exponent(clock, step.duration, "run clock")
+        for factor in laid[order]:
             bufs[i] *= factor
-        frame.time += duration
+        frame.time += step.duration
     if i:  # the state is in frame.rho's buffer, which the copy back writes
         np.copyto(bufs[0], bufs[1])
     np.copyto(_pairs(frame.rho, order), pair_major)

@@ -701,12 +701,17 @@ def test_pulse_duration_freezes_coupling():
     j[0, 1] = j[1, 0] = 300.0
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0)])
     noise = NoiseModel(white_noise_fraction=0.0, readout_fidelity=1.0)
-    res = run_program(prog, j, noise=noise, pulse_duration=1e-3)
-    # pulses are spin-locked: exposure produces dephasing but no zz phase
-    st = res.state
-    assert st.populations()[0b000] == pytest.approx(0.5, abs=1e-12)
-    coh = 2 * abs(st.rho[0b000, 0b100])
-    assert coh < 1.0
+    # pulses are spin-locked: the pulse's time is a window that dephases qubit 0's coherence
+    # by exactly exp(-gamma tau) but adds none of J01's phase, so R(pi/2) leaves its phase at
+    # pi/2; a PhaseShift is virtual and adds no time, also around the pulse
+    tau, gamma = 1e-3, noise.sigma_dephasing_rate
+    for ins in ([prog.instructions[0]],
+                [PhaseShift(1, 0.3), prog.instructions[0], PhaseShift(2, 0.7)]):
+        st = run_program(PulseProgram(3, ins), j, noise=noise, pulse_duration=tau).state
+        assert st.populations()[0b000] == pytest.approx(0.5, abs=1e-12)
+        assert st.time == tau and gamma == 62.5
+        assert 2 * abs(st.rho[0b000, 0b100]) == np.exp(-gamma * tau)
+        assert np.angle(st.rho[0b000, 0b100]) == np.pi / 2
     for bad in (float("nan"), float("inf"), -1e-6):
         with pytest.raises(EngineError, match=f"pulse_duration must be finite and >= 0, "
                                               f"got {bad}"):
@@ -768,10 +773,18 @@ def test_decoupled_window_builds_each_factor_once(monkeypatch, bench_j):
     built.update(free_phases=0)
     run_program(prog, bench_j, noise=NoiseModel())
     assert built == {"_window_factors": 2, "_damp": 2, "free_phases": 1}
-    # the 61 driven pulses share one damp: one encoding pattern
+    # the time of the 61 driven pulses is one more window, without Ising phase: one encoding
+    # pattern, so its damp is built once, as are the train's tau/2 and tau
     built.update(_window_factors=0, _damp=0, free_phases=0)
     run_program(prog, bench_j, noise=NoiseModel(), pulse_duration=1e-6)
-    assert built == {"_window_factors": 2, "_damp": 3, "free_phases": 1}
+    assert built == {"_window_factors": 3, "_damp": 3, "free_phases": 1}
+    # a transfer between timed pulses: two encoding patterns, so two pulse-time windows
+    built.update(_window_factors=0, _damp=0, free_phases=0)
+    run_program(PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), Rotate(1, np.pi, 0.0),
+                                 TransferBasis(2, "pi"), Rotate(0, np.pi, 0.3),
+                                 Rotate(2, np.pi / 2, 0.0)]),
+                bench_j, noise=NoiseModel(), pulse_duration=1e-6)
+    assert built == {"_window_factors": 2, "_damp": 2, "free_phases": 0}
     # a transfer between two trains: the second train's windows are new objects built
     # under the new encodings, so two pairs per train, and one fold per encoding pattern
     built.update(_window_factors=0, _damp=0, free_phases=0)
@@ -853,8 +866,8 @@ def test_run_batch_results_own_their_memory(monkeypatch, bench_j):
 
 
 def test_a_run_leaves_no_reference_cycle(bench_j):
-    # a run's caches (window factors, laid-out damps and their a ^ b indices) go when it
-    # returns; a cycle among its closures would leave them to the cyclic collector, which on
+    # a run's window factors and their layouts, which each window object keeps, go when the run
+    # returns; a cycle through its closures would leave them to the cyclic collector, which on
     # the wide_register benchmark held about 4 MB more at peak
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3, 20, "kdd"),
                             TransferBasis(1, "pi"), FreeEvolve(2e-4), Rotate(2, np.pi, 0.3)])
