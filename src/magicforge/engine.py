@@ -29,11 +29,11 @@ stack pair-major (`_pairs`: each qubit's row and column bit adjacent, qubits in
 a tracked order); a pulse on q gathers q's pair to the front if it is not there,
 then applies op as one zgemm 4^n B/2 columns wide and op* as two 4^(n-1) B wide.
 A walk folds each encoding pattern's Ising energies once and builds a train's two windows
-once. Time passes only in windows (a driven pulse's time is one without Ising phase), and each
-keeps its factors, laid out once per qubit order by one copy. Both per-step kernels,
-`apply_rotation` and `free_evolution`, are one-instruction runs.
-Registers are capped at MAX_QUBITS; entering density matrices are checked, and
-states the engine builds itself (fresh registers, results) are not re-checked.
+once. Time passes only in windows (a driven pulse's time is one without Ising phase); a window's
+factors, phase u[a] u*[b] and damp v[a ^ b], are gathered from its 2^n values, permuted into the
+qubit order, by one index set per register size. Both per-step kernels, `apply_rotation` and
+`free_evolution`, are one-instruction runs. Registers are capped at MAX_QUBITS; entering
+density matrices are checked, and states the engine builds itself are not re-checked.
 A window or pulse whose Ising phase, damp exponent or run clock would overflow
 fails with an EngineError naming its duration.
 
@@ -61,7 +61,7 @@ applied to outcome distributions only, never to the state.
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +77,7 @@ from .gates import (
     free_phases,
     phase_2x2,
     product_ket,
+    read_only,
     relabel_index,
     rotation_2x2,
 )
@@ -261,12 +262,6 @@ def apply_rotation(state, qubit, theta, phi=0.0):
     _step(state, Rotate(qubit, theta, phi))
 
 
-def _by_xor(values):
-    """(2^n, 2^n) table values[a ^ b]: at (a, b), a function of which bits differ."""
-    i = np.arange(values.size)
-    return values[i[:, None] ^ i]
-
-
 def _check_exponent(value, duration, what):
     """An exponent or clock taken in Python floats, which never warn, must be finite; else
     numpy would overflow on it, so an EngineError names the duration."""
@@ -275,19 +270,12 @@ def _check_exponent(value, duration, what):
 
 
 def _damp(bases, duration, noise):
-    """(damp,): the (2^n, 2^n, 1) table exp(-T sum_k gamma_k), k over bits of a ^ b; () if none."""
+    """v[x] = exp(-T sum_k gamma_k), k over bits of x: the damp of (a, b) at x = a ^ b; or None."""
     if not (duration > 0 and (noise.sigma_dephasing_rate or noise.pi_dephasing_rate)):
-        return ()
+        return None
     rates = [float(noise.rate_for(b)) for b in bases]
     _check_exponent(float(duration) * sum(rates), duration, "dephasing exponent T*sum(gamma)")
-    return (_by_xor(np.exp(-duration * (bit_table(len(bases)) * np.array(rates)).sum(axis=-1)))
-            [..., None],)
-
-
-def _window_factors(window, bases, noise):
-    """The window's Ising phase factor outer(u, u*) unless it has no phase, then its damp if any."""
-    phase = () if (u := window.phase) is None else (np.outer(u, u.conj())[..., None],)
-    return phase + _damp(bases, window.duration, noise)
+    return np.exp(-duration * (bit_table(len(bases)) * np.array(rates)).sum(axis=-1))
 
 
 def free_evolution(state, duration, j, noise=None):
@@ -340,8 +328,9 @@ def _ops(op):
 
 @dataclass(eq=False, frozen=True)
 class _Window:
-    """A resolved window, hashed by identity: its duration, each state's Ising phase factor (None
-    for a driven pulse's time, J frozen) and `laid`, its factors (key None) and their layouts."""
+    """A resolved window, hashed by identity: its duration, each state's Ising phase factor u
+    (None for a driven pulse's time, J frozen) and `laid`, its damp's 2^n values (key None, None
+    if no damp) and its factors laid out in each qubit order it meets (key: the order)."""
     duration: float
     phase: np.ndarray
     laid: dict = field(default_factory=dict)
@@ -424,24 +413,45 @@ def _pairs(stack, order):
     return bits.transpose([axis for q in order for axis in (q, n + q)] + [2 * n])
 
 
+@cache
+def _pair_index(n):
+    """Row r, column c and r ^ c of each entry of a pair-major (2^n, 2^n, 1) table, as indices of
+    2^n values permuted into its qubit order, so one read-only set serves every order."""
+    m, r, c = np.arange(4**n), 0, 0
+    for k in range(n):  # bits 2k + 1 and 2k of m are the row and column bit of pair n - 1 - k
+        r, c = r | ((m >> 2 * k + 1) & 1) << k, c | ((m >> 2 * k) & 1) << k
+    return tuple(read_only(a.reshape(2**n, 2**n, 1)) for a in (r, c, r ^ c))
+
+
+def _laid(phase, damp, order):
+    """A window's factors laid out pair-major in `order`, each one gather of its 2^n values
+    permuted into that order: the phase u[r] u*[c] unless u is None, then the damp v[r ^ c]."""
+    r, c, x = _pair_index(len(order))
+    u, v = (a if a is None else a.reshape((2,) * len(order)).transpose(order).ravel()
+            for a in (phase, damp))
+    return ((() if u is None else (u[r] * u.conj()[c],))
+            + (() if v is None else (v.astype(complex)[x],)))
+
+
 def _run_steps(frame, program, j, noise, pulse_duration):
     """Apply `program`'s steps in place to the stack frame.rho and each slice's clock. Time passes
     only in windows: a driven pulse that takes time is followed by a window without Ising phase,
-    one per encoding pattern. A window builds its factors once and lays them out once per qubit
-    order, each by one copy; it applies them, then advances the clocks."""
+    one per encoding pattern. A window builds its damp's 2^n values once and its factors once per
+    qubit order, each one gather (`_laid`); it applies them, then advances the clocks."""
     n, order = frame.n_qubits, tuple(range(frame.n_qubits))
     bufs = [np.empty_like(frame.rho), frame.rho]
     pair_major = bufs[0].reshape((2,) * 2 * n + (-1,))
     np.copyto(pair_major, _pairs(frame.rho, order))
     rows, cols = [b.reshape(2, -1) for b in bufs], [b.reshape(2, 2, -1) for b in bufs]
-    gather = cache(lambda k, p: (bufs[1 - k].reshape(4, 4**p, -1),  # pair p of k to the front
-                                 bufs[k].reshape(4**p, 4, -1).swapaxes(0, 1)))
-    pulse_time = cache(lambda bases: _Window(pulse_duration, None))
+    gather, pulse_time = {}, {}
     i, clock = 0, max(frame.time.tolist())  # i: the buffer that holds the state
     for step in _walk(program, j, frame):
         if isinstance(step, _Pulse):
             if p := order.index(step.qubit):
-                np.copyto(*gather(i, p))
+                if (i, p) not in gather:  # pair p of buffer i to the front of the other
+                    gather[i, p] = (bufs[1 - i].reshape(4, 4**p, -1),
+                                    bufs[i].reshape(4**p, 4, -1).swapaxes(0, 1))
+                np.copyto(*gather[i, p])
                 i, order = 1 - i, (step.qubit,) + order[:p] + order[p + 1:]
             np.matmul(step.ops[0], rows[i], out=rows[1 - i])
             if n > 1:
@@ -452,13 +462,13 @@ def _run_steps(frame, program, j, noise, pulse_duration):
                 np.copyto(cols[i], cols[1 - i].swapaxes(0, 1))
             if not (step.driven and pulse_duration > 0):
                 continue
-            step = pulse_time(frame.bases)
+            if (step := pulse_time.get(frame.bases)) is None:
+                step = pulse_time[frame.bases] = _Window(pulse_duration, None)
         laid = step.laid
         if None not in laid:
-            laid[None] = _window_factors(step, frame.bases, noise)
+            laid[None] = _damp(frame.bases, step.duration, noise)
         if order not in laid:
-            laid[order] = tuple(np.ascontiguousarray(_pairs(f, order)).reshape(f.shape)
-                                for f in laid[None])
+            laid[order] = _laid(step.phase, laid[None], order)
         clock += step.duration  # the latest slice's clock, in Python floats
         _check_exponent(clock, step.duration, "run clock")
         for factor in laid[order]:
@@ -578,14 +588,19 @@ def _register_of(p, axis):
     return size.bit_length() - 1
 
 
+@lru_cache(maxsize=8)
+def _readout_channel(n_qubits, fidelity):
+    """The bit-flip channel f^(n - d) (1 - f)^d, d the bits a ^ b; shared, read-only."""
+    i = np.arange(2**n_qubits)
+    flips = bit_table(n_qubits).sum(axis=-1)[i[:, None] ^ i]
+    return read_only(fidelity ** (n_qubits - flips) * (1 - fidelity) ** flips)
+
+
 def apply_readout_confusion(p, fidelity):
     """Symmetric per-qubit classical bit-flip channel on a distribution p (or p's columns)."""
     p = check_array(p, "p", EngineError, ndim=(1, 2))
     check_real(fidelity, "fidelity", EngineError, 0.5, 1)
-    n_qubits = _register_of(p, 0)
-    flips = _by_xor(bit_table(n_qubits).sum(axis=-1))
-    c = fidelity ** (n_qubits - flips) * (1 - fidelity) ** flips
-    return c @ p
+    return _readout_channel(_register_of(p, 0), fidelity) @ p
 
 
 def measurement_probabilities(state, noise):

@@ -757,47 +757,111 @@ def test_run_batch_rejects_bad_preparations(bench_j):
 
 
 def test_decoupled_window_builds_each_factor_once(monkeypatch, bench_j):
-    built = {"_window_factors": 0, "_damp": 0, "free_phases": 0}
+    # a window object builds its damp's 2^n values once (`_damp`), and lays its factors out
+    # once per qubit order it meets (`_laid`, one gather each)
+    built = {"_damp": 0, "_laid": 0, "free_phases": 0}
     for name in built:
         def counting(*args, _real=getattr(engine, name), _name=name):
             built[_name] += 1
             return _real(*args)
         monkeypatch.setattr(engine, name, counting)
     prog = PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), FreeEvolve(1e-3, 20, "cpmg")])
-    # 21 windows (tau/2, 19 x tau, tau/2) share two objects, and a run keeps the factors of
-    # both, so two factor pairs, not 21; the Ising energies are folded once, for the one
-    # encoding pattern
+    # 21 windows (tau/2, 19 x tau, tau/2) share two objects, each keeping its own damp and
+    # layouts; the Ising energies are folded once, for the one encoding pattern
     windows = [s for s in engine._walk(prog, bench_j, engine._Frame(("sigma-",) * 3))
                if isinstance(s, engine._Window)]
     assert len(windows) == 21 and len({id(w) for w in windows}) == 2
     built.update(free_phases=0)
     run_program(prog, bench_j, noise=NoiseModel())
-    assert built == {"_window_factors": 2, "_damp": 2, "free_phases": 1}
+    # a pulse brings its qubit's pair to the front of the qubit order, and every layer pulses
+    # qubits 0, 1, 2 in turn, so each layer leaves the order (2, 1, 0): the first tau/2 is laid
+    # out in (0, 1, 2), tau and the last tau/2 in (2, 1, 0), so three layouts
+    assert built == {"_damp": 2, "_laid": 3, "free_phases": 1}
     # the time of the 61 driven pulses is one more window, without Ising phase: one encoding
-    # pattern, so its damp is built once, as are the train's tau/2 and tau
-    built.update(_window_factors=0, _damp=0, free_phases=0)
+    # pattern, so its damp is built once; it meets the orders after each pulse, four in all:
+    # (0, 1, 2), then (1, 0, 2) and (2, 1, 0) in every layer, and (0, 2, 1) from the second on
+    built.update(_damp=0, _laid=0, free_phases=0)
     run_program(prog, bench_j, noise=NoiseModel(), pulse_duration=1e-6)
-    assert built == {"_window_factors": 3, "_damp": 3, "free_phases": 1}
-    # a transfer between timed pulses: two encoding patterns, so two pulse-time windows
-    built.update(_window_factors=0, _damp=0, free_phases=0)
+    assert built == {"_damp": 3, "_laid": 3 + 4, "free_phases": 1}
+    # a transfer between timed pulses: two encoding patterns, so two pulse-time windows; the
+    # first meets the orders (0, 1, 2) and (1, 0, 2), the second (0, 1, 2) and (2, 0, 1)
+    built.update(_damp=0, _laid=0, free_phases=0)
     run_program(PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), Rotate(1, np.pi, 0.0),
                                  TransferBasis(2, "pi"), Rotate(0, np.pi, 0.3),
                                  Rotate(2, np.pi / 2, 0.0)]),
                 bench_j, noise=NoiseModel(), pulse_duration=1e-6)
-    assert built == {"_window_factors": 2, "_damp": 2, "free_phases": 0}
+    assert built == {"_damp": 2, "_laid": 4, "free_phases": 0}
     # a transfer between two trains: the second train's windows are new objects built
-    # under the new encodings, so two pairs per train, and one fold per encoding pattern
-    built.update(_window_factors=0, _damp=0, free_phases=0)
+    # under the new encodings, so two per train, and one fold per encoding pattern; the
+    # second train starts in the order (2, 1, 0), so each of its windows meets only that one
+    built.update(_damp=0, _laid=0, free_phases=0)
     train = FreeEvolve(1e-3, 20, "cpmg")
     run_program(PulseProgram(3, [Rotate(0, np.pi / 2, 0.0), train, TransferBasis(1, "pi"), train]),
                 bench_j, noise=NoiseModel())
-    assert built == {"_window_factors": 4, "_damp": 4, "free_phases": 2}
-    # back to the first pattern: its energies are kept for the run, not folded again
-    built.update(_window_factors=0, _damp=0, free_phases=0)
+    assert built == {"_damp": 4, "_laid": 3 + 2, "free_phases": 2}
+    # back to the first pattern: its energies are kept for the run, not folded again; the
+    # first train is laid out as above, and the two plain windows and the second train's two
+    # meet only (2, 1, 0)
+    built.update(_damp=0, _laid=0, free_phases=0)
     run_program(PulseProgram(3, [train, TransferBasis(1, "pi"), FreeEvolve(2e-4),
                                  TransferBasis(1, "sigma-"), FreeEvolve(3e-4), train]),
                 bench_j, noise=NoiseModel())
-    assert built == {"_window_factors": 6, "_damp": 6, "free_phases": 2}
+    assert built == {"_damp": 6, "_laid": 3 + 2 + 2, "free_phases": 2}
+
+
+def test_laid_factors_match_the_copied_tables_bit_for_bit(monkeypatch):
+    # the oracle is the construction each factor had before it was one gather: the natural
+    # (2^n, 2^n) table, outer(u, u*) for the phase and v[a ^ b] for the damp, copied into the
+    # pair-major layout of the qubit order
+    def by_xor(values):
+        i = np.arange(values.size)
+        return values[i[:, None] ^ i]
+
+    def copied(table, order):
+        return np.ascontiguousarray(engine._pairs(table[..., None], order)).reshape(-1)
+
+    rng = np.random.default_rng(20261021)
+    for n in [*range(1, 8), 10]:
+        bases = tuple(rng.choice(["sigma-", "sigma+", "pi"], n))
+        noise = NoiseModel(*rng.uniform(1.0, 200.0, 2))
+        duration = rng.uniform(1e-6, 2e-3)
+        u = np.exp(1j * rng.uniform(-np.pi, np.pi, 2**n))
+        v = engine._damp(bases, duration, noise)
+        rates = np.array([noise.rate_for(b) for b in bases])
+        assert v.tobytes() == np.exp(-duration * (engine.bit_table(n) * rates).sum(-1)).tobytes()
+        orders = [tuple(range(n)), tuple(range(n))[::-1]]
+        orders += [tuple(rng.permutation(n).tolist()) for _ in range(3 if n < 10 else 1)]
+        for order in orders:
+            phase, damp = engine._laid(u, v, order)
+            assert phase.shape == damp.shape == (2**n, 2**n, 1)
+            want = copied(np.outer(u, u.conj()), order)
+            assert np.array_equal(phase.reshape(-1).view(np.uint64), want.view(np.uint64))
+            # the run multiplies by the damp as by the float table, which numpy casts to d + 0j
+            want = copied(by_xor(v), order)
+            assert np.array_equal(damp.reshape(-1).view(np.uint64),
+                                  want.astype(complex).view(np.uint64))
+            rho = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
+            assert np.array_equal((rho * damp.reshape(-1)).view(np.uint64),
+                                  (rho * want).view(np.uint64))
+            # a driven pulse's time has no phase, a window without noise no damp
+            [alone] = engine._laid(None, v, order)
+            assert alone.tobytes() == damp.tobytes()
+            [alone] = engine._laid(u, None, order)
+            assert alone.tobytes() == phase.tobytes()
+        # one shared, read-only index set per register size: three 4^n arrays, nothing larger
+        index = engine._pair_index(n)
+        assert engine._pair_index(n) is index and len(index) == 3
+        assert all(a.size == 4**n and a.nbytes <= 8 * 4**n and not a.flags.writeable
+                   for a in index)
+    assert engine._pair_index.cache_info().currsize <= MAX_QUBITS
+    engine._pair_index.cache_clear()  # the 10-qubit set is 24 MB
+    # and a run copies the stack into its layout and back, but no factor: only two _pairs calls
+    calls = []
+    monkeypatch.setattr(engine, "_pairs", lambda *a, _real=engine._pairs: calls.append(a) or _real(*a))
+    prog = PulseProgram(4, [Rotate(2, 0.7, 0.1), FreeEvolve(1e-3, 10, "kdd"), Rotate(1, np.pi, 0.0),
+                            FreeEvolve(3e-4)])
+    run_program(prog, random_j(rng, 4), noise=NoiseModel(), pulse_duration=1e-6)
+    assert len(calls) == 2
 
 
 def test_trains_run_without_building_a_program(monkeypatch, bench_j):
