@@ -14,6 +14,10 @@ S_in the normal-mode matrix.
 Each ion pair i < k is evaluated once per Newton iterate and mirrored to (k, i): exactly, since
 IEEE subtraction and division are sign-symmetric (u_k - u_i = -(u_i - u_k), (-s)/p = -(s/p)),
 so every double reaching the folds, LAPACK and the J einsum is the full n x n evaluation's.
+
+In Coulomb length units the crystal u and its Hessian's eigensystem depend on N alone (James,
+Appl. Phys. B 66, 181 (1998)), so each is solved once per N and cached; J keeps its bits, as the
+same statements run on the same doubles and mass, nu1 and the fields enter only afterwards.
 """
 
 import configparser
@@ -254,22 +258,13 @@ def _rounding_floor(u):
     return 16.0 * np.finfo(float).eps * float(np.linalg.norm(terms))
 
 
-def equilibrium_positions(config):
-    """Equilibrium ion positions via damped Newton on the scaled potential.
-
-    Starts from uniform spacing and iterates, at most 200 times, until the
-    scaled gradient norm is below 1e-12. A long chain's gradient can round
-    above 1e-12; once no damped step lowers |grad|, the search stops there if
-    |grad| is within the rounding floor (`_rounding_floor`), and fails above it.
-    Returns a ChainGeometry; positions are reference_coordinate + length_scale * u
-    with the scaled coordinates centred on zero.
-    """
-    n = config.ion_count
-    scale = config.length_scale
-    if n == 1:
-        return ChainGeometry(positions=np.array([config.reference_coordinate]),
-                             scaled_positions=np.zeros(1), length_scale=scale, iterations=0,
-                             gradient_norm=0.0)
+@functools.lru_cache(maxsize=MAX_IONS)
+def _scaled_equilibrium(n):
+    """(u, iterations, |grad|) of the n-ion crystal in the Coulomb length unit, u read-only:
+    damped Newton from uniform spacing, at most 200 iterations, until |grad| < 1e-12. A long
+    chain's gradient can round above 1e-12; once no damped step lowers |grad|, the search stops
+    there if |grad| is within the rounding floor (`_rounding_floor`), and fails above it. A
+    failed search raises, so only a solved length is cached."""
     # empirical minimum-spacing estimate keeps the start inside the basin
     spacing = 2.018 / n**0.559
     u = (np.arange(n) - (n - 1) / 2.0) * spacing
@@ -305,22 +300,41 @@ def equilibrium_positions(config):
             f"(final |grad| = {gnorm:.3e})"
         )
     u -= u.mean()  # the quadratic well centres the crystal exactly
-    return ChainGeometry(
-        positions=config.reference_coordinate + scale * u,
-        scaled_positions=u,
-        length_scale=scale,
-        iterations=iteration,
-        gradient_norm=gnorm,
-    )
+    u.flags.writeable = False
+    return u, iteration, gnorm
+
+
+def equilibrium_positions(config):
+    """ChainGeometry at reference_coordinate + length_scale * u, u the centred scaled crystal
+    that `_scaled_equilibrium` solves once per ion count; its arrays are the caller's own."""
+    n = config.ion_count
+    scale = config.length_scale
+    if n == 1:
+        return ChainGeometry(positions=np.array([config.reference_coordinate]),
+                             scaled_positions=np.zeros(1), length_scale=scale, iterations=0,
+                             gradient_norm=0.0)
+    u, iterations, gnorm = _scaled_equilibrium(n)
+    return ChainGeometry(positions=config.reference_coordinate + scale * u,
+                         scaled_positions=u.copy(), length_scale=scale, iterations=iterations,
+                         gradient_norm=gnorm)
+
+
+@functools.lru_cache(maxsize=MAX_IONS)
+def _scaled_modes(key):
+    """`eigh`'s (lam, vectors), read-only, of the scaled Hessian at the float64 u bytes `key`."""
+    lam, vecs = np.linalg.eigh(_scaled_hessian(np.frombuffer(key)))
+    lam.flags.writeable = vecs.flags.writeable = False
+    return lam, vecs
 
 
 def normal_modes(config, geometry):
     """Axial normal modes from the scaled Hessian at the equilibrium `geometry`.
 
     Eigenvalues lam_n give nu_n = nu1 * sqrt(lam_n); the lowest mode is the
-    centre-of-mass mode at exactly nu1 with vector (1,...,1)/sqrt(N).
+    centre-of-mass mode at exactly nu1 with vector (1,...,1)/sqrt(N). The eigensystem is
+    cached by u's bytes (`_scaled_modes`); every returned array is new.
     """
-    lam, vecs = np.linalg.eigh(_scaled_hessian(geometry.scaled_positions))
+    lam, vecs = _scaled_modes(np.asarray(geometry.scaled_positions, dtype=float).tobytes())
     if np.any(lam <= 0):
         raise ChainModelError(f"non-positive mode eigenvalue encountered: {lam}")
     # deterministic sign: largest-magnitude component of each mode positive
@@ -375,7 +389,8 @@ def solve_trap_file(path):
 def coupling_matrix(config, geometry=None):
     """Gradient-mediated Ising couplings J_ij (rad/s) for the configured chain.
 
-    `geometry` is the chain's `equilibrium_positions`, solved here when not given.
+    `geometry` is the chain's `equilibrium_positions`, solved here when not given; at a length
+    already solved only the scaling and the J einsum run.
     """
     if geometry is None:
         geometry = equilibrium_positions(config)

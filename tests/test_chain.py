@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import platform
 
@@ -18,7 +19,15 @@ from magicforge.chain import (
     save_couplings,
     zeeman_profile,
 )
-from magicforge.constants import BOHR_MAGNETON, HBAR, MAX_IONS
+from magicforge.constants import ATOMIC_MASS, BOHR_MAGNETON, HBAR, MAX_IONS
+
+
+@pytest.fixture(autouse=True)
+def cold_chain_caches():
+    """Each test starts with no chain length solved, so the tests that count the Newton search's
+    work, or break it, see a cold solve."""
+    chain._scaled_equilibrium.cache_clear()
+    chain._scaled_modes.cache_clear()
 
 
 def loop_gradient(u):
@@ -362,6 +371,63 @@ def test_coupling_matrix_solves_equilibrium_once(monkeypatch):
     geometry = solve(config)
     coupling_matrix(config, geometry)
     assert len(calls) == 0
+
+
+def test_each_chain_length_is_solved_once(monkeypatch):
+    rng = np.random.default_rng(20261022)
+
+    def random_trap(n):  # bias above the 84-ion chain's field swing at the top gradient
+        return TrapConfig(ion_count=n, ion_mass=rng.uniform(6.0, 200.0) * ATOMIC_MASS,
+                          axial_frequency=2 * np.pi * rng.uniform(5e4, 5e5),
+                          magnetic_gradient=rng.uniform(1.0, 40.0),
+                          bias_field=rng.uniform(0.1, 1.0))
+
+    def bits(config):
+        return coupling_matrix(config).j.view(np.uint64)
+
+    # a stalled search raises and leaves nothing cached, so the next call searches again
+    gradient = chain._scaled_gradient
+    monkeypatch.setattr(chain, "_scaled_gradient",
+                        lambda u, *rest: gradient(u, *rest) + 1e-9 * rng.standard_normal(u.size))
+    for _ in range(2):
+        with pytest.raises(chain.ChainModelError, match="stalled"):
+            equilibrium_positions(TrapConfig(ion_count=10))
+    monkeypatch.undo()
+    # warm equals cold bit for bit at every length, on traps that share only the ion count
+    for n in range(2, MAX_IONS + 1):
+        config = random_trap(n)
+        coupling_matrix(random_trap(n))  # another trap of this length fills the caches
+        warm = bits(config)
+        chain._scaled_equilibrium.cache_clear()
+        chain._scaled_modes.cache_clear()
+        assert np.array_equal(warm, bits(config)), n
+
+    def solved_again(*args):
+        raise AssertionError("a cached chain length was solved again")
+
+    config = random_trap(12)
+    coupling_matrix(random_trap(12))
+    for module, name in ((chain, "_scaled_gradient"), (chain, "_scaled_hessian"),
+                         (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, solved_again)
+    j = bits(config)
+    monkeypatch.undo()
+    # every array handed out is the caller's: writing into it moves no later J
+    geometry = equilibrium_positions(config)
+    modes = normal_modes(config, geometry)
+    for array in (geometry.positions, geometry.scaled_positions, modes.frequencies,
+                  modes.vectors, modes.ground_extents):
+        array[...] = 0.0
+    assert np.array_equal(bits(config), j)
+    # a caller-built geometry one ulp off the cached crystal gets the eigh of its own Hessian
+    geometry = equilibrium_positions(config)
+    nudged = geometry.scaled_positions.copy()
+    nudged[-1] = np.nextafter(nudged[-1], np.inf)
+    lam = np.linalg.eigh(chain._scaled_hessian(nudged))[0]
+    own = dataclasses.replace(geometry, scaled_positions=nudged)
+    frequencies = normal_modes(config, own).frequencies
+    assert np.array_equal(frequencies, config.axial_frequency * np.sqrt(lam))
+    assert not np.array_equal(frequencies, normal_modes(config, geometry).frequencies)
 
 
 def test_coupling_ratio_from_mode_sums():
