@@ -26,9 +26,10 @@ rows in the order an einsum over the Jacobian would add them; one residual
 evaluation per step serves both the line search and the next step; and starts
 that have settled on a fixed point or a two-cycle are retired from the batch
 holding the iterate the last step would leave. Every result stays
-bit-identical to iterating all starts for the full iteration count. Every
-compile is gated by a process-fidelity check of the emitted program against
-the reference transform.
+bit-identical to iterating all starts for the full iteration count, and is
+cached by rho23: in b = J12 T3 / 2 the system reads no other register number.
+Every compile is gated by a process-fidelity check of the emitted program
+against the reference transform.
 
 Qubit indices: couplings j[0,1], j[0,2], j[1,2] in rad/s, durations in
 seconds. The emitted programs end with the label swap 0 <-> 2 that the
@@ -36,7 +37,7 @@ bit-reversed output order of the pulse skeleton requires.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -184,10 +185,19 @@ def solve_entangling_params(j, t1, t2):
     search's first trial and, for every start that accepts it, the next
     step's residual. Only rejected starts are re-evaluated at the halved
     steps. The result is bit for bit the one of iterating every start for all
-    80 steps.
+    80 steps. The equations read the register through rho23 alone, so that root
+    search (`_window_root`) runs once per rho23 and is cached; T3 = 2 b / J12 is
+    formed per call on the same doubles, and each call gets its own solution.
     """
     j = _check_compile_couplings(j)
     rho23 = (t1 - t2) * j[1, 2] / 2.0  # the qubit-1/qubit-2 phase of the echoed T1/T2 windows
+    b, a1, a2, residual, n_roots = _window_root(rho23)
+    return EntanglingSolution(float(2.0 * b / j[1, 2]), a1, a2, residual, n_roots)
+
+
+@lru_cache(maxsize=64)
+def _window_root(rho23):
+    """(b, A1, A2, residual, roots) at phase rho23 as Python scalars; a failed solve raises."""
     ex = np.exp(1j * (rho23 + np.pi / 8.0)) / np.sqrt(2.0)
     ey = np.exp(1j * (rho23 - np.pi / 8.0)) / np.sqrt(2.0)
     pts = (np.arange(16) + 0.5) / 16 * 2.0 * np.pi
@@ -252,10 +262,9 @@ def solve_entangling_params(j, t1, t2):
     b[b < 1e-9] = 2.0 * np.pi  # a zero-length window cannot implement the step
     order = np.argsort(b)
     pick = order[0]
-    t3 = 2.0 * b[pick] / j[1, 2]
     a1 = float(np.mod(theta[ok, 1][pick], 2.0 * np.pi))
     a2 = float(np.mod(theta[ok, 2][pick], 2.0 * np.pi))
-    return EntanglingSolution(float(t3), a1, a2, float(norms[ok][pick]), int(ok.sum()))
+    return float(b[pick]), a1, a2, float(norms[ok][pick]), int(ok.sum())
 
 
 def emit_sequence(t1, t2, solution, form="exact", dd_scheme=None):

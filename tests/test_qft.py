@@ -24,6 +24,16 @@ from magicforge.qft import (
 )
 
 
+@pytest.fixture(autouse=True)
+def cold_window_cache():
+    """Each test starts with no window phase solved, so the tests that count the solver's work,
+    or change its step count, see a cold solve; cleared again after, so a root solved under a
+    patched step count reaches no other test."""
+    qft._window_root.cache_clear()
+    yield
+    qft._window_root.cache_clear()
+
+
 def pair_matrix(j01, j02, j12):
     j = np.zeros((3, 3))
     j[0, 1] = j[1, 0] = j01
@@ -295,6 +305,65 @@ def test_line_search_trial_serves_the_next_step(monkeypatch):
     solve_entangling_params(j, *plan_times(j))
     assert sum(solved) > 0
     assert sum(evaluated) - 2 * 4096 <= 1.25 * sum(solved)
+
+
+def test_each_window_phase_is_solved_once(monkeypatch):
+    def hexed(values):  # float.hex, so that equal means bit for bit
+        return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+    def fields(sol):
+        return hexed((sol.t3, sol.a1, sol.a2, sol.residual, sol.n_roots))
+
+    solved = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        solved.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    j = calibrated_couplings()
+    t1, t2 = plan_times(j)
+    # a failed solve raises and leaves nothing cached, so the same phase solves once restored
+    with monkeypatch.context() as patch:
+        patch.setattr(qft, "_STEPS", 0)
+        with pytest.raises(CompilerError, match="did not converge"):
+            solve_entangling_params(j, t1, t2)
+    cold = solve_entangling_params(j, t1, t2)
+    assert solved
+    # the second solve at the same phase runs no Gauss-Newton step, and hands out its own record
+    solved.clear()
+    warm = solve_entangling_params(j, t1, t2)
+    assert not solved
+    assert warm is not cold and fields(warm) == fields(cold)
+    cold.t3, cold.a1, cold.a2, cold.residual, cold.n_roots = 0.0, 0.0, 0.0, 1.0, 0
+    assert fields(solve_entangling_params(j, t1, t2)) == fields(warm)
+    monkeypatch.undo()
+    # warm equals cold equals the lattice oracle, bit for bit
+    assert fields(warm) == hexed(lattice_oracle(j, t1, t2))
+    rng = np.random.default_rng(40)
+    for k in range(3):
+        j = random_couplings(rng)
+        t1, t2 = plan_times(j)
+        cold = fields(solve_entangling_params(j, t1, t2))
+        assert fields(solve_entangling_params(j, t1, t2)) == cold, k
+        qft._window_root.cache_clear()
+        assert fields(solve_entangling_params(j, t1, t2)) == cold, k
+        assert cold == hexed(lattice_oracle(j, t1, t2)), k
+    # a register with the same rho23 bit for bit but another J12 gets its own T3
+    rho23 = (t1 - t2) * j[1, 2] / 2.0
+    other = j.copy()
+    other[1, 2] = other[2, 1] = 1.3 * j[1, 2]
+    d = (t1 - t2) / 1.3
+    for _ in range(64):
+        if d * other[1, 2] / 2.0 == rho23:
+            break
+        d = np.nextafter(d, np.inf if d * other[1, 2] / 2.0 < rho23 else -np.inf)
+    assert d * other[1, 2] / 2.0 == rho23
+    sol = solve_entangling_params(other, d, 0.0)
+    assert fields(sol) == hexed(lattice_oracle(other, d, 0.0))
+    assert sol.t3 != solve_entangling_params(j, t1, t2).t3
+    assert qft._window_root.cache_info().misses == 1
 
 
 def test_plan_kets_are_built_once(bench_j):
